@@ -33,26 +33,34 @@ class LogitsOutput:
             raise ValueError(f"per-instance temperature must be >= 1, got {self.temperature}")
 
 
+def softmax(scaled: np.ndarray, with_log: bool = False):
+    """Softmax over the last axis of already-scaled logits.
+
+    Each row is shifted by its max before ``exp`` so nothing overflows. With
+    ``with_log`` the log-probabilities come back too, as ``(p, log_p)``;
+    callers that only need ``p`` never pay for them.
+    """
+    shifted = scaled - scaled.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=-1, keepdims=True)
+    p = e / total
+    if not with_log:
+        return p
+    return p, shifted - np.log(total)
+
+
 def tempered_softmax(logits: np.ndarray, temperature: float) -> np.ndarray:
-    """Softmax of ``logits / temperature`` with max-subtraction for stability."""
+    """Softmax of ``logits / temperature``."""
     z = np.asarray(logits, dtype=np.float64)
     if not np.all(np.isfinite(z)):
         raise ValueError("logits must be finite")
     if not (temperature > 0 and math.isfinite(temperature)):
         raise ValueError(f"temperature must be positive and finite, got {temperature}")
-    scaled = z / temperature
-    scaled -= scaled.max(axis=-1, keepdims=True)
-    e = np.exp(scaled)
-    return e / e.sum(axis=-1, keepdims=True)
+    return softmax(z / temperature)
 
 
 def per_instance_softmax(output: LogitsOutput) -> np.ndarray:
     return tempered_softmax(output.logits, output.temperature)
-
-
-def _log_softmax(scaled: np.ndarray) -> np.ndarray:
-    shifted = scaled - scaled.max()
-    return shifted - math.log(np.exp(shifted).sum())
 
 
 def pits_loss(
@@ -70,7 +78,7 @@ def pits_loss(
         raise ValueError(f"label {label} out of range for {z.shape[0]} classes")
     if target_temperature < 1.0:
         raise ValueError(f"target temperature must be >= 1, got {target_temperature}")
-    log_p = _log_softmax(z / t)
+    _, log_p = softmax(z / t, with_log=True)
     return float(-log_p[label] + lam * (t - target_temperature) ** 2)
 
 
@@ -98,10 +106,8 @@ def pits_loss_grad(
 
 
 def _mean_nll(logits: np.ndarray, labels: np.ndarray, temperature: float) -> float:
-    scaled = logits / temperature
-    shifted = scaled - scaled.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1))
-    return float(np.mean(log_z - shifted[np.arange(len(labels)), labels]))
+    _, log_p = softmax(logits / temperature, with_log=True)
+    return float(np.mean(-log_p[np.arange(len(labels)), labels]))
 
 
 def fit_global_temperature(

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibration import TEMPERATURE_REGULARIZER, LogitsOutput, tempered_softmax
+from .calibration import TEMPERATURE_REGULARIZER, LogitsOutput, softmax
 from .data import Dataset, GridSpec, IdentityCatalog, Location, Observation
 from .errors import ConfigError, TrainingError
 
@@ -139,11 +139,6 @@ class PitsModel:
             temperature = 1.0
         return LogitsOutput(logits=logits, temperature=temperature)
 
-    def predict_likelihood(self, x: np.ndarray) -> np.ndarray:
-        """Calibrated class probabilities for one feature vector."""
-        out = self.forward(x)
-        return tempered_softmax(out.logits, out.temperature)
-
 
 def _init_params(rng: np.random.Generator, k: int, d: int) -> tuple[np.ndarray, ...]:
     bound = 1.0 / math.sqrt(d)
@@ -171,10 +166,8 @@ def mean_batch_loss(
         T = 1.0 + _softplus(X @ model.w_T + model.b_T)
     else:
         T = np.ones(X.shape[0])
-    scaled = Z / T[:, None]
-    shifted = scaled - scaled.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1))
-    nll = log_z - shifted[np.arange(len(y)), y]
+    _, log_p = softmax(Z / T[:, None], with_log=True)
+    nll = -log_p[np.arange(len(y)), y]
     reg = lam * (T - targets) ** 2 if model.temperature_head_active else 0.0
     return float(np.mean(nll + reg))
 
@@ -224,13 +217,8 @@ def train(dataset: Dataset, catalog: IdentityCatalog, config: TrainConfig) -> Pi
                 T = 1.0 + _softplus(U)
             else:
                 T = np.ones(m)
-            scaled = Z / T[:, None]
-            shifted = scaled - scaled.max(axis=1, keepdims=True)
-            expd = np.exp(shifted)
-            P = expd / expd.sum(axis=1, keepdims=True)
-
-            log_z = np.log(expd.sum(axis=1))
-            nll = log_z - shifted[np.arange(m), yb]
+            P, log_P = softmax(Z / T[:, None], with_log=True)
+            nll = -log_P[np.arange(m), yb]
             if use_temperature:
                 batch_loss = float(np.mean(nll + config.lam * (T - tb) ** 2))
             else:
@@ -334,11 +322,7 @@ def train_background_model(
             idx = order[start : start + config.batch_size]
             Xb, yb = X[idx], y[idx]
             m = len(idx)
-            Z = Xb @ W.T + b
-            shifted = Z - Z.max(axis=1, keepdims=True)
-            expd = np.exp(shifted)
-            P = expd / expd.sum(axis=1, keepdims=True)
-            G = P.copy()
+            G = softmax(Xb @ W.T + b)
             G[np.arange(m), yb] -= 1.0
             W -= lr * (G.T @ Xb) / m
             b -= lr * G.mean(axis=0)

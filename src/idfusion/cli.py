@@ -18,10 +18,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .calibration import expected_calibration_error, fit_global_temperature
+from .calibration import expected_calibration_error, fit_global_temperature, tempered_softmax
 from .classifier import (
     TrainConfig,
     features_from,
+    load_background_model,
     load_model,
     save_background_model,
     save_model,
@@ -38,6 +39,7 @@ from .errors import (
     TrainingError,
 )
 from .evaluation import (
+    infer,
     load_report,
     render_report_table,
     run_row_suite,
@@ -45,8 +47,8 @@ from .evaluation import (
     score_predictions,
     write_report_csv,
 )
-from .fusion import read_predictions, sequential_infer, write_predictions
-from .priors import PRIOR_KINDS, PriorConfig, init_state
+from .fusion import read_predictions, write_predictions
+from .priors import PRIOR_KINDS, PriorConfig
 from .simulate import PRESETS, SimConfig, generate
 
 logger = logging.getLogger(__name__)
@@ -97,7 +99,9 @@ def _prior_config(args: argparse.Namespace, cfg: dict) -> PriorConfig:
         cfg.get("prior", {}),
         {
             "kind": getattr(args, "prior", None),
-            "location_source": getattr(args, "location_source", None),
+            "location_source": (
+                "background_model" if getattr(args, "background_model", None) else None
+            ),
         },
     )
     if "combine_with" in section:
@@ -153,26 +157,27 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     cfg = _load_config_file(args.config)
     dataset = load_dataset(args.data)
     model = load_model(args.model)
-    test = dataset.test
     label_pos = {k: i for i, k in enumerate(model.labels)}
-    logits = np.stack([model.forward(features_from(o, model.input_kind)).logits for o in test])
-    labels = np.array([label_pos.get(o.identity, -1) for o in test], dtype=np.int64)
 
-    known = labels >= 0
+    def logits_and_labels(observations) -> tuple[np.ndarray, np.ndarray]:
+        logits = np.stack(
+            [model.forward(features_from(o, model.input_kind)).logits for o in observations]
+        )
+        labels = np.array([label_pos.get(o.identity, -1) for o in observations], dtype=np.int64)
+        return logits, labels
+
+    # Fit on train, score on test: ECE after fitting stays out-of-sample.
+    fit_logits, fit_labels = logits_and_labels(dataset.train)
+    known = fit_labels >= 0
     if not known.any():
-        print("error: no test observation has an identity the model was trained on",
+        print("error: no train observation has an identity the model was trained on",
               file=sys.stderr)
         return 1
-    t_star = fit_global_temperature(logits[known], labels[known])
+    t_star = fit_global_temperature(fit_logits[known], fit_labels[known])
 
-    def _probs(t: float) -> np.ndarray:
-        scaled = logits / t
-        shifted = scaled - scaled.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        return e / e.sum(axis=1, keepdims=True)
-
-    before = expected_calibration_error(_probs(1.0), labels)
-    after = expected_calibration_error(_probs(t_star), labels)
+    logits, labels = logits_and_labels(dataset.test)
+    before = expected_calibration_error(tempered_softmax(logits, 1.0), labels)
+    after = expected_calibration_error(tempered_softmax(logits, t_star), labels)
     print(f"fitted global temperature: {t_star:.4f}")
     print(f"ece before: {before.ece:.4f}")
     print(f"ece after:  {after.ece:.4f}")
@@ -196,15 +201,13 @@ def _cmd_infer(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     seed = _effective_seed(args, cfg)
     pc = _prior_config(args, cfg)
-    if pc.cell_size_km != dataset.grid.cell_size_km:
-        pc = pc.with_updates(cell_size_km=dataset.grid.cell_size_km)
-    catalog = build_catalog(dataset)
     background_model = None
-    if pc.location_source == "background_model":
-        bg_tc = TrainConfig(seed=seed + 1)
-        background_model = train_background_model(dataset, dataset.grid, bg_tc)
-    state = init_state(catalog, pc)
-    predictions = sequential_infer(model, state, dataset.test, dataset.grid, background_model)
+    if args.background_model:
+        background_model = load_background_model(args.background_model)
+    elif pc.location_source == "background_model":
+        raise ConfigError("location_source 'background_model' needs --background-model,"
+                          " a checkpoint from 'train --model-kind background'")
+    predictions, pc = infer(dataset, model, pc, background_model=background_model)
     n_correct = sum(1 for p in predictions if p.correct)
     write_predictions(
         predictions, args.out, model.labels, pc.kind,
@@ -264,15 +267,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
             reports[name] = rep
     elif args.data:
         dataset = load_dataset(args.data)
-        seed = _effective_seed(args, cfg)
-        base_train = TrainConfig(**cfg.get("train", {})) if cfg.get("train") else None
-        base_prior = None
-        if cfg.get("prior"):
-            section = dict(cfg["prior"])
-            if "combine_with" in section:
-                section["combine_with"] = tuple(section["combine_with"])
-            base_prior = PriorConfig(**section)
-        reports = run_row_suite(dataset, seed=seed, base_train=base_train, base_prior=base_prior)
+        reports = run_row_suite(dataset, seed=_effective_seed(args, cfg),
+                                base_train=_train_config(args, cfg),
+                                base_prior=_prior_config(args, cfg))
     else:
         print("error: give report files to compare or --data to run the standard grid",
               file=sys.stderr)
@@ -329,8 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--model", required=True, help="model checkpoint path")
     p.add_argument("--prior", choices=PRIOR_KINDS, help="prior kind")
-    p.add_argument("--location-source", choices=("metadata", "background_model"),
-                   dest="location_source")
+    p.add_argument("--background-model", help="checkpoint from 'train --model-kind background';"
+                   " spatial priors then take capture locations from it, not the metadata")
     common(p)
     p.set_defaults(func=_cmd_infer)
 

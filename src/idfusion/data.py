@@ -174,12 +174,17 @@ def validate_dataset(dataset: Dataset, require_train_coverage: bool = False) -> 
     """Check dataset invariants, returning the dataset unchanged if they hold.
 
     Raises:
-        SchemaError: on dimension mismatches, non-contiguous identity labels,
-            missing split tags, or out-of-bounds locations.
+        SchemaError: on duplicate obs_ids, dimension mismatches,
+            non-contiguous identity labels, missing split tags, or
+            out-of-bounds locations.
     """
     d, d_bg = dataset.feature_dims
     labels_seen: set[int] = set()
+    ids_seen: set[str] = set()
     for o in dataset.observations:
+        if o.obs_id in ids_seen:
+            raise SchemaError(f"{o.obs_id}: obs_id appears more than once")
+        ids_seen.add(o.obs_id)
         if o.fg_features.shape[0] != d or o.bg_features.shape[0] != d_bg:
             raise SchemaError(
                 f"{o.obs_id}: feature dims ({o.fg_features.shape[0]}, {o.bg_features.shape[0]})"

@@ -18,10 +18,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .calibration import ece_from_top_predictions, expected_calibration_error
-from .classifier import PitsModel, TrainConfig, train, train_background_model
+from .calibration import ece_from_top_predictions
+from .classifier import BackgroundLocationModel, PitsModel, TrainConfig, train, train_background_model
 from .data import Dataset, IdentityCatalog, Observation, build_catalog
-from .fusion import Prediction, sequential_infer
+from .fusion import Prediction, prediction_record, sequential_infer
 from .priors import (
     HOME_LOCATION,
     MIGRATING_LOCATION,
@@ -86,25 +86,14 @@ class ExperimentReport:
         )
 
 
-def overall_accuracy(
-    predictions: Sequence[Prediction],
-    observations: Sequence[Observation] | None = None,
-) -> float:
-    """Fraction of predictions matching ground truth.
+def overall_accuracy(predictions: Sequence[Prediction]) -> float:
+    """Fraction of predictions matching their ground truth.
 
-    Ground truth comes from the predictions themselves, or from
-    ``observations`` aligned by obs_id when given. Truths outside the label
-    space simply never match, so unknown identities count as errors.
+    Truths outside the label space simply never match, so unknown
+    identities count as errors.
     """
     if not predictions:
         raise ValueError("cannot score an empty prediction list")
-    if observations is not None:
-        truth = {o.obs_id: o.identity for o in observations}
-        missing = [p.obs_id for p in predictions if p.obs_id not in truth]
-        if missing:
-            raise ValueError(f"no ground-truth observation for {missing[:3]}")
-        hits = sum(1 for p in predictions if p.predicted == truth[p.obs_id])
-        return hits / len(predictions)
     flags = [p.correct for p in predictions]
     if any(f is None for f in flags):
         raise ValueError("all predictions need ground-truth identities to score accuracy")
@@ -134,43 +123,26 @@ def new_location_subset(
     )
 
 
-def new_location_accuracy(
-    predictions: Sequence[Prediction],
-    observations: Sequence[Observation],
-    train_pairs: frozenset[tuple[int, int]],
+def infer(
     dataset: Dataset,
-) -> tuple[float | None, int]:
-    """Accuracy over test observations captured somewhere their identity was
-    never seen in training. Returns (accuracy, subset size); the accuracy is
-    None when the subset is empty."""
-    members = new_location_subset(observations, train_pairs, dataset)
-    subset = [p for p in predictions if p.obs_id in members]
-    if not subset:
-        return None, 0
-    return overall_accuracy(subset), len(subset)
+    model: PitsModel,
+    prior_config: PriorConfig,
+    catalog: IdentityCatalog | None = None,
+    background_model: BackgroundLocationModel | None = None,
+) -> tuple[list[Prediction], PriorConfig]:
+    """Sequential fusion over the test split from a fresh prior state.
 
-
-def _per_identity_accuracy(predictions: Sequence[Prediction]) -> dict[int, float]:
-    totals: dict[int, list[int]] = {}
-    for p in predictions:
-        if p.true_identity is None:
-            continue
-        entry = totals.setdefault(p.true_identity, [0, 0])
-        entry[0] += 1 if p.correct else 0
-        entry[1] += 1
-    return {k: h / n for k, (h, n) in sorted(totals.items())}
-
-
-def _calibration_inputs(
-    predictions: Sequence[Prediction], labels: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    pos = {label: i for i, label in enumerate(labels)}
-    post = np.stack([p.posterior for p in predictions])
-    like = np.stack([p.likelihood for p in predictions])
-    # Identities outside the training label space map to -1 and are scored
-    # as incorrect at whatever confidence the model claimed.
-    y = np.array([pos.get(p.true_identity, -1) for p in predictions], dtype=np.int64)
-    return post, like, y
+    The prior's cell size is synced to the dataset grid so distances always
+    come out in this dataset's cell units; the synced config is returned with
+    the predictions. The library and the CLI both infer through here.
+    """
+    if prior_config.cell_size_km != dataset.grid.cell_size_km:
+        prior_config = prior_config.with_updates(cell_size_km=dataset.grid.cell_size_km)
+    if catalog is None:
+        catalog = build_catalog(dataset)
+    state = init_state(catalog, prior_config)
+    predictions = sequential_infer(model, state, dataset.test, dataset.grid, background_model)
+    return predictions, prior_config
 
 
 def run_experiment(
@@ -181,20 +153,15 @@ def run_experiment(
     model: PitsModel | None = None,
     catalog: IdentityCatalog | None = None,
 ) -> tuple[ExperimentReport, list[Prediction]]:
-    """Train (or reuse) a model, run sequential fusion over the test split,
-    and score it.
+    """Train (or reuse) a model, run :func:`infer`, and score the predictions
+    through the same records :func:`score_predictions` reads from disk.
 
-    The prior's cell size is synced to the dataset grid so distances always
-    come out in this dataset's cell units. The background location model only
-    trains when the prior actually resolves locations through it, with a
-    shifted seed so it never shares a random stream with the classifier.
+    The background location model only trains when the prior actually
+    resolves locations through it, with a shifted seed so it never shares a
+    random stream with the classifier.
     """
-    if prior_config.cell_size_km != dataset.grid.cell_size_km:
-        prior_config = prior_config.with_updates(cell_size_km=dataset.grid.cell_size_km)
     if seed is not None and model is None:
         train_config = TrainConfig(**{**train_config.to_dict(), "seed": seed})
-    run_seed = train_config.seed
-
     if catalog is None:
         catalog = build_catalog(dataset)
     if model is None:
@@ -202,31 +169,18 @@ def run_experiment(
 
     background_model = None
     if prior_config.location_source == "background_model":
-        bg_config = TrainConfig(**{**train_config.to_dict(), "seed": run_seed + 1})
+        bg_config = TrainConfig(**{**train_config.to_dict(), "seed": train_config.seed + 1})
         background_model = train_background_model(dataset, dataset.grid, bg_config)
 
-    state = init_state(catalog, prior_config)
-    predictions = sequential_infer(model, state, dataset.test, dataset.grid, background_model)
-
-    post, like, y = _calibration_inputs(predictions, model.labels)
-    nl_acc, nl_count = new_location_accuracy(
-        predictions, dataset.test, train_location_pairs(dataset), dataset
-    )
-    known = set(model.labels)
-    report = ExperimentReport(
-        overall_accuracy=overall_accuracy(predictions),
-        new_location_accuracy=nl_acc,
-        ece_fused=expected_calibration_error(post, y).ece,
-        ece_likelihood=expected_calibration_error(like, y).ece,
-        n_test=len(predictions),
-        n_new_location=nl_count,
-        n_unknown_identity=sum(1 for p in predictions if p.true_identity not in known),
-        seed=run_seed,
-        train_config=train_config.to_dict(),
-        prior_config=prior_config.to_dict(),
-        per_identity=_per_identity_accuracy(predictions),
-    )
-    return report, predictions
+    predictions, prior_config = infer(dataset, model, prior_config, catalog, background_model)
+    records = [prediction_record(p, model.labels, prior_config.kind) for p in predictions]
+    meta = {
+        "labels": list(model.labels),
+        "seed": train_config.seed,
+        "train_config": train_config.to_dict(),
+        "prior_config": prior_config.to_dict(),
+    }
+    return score_predictions(records, meta, dataset), predictions
 
 
 def score_predictions(
@@ -234,7 +188,8 @@ def score_predictions(
     meta: Mapping,
     dataset: Dataset,
 ) -> ExperimentReport:
-    """Score a prediction file written by the inference step.
+    """Score prediction records, read back from disk or built in memory by
+    :func:`run_experiment`; every report comes from here.
 
     Works from the stored top-5 entries: top-1 confidence and correctness are
     all that top-label calibration and accuracy need.

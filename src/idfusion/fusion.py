@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .calibration import per_instance_softmax
+from .calibration import per_instance_softmax, softmax
 from .classifier import BackgroundLocationModel, PitsModel, features_from
 from .data import GridSpec, Location, Observation
 from .priors import (
@@ -49,10 +49,6 @@ class Prediction:
     resolved_location: Location | None
     temperature_used: float
     true_identity: int | None = None
-
-    @property
-    def confidence(self) -> float:
-        return float(self.posterior.max())
 
     @property
     def correct(self) -> bool | None:
@@ -87,9 +83,7 @@ def fuse(likelihood: np.ndarray, prior: np.ndarray) -> np.ndarray:
         if np.all(np.isinf(log_post)):
             logger.warning("fused posterior lost all mass; falling back to the likelihood")
             return l / l.sum()
-        log_post -= log_post.max()
-        post = np.exp(log_post)
-        return post / post.sum()
+        return softmax(log_post)
 
     post = l * p
     total = post.sum()
@@ -117,11 +111,17 @@ def sequential_infer(
 ) -> list[Prediction]:
     """Run fusion over a time-ordered stream, updating prior state as it goes.
 
-    The stream is sorted by timestamp internally, so caller order never
-    matters. After each prediction the state learns from the *fused* argmax,
-    never the ground truth: a migrating prior moves that identity to the
-    resolved capture location, a time-decay prior stamps it as just seen, and
-    stateless priors leave the state untouched.
+    The stream is sorted by timestamp internally, so caller order within one
+    call never matters. After each prediction the state learns from the
+    *fused* argmax, never the ground truth: a migrating prior moves that
+    identity to the resolved capture location, a time-decay prior stamps it
+    as just seen, and stateless priors leave the state untouched.
+
+    Streaming contract: ``state`` is advanced in place and is not copied.
+    Feeding a stream as consecutive time-ordered chunks that share one state
+    gives the same predictions, bit for bit, as one call over the whole
+    stream; a caller that wants to keep the starting state passes a fresh one
+    from ``init_state``.
     """
     if state is None:
         raise ValueError("sequential inference needs an initialized prior state")
@@ -173,6 +173,27 @@ def _top_entries(vector: np.ndarray, labels: tuple[int, ...], n: int = 5) -> lis
     return [[int(labels[i]), float(vector[i])] for i in order]
 
 
+def prediction_record(pred: Prediction, labels: tuple[int, ...], prior_kind: str) -> dict:
+    """The JSON-ready record of one prediction, as stored and as scored.
+
+    likelihood_top5 rides along so a scorer can compute calibration of the
+    uncalibrated-vs-fused pair without rerunning inference.
+    """
+    return {
+        "obs_id": pred.obs_id,
+        "predicted": int(pred.predicted),
+        "true": None if pred.true_identity is None else int(pred.true_identity),
+        "posterior_top5": _top_entries(pred.posterior, labels),
+        "likelihood_top5": _top_entries(pred.likelihood, labels),
+        "prior_kind": prior_kind,
+        "resolved_loc": (
+            None if pred.resolved_location is None
+            else [pred.resolved_location.x, pred.resolved_location.y]
+        ),
+        "T_i": pred.temperature_used,
+    }
+
+
 def write_predictions(
     predictions: Sequence[Prediction],
     directory: str | Path,
@@ -183,28 +204,13 @@ def write_predictions(
     """Write one JSON line per prediction plus a metadata sidecar.
 
     Output is byte-stable: keys are sorted and floats use exact reprs, so the
-    same inputs always produce the same file. likelihood_top5 rides along so
-    a scorer can compute calibration of the uncalibrated-vs-fused pair
-    without rerunning inference.
+    same inputs always produce the same file.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     with (directory / PREDICTIONS_FILENAME).open("w", encoding="utf-8") as fh:
         for pred in predictions:
-            rec = {
-                "obs_id": pred.obs_id,
-                "predicted": int(pred.predicted),
-                "true": None if pred.true_identity is None else int(pred.true_identity),
-                "posterior_top5": _top_entries(pred.posterior, labels),
-                "likelihood_top5": _top_entries(pred.likelihood, labels),
-                "prior_kind": prior_kind,
-                "resolved_loc": (
-                    None if pred.resolved_location is None
-                    else [pred.resolved_location.x, pred.resolved_location.y]
-                ),
-                "T_i": pred.temperature_used,
-            }
-            fh.write(json.dumps(rec, sort_keys=True))
+            fh.write(json.dumps(prediction_record(pred, labels, prior_kind), sort_keys=True))
             fh.write("\n")
     sidecar = {"labels": list(labels), "prior_kind": prior_kind}
     if meta:

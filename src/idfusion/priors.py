@@ -15,9 +15,7 @@ the same meaning across datasets.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -119,16 +117,6 @@ class PriorState:
 
     def index_of(self, label: int) -> int:
         return self._index[label]
-
-    def snapshot(self) -> dict:
-        return {
-            "last_loc_xy": self.last_loc_xy.copy(),
-            "last_seen": self.last_seen.copy(),
-        }
-
-    def restore(self, snap: dict) -> None:
-        self.last_loc_xy = snap["last_loc_xy"].copy()
-        self.last_seen = snap["last_seen"].copy()
 
 
 def init_state(catalog: IdentityCatalog, config: PriorConfig) -> PriorState:
@@ -234,35 +222,3 @@ def prior_vector(
         p = p / p.sum()
     return p, loc
 
-
-# ---------------------------------------------------------------------------
-# State snapshots on disk
-# ---------------------------------------------------------------------------
-
-
-def save_state(state: PriorState, path: str | Path) -> None:
-    """Serialize the full prior state for resumable inference and audit."""
-    payload = {
-        "home": {str(k): list(state.home_xy[state.index_of(k)]) for k in state.labels},
-        "last_loc": {str(k): list(state.last_loc_xy[state.index_of(k)]) for k in state.labels},
-        "last_seen": {str(k): float(state.last_seen[state.index_of(k)]) for k in state.labels},
-        "config": state.config.to_dict(),
-    }
-    with Path(path).open("w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
-def load_state(path: str | Path) -> PriorState:
-    with Path(path).open("r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    labels = tuple(sorted(int(k) for k in payload["home"]))
-    cfg = dict(payload["config"])
-    cfg["combine_with"] = tuple(cfg.get("combine_with", ()))
-    return PriorState(
-        labels=labels,
-        home_xy=np.array([payload["home"][str(k)] for k in labels]),
-        last_loc_xy=np.array([payload["last_loc"][str(k)] for k in labels]),
-        last_seen=np.array([payload["last_seen"][str(k)] for k in labels]),
-        config=PriorConfig(**cfg),
-    )

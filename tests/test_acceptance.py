@@ -10,6 +10,7 @@ training work through module-scoped fixtures.
 """
 
 import filecmp
+import hashlib
 import json
 import time
 
@@ -436,7 +437,10 @@ def test_09_calibration_improves_over_uncalibrated(lynx_suite, capsys):
 
 
 def test_10_same_seed_runs_are_byte_identical(tmp_path, capsys):
-    """Two full pipeline runs from one seed produce identical artifacts."""
+    """Two full pipeline runs from one seed produce identical artifacts,
+    and the prediction files match sha256 digests pinned before the
+    softmax, scoring and inference paths were merged, so a refactor that
+    moves one bit fails here."""
     cfg = {
         "seed": 9,
         "sim": {
@@ -483,9 +487,17 @@ def test_10_same_seed_runs_are_byte_identical(tmp_path, capsys):
         shallow=False,
     )
     assert report_match and preds_match
+    digests = {
+        name: hashlib.sha256((first / "preds" / name).read_bytes()).hexdigest()
+        for name in ("predictions.jsonl", "predictions_meta.json")
+    }
+    assert digests == {
+        "predictions.jsonl": "2b351a2afd068b7bc14b72377123c78dfbf8f03729d05da2912ee0cbc026b739",
+        "predictions_meta.json": "298e694b05aebafb63723d35bb6d75e8246a887185e89aa7adcb95142fd02420",
+    }
     size = (first / "report.json").stat().st_size
     _announce(
         capsys,
         f"PASS 10/10 determinism: same-seed pipeline runs agree byte for byte "
-        f"(report.json {size} bytes, predictions.jsonl identical)",
+        f"(report.json {size} bytes, predictions.jsonl identical, sha256 pinned)",
     )

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from idfusion.calibration import per_instance_softmax
 from idfusion.classifier import (
     BackgroundLocationModel,
     PitsModel,
@@ -218,7 +219,8 @@ def test_model_checkpoint_round_trip(tmp_path, grid2x2):
     assert loaded.temperature_head_active == model.temperature_head_active
     assert loaded.loss_history == model.loss_history
     x = ds.test[0].fg_features
-    assert np.array_equal(loaded.predict_likelihood(x), model.predict_likelihood(x))
+    assert np.array_equal(per_instance_softmax(loaded.forward(x)),
+                          per_instance_softmax(model.forward(x)))
 
 
 def test_background_checkpoint_round_trip(tmp_path):

@@ -1,12 +1,17 @@
 """Command-line workflow: simulate, train, calibrate, infer, evaluate, report."""
 
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from idfusion.calibration import fit_global_temperature
+from idfusion.classifier import TrainConfig, load_model
 from idfusion.cli import main
 from idfusion.data import load_dataset
-from idfusion.evaluation import load_report
+from idfusion.evaluation import load_report, run_experiment
+from idfusion.priors import MIGRATING_LOCATION, PriorConfig
 
 
 SIM_SECTION = {
@@ -93,6 +98,63 @@ def test_infer_is_deterministic_across_runs(tmp_path, config_path, capsys):
     capsys.readouterr()
     assert (tmp_path / "p1" / "predictions.jsonl").read_bytes() == \
         (tmp_path / "p2" / "predictions.jsonl").read_bytes()
+
+
+def test_calibrate_fits_on_train_and_scores_test(tmp_path, config_path, capsys):
+    data = str(tmp_path / "data")
+    model_path = str(tmp_path / "model.json")
+    out = tmp_path / "calibration.json"
+    assert main(["simulate", "--config", config_path, "--out", data]) == 0
+    assert main(["train", "--data", data, "--config", config_path, "--out", model_path]) == 0
+    assert main(["calibrate", "--data", data, "--model", model_path, "--out", str(out)]) == 0
+    capsys.readouterr()
+
+    ds = load_dataset(data)
+    model = load_model(model_path)
+    logits = np.stack([model.forward(o.fg_features).logits for o in ds.train])
+    labels = np.array([model.labels.index(o.identity) for o in ds.train])
+    stored = json.loads(out.read_text())
+    assert stored["temperature"] == fit_global_temperature(logits, labels)
+    assert stored["n_evaluated"] == len(ds.test)
+
+
+def test_infer_with_background_model_matches_library(tmp_path, config_path, capsys):
+    cfg = json.loads(Path(config_path).read_text())
+    cfg["prior"] = {"kind": MIGRATING_LOCATION, "location_source": "background_model"}
+    bg_config = tmp_path / "bg_config.json"
+    bg_config.write_text(json.dumps(cfg), encoding="utf-8")
+    data = str(tmp_path / "data")
+    model = str(tmp_path / "model.json")
+    bg_model = str(tmp_path / "bg.json")
+    preds = str(tmp_path / "preds")
+    report = str(tmp_path / "report.json")
+    assert main(["simulate", "--config", config_path, "--out", data]) == 0
+    assert main(["train", "--data", data, "--config", config_path, "--out", model]) == 0
+    # The library trains its background model at the run seed plus one.
+    assert main(["train", "--data", data, "--config", config_path, "--seed", str(cfg["seed"] + 1),
+                 "--model-kind", "background", "--out", bg_model]) == 0
+    capsys.readouterr()
+
+    assert main(["infer", "--data", data, "--model", model, "--config", str(bg_config),
+                 "--out", preds]) == 1
+    assert "--background-model" in capsys.readouterr().err
+
+    assert main(["infer", "--data", data, "--model", model, "--config", config_path,
+                 "--prior", MIGRATING_LOCATION, "--background-model", bg_model,
+                 "--out", preds]) == 0
+    assert main(["evaluate", "--data", data, "--predictions", preds, "--out", report]) == 0
+    capsys.readouterr()
+    cli = load_report(report)
+
+    lib, _ = run_experiment(
+        load_dataset(data),
+        TrainConfig(**{**cfg["train"], "seed": cfg["seed"]}),
+        PriorConfig(kind=MIGRATING_LOCATION, location_source="background_model"),
+    )
+    assert cli.prior_config == lib.prior_config
+    for name in ("overall_accuracy", "new_location_accuracy", "ece_fused", "ece_likelihood",
+                 "n_test", "n_new_location", "n_unknown_identity", "seed", "per_identity"):
+        assert getattr(cli, name) == getattr(lib, name), name
 
 
 def test_simulate_preset_with_overrides(tmp_path, capsys):

@@ -106,6 +106,16 @@ def test_construction_rejects_gapped_labels(grid2x2):
         Dataset.from_observations(obs, grid2x2)
 
 
+def test_construction_rejects_duplicate_obs_ids(grid2x2):
+    obs = [
+        make_obs("a", 0, 1.0, grid2x2.cell_center(0), split="train"),
+        make_obs("b", 1, 2.0, grid2x2.cell_center(1), split="train"),
+        make_obs("a", 1, 3.0, grid2x2.cell_center(1), split="test"),
+    ]
+    with pytest.raises(SchemaError, match="a: obs_id appears more than once"):
+        Dataset.from_observations(obs, grid2x2)
+
+
 def test_construction_rejects_missing_split(grid2x2):
     obs = [make_obs("a", 0, 1.0, grid2x2.cell_center(0))]
     with pytest.raises(SchemaError):

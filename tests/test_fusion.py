@@ -234,6 +234,54 @@ def test_sequential_infer_matches_brute_force(kind, grid2x2):
             assert np.allclose(p.posterior, ref, atol=1e-10)
 
 
+@pytest.mark.parametrize("kind", [MIGRATING_LOCATION, TIME_DECAY])
+def test_sequential_infer_streams_in_chunks_through_one_state(kind, grid2x2):
+    # The state is advanced in place, so two time-ordered chunks sharing one
+    # state must reproduce a single whole-stream call bit for bit.
+    rng = np.random.default_rng(17)
+    k, d = 5, 3
+    model = PitsModel(
+        W=rng.normal(size=(k, d)), b=rng.normal(size=k) * 0.1,
+        w_T=rng.normal(size=d) * 0.2, b_T=0.1,
+        labels=tuple(range(k)), input_kind="foreground", temperature_head_active=True,
+    )
+    homes = rng.uniform(0.0, 10.0, size=(k, 2))
+    last_seen = rng.uniform(0.0, 60.0, size=k)
+
+    def fresh_state():
+        return PriorState(labels=tuple(range(k)), home_xy=homes, last_loc_xy=homes.copy(),
+                          last_seen=last_seen.copy(), config=PriorConfig(kind=kind))
+
+    obs = [
+        make_obs(f"o{j:02d}", int(rng.integers(0, k)), float(rng.uniform(61.0, 400.0)),
+                 Location(float(rng.uniform(0, 10)), float(rng.uniform(0, 10))),
+                 fg=rng.normal(size=d))
+        for j in range(40)
+    ]
+    stream = [obs[i] for i in _stream_order(obs)]
+
+    whole_state = fresh_state()
+    whole = sequential_infer(model, whole_state, obs, grid=grid2x2)
+    chunk_state = fresh_state()
+    chunked = (sequential_infer(model, chunk_state, stream[:17], grid=grid2x2)
+               + sequential_infer(model, chunk_state, stream[17:], grid=grid2x2))
+
+    assert [p.obs_id for p in chunked] == [p.obs_id for p in whole]
+    for a, b in zip(chunked, whole):
+        assert a.predicted == b.predicted
+        assert a.resolved_location == b.resolved_location
+        assert a.temperature_used == b.temperature_used
+        for field in ("posterior", "likelihood", "prior"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
+    assert np.array_equal(chunk_state.last_loc_xy, whole_state.last_loc_xy)
+    assert np.array_equal(chunk_state.last_seen, whole_state.last_seen)
+    # The whole-stream call really advanced its state in place.
+    if kind == MIGRATING_LOCATION:
+        assert not np.array_equal(whole_state.last_loc_xy, homes)
+    else:
+        assert not np.array_equal(whole_state.last_seen, last_seen)
+
+
 def test_predictions_round_trip_and_are_byte_stable(tmp_path):
     grid, model, state, obs, _ = _migration_fixture()
     preds = sequential_infer(model, state, obs, grid=grid)

@@ -18,11 +18,9 @@ from idfusion.priors import (
     PriorState,
     home_location_prior,
     init_state,
-    load_state,
     migrating_location_prior,
     prior_vector,
     resolve_location,
-    save_state,
     time_decay_prior,
     uniform_prior,
     update_last_seen,
@@ -138,24 +136,22 @@ def test_init_state_anchors_at_homes_and_last_train_times(grid2x2):
 def test_updates_touch_only_their_row():
     rng = np.random.default_rng(5)
     state = _random_state(rng, kind=MIGRATING_LOCATION)
-    before = state.snapshot()
+    loc_before = state.last_loc_xy.copy()
+    seen_before = state.last_seen.copy()
     homes_before = state.home_xy.copy()
 
     update_location(state, 3, Location(99.0, -1.0))
     assert tuple(state.last_loc_xy[3]) == (99.0, -1.0)
     others = [i for i in range(6) if i != 3]
-    assert np.array_equal(state.last_loc_xy[others], before["last_loc_xy"][others])
-    assert np.array_equal(state.last_seen, before["last_seen"])
+    assert np.array_equal(state.last_loc_xy[others], loc_before[others])
+    assert np.array_equal(state.last_seen, seen_before)
     # Homes are immutable reference points; only the moving anchor shifts.
     assert np.array_equal(state.home_xy, homes_before)
 
     update_last_seen(state, 2, 777.0)
     assert state.last_seen[2] == 777.0
-    assert np.array_equal(state.last_loc_xy[others], before["last_loc_xy"][others])
-
-    state.restore(before)
-    assert np.array_equal(state.last_loc_xy, before["last_loc_xy"])
-    assert np.array_equal(state.last_seen, before["last_seen"])
+    assert np.array_equal(state.last_seen[[0, 1, 3, 4, 5]], seen_before[[0, 1, 3, 4, 5]])
+    assert np.array_equal(state.last_loc_xy[others], loc_before[others])
 
 
 def test_migrating_prior_follows_updates():
@@ -222,18 +218,3 @@ def test_prior_vector_combines_by_product():
     assert np.allclose(p, want, atol=1e-12)
     assert abs(p.sum() - 1.0) < 1e-12
 
-
-def test_state_round_trips_through_disk(tmp_path):
-    rng = np.random.default_rng(19)
-    state = _random_state(rng, kind=MIGRATING_LOCATION, alpha=1.5)
-    update_location(state, 1, Location(42.0, 24.0))
-    update_last_seen(state, 4, 365.0)
-
-    path = tmp_path / "state.json"
-    save_state(state, path)
-    loaded = load_state(path)
-    assert loaded.labels == state.labels
-    assert np.array_equal(loaded.home_xy, state.home_xy)
-    assert np.array_equal(loaded.last_loc_xy, state.last_loc_xy)
-    assert np.array_equal(loaded.last_seen, state.last_seen)
-    assert loaded.config == state.config
