@@ -63,51 +63,44 @@ def per_instance_softmax(output: LogitsOutput) -> np.ndarray:
     return tempered_softmax(output.logits, output.temperature)
 
 
-def pits_loss(
-    output: LogitsOutput,
-    label: int,
-    target_temperature: float,
+def pits_objective(
+    logits: np.ndarray,
+    labels: np.ndarray,
+    temperatures: np.ndarray | None = None,
+    targets: np.ndarray | None = None,
     lam: float = TEMPERATURE_REGULARIZER,
-) -> float:
-    """Tempered cross-entropy plus quadratic temperature regularizer.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Per-row loss, dL/dz and dL/dT of an (m, k) batch of logits.
 
-    loss = -log softmax(z / T)[y] + lam * (T - target)^2
-    """
-    z, t = output.logits, output.temperature
-    if not 0 <= label < z.shape[0]:
-        raise ValueError(f"label {label} out of range for {z.shape[0]} classes")
-    if target_temperature < 1.0:
-        raise ValueError(f"target temperature must be >= 1, got {target_temperature}")
-    _, log_p = softmax(z / t, with_log=True)
-    return float(-log_p[label] + lam * (t - target_temperature) ** 2)
-
-
-def pits_loss_grad(
-    output: LogitsOutput,
-    label: int,
-    target_temperature: float,
-    lam: float = TEMPERATURE_REGULARIZER,
-) -> tuple[np.ndarray, float]:
-    """Gradients of :func:`pits_loss` with respect to the logits and T.
-
-    With p = softmax(z / T):
+    With p = softmax(z / T) in each row:
+        loss    = -log p_y + lam * (T - target)^2
         dL/dz_j = (p_j - 1[j == y]) / T
         dL/dT   = (z_y - z . p) / T^2 + 2 lam (T - target)
 
-    Both match central finite differences to first order; see the tests.
+    ``temperatures=None`` is plain cross-entropy: T is 1, there is no
+    regularizer and dL/dT is None. Training calls this once per mini-batch,
+    so nothing is validated: ``labels`` must be (m,) integers in [0, k), and
+    ``temperatures`` and ``targets`` (m,) positive finite values.
     """
-    z, t = output.logits, output.temperature
-    p = tempered_softmax(z, t)
-    grad_z = p.copy()
-    grad_z[label] -= 1.0
-    grad_z /= t
-    grad_t = (z[label] - float(z @ p)) / t**2 + 2.0 * lam * (t - target_temperature)
-    return grad_z, float(grad_t)
+    scaled = logits if temperatures is None else logits / temperatures[:, None]
+    p, log_p = softmax(scaled, with_log=True)
+    rows = np.arange(logits.shape[0])
+    loss = -log_p[rows, labels]
+    grad_t = None
+    if temperatures is not None:
+        gap = temperatures - targets
+        loss += lam * gap**2
+        z_dot_p = np.einsum("ij,ij->i", logits, p)
+        grad_t = (logits[rows, labels] - z_dot_p) / temperatures**2 + 2.0 * lam * gap
+    p[rows, labels] -= 1.0
+    if temperatures is not None:
+        p /= temperatures[:, None]
+    return loss, p, grad_t
 
 
 def _mean_nll(logits: np.ndarray, labels: np.ndarray, temperature: float) -> float:
-    _, log_p = softmax(logits / temperature, with_log=True)
-    return float(np.mean(-log_p[np.arange(len(labels)), labels]))
+    loss, _, _ = pits_objective(logits / temperature, labels)
+    return float(loss.sum() / len(labels))
 
 
 def fit_global_temperature(

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibration import TEMPERATURE_REGULARIZER, LogitsOutput, softmax
+from .calibration import TEMPERATURE_REGULARIZER, LogitsOutput, pits_objective
 from .data import Dataset, GridSpec, IdentityCatalog, Location, Observation
 from .errors import ConfigError, TrainingError
 
@@ -153,36 +153,69 @@ def _epoch_lr(base: float, epoch: int, total: int, schedule: str) -> float:
     return base * 0.5 * (1.0 + math.cos(math.pi * epoch / total))
 
 
-def mean_batch_loss(
-    model: PitsModel,
-    X: np.ndarray,
-    y: np.ndarray,
-    targets: np.ndarray,
-    lam: float,
-) -> float:
-    """Mean training objective over a batch; also used by consistency tests."""
-    Z = X @ model.W.T + model.b
-    if model.temperature_head_active:
-        T = 1.0 + _softplus(X @ model.w_T + model.b_T)
-    else:
-        T = np.ones(X.shape[0])
-    _, log_p = softmax(Z / T[:, None], with_log=True)
-    nll = -log_p[np.arange(len(y)), y]
-    reg = lam * (T - targets) ** 2 if model.temperature_head_active else 0.0
-    return float(np.mean(nll + reg))
+def _descend(
+    X: np.ndarray, y: np.ndarray, W: np.ndarray, b: np.ndarray, config: TrainConfig,
+    rng: np.random.Generator, targets: np.ndarray | None = None,
+    w_T: np.ndarray | None = None, b_T: float = 0.0,
+) -> tuple[list[float], float]:
+    """Mini-batch gradient descent on :func:`pits_objective`.
+
+    Updates ``W`` and ``b`` in place; with ``targets`` the temperature head
+    (``w_T`` in place, ``b_T`` returned) trains too, otherwise the objective
+    is plain cross-entropy. Gradients are averaged per mini-batch; batches
+    come from a seeded shuffle each epoch. Returns the per-epoch mean losses
+    and the final ``b_T``.
+
+    Raises:
+        TrainingError: if the loss or any weight goes non-finite, reporting
+            the epoch and the learning rate in effect.
+    """
+    n = X.shape[0]
+    history: list[float] = []
+    for epoch in range(config.epochs):
+        lr = _epoch_lr(config.learning_rate, epoch, config.epochs, config.lr_schedule)
+        order = rng.permutation(n)
+        epoch_loss = 0.0
+        for start in range(0, n, config.batch_size):
+            idx = order[start : start + config.batch_size]
+            Xb = X[idx]
+            m = len(idx)
+            Z = Xb @ W.T + b
+            if targets is None:
+                loss, G, _ = pits_objective(Z, y[idx])
+            else:
+                U = Xb @ w_T + b_T
+                loss, G, dT = pits_objective(
+                    Z, y[idx], 1.0 + _softplus(U), targets[idx], config.lam
+                )
+                dU = dT / (1.0 + np.exp(-U))
+                w_T -= lr * (Xb.T @ dU) / m
+                b_T -= lr * float(dU.sum() / m)
+            epoch_loss += float(loss.sum() / m) * m
+            W -= lr * (G.T @ Xb) / m
+            b -= lr * (G.sum(axis=0) / m)
+
+        history.append(epoch_loss / n)
+        weights = (W, b) if targets is None else (W, b, w_T, b_T)
+        if not all(np.isfinite(v).all() for v in (history[-1], *weights)):
+            raise TrainingError(
+                f"training diverged at epoch {epoch} (lr={lr:.3g}): the loss or a weight"
+                " became non-finite; reduce the learning rate or feature scale"
+            )
+    return history, b_T
 
 
 def train(dataset: Dataset, catalog: IdentityCatalog, config: TrainConfig) -> PitsModel:
     """Fit the classifier on the train split.
 
     The label space is the catalog's sorted identity set; test-only
-    identities are outside it by design. Gradients are averaged per
-    mini-batch; batches come from a seeded shuffle each epoch; the learning
+    identities are outside it by design, so every label and target
+    temperature is valid as :func:`pits_objective` requires. The learning
     rate anneals to zero on a cosine unless configured constant.
 
     Raises:
-        TrainingError: if the loss goes non-finite, reporting the epoch and
-            the learning rate in effect.
+        TrainingError: if the loss or any weight goes non-finite, reporting
+            the epoch and the learning rate in effect.
     """
     labels = catalog.identities
     label_pos = {k: i for i, k in enumerate(labels)}
@@ -201,51 +234,9 @@ def train(dataset: Dataset, catalog: IdentityCatalog, config: TrainConfig) -> Pi
     if config.noise_std > 0:
         X = X + rng.normal(0.0, config.noise_std, size=X.shape)
 
-    history: list[float] = []
-    for epoch in range(config.epochs):
-        lr = _epoch_lr(config.learning_rate, epoch, config.epochs, config.lr_schedule)
-        order = rng.permutation(n)
-        epoch_loss = 0.0
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            Xb, yb, tb = X[idx], y[idx], targets[idx]
-            m = len(idx)
-
-            Z = Xb @ W.T + b
-            if use_temperature:
-                U = Xb @ w_T + b_T
-                T = 1.0 + _softplus(U)
-            else:
-                T = np.ones(m)
-            P, log_P = softmax(Z / T[:, None], with_log=True)
-            nll = -log_P[np.arange(m), yb]
-            if use_temperature:
-                batch_loss = float(np.mean(nll + config.lam * (T - tb) ** 2))
-            else:
-                batch_loss = float(np.mean(nll))
-            epoch_loss += batch_loss * m
-
-            G = P.copy()
-            G[np.arange(m), yb] -= 1.0
-            G /= T[:, None]
-            W -= lr * (G.T @ Xb) / m
-            b -= lr * G.mean(axis=0)
-
-            if use_temperature:
-                z_y = Z[np.arange(m), yb]
-                z_dot_p = np.einsum("ij,ij->i", Z, P)
-                dT = (z_y - z_dot_p) / T**2 + 2.0 * config.lam * (T - tb)
-                dU = dT / (1.0 + np.exp(-U))
-                w_T -= lr * (Xb.T @ dU) / m
-                b_T -= lr * float(dU.mean())
-
-        epoch_mean = epoch_loss / n
-        if not math.isfinite(epoch_mean):
-            raise TrainingError(
-                f"loss became non-finite at epoch {epoch} (lr={lr:.3g});"
-                " reduce the learning rate or feature scale"
-            )
-        history.append(epoch_mean)
+    history, b_T = _descend(
+        X, y, W, b, config, rng, targets if use_temperature else None, w_T, b_T
+    )
 
     logger.info(
         "trained %s/%s model: %d classes, %d samples, final loss %.4f",
@@ -307,28 +298,13 @@ def train_background_model(
     train_obs = dataset.train
     X = np.stack([o.bg_features for o in train_obs])
     y = np.array([grid.cell_index(o.location) for o in train_obs], dtype=np.int64)
-    n, d = X.shape
-    c = grid.n_cells
+    d = X.shape[1]
 
     rng = np.random.default_rng(config.seed)
     bound = 1.0 / math.sqrt(d)
-    W = rng.uniform(-bound, bound, size=(c, d))
-    b = np.zeros(c)
-
-    for epoch in range(config.epochs):
-        lr = _epoch_lr(config.learning_rate, epoch, config.epochs, config.lr_schedule)
-        order = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            Xb, yb = X[idx], y[idx]
-            m = len(idx)
-            G = softmax(Xb @ W.T + b)
-            G[np.arange(m), yb] -= 1.0
-            W -= lr * (G.T @ Xb) / m
-            b -= lr * G.mean(axis=0)
-        if not np.all(np.isfinite(W)):
-            raise TrainingError(f"background model diverged at epoch {epoch}")
-
+    W = rng.uniform(-bound, bound, size=(grid.n_cells, d))
+    b = np.zeros(grid.n_cells)
+    _descend(X, y, W, b, config, rng)
     return BackgroundLocationModel(W=W, b=b)
 
 
@@ -337,8 +313,17 @@ def train_background_model(
 # ---------------------------------------------------------------------------
 
 
-def save_model(model: PitsModel, path: str | Path, config: TrainConfig | None = None) -> None:
+def _write_checkpoint(payload: dict, path: str | Path, config: TrainConfig | None) -> None:
     """Write a JSON checkpoint; exact float reprs round-trip bit-identically."""
+    if config is not None:
+        payload["train_config"] = config.to_dict()
+        payload["seed"] = config.seed
+    with Path(path).open("w", encoding="utf-8") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
+def save_model(model: PitsModel, path: str | Path, config: TrainConfig | None = None) -> None:
     payload = {
         "W": model.W.tolist(),
         "b": model.b.tolist(),
@@ -351,17 +336,11 @@ def save_model(model: PitsModel, path: str | Path, config: TrainConfig | None = 
         "temperature_head_active": model.temperature_head_active,
         "loss_history": list(model.loss_history),
     }
-    if config is not None:
-        payload["train_config"] = config.to_dict()
-        payload["seed"] = config.seed
-    with Path(path).open("w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_checkpoint(payload, path, config)
 
 
 def load_model(path: str | Path) -> PitsModel:
-    with Path(path).open("r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = json.loads(Path(path).read_text(encoding="utf-8"))
     model = PitsModel(
         W=np.array(payload["W"], dtype=np.float64),
         b=np.array(payload["b"], dtype=np.float64),
@@ -385,17 +364,11 @@ def save_background_model(
         "b": model.b.tolist(),
         "C": model.n_cells,
     }
-    if config is not None:
-        payload["train_config"] = config.to_dict()
-        payload["seed"] = config.seed
-    with Path(path).open("w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_checkpoint(payload, path, config)
 
 
 def load_background_model(path: str | Path) -> BackgroundLocationModel:
-    with Path(path).open("r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = json.loads(Path(path).read_text(encoding="utf-8"))
     model = BackgroundLocationModel(
         W=np.array(payload["W"], dtype=np.float64),
         b=np.array(payload["b"], dtype=np.float64),

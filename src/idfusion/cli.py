@@ -199,7 +199,7 @@ def _cmd_infer(args: argparse.Namespace) -> int:
     cfg = _load_config_file(args.config)
     dataset = load_dataset(args.data)
     model = load_model(args.model)
-    seed = _effective_seed(args, cfg)
+    checkpoint = json.loads(Path(args.model).read_text(encoding="utf-8"))
     pc = _prior_config(args, cfg)
     background_model = None
     if args.background_model:
@@ -213,14 +213,14 @@ def _cmd_infer(args: argparse.Namespace) -> int:
         predictions, args.out, model.labels, pc.kind,
         meta={
             "model_input_kind": model.input_kind,
-            # Enough training context for downstream tables to name the row;
-            # the checkpoint itself is the authority on anything deeper.
-            "train_config": {
+            # The model's own training run; a checkpoint saved without one
+            # still names its row.
+            "train_config": checkpoint.get("train_config", {
                 "input_kind": model.input_kind,
                 "loss_kind": "pits" if model.temperature_head_active else "ce",
-            },
+            }),
             "prior_config": pc.to_dict(),
-            "seed": seed,
+            "seed": checkpoint.get("seed", _effective_seed(args, cfg)),
         },
     )
     print(
@@ -267,8 +267,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
             reports[name] = rep
     elif args.data:
         dataset = load_dataset(args.data)
-        reports = run_row_suite(dataset, seed=_effective_seed(args, cfg),
-                                base_train=_train_config(args, cfg),
+        reports = run_row_suite(dataset, base_train=_train_config(args, cfg),
                                 base_prior=_prior_config(args, cfg))
     else:
         print("error: give report files to compare or --data to run the standard grid",

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -149,7 +149,6 @@ def run_experiment(
     dataset: Dataset,
     train_config: TrainConfig,
     prior_config: PriorConfig,
-    seed: int | None = None,
     model: PitsModel | None = None,
     catalog: IdentityCatalog | None = None,
 ) -> tuple[ExperimentReport, list[Prediction]]:
@@ -160,8 +159,6 @@ def run_experiment(
     resolves locations through it, with a shifted seed so it never shares a
     random stream with the classifier.
     """
-    if seed is not None and model is None:
-        train_config = TrainConfig(**{**train_config.to_dict(), "seed": seed})
     if catalog is None:
         catalog = build_catalog(dataset)
     if model is None:
@@ -169,7 +166,7 @@ def run_experiment(
 
     background_model = None
     if prior_config.location_source == "background_model":
-        bg_config = TrainConfig(**{**train_config.to_dict(), "seed": train_config.seed + 1})
+        bg_config = replace(train_config, seed=train_config.seed + 1)
         background_model = train_background_model(dataset, dataset.grid, bg_config)
 
     predictions, prior_config = infer(dataset, model, prior_config, catalog, background_model)
@@ -266,14 +263,14 @@ STANDARD_ROWS: tuple[tuple[str, str, str, str, str], ...] = (
 
 def run_row_suite(
     dataset: Dataset,
-    seed: int = 0,
     rows: Sequence[tuple[str, str, str, str, str]] = STANDARD_ROWS,
     base_train: TrainConfig | None = None,
     base_prior: PriorConfig | None = None,
 ) -> dict[str, ExperimentReport]:
-    """Run each named row, training each distinct (input, loss) model once."""
+    """Run each named row, training each distinct (input, loss) model once
+    with ``base_train``'s settings, its seed included."""
     if base_train is None:
-        base_train = TrainConfig(seed=seed)
+        base_train = TrainConfig()
     if base_prior is None:
         base_prior = PriorConfig()
     catalog = build_catalog(dataset)
@@ -281,10 +278,7 @@ def run_row_suite(
     reports: dict[str, ExperimentReport] = {}
     for name, input_kind, loss_kind, prior_kind, location_source in rows:
         key = (input_kind, loss_kind)
-        tc = TrainConfig(
-            **{**base_train.to_dict(), "input_kind": input_kind, "loss_kind": loss_kind,
-               "seed": seed}
-        )
+        tc = replace(base_train, input_kind=input_kind, loss_kind=loss_kind)
         if key not in models:
             models[key] = train(dataset, catalog, tc)
         pc = base_prior.with_updates(kind=prior_kind, location_source=location_source)

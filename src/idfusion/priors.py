@@ -136,15 +136,25 @@ def init_state(catalog: IdentityCatalog, config: PriorConfig) -> PriorState:
     )
 
 
+def _decay(offsets: np.ndarray, rate: float) -> np.ndarray:
+    """Normalized exp(-rate * offset); rate 0 gives the uniform prior."""
+    # Subtracting the min before exponentiating changes nothing after the
+    # normalization but keeps exp() away from underflow at large rates.
+    # exp(-746) is already 0, so clamping at 746 / rate moves no bit and
+    # keeps rate * offset from overflowing.
+    shifted = offsets - offsets.min()
+    if rate > 0:
+        np.minimum(shifted, 746.0 / rate, out=shifted)
+    weights = np.exp(-rate * shifted)
+    return weights / weights.sum()
+
+
 def _distance_decay(anchors_xy: np.ndarray, loc: Location, config: PriorConfig) -> np.ndarray:
     deltas = anchors_xy - np.array([loc.x, loc.y])
     dist = np.hypot(deltas[:, 0], deltas[:, 1])
     if config.distance_unit == "cells":
         dist = dist / config.cell_size_km
-    # Subtracting the min before exponentiating changes nothing after the
-    # normalization but keeps exp() away from underflow at large alpha.
-    weights = np.exp(-config.alpha * (dist - dist.min()))
-    return weights / weights.sum()
+    return _decay(dist, config.alpha)
 
 
 def uniform_prior(state: PriorState) -> np.ndarray:
@@ -162,8 +172,7 @@ def migrating_location_prior(state: PriorState, loc: Location) -> np.ndarray:
 
 def time_decay_prior(state: PriorState, timestamp: float) -> np.ndarray:
     gaps = np.abs(state.last_seen - timestamp) / state.config.time_unit_days
-    weights = np.exp(-state.config.beta * (gaps - gaps.min()))
-    return weights / weights.sum()
+    return _decay(gaps, state.config.beta)
 
 
 def update_location(state: PriorState, label: int, loc: Location) -> None:

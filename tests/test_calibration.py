@@ -11,8 +11,7 @@ from idfusion.calibration import (
     ece_from_top_predictions,
     expected_calibration_error,
     fit_global_temperature,
-    pits_loss,
-    pits_loss_grad,
+    pits_objective,
     tempered_softmax,
 )
 
@@ -70,9 +69,17 @@ def test_logits_output_enforces_floor_and_shape():
         LogitsOutput(np.zeros((2, 3)), 1.5)
 
 
+def _one_row(z, t, y, target, lam=0.1):
+    """pits_objective on a one-row batch: (loss, dL/dz, dL/dT) of that row."""
+    loss, grad_z, grad_t = pits_objective(
+        np.asarray(z, dtype=np.float64)[None, :], np.array([y]), np.array([t]),
+        np.array([target]), lam,
+    )
+    return float(loss[0]), grad_z[0], float(grad_t[0])
+
+
 def test_pits_loss_symmetric_two_class():
-    out = LogitsOutput(np.array([0.0, 0.0]), 1.0)
-    assert pits_loss(out, 0, 1.0, lam=0.1) == pytest.approx(math.log(2.0), abs=1e-12)
+    assert _one_row([0.0, 0.0], 1.0, 0, 1.0)[0] == pytest.approx(math.log(2.0), abs=1e-12)
 
 
 def test_pits_loss_matches_reference():
@@ -83,7 +90,7 @@ def test_pits_loss_matches_reference():
         t = float(1.0 + rng.uniform(0.0, 5.0))
         y = int(rng.integers(0, k))
         target = float(1.0 + rng.uniform(0.0, 3.0))
-        got = pits_loss(LogitsOutput(z, t), y, target, lam=0.1)
+        got = _one_row(z, t, y, target)[0]
         want = pits_loss_ref(z, t, y, target, 0.1)
         assert got == pytest.approx(want, abs=1e-10)
 
@@ -95,20 +102,11 @@ def test_pits_loss_equals_cross_entropy_at_unit_temperature():
         z = rng.normal(size=8) * 3.0
         y = int(rng.integers(0, 8))
         ce = -math.log(tempered_softmax(z, 1.0)[y])
-        assert pits_loss(LogitsOutput(z, 1.0), y, 1.0, lam=0.1) == pytest.approx(ce, abs=1e-12)
-
-
-def test_pits_loss_validates_label_and_target():
-    out = LogitsOutput(np.zeros(3), 1.0)
-    with pytest.raises(ValueError):
-        pits_loss(out, 3, 1.0)
-    with pytest.raises(ValueError):
-        pits_loss(out, 0, 0.5)
+        assert _one_row(z, 1.0, y, 1.0)[0] == pytest.approx(ce, abs=1e-12)
 
 
 def test_grad_symmetric_two_class():
-    out = LogitsOutput(np.array([0.0, 0.0]), 1.0)
-    grad_z, grad_t = pits_loss_grad(out, 0, 1.0, lam=0.1)
+    _, grad_z, grad_t = _one_row([0.0, 0.0], 1.0, 0, 1.0)
     assert np.allclose(grad_z, [-0.5, 0.5], atol=1e-12)
     assert grad_t == pytest.approx(0.0, abs=1e-12)
 
@@ -121,7 +119,7 @@ def test_grad_matches_finite_differences(k):
         t = float(1.0 + rng.uniform(0.0, 4.0))
         y = int(rng.integers(0, k))
         target = float(1.0 + rng.uniform(0.0, 2.0))
-        grad_z, grad_t = pits_loss_grad(LogitsOutput(z, t), y, target, lam=0.1)
+        _, grad_z, grad_t = _one_row(z, t, y, target)
         num_z, num_t = numeric_pits_grad(list(z), t, y, target, 0.1)
         for a, n in zip(list(grad_z) + [grad_t], num_z + [num_t]):
             if abs(a) < 1e-8:

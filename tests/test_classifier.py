@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from idfusion.calibration import per_instance_softmax
+from idfusion.calibration import per_instance_softmax, pits_objective
 from idfusion.classifier import (
     BackgroundLocationModel,
     PitsModel,
@@ -13,7 +13,6 @@ from idfusion.classifier import (
     features_from,
     load_background_model,
     load_model,
-    mean_batch_loss,
     save_background_model,
     save_model,
     train,
@@ -124,10 +123,10 @@ def test_ce_batch_loss_matches_textbook_cross_entropy(grid2x2):
 
     X = np.stack([o.fg_features for o in ds.train])
     y = np.array([o.identity for o in ds.train])
-    targets = np.ones(len(y))
-    got = mean_batch_loss(model, X, y, targets, lam=0.1)
-
     Z = X @ model.W.T + model.b
+    loss, _, _ = pits_objective(Z, y)
+    got = float(np.mean(loss))
+
     shifted = Z - Z.max(axis=1, keepdims=True)
     probs = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
     want = float(np.mean(-np.log(probs[np.arange(len(y)), y])))
@@ -148,11 +147,12 @@ def test_pits_batch_loss_matches_reference(grid2x2):
     X = rng.normal(size=(16, 4))
     y = rng.integers(0, 3, size=16)
     targets = 1.0 + rng.uniform(0.0, 2.0, size=16)
-    got = mean_batch_loss(model, X, y, targets, lam=0.1)
-    per_row = []
-    for x, label, tgt in zip(X, y, targets):
-        out = model.forward(x)
-        per_row.append(pits_loss_ref(list(out.logits), out.temperature, int(label), float(tgt), 0.1))
+    outs = [model.forward(x) for x in X]
+    loss, _, _ = pits_objective(np.stack([o.logits for o in outs]), y,
+                                np.array([o.temperature for o in outs]), targets, lam=0.1)
+    got = float(np.mean(loss))
+    per_row = [pits_loss_ref(list(out.logits), out.temperature, int(label), float(tgt), 0.1)
+               for out, label, tgt in zip(outs, y, targets)]
     assert got == pytest.approx(float(np.mean(per_row)), abs=1e-12)
 
 
@@ -193,6 +193,16 @@ def test_training_error_reports_divergence(grid2x2):
         loss_kind="ce", epochs=8, learning_rate=1e305, batch_size=64, lr_schedule="constant"
     )
     with np.errstate(all="ignore"), pytest.raises(TrainingError, match="epoch"):
+        train(ds, build_catalog(ds), config)
+
+
+@pytest.mark.parametrize("loss_kind", ["ce", "pits"])
+def test_training_error_when_the_last_update_overflows_the_weights(grid2x2, loss_kind):
+    # One full batch, one epoch: the loss is finite before the only update,
+    # so only a check of the weights themselves can see the overflow.
+    ds = _two_identity_dataset(grid2x2)
+    config = TrainConfig(loss_kind=loss_kind, epochs=1, learning_rate=1e308, batch_size=1000)
+    with np.errstate(all="ignore"), pytest.raises(TrainingError, match="epoch 0"):
         train(ds, build_catalog(ds), config)
 
 

@@ -139,7 +139,8 @@ def test_infer_with_background_model_matches_library(tmp_path, config_path, caps
                  "--out", preds]) == 1
     assert "--background-model" in capsys.readouterr().err
 
-    assert main(["infer", "--data", data, "--model", model, "--config", config_path,
+    # No --config: the seed and train config come from the checkpoint.
+    assert main(["infer", "--data", data, "--model", model,
                  "--prior", MIGRATING_LOCATION, "--background-model", bg_model,
                  "--out", preds]) == 0
     assert main(["evaluate", "--data", data, "--predictions", preds, "--out", report]) == 0
@@ -153,7 +154,8 @@ def test_infer_with_background_model_matches_library(tmp_path, config_path, caps
     )
     assert cli.prior_config == lib.prior_config
     for name in ("overall_accuracy", "new_location_accuracy", "ece_fused", "ece_likelihood",
-                 "n_test", "n_new_location", "n_unknown_identity", "seed", "per_identity"):
+                 "n_test", "n_new_location", "n_unknown_identity", "seed", "per_identity",
+                 "train_config"):
         assert getattr(cli, name) == getattr(lib, name), name
 
 

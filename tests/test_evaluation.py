@@ -1,6 +1,7 @@
 """Scoring, the new-location subset, report serialization, and the row suite."""
 
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -183,7 +184,7 @@ def test_run_experiment_is_deterministic():
 
 def test_run_experiment_syncs_cell_size_and_seed():
     ds = _small_sim()
-    report, _ = run_experiment(ds, _FAST_TRAIN, PriorConfig(cell_size_km=1.0), seed=3)
+    report, _ = run_experiment(ds, replace(_FAST_TRAIN, seed=3), PriorConfig(cell_size_km=1.0))
     assert report.prior_config["cell_size_km"] == ds.grid.cell_size_km
     assert report.seed == 3
     assert report.train_config["seed"] == 3
@@ -212,11 +213,13 @@ def test_row_suite_runs_named_rows():
         ("fg_ce_uniform", "foreground", "ce", UNIFORM, "metadata"),
         ("fg_pits_migrating", "foreground", "pits", MIGRATING_LOCATION, "metadata"),
     )
-    reports = run_row_suite(ds, seed=0, rows=rows, base_train=_FAST_TRAIN)
+    reports = run_row_suite(ds, rows=rows, base_train=replace(_FAST_TRAIN, seed=4))
     assert list(reports) == ["fg_ce_uniform", "fg_pits_migrating"]
     for rep in reports.values():
         assert 0.0 <= rep.overall_accuracy <= 1.0
         assert rep.n_test == len(ds.test)
+        # base_train's seed is the only seed.
+        assert rep.seed == 4 and rep.train_config["seed"] == 4
     assert reports["fg_ce_uniform"].train_config["loss_kind"] == "ce"
     assert reports["fg_pits_migrating"].prior_config["kind"] == MIGRATING_LOCATION
 

@@ -1,14 +1,16 @@
-"""Property tests: the softmax kernel, every prior, and fusion hold their
-invariants over generated inputs, extreme decay constants and distances
-included. Runs are derandomized so the suite gives the same verdict on
+"""Property tests: the softmax kernel, the PITS objective, every prior, and
+fusion hold their invariants over generated inputs, extreme decay constants
+and distances included. Runs are derandomized so the suite gives the same verdict on
 every machine."""
+
+import warnings
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from idfusion.calibration import softmax, tempered_softmax
+from idfusion.calibration import pits_objective, softmax, tempered_softmax
 from idfusion.classifier import PitsModel
 from idfusion.data import Location
 from idfusion.fusion import LOG_SPACE_THRESHOLD, fuse, sequential_infer
@@ -23,6 +25,7 @@ from idfusion.priors import (
 )
 
 from conftest import make_obs
+from oracles import numeric_pits_grad
 
 settings.register_profile("properties", deadline=None, derandomize=True, database=None)
 settings.load_profile("properties")
@@ -58,6 +61,41 @@ def test_temperature_never_moves_the_argmax(ticks, temperature):
 
 
 @st.composite
+def _batches(draw):
+    m, k = draw(st.integers(1, 6)), draw(st.integers(2, 12))
+    logits = draw(hnp.arrays(np.float64, (m, k), elements=st.floats(-8.0, 8.0)))
+    labels = draw(hnp.arrays(np.int64, m, elements=st.integers(0, k - 1)))
+    temperatures = draw(hnp.arrays(np.float64, m, elements=st.floats(1.0, 5.0)))
+    targets = draw(hnp.arrays(np.float64, m, elements=st.floats(1.0, 3.0)))
+    return logits, labels, temperatures, targets
+
+
+@given(_batches())
+def test_objective_rows_match_finite_differences(batch):
+    logits, labels, temperatures, targets = batch
+    _, grad_z, grad_t = pits_objective(logits, labels, temperatures, targets, lam=0.1)
+    for i in range(logits.shape[0]):
+        num_z, num_t = numeric_pits_grad(list(logits[i]), float(temperatures[i]),
+                                         int(labels[i]), float(targets[i]), 0.1)
+        analytic = np.append(grad_z[i], grad_t[i])
+        numeric = np.append(num_z, num_t)
+        # Rounding leaves central differences at h = 1e-5 about 1e-10 off, too
+        # coarse to check entries far below 1e-5 to a relative 1e-4.
+        keep = np.abs(analytic) >= 1e-5
+        assert np.all(np.abs(analytic[keep] - numeric[keep]) < 1e-4 * np.abs(analytic[keep]))
+
+
+@given(_batches())
+def test_cross_entropy_is_the_unit_temperature_objective(batch):
+    logits, labels, _, _ = batch
+    ones = np.ones(logits.shape[0])
+    loss, grad_z, grad_t = pits_objective(logits, labels)
+    unit_loss, unit_grad_z, _ = pits_objective(logits, labels, ones, ones, lam=0.1)
+    assert grad_t is None
+    assert np.array_equal(loss, unit_loss) and np.array_equal(grad_z, unit_grad_z)
+
+
+@st.composite
 def _states(draw):
     k = draw(st.integers(1, 30))
     homes = draw(hnp.arrays(np.float64, (k, 2), elements=coordinate))
@@ -72,9 +110,10 @@ def _states(draw):
 @given(_states(), coordinate, coordinate, coordinate)
 def test_every_prior_is_a_distribution(state, x, y, t):
     loc = Location(x, y)
-    # A decay constant near 1e300 times a large distance overflows to inf,
-    # which exp() turns into an exact zero weight; numpy warns about it.
-    with np.errstate(over="ignore"):
+    # A decay constant near 1e300 times a large distance must not overflow:
+    # a legal config raises no numpy warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         priors = (uniform_prior(state), home_location_prior(state, loc),
                   migrating_location_prior(state, loc), time_decay_prior(state, t))
     for p in priors:
