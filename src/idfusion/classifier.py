@@ -9,16 +9,15 @@ across runs.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .calibration import TEMPERATURE_REGULARIZER, LogitsOutput, pits_objective
-from .data import Dataset, GridSpec, IdentityCatalog, Location, Observation
+from .data import Dataset, GridSpec, IdentityCatalog, Location, Observation, read_json, write_json
 from .errors import ConfigError, TrainingError
 
 logger = logging.getLogger(__name__)
@@ -56,17 +55,7 @@ class TrainConfig:
             raise ConfigError("lam and noise_std must be non-negative")
 
     def to_dict(self) -> dict:
-        return {
-            "loss_kind": self.loss_kind,
-            "input_kind": self.input_kind,
-            "lam": self.lam,
-            "epochs": self.epochs,
-            "learning_rate": self.learning_rate,
-            "batch_size": self.batch_size,
-            "lr_schedule": self.lr_schedule,
-            "noise_std": self.noise_std,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def features_from(obs: Observation, input_kind: str) -> np.ndarray:
@@ -318,9 +307,7 @@ def _write_checkpoint(payload: dict, path: str | Path, config: TrainConfig | Non
     if config is not None:
         payload["train_config"] = config.to_dict()
         payload["seed"] = config.seed
-    with Path(path).open("w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def save_model(model: PitsModel, path: str | Path, config: TrainConfig | None = None) -> None:
@@ -340,7 +327,7 @@ def save_model(model: PitsModel, path: str | Path, config: TrainConfig | None = 
 
 
 def load_model(path: str | Path) -> PitsModel:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    payload = read_json(path)
     model = PitsModel(
         W=np.array(payload["W"], dtype=np.float64),
         b=np.array(payload["b"], dtype=np.float64),
@@ -368,7 +355,7 @@ def save_background_model(
 
 
 def load_background_model(path: str | Path) -> BackgroundLocationModel:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    payload = read_json(path)
     model = BackgroundLocationModel(
         W=np.array(payload["W"], dtype=np.float64),
         b=np.array(payload["b"], dtype=np.float64),

@@ -10,7 +10,6 @@ on expected failures.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from pathlib import Path
@@ -29,7 +28,7 @@ from .classifier import (
     train,
     train_background_model,
 )
-from .data import build_catalog, load_dataset, save_dataset
+from .data import build_catalog, from_fields, load_dataset, read_json, save_dataset, write_json
 from .errors import (
     ConfigError,
     ParseError,
@@ -60,23 +59,21 @@ _EXPECTED = (ConfigError, ParseError, SchemaError, SplitError, TrainingError,
 def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
-    with Path(path).open("r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{path}: config file must hold a JSON object")
+    cfg = read_json(path)
+    for key, value in cfg.items():
+        if key not in ("seed", "sim", "train", "prior"):
+            raise ConfigError(f"{path}: unknown key {key!r}; expected seed, sim, train or prior")
+        if key != "seed" and not isinstance(value, dict):
+            raise ConfigError(f"{path}: section {key!r} must be a JSON object")
     return cfg
 
 
 def _merge(section: dict, overrides: dict) -> dict:
-    merged = dict(section)
-    merged.update({k: v for k, v in overrides.items() if v is not None})
-    return merged
+    return {**section, **{k: v for k, v in overrides.items() if v is not None}}
 
 
 def _effective_seed(args: argparse.Namespace, cfg: dict) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    return int(cfg.get("seed", 0))
+    return args.seed if args.seed is not None else int(cfg.get("seed", 0))
 
 
 def _train_config(args: argparse.Namespace, cfg: dict) -> TrainConfig:
@@ -91,7 +88,7 @@ def _train_config(args: argparse.Namespace, cfg: dict) -> TrainConfig:
         },
     )
     section.setdefault("seed", int(cfg.get("seed", 0)))
-    return TrainConfig(**section)
+    return from_fields(TrainConfig, section, "train")
 
 
 def _prior_config(args: argparse.Namespace, cfg: dict) -> PriorConfig:
@@ -99,14 +96,11 @@ def _prior_config(args: argparse.Namespace, cfg: dict) -> PriorConfig:
         cfg.get("prior", {}),
         {
             "kind": getattr(args, "prior", None),
-            "location_source": (
-                "background_model" if getattr(args, "background_model", None) else None
-            ),
+            "location_source": ("background_model" if getattr(args, "background_model", None)
+                                else None),
         },
     )
-    if "combine_with" in section:
-        section["combine_with"] = tuple(section["combine_with"])
-    return PriorConfig(**section)
+    return from_fields(PriorConfig, section, "prior")
 
 
 # ---------------------------------------------------------------------------
@@ -187,11 +181,10 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
             "ece_before": before.ece,
             "ece_after": after.ece,
             "n_evaluated": int(labels.shape[0]),
-            "seed": _effective_seed(args, cfg),
+            # The model's own seed, as infer records it.
+            "seed": read_json(args.model).get("seed", _effective_seed(args, cfg)),
         }
-        Path(args.out).write_text(
-            json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+        write_json(args.out, payload)
     return 0
 
 
@@ -199,7 +192,7 @@ def _cmd_infer(args: argparse.Namespace) -> int:
     cfg = _load_config_file(args.config)
     dataset = load_dataset(args.data)
     model = load_model(args.model)
-    checkpoint = json.loads(Path(args.model).read_text(encoding="utf-8"))
+    checkpoint = read_json(args.model)
     pc = _prior_config(args, cfg)
     background_model = None
     if args.background_model:
@@ -333,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="score a predictions directory against a dataset")
     p.add_argument("--predictions", required=True, help="predictions directory from infer")
     p.add_argument("--data", required=True, help="dataset directory")
-    common(p, out_required=False)
+    p.add_argument("--out", help="report JSON path")
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("report", help="compare runs in an aligned table")

@@ -1,6 +1,7 @@
-"""Domain types, dataset I/O, temporal splitting, and per-identity training statistics.
+"""Domain types, JSON file I/O, temporal splitting, and per-identity training statistics.
 
-All types are immutable after construction and safe to share. Observations are
+All types are immutable after construction and safe to share. Every file the
+package reads or writes goes through the JSON helpers here. Observations are
 stored one JSON object per line; grid and dataset metadata live in a sidecar
 JSON file next to the observation file.
 """
@@ -10,13 +11,14 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from types import UnionType
+from typing import Any, Iterable, Iterator, Mapping, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .errors import ParseError, SchemaError, SplitError
+from .errors import ConfigError, ParseError, SchemaError, SplitError
 
 TRAIN = "train"
 TEST = "test"
@@ -58,6 +60,19 @@ class GridSpec:
             raise ValueError(f"cell_size_km must be positive, got {self.cell_size_km}")
         if self.n_cells_x < 1 or self.n_cells_y < 1:
             raise ValueError("grid must have at least one cell per axis")
+
+    def to_dict(self) -> dict:
+        """The grid's JSON shape, shared by dataset sidecars and simulator configs."""
+        return {**asdict(self), "origin": [self.origin.x, self.origin.y]}
+
+    @classmethod
+    def from_dict(cls, d: Mapping, what: str = "grid") -> "GridSpec":
+        """Inverse of :meth:`to_dict`; raises SchemaError naming ``what``."""
+        try:
+            origin = Location(float(d["origin"][0]), float(d["origin"][1]))
+            return cls(origin, float(d["cell_size_km"]), int(d["n_cells_x"]), int(d["n_cells_y"]))
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            raise SchemaError(f"{what}: {exc}") from exc
 
     @property
     def n_cells(self) -> int:
@@ -291,6 +306,78 @@ def build_catalog(dataset: Dataset) -> IdentityCatalog:
 # ---------------------------------------------------------------------------
 
 
+def write_json(path: str | Path, obj: Any) -> None:
+    """Sorted keys, indent 2, trailing newline; exact float reprs round-trip bit for bit."""
+    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+
+
+def read_json(path: str | Path) -> dict:
+    """The JSON object in ``path``; SchemaError naming the file on invalid JSON or a non-object."""
+    try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{path}: invalid JSON ({exc.msg})") from exc
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{path}: file must hold a JSON object, not {type(obj).__name__}")
+    return obj
+
+
+def write_jsonl(path: str | Path, records: Iterable[Mapping]) -> None:
+    """Write one sorted-key JSON object per line."""
+    with Path(path).open("w", encoding="utf-8") as fh:
+        for rec in records:
+            fh.write(json.dumps(rec, sort_keys=True))
+            fh.write("\n")
+
+
+def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """Yield ``(line number, record)`` per non-blank line; ParseError naming the file and
+    the line on invalid JSON or a non-object."""
+    with Path(path).open("r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
+            if not isinstance(rec, dict):
+                raise ParseError(f"{path}: line {lineno}: record is not a JSON object")
+            yield lineno, rec
+
+
+def _has_type(value: Any, hint: Any) -> bool:
+    # JSON's view of a field type: ints pass as floats, lists as tuples, and
+    # booleans as neither number.
+    if hint in (int, float):
+        return isinstance(value, (int, hint)) and not isinstance(value, bool)
+    origin = get_origin(hint)
+    if origin is UnionType:
+        return any(_has_type(value, arg) for arg in get_args(hint))
+    if origin is tuple:
+        return isinstance(value, (list, tuple))
+    return isinstance(value, origin or hint)
+
+
+def from_fields(cls: type, d: Any, what: str) -> Any:
+    """``cls(**d)`` for a dataclass read from JSON; ConfigError naming ``what`` when ``d``
+    is not an object, a key is not a field, a value has the wrong type or ``cls`` rejects it."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{what}: expected a JSON object, got {type(d).__name__}")
+    hints = get_type_hints(cls)
+    names = [f.name for f in fields(cls)]
+    for key, value in d.items():
+        if key not in names:
+            raise ConfigError(f"{what}: unknown key {key!r}; expected one of {names}")
+        if not _has_type(value, hints[key]):
+            kind = getattr(hints[key], "__name__", hints[key])
+            raise ConfigError(f"{what}: {key} must be {kind}, got {value!r}")
+    try:
+        return cls(**d)
+    except (TypeError, ConfigError) as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
+
+
 def _record_from(obs: Observation) -> dict:
     rec = {
         "obs_id": obs.obs_id,
@@ -323,11 +410,7 @@ def _observation_from(rec: dict, lineno: int) -> Observation:
 
 def save_observations(observations: Iterable[Observation], path: str | Path) -> None:
     """Write observations as one JSON object per line."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        for obs in observations:
-            fh.write(json.dumps(_record_from(obs), sort_keys=True))
-            fh.write("\n")
+    write_jsonl(path, map(_record_from, observations))
 
 
 def load_observations(path: str | Path) -> list[Observation]:
@@ -337,29 +420,18 @@ def load_observations(path: str | Path) -> list[Observation]:
         ParseError: on a malformed record, naming the line number.
         SchemaError: when records disagree on feature dimensions.
     """
-    path = Path(path)
     observations: list[Observation] = []
     dims: tuple[int, int] | None = None
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(rec, dict):
-                raise ParseError(f"line {lineno}: record is not a JSON object")
-            obs = _observation_from(rec, lineno)
-            rec_dims = (obs.fg_features.shape[0], obs.bg_features.shape[0])
-            if dims is None:
-                dims = rec_dims
-            elif rec_dims != dims:
-                raise SchemaError(
-                    f"line {lineno}: feature dims {rec_dims} differ from first record {dims}"
-                )
-            observations.append(obs)
+    for lineno, rec in read_jsonl(path):
+        obs = _observation_from(rec, lineno)
+        rec_dims = (obs.fg_features.shape[0], obs.bg_features.shape[0])
+        if dims is None:
+            dims = rec_dims
+        elif rec_dims != dims:
+            raise SchemaError(
+                f"line {lineno}: feature dims {rec_dims} differ from first record {dims}"
+            )
+        observations.append(obs)
     return observations
 
 
@@ -368,46 +440,22 @@ def save_dataset(dataset: Dataset, directory: str | Path, extra_meta: Mapping | 
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     save_observations(dataset.observations, directory / OBSERVATIONS_FILENAME)
-    meta = {
-        "origin": [dataset.grid.origin.x, dataset.grid.origin.y],
-        "cell_size_km": dataset.grid.cell_size_km,
-        "n_cells_x": dataset.grid.n_cells_x,
-        "n_cells_y": dataset.grid.n_cells_y,
-        "n_identities": dataset.n_identities,
-    }
-    if extra_meta:
-        meta.update(extra_meta)
-    with (directory / SIDECAR_FILENAME).open("w", encoding="utf-8") as fh:
-        json.dump(meta, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    meta = {**dataset.grid.to_dict(), "n_identities": dataset.n_identities, **(extra_meta or {})}
+    write_json(directory / SIDECAR_FILENAME, meta)
 
 
 def load_dataset(directory: str | Path) -> Dataset:
     """Load a dataset directory written by :func:`save_dataset`."""
     directory = Path(directory)
     sidecar = directory / SIDECAR_FILENAME
-    try:
-        with sidecar.open("r", encoding="utf-8") as fh:
-            meta = json.load(fh)
-    except FileNotFoundError:
-        raise SchemaError(f"missing sidecar file {sidecar}") from None
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{sidecar}: invalid JSON ({exc.msg})") from exc
-    try:
-        grid = GridSpec(
-            origin=Location(float(meta["origin"][0]), float(meta["origin"][1])),
-            cell_size_km=float(meta["cell_size_km"]),
-            n_cells_x=int(meta["n_cells_x"]),
-            n_cells_y=int(meta["n_cells_y"]),
-        )
-        n_identities = int(meta["n_identities"])
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
-        raise SchemaError(f"{sidecar}: {exc}") from exc
-
-    observations = load_observations(directory / OBSERVATIONS_FILENAME)
-    dataset = Dataset.from_observations(observations, grid)
-    if dataset.n_identities != n_identities:
+    if not sidecar.is_file():
+        raise SchemaError(f"missing sidecar file {sidecar}")
+    meta = read_json(sidecar)
+    grid = GridSpec.from_dict(meta, str(sidecar))
+    dataset = Dataset.from_observations(load_observations(directory / OBSERVATIONS_FILENAME), grid)
+    if dataset.n_identities != meta.get("n_identities"):
         raise SchemaError(
-            f"sidecar declares {n_identities} identities but observations imply {dataset.n_identities}"
+            f"{sidecar}: declares {meta.get('n_identities')!r} identities but observations"
+            f" imply {dataset.n_identities}"
         )
     return dataset

@@ -2,7 +2,7 @@
 
 
 class ParseError(ValueError):
-    """A record in an observation file could not be parsed."""
+    """A record in a JSON-lines file could not be parsed."""
 
 
 class SchemaError(ValueError):

@@ -10,9 +10,8 @@ looks like.
 from __future__ import annotations
 
 import csv
-import json
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -20,7 +19,8 @@ import numpy as np
 
 from .calibration import ece_from_top_predictions
 from .classifier import BackgroundLocationModel, PitsModel, TrainConfig, train, train_background_model
-from .data import Dataset, IdentityCatalog, Observation, build_catalog
+from .data import (Dataset, IdentityCatalog, Observation, build_catalog, from_fields, read_json,
+                   write_json)
 from .fusion import Prediction, prediction_record, sequential_infer
 from .priors import (
     HOME_LOCATION,
@@ -51,39 +51,14 @@ class ExperimentReport:
     per_identity: dict[int, float] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "overall_accuracy": self.overall_accuracy,
-            "new_location_accuracy": self.new_location_accuracy,
-            "ece_fused": self.ece_fused,
-            "ece_likelihood": self.ece_likelihood,
-            "n_test": self.n_test,
-            "n_new_location": self.n_new_location,
-            "n_unknown_identity": self.n_unknown_identity,
-            "seed": self.seed,
-            "train_config": self.train_config,
-            "prior_config": self.prior_config,
-            "per_identity": {str(k): v for k, v in sorted(self.per_identity.items())},
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        # String keys, so sorted-key JSON orders per_identity as strings.
+        return {**asdict(self), "per_identity": {str(k): v for k, v in self.per_identity.items()}}
 
     @classmethod
-    def from_json(cls, text: str) -> "ExperimentReport":
-        d = json.loads(text)
-        return cls(
-            overall_accuracy=d["overall_accuracy"],
-            new_location_accuracy=d["new_location_accuracy"],
-            ece_fused=d["ece_fused"],
-            ece_likelihood=d["ece_likelihood"],
-            n_test=d["n_test"],
-            n_new_location=d["n_new_location"],
-            n_unknown_identity=d["n_unknown_identity"],
-            seed=d["seed"],
-            train_config=d["train_config"],
-            prior_config=d["prior_config"],
-            per_identity={int(k): v for k, v in d["per_identity"].items()},
-        )
+    def from_dict(cls, d: dict, what: str = "report") -> "ExperimentReport":
+        """Inverse of :meth:`to_dict`; raises ConfigError naming ``what``."""
+        report = from_fields(cls, d, what)
+        return replace(report, per_identity={int(k): v for k, v in report.per_identity.items()})
 
 
 def overall_accuracy(predictions: Sequence[Prediction]) -> float:
@@ -137,7 +112,7 @@ def infer(
     the predictions. The library and the CLI both infer through here.
     """
     if prior_config.cell_size_km != dataset.grid.cell_size_km:
-        prior_config = prior_config.with_updates(cell_size_km=dataset.grid.cell_size_km)
+        prior_config = replace(prior_config, cell_size_km=dataset.grid.cell_size_km)
     if catalog is None:
         catalog = build_catalog(dataset)
     state = init_state(catalog, prior_config)
@@ -281,7 +256,7 @@ def run_row_suite(
         tc = replace(base_train, input_kind=input_kind, loss_kind=loss_kind)
         if key not in models:
             models[key] = train(dataset, catalog, tc)
-        pc = base_prior.with_updates(kind=prior_kind, location_source=location_source)
+        pc = replace(base_prior, kind=prior_kind, location_source=location_source)
         report, _ = run_experiment(dataset, tc, pc, model=models[key], catalog=catalog)
         reports[name] = report
         logger.info("row %-22s accuracy %.3f", name, report.overall_accuracy)
@@ -301,24 +276,18 @@ def render_report_table(reports: Mapping[str, ExperimentReport]) -> str:
 
 
 def write_report_csv(reports: Mapping[str, ExperimentReport], path: str | Path) -> None:
+    """One row per report: its name, then every scalar field (None as an empty cell)."""
+    columns = [f.name for f in fields(ExperimentReport) if not f.type.startswith("dict")]
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["row", "overall_accuracy", "new_location_accuracy", "ece_fused",
-             "ece_likelihood", "n_test", "n_new_location", "n_unknown_identity", "seed"]
-        )
+        writer.writerow(["row", *columns])
         for name, rep in reports.items():
-            writer.writerow(
-                [name, rep.overall_accuracy,
-                 "" if rep.new_location_accuracy is None else rep.new_location_accuracy,
-                 rep.ece_fused, rep.ece_likelihood, rep.n_test,
-                 rep.n_new_location, rep.n_unknown_identity, rep.seed]
-            )
+            writer.writerow([name, *(getattr(rep, c) for c in columns)])
 
 
 def save_report(report: ExperimentReport, path: str | Path) -> None:
-    Path(path).write_text(report.to_json(), encoding="utf-8")
+    write_json(path, report.to_dict())
 
 
 def load_report(path: str | Path) -> ExperimentReport:
-    return ExperimentReport.from_json(Path(path).read_text(encoding="utf-8"))
+    return ExperimentReport.from_dict(read_json(path), str(path))

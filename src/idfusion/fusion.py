@@ -9,7 +9,6 @@ so the argmax is preserved exactly, not just up to floating-point error.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,7 +18,7 @@ import numpy as np
 
 from .calibration import per_instance_softmax, softmax
 from .classifier import BackgroundLocationModel, PitsModel, features_from
-from .data import GridSpec, Location, Observation
+from .data import GridSpec, Location, Observation, read_json, read_jsonl, write_json, write_jsonl
 from .priors import (
     MIGRATING_LOCATION,
     TIME_DECAY,
@@ -208,27 +207,15 @@ def write_predictions(
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    with (directory / PREDICTIONS_FILENAME).open("w", encoding="utf-8") as fh:
-        for pred in predictions:
-            fh.write(json.dumps(prediction_record(pred, labels, prior_kind), sort_keys=True))
-            fh.write("\n")
-    sidecar = {"labels": list(labels), "prior_kind": prior_kind}
-    if meta:
-        sidecar.update(meta)
-    with (directory / PREDICTIONS_META_FILENAME).open("w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_jsonl(directory / PREDICTIONS_FILENAME,
+                (prediction_record(pred, labels, prior_kind) for pred in predictions))
+    write_json(directory / PREDICTIONS_META_FILENAME,
+               {"labels": list(labels), "prior_kind": prior_kind, **(meta or {})})
 
 
 def read_predictions(directory: str | Path) -> tuple[list[dict], dict]:
-    """Load prediction records and their sidecar as plain dictionaries."""
+    """Load prediction records and their sidecar as plain dictionaries; a line or a
+    sidecar that is not a JSON object raises ParseError or SchemaError."""
     directory = Path(directory)
-    records: list[dict] = []
-    with (directory / PREDICTIONS_FILENAME).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    with (directory / PREDICTIONS_META_FILENAME).open("r", encoding="utf-8") as fh:
-        meta = json.load(fh)
-    return records, meta
+    records = [rec for _, rec in read_jsonl(directory / PREDICTIONS_FILENAME)]
+    return records, read_json(directory / PREDICTIONS_META_FILENAME)

@@ -15,7 +15,7 @@ the same meaning across datasets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -51,6 +51,7 @@ class PriorConfig:
     combine_with: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "combine_with", tuple(self.combine_with))
         if self.kind not in PRIOR_KINDS:
             raise ConfigError(f"prior kind must be one of {PRIOR_KINDS}, got {self.kind!r}")
         if self.location_source not in LOCATION_SOURCES:
@@ -72,21 +73,7 @@ class PriorConfig:
             raise ConfigError(f"prior kind {self.kind!r} listed twice")
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "location_source": self.location_source,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "time_unit_days": self.time_unit_days,
-            "cell_size_km": self.cell_size_km,
-            "distance_unit": self.distance_unit,
-            "combine_with": list(self.combine_with),
-        }
-
-    def with_updates(self, **changes) -> "PriorConfig":
-        merged = {**self.to_dict(), **changes}
-        merged["combine_with"] = tuple(merged["combine_with"])
-        return PriorConfig(**merged)
+        return {**asdict(self), "combine_with": list(self.combine_with)}
 
 
 @dataclass

@@ -13,11 +13,11 @@ populations that surface in bursts rather than year-round.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import Dataset, GridSpec, Location, Observation, temporal_split
+from .data import Dataset, GridSpec, Location, Observation, from_fields, temporal_split
 from .errors import ConfigError, SimulationError
 
 logger = logging.getLogger(__name__)
@@ -77,42 +77,14 @@ class SimConfig:
             raise ConfigError("season_attendance must lie in (0, 1]")
 
     def to_dict(self) -> dict:
-        return {
-            "n_identities": self.n_identities,
-            "feature_dim": self.feature_dim,
-            "bg_feature_dim": self.bg_feature_dim,
-            "grid": {
-                "origin": [self.grid.origin.x, self.grid.origin.y],
-                "cell_size_km": self.grid.cell_size_km,
-                "n_cells_x": self.grid.n_cells_x,
-                "n_cells_y": self.grid.n_cells_y,
-            },
-            "longtail_exponent": self.longtail_exponent,
-            "home_range_cells": self.home_range_cells,
-            "migration_prob": self.migration_prob,
-            "fg_noise": self.fg_noise,
-            "bg_cell_signal": self.bg_cell_signal,
-            "obs_rate": self.obs_rate,
-            "duration_days": self.duration_days,
-            "cutoff_quantile": self.cutoff_quantile,
-            "seasonal_bursts": self.seasonal_bursts,
-            "season_duty": self.season_duty,
-            "season_attendance": self.season_attendance,
-            "seed": self.seed,
-        }
+        return {**asdict(self), "grid": self.grid.to_dict()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimConfig":
-        d = dict(d)
-        if "grid" in d and isinstance(d["grid"], dict):
-            g = d["grid"]
-            d["grid"] = GridSpec(
-                origin=Location(float(g["origin"][0]), float(g["origin"][1])),
-                cell_size_km=float(g["cell_size_km"]),
-                n_cells_x=int(g["n_cells_x"]),
-                n_cells_y=int(g["n_cells_y"]),
-            )
-        return cls(**d)
+        """Inverse of :meth:`to_dict`; raises ConfigError naming the section."""
+        if isinstance(d, dict) and isinstance(d.get("grid"), dict):
+            d = {**d, "grid": GridSpec.from_dict(d["grid"], "sim.grid")}
+        return from_fields(cls, d, "sim")
 
 
 def zipf_weights(n: int, exponent: float) -> np.ndarray:

@@ -116,6 +116,8 @@ def test_calibrate_fits_on_train_and_scores_test(tmp_path, config_path, capsys):
     stored = json.loads(out.read_text())
     assert stored["temperature"] == fit_global_temperature(logits, labels)
     assert stored["n_evaluated"] == len(ds.test)
+    # No --config here: the seed is the model's (5), as infer records it.
+    assert stored["seed"] == 5
 
 
 def test_infer_with_background_model_matches_library(tmp_path, config_path, capsys):
@@ -197,7 +199,7 @@ def test_report_runs_standard_grid_from_data(tmp_path, config_path, capsys):
     assert "bg_ce_uniform" in out
 
 
-def test_error_paths_exit_one(tmp_path, capsys):
+def test_error_paths_exit_one(tmp_path, config_path, capsys):
     assert main(["train", "--data", str(tmp_path / "nope"), "--out", str(tmp_path / "m")]) == 1
     assert "error:" in capsys.readouterr().err
 
@@ -213,6 +215,60 @@ def test_error_paths_exit_one(tmp_path, capsys):
     bad_cfg.write_text("[1, 2]", encoding="utf-8")
     assert main(["simulate", "--config", str(bad_cfg), "--out", str(tmp_path / "x")]) == 1
     assert "JSON object" in capsys.readouterr().err
+
+    def error_line(argv):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        return err
+
+    data, model = str(tmp_path / "data"), str(tmp_path / "model.json")
+    assert main(["simulate", "--config", config_path, "--out", data]) == 0
+    assert main(["train", "--data", data, "--config", config_path, "--out", model]) == 0
+    capsys.readouterr()
+
+    # A mistyped key or a wrongly typed value names its config section.
+    for section, body, words in (
+        ("train", {"epoch": 3}, ("train:", "'epoch'")),
+        ("sim", {"n_identity": 3}, ("sim:", "'n_identity'")),
+        ("prior", {"alpha": "x"}, ("prior:", "alpha")),
+    ):
+        cfg = tmp_path / f"{section}.json"
+        cfg.write_text(json.dumps({section: body}), encoding="utf-8")
+        argv = {
+            "train": ["train", "--data", data, "--out", str(tmp_path / "m2.json")],
+            "sim": ["simulate", "--out", str(tmp_path / "d2")],
+            "prior": ["infer", "--data", data, "--model", model, "--out", str(tmp_path / "p2")],
+        }[section]
+        err = error_line(argv + ["--config", str(cfg)])
+        assert all(w in err for w in words), err
+
+    # A predictions line that is not an object names the file and the line.
+    preds = tmp_path / "preds"
+    assert main(["infer", "--data", data, "--model", model, "--out", str(preds)]) == 0
+    capsys.readouterr()
+    lines = (preds / "predictions.jsonl").read_text().splitlines()
+    lines[1] = "[1, 2]"
+    (preds / "predictions.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    err = error_line(["evaluate", "--data", data, "--predictions", str(preds)])
+    assert "predictions.jsonl: line 2" in err
+
+    # A checkpoint or a report holding a list names the file.
+    empty = tmp_path / "empty.json"
+    empty.write_text("[]", encoding="utf-8")
+    for argv in (["calibrate", "--data", data, "--model", str(empty)],
+                 ["infer", "--data", data, "--model", str(empty), "--out", str(tmp_path / "p3")],
+                 ["report", str(empty)]):
+        assert "empty.json: file must hold a JSON object" in error_line(argv)
+
+
+@pytest.mark.parametrize("flag", [["--config", "c.json"], ["--seed", "1"]])
+def test_evaluate_takes_no_config_or_seed(flag, capsys):
+    # evaluate reads neither, so it accepts neither.
+    with pytest.raises(SystemExit) as exc:
+        main(["evaluate", "--data", "d", "--predictions", "p", *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_version_flag():

@@ -132,7 +132,12 @@ def test_new_location_accuracy_empty_subset(grid2x2):
     assert (report.new_location_accuracy, report.n_new_location) == (None, 0)
 
 
-def test_report_json_round_trip_is_lossless():
+def _report_bytes(report, path):
+    save_report(report, path)
+    return path.read_bytes()
+
+
+def test_report_json_round_trip_is_lossless(tmp_path):
     report = ExperimentReport(
         overall_accuracy=0.625,
         new_location_accuracy=None,
@@ -146,7 +151,8 @@ def test_report_json_round_trip_is_lossless():
         prior_config=PriorConfig().to_dict(),
         per_identity={0: 1.0, 4: 0.25},
     )
-    assert ExperimentReport.from_json(report.to_json()) == report
+    save_report(report, tmp_path / "report.json")
+    assert load_report(tmp_path / "report.json") == report
 
     with_subset = ExperimentReport(
         overall_accuracy=0.5,
@@ -160,7 +166,18 @@ def test_report_json_round_trip_is_lossless():
         train_config={},
         prior_config={},
     )
-    assert ExperimentReport.from_json(with_subset.to_json()) == with_subset
+    save_report(with_subset, tmp_path / "subset.json")
+    assert load_report(tmp_path / "subset.json") == with_subset
+
+
+def test_report_orders_per_identity_keys_as_strings(tmp_path):
+    report = ExperimentReport(
+        overall_accuracy=0.75, new_location_accuracy=None, ece_fused=0.0, ece_likelihood=0.0,
+        n_test=4, n_new_location=0, n_unknown_identity=0, seed=0, train_config={},
+        prior_config={}, per_identity={2: 0.5, 10: 1.0},
+    )
+    text = _report_bytes(report, tmp_path / "report.json").decode()
+    assert text.index('"10"') < text.index('"2"')
 
 
 def test_save_and_load_report(tmp_path):
@@ -170,12 +187,12 @@ def test_save_and_load_report(tmp_path):
     assert load_report(path) == report
 
 
-def test_run_experiment_is_deterministic():
+def test_run_experiment_is_deterministic(tmp_path):
     ds = _small_sim()
     prior = PriorConfig(kind=MIGRATING_LOCATION)
     rep1, preds1 = run_experiment(ds, _FAST_TRAIN, prior)
     rep2, preds2 = run_experiment(ds, _FAST_TRAIN, prior)
-    assert rep1.to_json() == rep2.to_json()
+    assert _report_bytes(rep1, tmp_path / "1.json") == _report_bytes(rep2, tmp_path / "2.json")
     assert len(preds1) == len(preds2)
     for a, b in zip(preds1, preds2):
         assert a.obs_id == b.obs_id and a.predicted == b.predicted
@@ -204,7 +221,8 @@ def test_score_predictions_reproduces_report(tmp_path):
     records, read_meta = read_predictions(tmp_path)
     rescored = score_predictions(records, read_meta, ds)
     # run_experiment scores through the same records, so nothing may differ.
-    assert rescored.to_json() == report.to_json()
+    assert _report_bytes(rescored, tmp_path / "rescored.json") == \
+        _report_bytes(report, tmp_path / "report.json")
 
 
 def test_row_suite_runs_named_rows():

@@ -7,6 +7,7 @@ import pytest
 
 from idfusion.classifier import PitsModel
 from idfusion.data import GridSpec, Location
+from idfusion.errors import ParseError
 from idfusion.fusion import (
     _stream_order,
     fuse,
@@ -306,3 +307,17 @@ def test_predictions_round_trip_and_are_byte_stable(tmp_path):
         assert len(top) == 2
         assert top[0][1] >= top[1][1]
         assert r["resolved_loc"] == [p.resolved_location.x, p.resolved_location.y]
+
+
+@pytest.mark.parametrize("bad, why", [("[1, 2]", "record is not a JSON object"),
+                                      ('{"obs_id": ', "invalid JSON")])
+def test_read_predictions_names_the_bad_line(tmp_path, bad, why):
+    grid, model, state, obs, _ = _migration_fixture()
+    preds = sequential_infer(model, state, obs, grid=grid)
+    write_predictions(preds, tmp_path, labels=model.labels, prior_kind=MIGRATING_LOCATION)
+    path = tmp_path / "predictions.jsonl"
+    lines = path.read_text().splitlines()
+    lines[2] = bad
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=f"predictions.jsonl: line 3: {why}"):
+        read_predictions(tmp_path)

@@ -1,6 +1,7 @@
 """Spatial and temporal priors: shapes, worked values, update semantics."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -59,9 +60,9 @@ def test_prior_config_validation():
         PriorConfig(kind=TIME_DECAY, combine_with=(TIME_DECAY,))
 
 
-def test_prior_config_with_updates_round_trip():
+def test_prior_config_replace_round_trip():
     base = PriorConfig(kind=HOME_LOCATION, alpha=1.0)
-    changed = base.with_updates(alpha=4.0, combine_with=[TIME_DECAY])
+    changed = replace(base, alpha=4.0, combine_with=[TIME_DECAY])
     assert changed.alpha == 4.0
     assert changed.combine_with == (TIME_DECAY,)
     assert changed.kind == HOME_LOCATION

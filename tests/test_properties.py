@@ -1,20 +1,55 @@
 """Property tests: the softmax kernel, the PITS objective, every prior, and
 fusion hold their invariants over generated inputs, extreme decay constants
-and distances included. Runs are derandomized so the suite gives the same verdict on
-every machine."""
+and distances included, and every file kind round-trips byte for byte. Runs
+are derandomized so the suite gives the same verdict on every machine."""
 
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from idfusion.calibration import pits_objective, softmax, tempered_softmax
-from idfusion.classifier import PitsModel
-from idfusion.data import Location
-from idfusion.fusion import LOG_SPACE_THRESHOLD, fuse, sequential_infer
+from idfusion.classifier import (
+    INPUT_KINDS,
+    LOSS_KINDS,
+    BackgroundLocationModel,
+    PitsModel,
+    TrainConfig,
+    load_background_model,
+    load_model,
+    save_background_model,
+    save_model,
+)
+from idfusion.data import (
+    TEST,
+    TRAIN,
+    Dataset,
+    GridSpec,
+    Location,
+    from_fields,
+    load_dataset,
+    read_json,
+    save_dataset,
+    write_json,
+    write_jsonl,
+)
+from idfusion.evaluation import ExperimentReport, load_report, save_report
+from idfusion.fusion import (
+    LOG_SPACE_THRESHOLD,
+    Prediction,
+    fuse,
+    prediction_record,
+    read_predictions,
+    sequential_infer,
+    write_predictions,
+)
 from idfusion.priors import (
+    LOCATION_SOURCES,
+    PRIOR_KINDS,
     UNIFORM,
     PriorConfig,
     PriorState,
@@ -23,6 +58,7 @@ from idfusion.priors import (
     time_decay_prior,
     uniform_prior,
 )
+from idfusion.simulate import SimConfig
 
 from conftest import make_obs
 from oracles import numeric_pits_grad
@@ -70,6 +106,10 @@ def _batches(draw):
     return logits, labels, temperatures, targets
 
 
+# Central differences at h = 1e-5 miss this row's 1.8e-7 entry by 2.6e-4
+# relative; complex-step derivatives are exact to rounding.
+@example((np.array([[7.1, -2.4, 7.8, -7.3, 1.6]]), np.array([1]), np.array([1.0]),
+          np.array([2.7])))
 @given(_batches())
 def test_objective_rows_match_finite_differences(batch):
     logits, labels, temperatures, targets = batch
@@ -79,9 +119,8 @@ def test_objective_rows_match_finite_differences(batch):
                                          int(labels[i]), float(targets[i]), 0.1)
         analytic = np.append(grad_z[i], grad_t[i])
         numeric = np.append(num_z, num_t)
-        # Rounding leaves central differences at h = 1e-5 about 1e-10 off, too
-        # coarse to check entries far below 1e-5 to a relative 1e-4.
-        keep = np.abs(analytic) >= 1e-5
+        # test_01's floor: complex-step derivatives are exact to rounding.
+        keep = np.abs(analytic) >= 1e-8
         assert np.all(np.abs(analytic[keep] - numeric[keep]) < 1e-4 * np.abs(analytic[keep]))
 
 
@@ -155,3 +194,233 @@ def test_uniform_stream_predicts_the_likelihood_argmax(arrays):
     for pred in sequential_infer(model, state, obs):
         assert pred.predicted == model.labels[int(np.argmax(pred.likelihood))]
         assert np.array_equal(pred.posterior, pred.likelihood / pred.likelihood.sum())
+
+
+# ---------------------------------------------------------------------------
+# Byte-stable JSON round trips: write, read, write again, same bytes.
+# ---------------------------------------------------------------------------
+
+# Any finite float, signed zeros and subnormals included.
+any_float = st.floats(allow_nan=False, allow_infinity=False)
+non_negative = st.floats(min_value=0.0, max_value=1e300)
+positive = st.floats(min_value=0.0, max_value=1e300, exclude_min=True)
+seeds = st.integers(0, 2**63)
+
+
+def _vectors(n):
+    return hnp.arrays(np.float64, n, elements=any_float)
+
+
+def _rewrite_is_stable(write, read_and_rewrite):
+    """write(dir) makes the first copy; read_and_rewrite(dir, dir2) reads it
+    and writes the second. Every file must come out byte-identical."""
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "first"), Path(tmp, "second")
+        first.mkdir()
+        second.mkdir()
+        write(first)
+        read_and_rewrite(first, second)
+        names = sorted(p.name for p in first.iterdir())
+        assert names == sorted(p.name for p in second.iterdir())
+        for name in names:
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+grids = st.builds(
+    GridSpec,
+    origin=st.builds(Location, st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
+    cell_size_km=st.floats(1e-3, 1e3),
+    n_cells_x=st.integers(1, 50),
+    n_cells_y=st.integers(1, 50),
+)
+train_configs = st.builds(
+    TrainConfig,
+    loss_kind=st.sampled_from(LOSS_KINDS),
+    input_kind=st.sampled_from(INPUT_KINDS),
+    lam=non_negative,
+    epochs=st.integers(1, 10**6),
+    learning_rate=positive,
+    batch_size=st.integers(1, 10**6),
+    lr_schedule=st.sampled_from(("cosine", "constant")),
+    noise_std=non_negative,
+    seed=seeds,
+)
+
+
+@st.composite
+def _prior_configs(draw):
+    kind = draw(st.sampled_from(PRIOR_KINDS))
+    extras = [k for k in PRIOR_KINDS if k not in (UNIFORM, kind)]
+    return PriorConfig(
+        kind=kind,
+        location_source=draw(st.sampled_from(LOCATION_SOURCES)),
+        alpha=draw(non_negative),
+        beta=draw(non_negative),
+        time_unit_days=draw(positive),
+        cell_size_km=draw(positive),
+        distance_unit=draw(st.sampled_from(("cells", "km"))),
+        combine_with=draw(st.lists(st.sampled_from(extras), unique=True)),
+    )
+
+
+unit = st.floats(0.0, 1.0)
+open_unit = st.floats(0.0, 1.0, exclude_min=True)
+sim_configs = st.builds(
+    SimConfig,
+    n_identities=st.integers(2, 10**4),
+    feature_dim=st.integers(1, 512),
+    bg_feature_dim=st.integers(1, 512),
+    grid=grids,
+    longtail_exponent=non_negative,
+    home_range_cells=non_negative,
+    migration_prob=unit,
+    fg_noise=non_negative,
+    bg_cell_signal=unit,
+    obs_rate=positive,
+    duration_days=positive,
+    cutoff_quantile=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    seasonal_bursts=st.integers(0, 100),
+    season_duty=open_unit,
+    season_attendance=open_unit,
+    seed=seeds,
+)
+
+
+@given(st.one_of(
+    train_configs.map(lambda c: (c, lambda d: from_fields(TrainConfig, d, "train"))),
+    _prior_configs().map(lambda c: (c, lambda d: from_fields(PriorConfig, d, "prior"))),
+    sim_configs.map(lambda c: (c, SimConfig.from_dict)),
+    grids.map(lambda c: (c, GridSpec.from_dict)),
+))
+def test_config_dicts_round_trip(config_and_reader):
+    config, from_dict = config_and_reader
+    assert from_dict(config.to_dict()) == config
+
+    def rewrite(first, second):
+        write_json(second / "config.json", from_dict(read_json(first / "config.json")).to_dict())
+
+    _rewrite_is_stable(lambda d: write_json(d / "config.json", config.to_dict()), rewrite)
+
+
+@st.composite
+def _datasets(draw):
+    grid = draw(grids)
+    n_ids = draw(st.integers(1, 4))
+    d, d_bg = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    width = grid.cell_size_km * grid.n_cells_x
+    height = grid.cell_size_km * grid.n_cells_y
+    observations = []
+    for i in range(draw(st.integers(n_ids, 8))):
+        observations.append(make_obs(
+            f"o{i}", i % n_ids, draw(positive),
+            Location(grid.origin.x + draw(unit) * width, grid.origin.y + draw(unit) * height),
+            fg=draw(_vectors(d)), bg=draw(_vectors(d_bg)),
+            split=draw(st.sampled_from((TRAIN, TEST))),
+        ))
+    return Dataset.from_observations(observations, grid)
+
+
+@given(_datasets())
+def test_dataset_directory_rewrites_byte_identically(dataset):
+    def rewrite(first, second):
+        again = load_dataset(first)
+        assert again.grid == dataset.grid
+        assert list(again.observations) == list(dataset.observations)
+        save_dataset(again, second)
+
+    _rewrite_is_stable(lambda d: save_dataset(dataset, d), rewrite)
+
+
+@st.composite
+def _pits_models(draw):
+    k, d = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    return PitsModel(
+        W=draw(hnp.arrays(np.float64, (k, d), elements=any_float)), b=draw(_vectors(k)),
+        w_T=draw(_vectors(d)), b_T=draw(any_float),
+        labels=tuple(draw(st.lists(st.integers(0, 10**6), min_size=k, max_size=k, unique=True))),
+        input_kind=draw(st.sampled_from(INPUT_KINDS)),
+        temperature_head_active=draw(st.booleans()),
+        loss_history=tuple(draw(st.lists(any_float, max_size=5))),
+    )
+
+
+@st.composite
+def _background_models(draw):
+    c, d = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    return BackgroundLocationModel(W=draw(hnp.arrays(np.float64, (c, d), elements=any_float)),
+                                   b=draw(_vectors(c)))
+
+
+@given(st.one_of(
+    _pits_models().map(lambda m: (m, save_model, load_model)),
+    _background_models().map(lambda m: (m, save_background_model, load_background_model)),
+), st.one_of(st.none(), train_configs))
+def test_checkpoints_rewrite_byte_identically(model_io, config):
+    model, save, load = model_io
+
+    def rewrite(first, second):
+        payload = read_json(first / "model.json")
+        stored = payload.get("train_config")
+        again = None if stored is None else from_fields(TrainConfig, stored, "train_config")
+        loaded = load(first / "model.json")
+        assert np.array_equal(loaded.W, model.W) and np.array_equal(loaded.b, model.b)
+        save(loaded, second / "model.json", config=again)
+
+    _rewrite_is_stable(lambda d: save(model, d / "model.json", config=config), rewrite)
+
+
+@st.composite
+def _predictions(draw):
+    k = draw(st.integers(1, 7))
+    labels = tuple(draw(st.lists(st.integers(0, 10**6), min_size=k, max_size=k, unique=True)))
+    predictions = [
+        Prediction(
+            obs_id=f"o{i}", predicted=draw(st.sampled_from(labels)),
+            posterior=draw(_vectors(k)), likelihood=draw(_vectors(k)), prior=draw(_vectors(k)),
+            resolved_location=draw(st.none() | st.builds(Location, any_float, any_float)),
+            temperature_used=draw(any_float),
+            true_identity=draw(st.none() | st.integers(0, 10**6)),
+        )
+        for i in range(draw(st.integers(0, 5)))
+    ]
+    return predictions, labels
+
+
+@given(_predictions(), _prior_configs(), train_configs)
+def test_prediction_directory_rewrites_byte_identically(predictions_and_labels, pc, tc):
+    predictions, labels = predictions_and_labels
+    meta = {"prior_config": pc.to_dict(), "train_config": tc.to_dict(), "seed": tc.seed}
+
+    def rewrite(first, second):
+        records, read_meta = read_predictions(first)
+        assert records == [prediction_record(p, labels, pc.kind) for p in predictions]
+        write_jsonl(second / "predictions.jsonl", records)
+        write_json(second / "predictions_meta.json", read_meta)
+
+    _rewrite_is_stable(lambda d: write_predictions(predictions, d, labels, pc.kind, meta), rewrite)
+
+
+@given(
+    st.builds(
+        ExperimentReport,
+        overall_accuracy=any_float,
+        new_location_accuracy=st.none() | any_float,
+        ece_fused=any_float,
+        ece_likelihood=any_float,
+        n_test=st.integers(0, 10**9),
+        n_new_location=st.integers(0, 10**9),
+        n_unknown_identity=st.integers(0, 10**9),
+        seed=seeds,
+        train_config=train_configs.map(TrainConfig.to_dict),
+        prior_config=_prior_configs().map(PriorConfig.to_dict),
+        # Keys like 2 and 10 sort differently as numbers and as strings.
+        per_identity=st.dictionaries(st.integers(0, 10**6), any_float, max_size=12),
+    )
+)
+def test_report_rewrites_byte_identically(report):
+    def rewrite(first, second):
+        again = load_report(first / "report.json")
+        assert again == report
+        save_report(again, second / "report.json")
+
+    _rewrite_is_stable(lambda d: save_report(report, d / "report.json"), rewrite)
