@@ -33,30 +33,39 @@ class LogitsOutput:
             raise ValueError(f"per-instance temperature must be >= 1, got {self.temperature}")
 
 
-def softmax(scaled: np.ndarray, with_log: bool = False):
+def softmax(scaled: np.ndarray, with_log: bool = False, out: np.ndarray | None = None):
     """Softmax over the last axis of already-scaled logits.
 
     Each row is shifted by its max before ``exp`` so nothing overflows. With
     ``with_log`` the log-probabilities come back too, as ``(p, log_p)``;
-    callers that only need ``p`` never pay for them.
+    callers that only need ``p`` never pay for them. The probabilities go to
+    ``out`` when it is given. Every step works along the last axis alone, so a
+    row comes out with the same bits on its own as inside a block of rows.
     """
     shifted = scaled - scaled.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    total = e.sum(axis=-1, keepdims=True)
-    p = e / total
+    p = np.exp(shifted, out=out)
+    total = p.sum(axis=-1, keepdims=True)
+    p /= total
     if not with_log:
         return p
     return p, shifted - np.log(total)
 
 
-def tempered_softmax(logits: np.ndarray, temperature: float) -> np.ndarray:
-    """Softmax of ``logits / temperature``."""
+def tempered_softmax(
+    logits: np.ndarray, temperature: float | np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Softmax of ``logits / temperature`` along the last axis.
+
+    ``temperature`` is a scalar, or an ``(n, 1)`` column giving each row of
+    an ``(n, K)`` block its own temperature; ``out`` receives the result.
+    """
     z = np.asarray(logits, dtype=np.float64)
-    if not np.all(np.isfinite(z)):
+    t = np.asarray(temperature, dtype=np.float64)
+    if not np.isfinite(z).all():
         raise ValueError("logits must be finite")
-    if not (temperature > 0 and math.isfinite(temperature)):
+    if not (t.min() > 0 and t.max() < np.inf):
         raise ValueError(f"temperature must be positive and finite, got {temperature}")
-    return softmax(z / temperature)
+    return softmax(z / t, out=out)
 
 
 def per_instance_softmax(output: LogitsOutput) -> np.ndarray:

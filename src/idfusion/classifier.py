@@ -18,7 +18,7 @@ import numpy as np
 
 from .calibration import TEMPERATURE_REGULARIZER, LogitsOutput, pits_objective
 from .data import Dataset, GridSpec, IdentityCatalog, Location, Observation, read_json, write_json
-from .errors import ConfigError, TrainingError
+from .errors import ConfigError, SchemaError, TrainingError
 
 logger = logging.getLogger(__name__)
 
@@ -121,12 +121,27 @@ class PitsModel:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.input_dim,):
             raise ValueError(f"expected input of shape ({self.input_dim},), got {x.shape}")
-        logits = self.W @ x + self.b
-        if self.temperature_head_active:
-            temperature = 1.0 + float(_softplus(float(self.w_T @ x) + self.b_T))
-        else:
-            temperature = 1.0
-        return LogitsOutput(logits=logits, temperature=temperature)
+        logits, temperatures = self.forward_rows(x[None])
+        return LogitsOutput(logits=logits[0], temperature=float(temperatures[0]))
+
+    def forward_rows(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`forward` for each row of an (n, d) block: (n, K) logits and
+        (n,) temperatures.
+
+        Each row's logits are their own matrix-vector product and each
+        temperature its own dot product, as for a single input, so a row has
+        the same bits alone or in a block. One matrix product ``X @ W.T``
+        (or ``X @ w_T``) would be faster but sums in another order.
+        """
+        if X.ndim != 2 or X.shape[1] != self.input_dim:
+            raise ValueError(f"expected inputs of shape (n, {self.input_dim}), got {X.shape}")
+        logits = np.matmul(self.W, X[:, :, None])[:, :, 0]
+        logits += self.b
+        if not self.temperature_head_active:
+            return logits, np.ones(X.shape[0])
+        u = np.vecdot(X, self.w_T)
+        u += self.b_T
+        return logits, 1.0 + _softplus(u)
 
 
 def _init_params(rng: np.random.Generator, k: int, d: int) -> tuple[np.ndarray, ...]:
@@ -326,21 +341,51 @@ def save_model(model: PitsModel, path: str | Path, config: TrainConfig | None = 
     _write_checkpoint(payload, path, config)
 
 
+def _floats(value) -> np.ndarray:
+    return np.array(value, dtype=np.float64)
+
+
+def _checkpoint_field(path: str | Path, payload: dict, key: str, convert, shape=None):
+    """``convert(payload[key])``, of ``shape`` when one is given (None
+    matches any length). A missing key, a value that will not convert or a
+    wrong shape raises SchemaError naming the file and the key."""
+    if key not in payload:
+        raise SchemaError(f"{path}: checkpoint has no {key!r}")
+    try:
+        value = convert(payload[key])
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{path}: checkpoint {key!r} is malformed: {exc}") from exc
+    if shape is not None:
+        got = np.shape(value)
+        if len(got) != len(shape) or any(e not in (None, g) for e, g in zip(shape, got)):
+            raise SchemaError(f"{path}: checkpoint {key!r} has shape {got}, expected {shape}")
+    return value
+
+
 def load_model(path: str | Path) -> PitsModel:
+    """The model in a :func:`save_model` checkpoint.
+
+    Raises:
+        SchemaError: naming the file and the key when an entry is missing,
+            malformed or disagrees with the stored ``K`` and ``d``.
+    """
     payload = read_json(path)
-    model = PitsModel(
-        W=np.array(payload["W"], dtype=np.float64),
-        b=np.array(payload["b"], dtype=np.float64),
-        w_T=np.array(payload["w_T"], dtype=np.float64),
-        b_T=float(payload["b_T"]),
-        labels=tuple(int(v) for v in payload["labels"]),
-        input_kind=str(payload["input_kind"]),
-        temperature_head_active=bool(payload["temperature_head_active"]),
-        loss_history=tuple(float(v) for v in payload.get("loss_history", ())),
+
+    def field(key, convert, shape=None):
+        return _checkpoint_field(path, payload, key, convert, shape)
+
+    k, d = field("K", int), field("d", int)
+    return PitsModel(
+        W=field("W", _floats, (k, d)),
+        b=field("b", _floats, (k,)),
+        w_T=field("w_T", _floats, (d,)),
+        b_T=field("b_T", float),
+        labels=field("labels", lambda v: tuple(int(x) for x in v), (k,)),
+        input_kind=field("input_kind", str),
+        temperature_head_active=field("temperature_head_active", bool),
+        loss_history=(field("loss_history", lambda v: tuple(float(x) for x in v))
+                      if "loss_history" in payload else ()),
     )
-    if model.input_dim != int(payload["d"]) or model.n_classes != int(payload["K"]):
-        raise ValueError("checkpoint dims disagree with stored arrays")
-    return model
 
 
 def save_background_model(
@@ -355,11 +400,15 @@ def save_background_model(
 
 
 def load_background_model(path: str | Path) -> BackgroundLocationModel:
+    """The model in a :func:`save_background_model` checkpoint.
+
+    Raises:
+        SchemaError: naming the file and the key when an entry is missing,
+            malformed or disagrees with the stored cell count ``C``.
+    """
     payload = read_json(path)
-    model = BackgroundLocationModel(
-        W=np.array(payload["W"], dtype=np.float64),
-        b=np.array(payload["b"], dtype=np.float64),
+    c = _checkpoint_field(path, payload, "C", int)
+    return BackgroundLocationModel(
+        W=_checkpoint_field(path, payload, "W", _floats, (c, None)),
+        b=_checkpoint_field(path, payload, "b", _floats, (c,)),
     )
-    if model.n_cells != int(payload["C"]):
-        raise ValueError("checkpoint cell count disagrees with stored arrays")
-    return model

@@ -21,6 +21,7 @@ from .calibration import ece_from_top_predictions
 from .classifier import BackgroundLocationModel, PitsModel, TrainConfig, train, train_background_model
 from .data import (Dataset, IdentityCatalog, Observation, build_catalog, from_fields, read_json,
                    write_json)
+from .errors import ConfigError
 from .fusion import Prediction, prediction_record, sequential_infer
 from .priors import (
     HOME_LOCATION,
@@ -58,7 +59,13 @@ class ExperimentReport:
     def from_dict(cls, d: dict, what: str = "report") -> "ExperimentReport":
         """Inverse of :meth:`to_dict`; raises ConfigError naming ``what``."""
         report = from_fields(cls, d, what)
-        return replace(report, per_identity={int(k): v for k, v in report.per_identity.items()})
+        per_identity = {}
+        for key, value in report.per_identity.items():
+            try:
+                per_identity[int(key)] = value
+            except ValueError:
+                raise ConfigError(f"{what}: per_identity key {key!r} is not an identity label") from None
+        return replace(report, per_identity=per_identity)
 
 
 def overall_accuracy(predictions: Sequence[Prediction]) -> float:

@@ -5,6 +5,21 @@ Fusion is elementwise multiplication followed by renormalization. Large label
 spaces go through log space so products of many small numbers cannot
 underflow; an exactly uniform prior short-circuits to the likelihood itself,
 so the argmax is preserved exactly, not just up to floating-point error.
+
+Inference runs in two layers. The likelihood never depends on prior state,
+and neither do the uniform and home priors, so a batched layer computes
+them, and fuses them, for a block of up to ``BLOCK_ROWS`` sightings at a
+time. Only the migrating and time priors read state that the fused argmax
+writes, so for them a thin loop evaluates the prior one sighting at a time,
+fuses it with the precomputed likelihood row, takes the argmax and writes one
+state entry before the next sighting.
+
+Both layers run the same kernels, and every kernel works along the label
+axis alone, so a sighting's posterior has the same bits whether it comes
+alone or in a block, in one call or in many. That is why the logits are one
+matrix-vector product per row (``PitsModel.forward_rows``) and not one
+matrix product over the block: a matrix product sums in another order and
+would move the last bits of the logits.
 """
 
 from __future__ import annotations
@@ -12,18 +27,19 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .calibration import per_instance_softmax, softmax
+from .calibration import softmax, tempered_softmax
 from .classifier import BackgroundLocationModel, PitsModel, features_from
 from .data import GridSpec, Location, Observation, read_json, read_jsonl, write_json, write_jsonl
 from .priors import (
     MIGRATING_LOCATION,
     TIME_DECAY,
     PriorState,
-    prior_vector,
+    prior_rows,
+    resolve_location,
     update_last_seen,
     update_location,
 )
@@ -31,6 +47,13 @@ from .priors import (
 logger = logging.getLogger(__name__)
 
 LOG_SPACE_THRESHOLD = 64
+# Sightings per block of the batched layer. Each block computes into a few
+# (BLOCK_ROWS, K) temporaries and stores its rows in three (BLOCK_ROWS, K)
+# arrays of its own. Blocks this small reuse memory the process already
+# holds, as per-sighting vectors did: at K=500, storing whole-stream (N, K)
+# arrays raised the online-stream benchmark's peak RSS by 9%, 64-row blocks
+# by 3-6% and 32-row blocks by 1-2%.
+BLOCK_ROWS = 32
 
 PREDICTIONS_FILENAME = "predictions.jsonl"
 PREDICTIONS_META_FILENAME = "predictions_meta.json"
@@ -38,7 +61,11 @@ PREDICTIONS_META_FILENAME = "predictions_meta.json"
 
 @dataclass(frozen=True)
 class Prediction:
-    """Outcome of fusing one observation, with everything needed to audit it."""
+    """Outcome of fusing one observation, with everything needed to audit it.
+
+    ``posterior``, ``likelihood`` and ``prior`` are rows of three arrays
+    shared by the predictions of one block of ``sequential_infer``.
+    """
 
     obs_id: str
     predicted: int
@@ -54,6 +81,34 @@ class Prediction:
         if self.true_identity is None:
             return None
         return self.predicted == self.true_identity
+
+
+def fuse_rows(likelihood: np.ndarray, prior: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """:func:`fuse` along the last axis of (..., K) arrays, written to ``out``:
+    an (n, K) block or a single (K,) row.
+
+    Inputs are not checked: each row must be a valid likelihood and prior.
+    Each row that loses all its mass logs one warning.
+    """
+    constant = (prior == prior[..., :1]).all(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if likelihood.shape[-1] > LOG_SPACE_THRESHOLD:
+            np.log(prior, out=out)
+            out += np.log(likelihood)
+            lost = np.isinf(out).all(axis=-1)
+            softmax(out, out=out)
+        else:
+            np.multiply(likelihood, prior, out=out)
+            total = out.sum(axis=-1, keepdims=True)
+            lost = total[..., 0] <= 0
+            out /= total
+    fallback = constant | lost
+    if fallback.any():
+        for _ in range(int((lost & ~constant).sum())):
+            logger.warning("fused posterior lost all mass; falling back to the likelihood")
+        kept = likelihood[fallback]
+        out[fallback] = kept / kept.sum(axis=-1, keepdims=True)
+    return out
 
 
 def fuse(likelihood: np.ndarray, prior: np.ndarray) -> np.ndarray:
@@ -72,24 +127,7 @@ def fuse(likelihood: np.ndarray, prior: np.ndarray) -> np.ndarray:
         raise ValueError("likelihood and prior entries must be non-negative")
     if l.sum() <= 0:
         raise ValueError("likelihood must have positive mass")
-
-    if np.all(p == p[0]):
-        return l / l.sum()
-
-    if l.shape[0] > LOG_SPACE_THRESHOLD:
-        with np.errstate(divide="ignore"):
-            log_post = np.log(l) + np.log(p)
-        if np.all(np.isinf(log_post)):
-            logger.warning("fused posterior lost all mass; falling back to the likelihood")
-            return l / l.sum()
-        return softmax(log_post)
-
-    post = l * p
-    total = post.sum()
-    if total <= 0:
-        logger.warning("fused posterior lost all mass; falling back to the likelihood")
-        return l / l.sum()
-    return post / total
+    return fuse_rows(l, p, np.empty_like(l))
 
 
 def _stream_order(observations: Sequence[Observation]) -> list[int]:
@@ -104,24 +142,26 @@ def _stream_order(observations: Sequence[Observation]) -> list[int]:
 def sequential_infer(
     model: PitsModel,
     state: PriorState,
-    observations: Sequence[Observation],
+    observations: Iterable[Observation],
     grid: GridSpec | None = None,
     background_model: BackgroundLocationModel | None = None,
 ) -> list[Prediction]:
     """Run fusion over a time-ordered stream, updating prior state as it goes.
 
-    The stream is sorted by timestamp internally, so caller order within one
-    call never matters. After each prediction the state learns from the
-    *fused* argmax, never the ground truth: a migrating prior moves that
-    identity to the resolved capture location, a time-decay prior stamps it
-    as just seen, and stateless priors leave the state untouched.
+    ``observations`` is any iterable; it is read once. The stream is sorted
+    by timestamp internally, so caller order within one call never matters.
+    After each prediction the state learns from the *fused* argmax, never the
+    ground truth: a migrating prior moves that identity to the resolved
+    capture location, a time-decay prior stamps it as just seen, and
+    stateless priors leave the state untouched.
 
     Streaming contract: ``state`` is advanced in place and is not copied.
     Feeding a stream as consecutive time-ordered chunks that share one state
     gives the same predictions, bit for bit, as one call over the whole
-    stream; a caller that wants to keep the starting state passes a fresh one
-    from ``init_state``.
+    stream, or as one call per sighting; a caller that wants to keep the
+    starting state passes a fresh one from ``init_state``.
     """
+    observations = list(observations)
     if state is None:
         raise ValueError("sequential inference needs an initialized prior state")
     if not observations:
@@ -133,32 +173,49 @@ def sequential_infer(
     track_location = MIGRATING_LOCATION in active
     track_time = TIME_DECAY in active
 
+    stream = [observations[i] for i in _stream_order(observations)]
+    labels = state.labels
     predictions: list[Prediction] = []
-    for i in _stream_order(observations):
-        obs = observations[i]
-        out = model.forward(features_from(obs, model.input_kind))
-        likelihood = per_instance_softmax(out)
-        prior, loc = prior_vector(state, obs, background_model, grid)
-        posterior = fuse(likelihood, prior)
-        winner = state.labels[int(np.argmax(posterior))]
-
-        if track_location:
-            update_location(state, winner, loc)
-        if track_time:
-            update_last_seen(state, winner, obs.timestamp)
-
-        predictions.append(
+    for start in range(0, len(stream), BLOCK_ROWS):
+        block = stream[start : start + BLOCK_ROWS]
+        locations = [resolve_location(o, state.config, background_model, grid) for o in block]
+        where = np.array([(loc.x, loc.y, o.timestamp) for loc, o in zip(locations, block)])
+        xy, times = where[:, :2], where[:, 2:]
+        logits, temperatures = model.forward_rows(
+            np.array([features_from(o, model.input_kind) for o in block])
+        )
+        likelihood, prior, posterior = (np.empty((len(block), len(labels))) for _ in range(3))
+        tempered_softmax(logits, temperatures[:, None], out=likelihood)
+        rows = list(zip(likelihood, prior, posterior))
+        if not (track_location or track_time):
+            prior_rows(state, xy, times, out=prior)
+            fuse_rows(likelihood, prior, posterior)
+            winners = [labels[w] for w in posterior.argmax(axis=1).tolist()]
+        else:
+            winners = []
+            for obs, loc, loc_xy, t, (l, p, post) in zip(block, locations, xy, times, rows):
+                prior_rows(state, loc_xy, t, out=p)
+                winner = labels[fuse_rows(l, p, post).argmax()]
+                if track_location:
+                    update_location(state, winner, loc)
+                if track_time:
+                    update_last_seen(state, winner, obs.timestamp)
+                winners.append(winner)
+        predictions += [
             Prediction(
                 obs_id=obs.obs_id,
                 predicted=winner,
-                posterior=posterior,
-                likelihood=likelihood,
-                prior=prior,
+                posterior=post,
+                likelihood=l,
+                prior=p,
                 resolved_location=loc,
-                temperature_used=out.temperature,
+                temperature_used=temperature,
                 true_identity=obs.identity,
             )
-        )
+            for obs, winner, (l, p, post), loc, temperature in zip(
+                block, winners, rows, locations, temperatures.tolist()
+            )
+        ]
     return predictions
 
 

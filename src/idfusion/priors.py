@@ -123,25 +123,79 @@ def init_state(catalog: IdentityCatalog, config: PriorConfig) -> PriorState:
     )
 
 
-def _decay(offsets: np.ndarray, rate: float) -> np.ndarray:
-    """Normalized exp(-rate * offset); rate 0 gives the uniform prior."""
+def _decay(offsets: np.ndarray, rate: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Normalized exp(-rate * offset) along the last axis, overwriting
+    ``offsets``; rate 0 gives the uniform prior."""
     # Subtracting the min before exponentiating changes nothing after the
     # normalization but keeps exp() away from underflow at large rates.
     # exp(-746) is already 0, so clamping at 746 / rate moves no bit and
     # keeps rate * offset from overflowing.
-    shifted = offsets - offsets.min()
+    offsets -= offsets.min(axis=-1, keepdims=True)
     if rate > 0:
-        np.minimum(shifted, 746.0 / rate, out=shifted)
-    weights = np.exp(-rate * shifted)
-    return weights / weights.sum()
+        np.minimum(offsets, 746.0 / rate, out=offsets)
+    offsets *= -rate
+    weights = np.exp(offsets, out=out)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    return weights
 
 
-def _distance_decay(anchors_xy: np.ndarray, loc: Location, config: PriorConfig) -> np.ndarray:
-    deltas = anchors_xy - np.array([loc.x, loc.y])
-    dist = np.hypot(deltas[:, 0], deltas[:, 1])
+def _distance_decay(
+    anchors_xy: np.ndarray, xy: np.ndarray, config: PriorConfig, out: np.ndarray | None = None
+) -> np.ndarray:
+    dx = anchors_xy[:, 0] - xy[..., :1]
+    dist = np.hypot(dx, anchors_xy[:, 1] - xy[..., 1:], out=dx)
     if config.distance_unit == "cells":
-        dist = dist / config.cell_size_km
-    return _decay(dist, config.alpha)
+        dist /= config.cell_size_km
+    return _decay(dist, config.alpha, out)
+
+
+def _time_decay(
+    last_seen: np.ndarray, timestamps, config: PriorConfig, out: np.ndarray | None = None
+) -> np.ndarray:
+    gaps = np.abs(last_seen - timestamps)
+    gaps /= config.time_unit_days
+    return _decay(gaps, config.beta, out)
+
+
+def _kind_rows(
+    kind: str, state: PriorState, xy: np.ndarray, timestamps, out: np.ndarray | None = None
+) -> np.ndarray:
+    if kind == UNIFORM:
+        k = len(state.labels)
+        if out is None:
+            return np.full(np.shape(xy)[:-1] + (k,), 1.0 / k)
+        out.fill(1.0 / k)
+        return out
+    if kind == HOME_LOCATION:
+        return _distance_decay(state.home_xy, xy, state.config, out)
+    if kind == MIGRATING_LOCATION:
+        return _distance_decay(state.last_loc_xy, xy, state.config, out)
+    if kind == TIME_DECAY:
+        return _time_decay(state.last_seen, timestamps, state.config, out)
+    raise ConfigError(f"unknown prior kind {kind!r}")
+
+
+def prior_rows(
+    state: PriorState, xy: np.ndarray, timestamps, out: np.ndarray | None = None
+) -> np.ndarray:
+    """The configured prior (times any combine_with extras) from the current
+    state, at sightings given by ``xy`` (n, 2) and a ``timestamps`` column
+    (n, 1): one normalized (n, K) row each, written to ``out`` when it is
+    given. A single sighting may come as ``xy`` (2,) and a timestamp of
+    shape () or (1,), giving one (K,) row.
+
+    Every step works along the label axis alone, so a row has the same bits
+    whichever block it is evaluated in.
+    """
+    p = _kind_rows(state.config.kind, state, xy, timestamps, out)
+    for extra in state.config.combine_with:
+        p *= _kind_rows(extra, state, xy, timestamps)
+        p /= p.sum(axis=-1, keepdims=True)
+    return p
+
+
+def _xy(loc: Location) -> np.ndarray:
+    return np.array([loc.x, loc.y])
 
 
 def uniform_prior(state: PriorState) -> np.ndarray:
@@ -150,16 +204,15 @@ def uniform_prior(state: PriorState) -> np.ndarray:
 
 
 def home_location_prior(state: PriorState, loc: Location) -> np.ndarray:
-    return _distance_decay(state.home_xy, loc, state.config)
+    return _distance_decay(state.home_xy, _xy(loc), state.config)
 
 
 def migrating_location_prior(state: PriorState, loc: Location) -> np.ndarray:
-    return _distance_decay(state.last_loc_xy, loc, state.config)
+    return _distance_decay(state.last_loc_xy, _xy(loc), state.config)
 
 
 def time_decay_prior(state: PriorState, timestamp: float) -> np.ndarray:
-    gaps = np.abs(state.last_seen - timestamp) / state.config.time_unit_days
-    return _decay(gaps, state.config.beta)
+    return _time_decay(state.last_seen, timestamp, state.config)
 
 
 def update_location(state: PriorState, label: int, loc: Location) -> None:
@@ -191,18 +244,6 @@ def resolve_location(
     return background_model.predict_location(obs.bg_features, grid)
 
 
-def _single_prior(kind: str, state: PriorState, loc: Location, timestamp: float) -> np.ndarray:
-    if kind == UNIFORM:
-        return uniform_prior(state)
-    if kind == HOME_LOCATION:
-        return home_location_prior(state, loc)
-    if kind == MIGRATING_LOCATION:
-        return migrating_location_prior(state, loc)
-    if kind == TIME_DECAY:
-        return time_decay_prior(state, timestamp)
-    raise ConfigError(f"unknown prior kind {kind!r}")
-
-
 def prior_vector(
     state: PriorState,
     obs: Observation,
@@ -212,9 +253,4 @@ def prior_vector(
     """Evaluate the configured prior (times any combine_with extras) at one
     observation. Returns the normalized prior and the location it used."""
     loc = resolve_location(obs, state.config, background_model, grid)
-    p = _single_prior(state.config.kind, state, loc, obs.timestamp)
-    for extra in state.config.combine_with:
-        p = p * _single_prior(extra, state, loc, obs.timestamp)
-        p = p / p.sum()
-    return p, loc
-
+    return prior_rows(state, _xy(loc), obs.timestamp), loc

@@ -1,5 +1,6 @@
-"""Tier-1 smoke run of the benchmark: the lynx-loop workload's set-up and
-first pass at seed 0 must reproduce the counts and the accuracy recorded in
+"""Tier-1 smoke runs of the benchmark: the set-up and first pass of the
+lynx-loop (K=25) and population-replay (K=500, so fusion's log-space branch)
+workloads at seed 0 must reproduce the counts and the accuracy recorded in
 bench/reference.json exactly. Catches a dataset or prediction byte drift
 before a benchmark run does; makes no timing assertion."""
 
@@ -8,18 +9,19 @@ import logging
 import sys
 from pathlib import Path
 
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def test_lynx_loop_first_pass_matches_the_reference(tmp_path, monkeypatch):
+def _first_pass(name, tmp_path, monkeypatch):
     # Read-only on bench/: no bytecode cache is written next to its sources.
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     monkeypatch.syspath_prepend(str(BENCH))
     from tracing import Tracer
-    from workloads import LynxLoop
+    from workloads import WORKLOADS
 
-    reference = json.loads((BENCH / "reference.json").read_text())["workloads"]["lynx-loop"]["0"]
-    workload = LynxLoop(0, tmp_path, Tracer(False))
+    reference = json.loads((BENCH / "reference.json").read_text())["workloads"][name]["0"]
+    workload = WORKLOADS[name](0, tmp_path, Tracer(False))
     try:
         workload.setup()
         _, failed = workload.prepare()
@@ -31,3 +33,11 @@ def test_lynx_loop_first_pass_matches_the_reference(tmp_path, monkeypatch):
         logging.getLogger("idfusion.fusion").removeHandler(workload.fallbacks)
     assert (failed, workload.failures) == (0, [])
     assert {"fused_accuracy": accuracy, "counts": counts} == reference
+
+
+def test_lynx_loop_first_pass_matches_the_reference(tmp_path, monkeypatch):
+    _first_pass("lynx-loop", tmp_path, monkeypatch)
+
+
+def test_population_replay_first_pass_matches_the_reference(tmp_path, monkeypatch):
+    _first_pass("population-replay", tmp_path, monkeypatch)

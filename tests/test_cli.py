@@ -261,6 +261,39 @@ def test_error_paths_exit_one(tmp_path, config_path, capsys):
                  ["report", str(empty)]):
         assert "empty.json: file must hold a JSON object" in error_line(argv)
 
+    # A checkpoint missing a key, or holding a wrongly shaped array, names
+    # the file and the key.
+    bg = str(tmp_path / "bg.json")
+    assert main(["train", "--data", data, "--config", config_path,
+                 "--model-kind", "background", "--out", bg]) == 0
+    capsys.readouterr()
+    for name, flag, source in (("identity", "--model", model),
+                               ("background", "--background-model", bg)):
+        for case, edit, words in (
+            ("missing", lambda c: c.pop("W"), ("has no 'W'",)),
+            ("shape", lambda c: c.update(b=c["b"][:-1]), ("'b' has shape", "expected")),
+        ):
+            checkpoint = json.loads(Path(source).read_text())
+            edit(checkpoint)
+            path = tmp_path / f"{name}-{case}.json"
+            path.write_text(json.dumps(checkpoint), encoding="utf-8")
+            checkpoints = {"--model": model, flag: str(path)}
+            err = error_line(["infer", "--data", data, "--out", str(tmp_path / "p4"),
+                              *(arg for pair in checkpoints.items() for arg in pair)])
+            assert f"{path}: checkpoint" in err and all(w in err for w in words), err
+
+    # A report whose per_identity has a key that is not a label names the
+    # file and the key.
+    preds, report = str(tmp_path / "p5"), tmp_path / "report.json"
+    assert main(["infer", "--data", data, "--model", model, "--out", preds]) == 0
+    assert main(["evaluate", "--data", data, "--predictions", preds, "--out", str(report)]) == 0
+    capsys.readouterr()
+    body = json.loads(report.read_text())
+    body["per_identity"]["x"] = 0.5
+    report.write_text(json.dumps(body), encoding="utf-8")
+    err = error_line(["report", str(report)])
+    assert f"{report}: per_identity key 'x'" in err, err
+
 
 @pytest.mark.parametrize("flag", [["--config", "c.json"], ["--seed", "1"]])
 def test_evaluate_takes_no_config_or_seed(flag, capsys):

@@ -235,10 +235,11 @@ def test_sequential_infer_matches_brute_force(kind, grid2x2):
             assert np.allclose(p.posterior, ref, atol=1e-10)
 
 
-@pytest.mark.parametrize("kind", [MIGRATING_LOCATION, TIME_DECAY])
+@pytest.mark.parametrize("kind", [UNIFORM, HOME_LOCATION, MIGRATING_LOCATION, TIME_DECAY])
 def test_sequential_infer_streams_in_chunks_through_one_state(kind, grid2x2):
     # The state is advanced in place, so two time-ordered chunks sharing one
-    # state must reproduce a single whole-stream call bit for bit.
+    # state must reproduce a single whole-stream call bit for bit; the
+    # stateless priors go through the batched layer and leave it untouched.
     rng = np.random.default_rng(17)
     k, d = 5, 3
     model = PitsModel(
@@ -276,11 +277,43 @@ def test_sequential_infer_streams_in_chunks_through_one_state(kind, grid2x2):
             assert np.array_equal(getattr(a, field), getattr(b, field))
     assert np.array_equal(chunk_state.last_loc_xy, whole_state.last_loc_xy)
     assert np.array_equal(chunk_state.last_seen, whole_state.last_seen)
-    # The whole-stream call really advanced its state in place.
-    if kind == MIGRATING_LOCATION:
-        assert not np.array_equal(whole_state.last_loc_xy, homes)
-    else:
-        assert not np.array_equal(whole_state.last_seen, last_seen)
+    # The whole-stream call advanced exactly the state its prior reads.
+    assert np.array_equal(whole_state.last_loc_xy, homes) != (kind == MIGRATING_LOCATION)
+    assert np.array_equal(whole_state.last_seen, last_seen) != (kind == TIME_DECAY)
+
+
+@pytest.mark.parametrize("kind", [UNIFORM, MIGRATING_LOCATION])
+def test_sequential_infer_reads_a_generator_once(kind):
+    # Any iterable of observations works, and gives the bits a list gives.
+    runs = []
+    for wrap in (list, lambda obs: (o for o in obs)):
+        grid, model, state, obs, _ = _migration_fixture()
+        state.config = PriorConfig(kind=kind, cell_size_km=5.0)
+        runs.append((sequential_infer(model, state, wrap(obs), grid=grid), state))
+    (a, state_a), (b, state_b) = runs
+    assert [p.predicted for p in a] == [p.predicted for p in b]
+    for x, y in zip(a, b):
+        for field in ("posterior", "likelihood", "prior"):
+            assert np.array_equal(getattr(x, field), getattr(y, field))
+    assert np.array_equal(state_a.last_loc_xy, state_b.last_loc_xy)
+
+
+def test_block_logits_are_the_per_row_bits():
+    # One matrix-vector product per row, as a single forward() computes: a
+    # matrix product over the block (X @ W.T) rounds differently, and would
+    # make a sighting's logits depend on the block it arrived in.
+    rng = np.random.default_rng(500)
+    k, d = 500, 32
+    model = PitsModel(W=rng.normal(size=(k, d)), b=rng.normal(size=k), w_T=rng.normal(size=d),
+                      b_T=0.3, labels=tuple(range(k)), input_kind="foreground",
+                      temperature_head_active=True)
+    X = rng.normal(size=(200, d))
+    logits, temperatures = model.forward_rows(X)
+    for x, z, t in zip(X, logits, temperatures):
+        out = model.forward(x)
+        assert np.array_equal(z, out.logits)
+        assert np.array_equal(z, model.W @ x + model.b)
+        assert t == out.temperature == 1.0 + float(np.logaddexp(0.0, float(model.w_T @ x) + 0.3))
 
 
 def test_predictions_round_trip_and_are_byte_stable(tmp_path):

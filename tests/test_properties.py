@@ -1,13 +1,16 @@
 """Property tests: the softmax kernel, the PITS objective, every prior, and
 fusion hold their invariants over generated inputs, extreme decay constants
-and distances included, and every file kind round-trips byte for byte. Runs
-are derandomized so the suite gives the same verdict on every machine."""
+and distances included; sequential inference gives the same bits however a
+stream reaches it; and every file kind round-trips byte for byte. Runs are
+derandomized so the suite gives the same verdict on every machine."""
 
+import logging
 import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -39,6 +42,7 @@ from idfusion.data import (
 )
 from idfusion.evaluation import ExperimentReport, load_report, save_report
 from idfusion.fusion import (
+    BLOCK_ROWS,
     LOG_SPACE_THRESHOLD,
     Prediction,
     fuse,
@@ -194,6 +198,122 @@ def test_uniform_stream_predicts_the_likelihood_argmax(arrays):
     for pred in sequential_infer(model, state, obs):
         assert pred.predicted == model.labels[int(np.argmax(pred.likelihood))]
         assert np.array_equal(pred.posterior, pred.likelihood / pred.likelihood.sum())
+
+
+# ---------------------------------------------------------------------------
+# The batched and the sequential layer of sequential_infer: a sighting's
+# result has the same bits however the stream reaches it.
+# ---------------------------------------------------------------------------
+
+class _Fallbacks(logging.Handler):
+    """Counts fusion's fall-back-to-likelihood warnings."""
+
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.count = 0
+
+    def emit(self, record):
+        self.count += "falling back" in record.getMessage()
+
+
+@st.composite
+def _streams(draw, kind, k):
+    """A model, a starting state and a stream of up to three blocks of the
+    batched layer. Sharp draws (large weights and decay constants) make
+    likelihood-times-prior products vanish, so fallbacks happen. The arrays
+    come from a drawn seed, so every entry varies, as in real data."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sharp = draw(st.booleans())
+    d, n = 3, draw(st.integers(1, 2 * BLOCK_ROWS + 5))
+    model = PitsModel(
+        W=rng.uniform(-1.0, 1.0, (k, d)) * (3000.0 if sharp else 3.0),
+        b=rng.uniform(-1.0, 1.0, k), w_T=rng.uniform(-1.0, 1.0, d), b_T=rng.uniform(-1.0, 1.0),
+        labels=tuple(range(k)), input_kind="foreground", temperature_head_active=True,
+    )
+    rate = 3000.0 if sharp else 2.5
+    start = (rng.uniform(0.0, 20.0, (k, 2)), rng.uniform(0.0, 50.0, k),
+             PriorConfig(kind=kind, alpha=rate, beta=rate))
+    # Whole days from day 51 on, so simultaneous sightings occur too.
+    days = rng.integers(51, 81, n)
+    obs = [make_obs(f"o{i:03d}", 0, float(t), Location(x, y), fg=f)
+           for i, (f, (x, y), t) in enumerate(zip(rng.uniform(-1.0, 1.0, (n, d)),
+                                                  rng.uniform(0.0, 20.0, (n, 2)), days))]
+    return model, start, obs
+
+
+def _fresh(model, start):
+    homes, last_seen, config = start
+    return PriorState(labels=model.labels, home_xy=homes, last_loc_xy=homes.copy(),
+                      last_seen=last_seen.copy(), config=config)
+
+
+def _infer_counting(model, start, calls):
+    """Runs ``calls`` (lists of observations) in turn through one fresh state;
+    returns the predictions, the final state and the fallback warnings."""
+    state, counter = _fresh(model, start), _Fallbacks()
+    log = logging.getLogger("idfusion.fusion")
+    log.addHandler(counter)
+    try:
+        preds = [p for call in calls for p in sequential_infer(model, state, call)]
+    finally:
+        log.removeHandler(counter)
+    return preds, state, counter.count
+
+
+def _assert_same_bits(a, b):
+    preds_a, state_a, fallbacks_a = a
+    preds_b, state_b, fallbacks_b = b
+    assert [p.obs_id for p in preds_a] == [p.obs_id for p in preds_b]
+    for x, y in zip(preds_a, preds_b):
+        assert x.predicted == y.predicted and x.temperature_used == y.temperature_used
+        for field in ("posterior", "likelihood", "prior"):
+            assert np.array_equal(getattr(x, field), getattr(y, field)), field
+    assert np.array_equal(state_a.last_loc_xy, state_b.last_loc_xy)
+    assert np.array_equal(state_a.last_seen, state_b.last_seen)
+    assert fallbacks_a == fallbacks_b
+
+
+def _lost_mass(pred):
+    # The underflow fuse falls back on: no entry where both factors are
+    # non-zero (log space), or a product that sums to zero (direct).
+    l, p = pred.likelihood, pred.prior
+    if np.all(p == p[0]):
+        return False
+    if l.shape[0] > LOG_SPACE_THRESHOLD:
+        return bool(np.all((l == 0) | (p == 0)))
+    return bool((l * p).sum() <= 0)
+
+
+# Every prior kind, on each side of LOG_SPACE_THRESHOLD.
+layer_cases = pytest.mark.parametrize("kind, k", [(kind, k) for kind in PRIOR_KINDS for k in (5, 80)])
+
+
+@layer_cases
+@settings(max_examples=20)
+@given(data=st.data())
+def test_caller_order_never_matters(kind, k, data):
+    model, start, obs = data.draw(_streams(kind, k))
+    rng = data.draw(st.randoms(use_true_random=False))
+    shuffled = list(obs)
+    rng.shuffle(shuffled)
+    _assert_same_bits(_infer_counting(model, start, [obs]),
+                      _infer_counting(model, start, [shuffled]))
+
+
+@layer_cases
+@settings(max_examples=20)
+@given(data=st.data())
+def test_whole_stream_per_sighting_and_chunks_agree(kind, k, data):
+    model, start, obs = data.draw(_streams(kind, k))
+    cuts = data.draw(st.lists(st.integers(1, 2 * BLOCK_ROWS + 4), unique=True))
+    order = sorted(obs, key=lambda o: (o.timestamp, o.obs_id))
+    whole = _infer_counting(model, start, [obs])
+    bounds = [0, *sorted(c for c in cuts if c < len(order)), len(order)]
+    chunks = [order[a:b] for a, b in zip(bounds, bounds[1:])]
+    _assert_same_bits(whole, _infer_counting(model, start, [[o] for o in order]))
+    _assert_same_bits(whole, _infer_counting(model, start, chunks))
+    # One warning per sighting whose fused product lost all its mass.
+    assert whole[2] == sum(_lost_mass(p) for p in whole[0])
 
 
 # ---------------------------------------------------------------------------
