@@ -25,6 +25,7 @@ TEST = "test"
 
 OBSERVATIONS_FILENAME = "observations.jsonl"
 SIDECAR_FILENAME = "dataset.json"
+_encode_sorted = json.JSONEncoder(sort_keys=True).encode
 
 
 @dataclass(frozen=True)
@@ -323,10 +324,10 @@ def read_json(path: str | Path) -> dict:
 
 
 def write_jsonl(path: str | Path, records: Iterable[Mapping]) -> None:
-    """Write one sorted-key JSON object per line."""
+    """Write one sorted-key JSON object per line, all through one shared encoder."""
     with Path(path).open("w", encoding="utf-8") as fh:
         for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True))
+            fh.write(_encode_sorted(rec))
             fh.write("\n")
 
 

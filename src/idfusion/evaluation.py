@@ -22,7 +22,7 @@ from .classifier import BackgroundLocationModel, PitsModel, TrainConfig, train, 
 from .data import (Dataset, IdentityCatalog, Observation, build_catalog, from_fields, read_json,
                    write_json)
 from .errors import ConfigError
-from .fusion import Prediction, prediction_record, sequential_infer
+from .fusion import Prediction, prediction_records, sequential_infer
 from .priors import (
     HOME_LOCATION,
     MIGRATING_LOCATION,
@@ -152,7 +152,7 @@ def run_experiment(
         background_model = train_background_model(dataset, dataset.grid, bg_config)
 
     predictions, prior_config = infer(dataset, model, prior_config, catalog, background_model)
-    records = [prediction_record(p, model.labels, prior_config.kind) for p in predictions]
+    records = list(prediction_records(predictions, model.labels, prior_config.kind))
     meta = {
         "labels": list(model.labels),
         "seed": train_config.seed,

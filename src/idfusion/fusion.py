@@ -1,5 +1,5 @@
-"""Posterior fusion of the likelihood with a background prior, and the
-sequential inference loop that threads prior state through a test stream.
+"""Posterior fusion with a background prior, the sequential inference loop
+that threads prior state through a test stream, and the prediction records.
 
 Fusion is elementwise multiplication followed by renormalization. Large label
 spaces go through log space so products of many small numbers cannot
@@ -20,6 +20,9 @@ alone or in a block, in one call or in many. That is why the logits are one
 matrix-vector product per row (``PitsModel.forward_rows``) and not one
 matrix product over the block: a matrix product sums in another order and
 would move the last bits of the logits.
+
+Records are built afterwards, ``BLOCK_ROWS`` at a time, each top 5 exact down
+to ties, so ``sequential_infer``'s single-sighting callers never pay for them.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -166,8 +169,9 @@ def sequential_infer(
         raise ValueError("sequential inference needs an initialized prior state")
     if not observations:
         raise ValueError("cannot run inference over an empty observation stream")
-    if tuple(model.labels) != tuple(state.labels):
+    if model.labels is not state._matched_labels and tuple(model.labels) != tuple(state.labels):
         raise ValueError("model and prior state disagree on the label space")
+    state._matched_labels = model.labels if isinstance(model.labels, tuple) else None
 
     active = {state.config.kind, *state.config.combine_with}
     track_location = MIGRATING_LOCATION in active
@@ -224,30 +228,39 @@ def sequential_infer(
 # ---------------------------------------------------------------------------
 
 
-def _top_entries(vector: np.ndarray, labels: tuple[int, ...], n: int = 5) -> list[list]:
-    order = np.argsort(-vector, kind="stable")[:n]
-    return [[int(labels[i]), float(vector[i])] for i in order]
-
-
-def prediction_record(pred: Prediction, labels: tuple[int, ...], prior_kind: str) -> dict:
-    """The JSON-ready record of one prediction, as stored and as scored.
-
-    likelihood_top5 rides along so a scorer can compute calibration of the
-    uncalibrated-vs-fused pair without rerunning inference.
-    """
-    return {
-        "obs_id": pred.obs_id,
-        "predicted": int(pred.predicted),
-        "true": None if pred.true_identity is None else int(pred.true_identity),
-        "posterior_top5": _top_entries(pred.posterior, labels),
-        "likelihood_top5": _top_entries(pred.likelihood, labels),
-        "prior_kind": prior_kind,
-        "resolved_loc": (
-            None if pred.resolved_location is None
-            else [pred.resolved_location.x, pred.resolved_location.y]
-        ),
-        "T_i": pred.temperature_used,
-    }
+def prediction_records(predictions: Sequence[Prediction], labels: tuple[int, ...],
+                       prior_kind: str) -> Iterator[dict]:
+    """The JSON-ready record of each prediction, as stored and as scored; likelihood_top5
+    rides along so a scorer can compute calibration without rerunning inference."""
+    for start in range(0, len(predictions), BLOCK_ROWS):
+        chunk = predictions[start : start + BLOCK_ROWS]
+        tops = []
+        for attr in ("posterior", "likelihood"):
+            rows = np.array([getattr(p, attr) for p in chunk], dtype=np.float64)
+            if rows.shape[1] <= 5:
+                order = np.argsort(-rows, axis=1, kind="stable")
+            else:
+                # Columns 1-5 hold the top 5 in any order, column 0 the 6th largest.
+                part = np.argpartition(rows, -6, axis=1)[:, -6:]
+                top = np.take_along_axis(rows, part, axis=1)
+                order = np.take_along_axis(part[:, 1:], np.lexsort((part[:, 1:], -top[:, 1:])), axis=1)
+                # A tie at the cut, or a NaN, leaves the partition's choice open.
+                redo = (top[:, 1:].min(axis=1) == top[:, 0]) | ~np.isfinite(rows).all(axis=1)
+                order[redo] = np.argsort(-rows[redo], axis=1, kind="stable")[:, :5]
+            values = np.take_along_axis(rows, order, axis=1).tolist()
+            tops += [[[labels[i], v] for i, v in zip(*pair)] for pair in zip(order.tolist(), values)]
+        for pred, posterior_top5, likelihood_top5 in zip(chunk, tops, tops[len(chunk):]):
+            loc = pred.resolved_location
+            yield {
+                "obs_id": pred.obs_id,
+                "predicted": int(pred.predicted),
+                "true": None if pred.true_identity is None else int(pred.true_identity),
+                "posterior_top5": posterior_top5,
+                "likelihood_top5": likelihood_top5,
+                "prior_kind": prior_kind,
+                "resolved_loc": None if loc is None else [loc.x, loc.y],
+                "T_i": pred.temperature_used,
+            }
 
 
 def write_predictions(
@@ -264,8 +277,7 @@ def write_predictions(
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    write_jsonl(directory / PREDICTIONS_FILENAME,
-                (prediction_record(pred, labels, prior_kind) for pred in predictions))
+    write_jsonl(directory / PREDICTIONS_FILENAME, prediction_records(predictions, labels, prior_kind))
     write_json(directory / PREDICTIONS_META_FILENAME,
                {"labels": list(labels), "prior_kind": prior_kind, **(meta or {})})
 

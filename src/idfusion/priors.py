@@ -90,6 +90,8 @@ class PriorState:
     last_seen: np.ndarray
     config: PriorConfig
     _index: dict[int, int] = field(init=False, repr=False)
+    # A labels tuple sequential_infer found equal to ``labels``; tuples never change.
+    _matched_labels: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.home_xy = np.asarray(self.home_xy, dtype=np.float64)

@@ -41,6 +41,14 @@ def numeric_pits_grad(z, t, label, target, lam):
     return grad_z, grad_t
 
 
+def top_entries(row, labels, n):
+    """[label, value] pairs of the n largest entries of row, equal values in
+    index order: a stable sort of -row."""
+    values = [float(v) for v in row]
+    order = sorted(range(len(values)), key=lambda i: -values[i])
+    return [[labels[i], values[i]] for i in order[:n]]
+
+
 def ece_ref(confidences, correct, n_bins):
     """Top-label ECE with equal-width bins over (0, 1]."""
     bins = [[] for _ in range(n_bins)]

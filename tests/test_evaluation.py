@@ -21,7 +21,7 @@ from idfusion.evaluation import (
     train_location_pairs,
     write_report_csv,
 )
-from idfusion.fusion import Prediction, prediction_record, read_predictions, write_predictions
+from idfusion.fusion import Prediction, prediction_records, read_predictions, write_predictions
 from idfusion.priors import MIGRATING_LOCATION, UNIFORM, PriorConfig
 from idfusion.simulate import SimConfig, generate
 
@@ -104,7 +104,7 @@ def test_new_location_subset_membership(grid2x2):
 
 
 def _score(preds, ds, labels=(0, 1)):
-    records = [prediction_record(p, labels, UNIFORM) for p in preds]
+    records = list(prediction_records(preds, labels, UNIFORM))
     return score_predictions(records, {"labels": list(labels)}, ds)
 
 

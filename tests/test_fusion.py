@@ -180,6 +180,24 @@ def test_sequential_infer_validates_inputs():
         sequential_infer(model, bad_state, obs, grid=grid)
 
 
+def test_label_check_still_runs_after_a_matching_call():
+    # The state remembers the labels tuple it last matched, so a model with
+    # other labels must still be refused on a later call, leaving the state as it was.
+    grid, model, state, obs, _ = _migration_fixture()
+    sequential_infer(model, state, obs[:1], grid=grid)
+    anchors = state.last_loc_xy.copy()
+    swapped = _plain_model([[4.0, 0.0], [0.0, 4.0]], labels=(1, 0))
+    with pytest.raises(ValueError, match="label space"):
+        sequential_infer(swapped, state, obs[1:], grid=grid)
+    assert np.array_equal(state.last_loc_xy, anchors)
+    # A list can change after it matched, so it is compared on every call.
+    listed = _plain_model([[4.0, 0.0], [0.0, 4.0]], labels=[0, 1])
+    sequential_infer(listed, state, obs[1:2], grid=grid)
+    listed.labels.reverse()
+    with pytest.raises(ValueError, match="label space"):
+        sequential_infer(listed, state, obs[2:], grid=grid)
+
+
 @pytest.mark.parametrize("kind", [UNIFORM, HOME_LOCATION, MIGRATING_LOCATION, TIME_DECAY])
 def test_sequential_infer_matches_brute_force(kind, grid2x2):
     seeds = {UNIFORM: 101, HOME_LOCATION: 202, MIGRATING_LOCATION: 303, TIME_DECAY: 404}

@@ -46,7 +46,7 @@ from idfusion.fusion import (
     LOG_SPACE_THRESHOLD,
     Prediction,
     fuse,
-    prediction_record,
+    prediction_records,
     read_predictions,
     sequential_infer,
     write_predictions,
@@ -65,7 +65,7 @@ from idfusion.priors import (
 from idfusion.simulate import SimConfig
 
 from conftest import make_obs
-from oracles import numeric_pits_grad
+from oracles import numeric_pits_grad, top_entries
 
 settings.register_profile("properties", deadline=None, derandomize=True, database=None)
 settings.load_profile("properties")
@@ -75,13 +75,19 @@ huge = st.floats(min_value=0.0, max_value=1e300, allow_nan=False, allow_infinity
 coordinate = st.floats(min_value=-1e150, max_value=1e150, allow_nan=False, allow_infinity=False)
 
 
+def _arrays(dtype, shape, elements):
+    """Arrays with every entry drawn from ``elements``. hnp.arrays' default
+    fill repeats one value over most entries, so rows would rarely vary."""
+    return hnp.arrays(dtype, shape, elements=elements, fill=st.nothing())
+
+
 def _assert_distribution(p):
     assert np.all(np.isfinite(p)) and np.all(p >= 0.0)
     assert abs(p.sum() - 1.0) <= 1e-12
 
 
-@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=40),
-                  elements=finite))
+@given(_arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=40),
+               elements=finite))
 def test_kernel_rows_are_distributions_with_matching_logs(scaled):
     p, log_p = softmax(scaled, with_log=True)
     assert np.all(p >= 0.0)
@@ -103,10 +109,10 @@ def test_temperature_never_moves_the_argmax(ticks, temperature):
 @st.composite
 def _batches(draw):
     m, k = draw(st.integers(1, 6)), draw(st.integers(2, 12))
-    logits = draw(hnp.arrays(np.float64, (m, k), elements=st.floats(-8.0, 8.0)))
-    labels = draw(hnp.arrays(np.int64, m, elements=st.integers(0, k - 1)))
-    temperatures = draw(hnp.arrays(np.float64, m, elements=st.floats(1.0, 5.0)))
-    targets = draw(hnp.arrays(np.float64, m, elements=st.floats(1.0, 3.0)))
+    logits = draw(_arrays(np.float64, (m, k), elements=st.floats(-8.0, 8.0)))
+    labels = draw(_arrays(np.int64, m, elements=st.integers(0, k - 1)))
+    temperatures = draw(_arrays(np.float64, m, elements=st.floats(1.0, 5.0)))
+    targets = draw(_arrays(np.float64, m, elements=st.floats(1.0, 3.0)))
     return logits, labels, temperatures, targets
 
 
@@ -141,9 +147,9 @@ def test_cross_entropy_is_the_unit_temperature_objective(batch):
 @st.composite
 def _states(draw):
     k = draw(st.integers(1, 30))
-    homes = draw(hnp.arrays(np.float64, (k, 2), elements=coordinate))
-    anchors = draw(hnp.arrays(np.float64, (k, 2), elements=coordinate))
-    last_seen = draw(hnp.arrays(np.float64, k, elements=coordinate))
+    homes = draw(_arrays(np.float64, (k, 2), elements=coordinate))
+    anchors = draw(_arrays(np.float64, (k, 2), elements=coordinate))
+    last_seen = draw(_arrays(np.float64, k, elements=coordinate))
     config = PriorConfig(alpha=draw(huge), beta=draw(huge),
                          distance_unit=draw(st.sampled_from(("cells", "km"))))
     return PriorState(labels=tuple(range(k)), home_xy=homes, last_loc_xy=anchors,
@@ -164,8 +170,8 @@ def test_every_prior_is_a_distribution(state, x, y, t):
 
 
 @given(st.integers(1, 2 * LOG_SPACE_THRESHOLD).flatmap(
-    lambda k: st.tuples(hnp.arrays(np.float64, k, elements=finite),
-                        hnp.arrays(np.float64, k, elements=finite))))
+    lambda k: st.tuples(_arrays(np.float64, k, elements=finite),
+                        _arrays(np.float64, k, elements=finite))))
 def test_fuse_is_a_distribution(logs):
     # softmax over a wide range leaves exact zeros, so products can vanish.
     likelihood, prior = softmax(logs[0]), softmax(logs[1])
@@ -173,7 +179,7 @@ def test_fuse_is_a_distribution(logs):
 
 
 @given(st.integers(1, 2 * LOG_SPACE_THRESHOLD).flatmap(
-    lambda k: hnp.arrays(np.float64, k, elements=finite)))
+    lambda k: _arrays(np.float64, k, elements=finite)))
 def test_uniform_prior_keeps_the_likelihood_argmax(logits):
     likelihood = softmax(logits)
     k = likelihood.shape[0]
@@ -183,8 +189,8 @@ def test_uniform_prior_keeps_the_likelihood_argmax(logits):
 
 
 @given(st.integers(2, 8).flatmap(lambda k: st.tuples(
-    hnp.arrays(np.float64, (k, 3), elements=st.floats(-5.0, 5.0)),
-    hnp.arrays(np.float64, (6, 3), elements=st.floats(-5.0, 5.0)),
+    _arrays(np.float64, (k, 3), elements=st.floats(-5.0, 5.0)),
+    _arrays(np.float64, (6, 3), elements=st.floats(-5.0, 5.0)),
 )))
 def test_uniform_stream_predicts_the_likelihood_argmax(arrays):
     W, X = arrays
@@ -328,7 +334,7 @@ seeds = st.integers(0, 2**63)
 
 
 def _vectors(n):
-    return hnp.arrays(np.float64, n, elements=any_float)
+    return _arrays(np.float64, n, elements=any_float)
 
 
 def _rewrite_is_stable(write, read_and_rewrite):
@@ -455,7 +461,7 @@ def test_dataset_directory_rewrites_byte_identically(dataset):
 def _pits_models(draw):
     k, d = draw(st.integers(1, 5)), draw(st.integers(1, 4))
     return PitsModel(
-        W=draw(hnp.arrays(np.float64, (k, d), elements=any_float)), b=draw(_vectors(k)),
+        W=draw(_arrays(np.float64, (k, d), elements=any_float)), b=draw(_vectors(k)),
         w_T=draw(_vectors(d)), b_T=draw(any_float),
         labels=tuple(draw(st.lists(st.integers(0, 10**6), min_size=k, max_size=k, unique=True))),
         input_kind=draw(st.sampled_from(INPUT_KINDS)),
@@ -467,7 +473,7 @@ def _pits_models(draw):
 @st.composite
 def _background_models(draw):
     c, d = draw(st.integers(1, 5)), draw(st.integers(1, 4))
-    return BackgroundLocationModel(W=draw(hnp.arrays(np.float64, (c, d), elements=any_float)),
+    return BackgroundLocationModel(W=draw(_arrays(np.float64, (c, d), elements=any_float)),
                                    b=draw(_vectors(c)))
 
 
@@ -506,6 +512,48 @@ def _predictions(draw):
     return predictions, labels
 
 
+@st.composite
+def _top5_blocks(draw):
+    # Small K with few distinct values puts ties at the 5th/6th rank, K <= 5
+    # and K = 6 on each side of the partition; 1-40 predictions span up to
+    # two blocks of BLOCK_ROWS.
+    k = draw(st.integers(1, 12))
+    labels = tuple(draw(st.lists(st.integers(0, 10**6), min_size=k, max_size=k, unique=True)))
+    levels = st.sampled_from(draw(st.lists(any_float, min_size=3, max_size=3)))
+    rows = st.one_of(
+        _arrays(np.float64, k, elements=levels),
+        any_float.map(lambda v: np.full(k, v)),
+        st.just(np.zeros(k)),
+        _arrays(np.float64, k, elements=st.sampled_from([-0.0, 0.0])),
+        _vectors(k),
+    )
+    n = draw(st.integers(1, 40))
+    return draw(st.lists(rows, min_size=2 * n, max_size=2 * n)), labels
+
+
+# Entry 7 equals entry 495, the 5th largest, so ranks 5 and 6 tie and the
+# stable order puts 7 first; reversed, entries 4 and 492 tie the same way.
+_TIED_AT_THE_CUT = np.arange(500.0)
+_TIED_AT_THE_CUT[7] = _TIED_AT_THE_CUT[495]
+
+
+@example(([_TIED_AT_THE_CUT, _TIED_AT_THE_CUT[::-1].copy()], tuple(range(500))))
+@given(_top5_blocks())
+def test_block_top5_is_a_stable_sort(block):
+    rows, labels = block
+    predictions = [
+        Prediction(obs_id=f"o{i}", predicted=labels[0], posterior=posterior, likelihood=likelihood,
+                   prior=posterior, resolved_location=None, temperature_used=1.0)
+        for i, (posterior, likelihood) in enumerate(zip(rows[::2], rows[1::2]))
+    ]
+    records = list(prediction_records(predictions, labels, UNIFORM))
+    assert len(records) == len(predictions)
+    for pred, record in zip(predictions, records):
+        # repr tells -0.0 from 0.0, which == does not.
+        assert repr(record["posterior_top5"]) == repr(top_entries(pred.posterior, labels, 5))
+        assert repr(record["likelihood_top5"]) == repr(top_entries(pred.likelihood, labels, 5))
+
+
 @given(_predictions(), _prior_configs(), train_configs)
 def test_prediction_directory_rewrites_byte_identically(predictions_and_labels, pc, tc):
     predictions, labels = predictions_and_labels
@@ -513,7 +561,7 @@ def test_prediction_directory_rewrites_byte_identically(predictions_and_labels, 
 
     def rewrite(first, second):
         records, read_meta = read_predictions(first)
-        assert records == [prediction_record(p, labels, pc.kind) for p in predictions]
+        assert records == list(prediction_records(predictions, labels, pc.kind))
         write_jsonl(second / "predictions.jsonl", records)
         write_json(second / "predictions_meta.json", read_meta)
 
