@@ -42,8 +42,8 @@ def softmax(scaled: np.ndarray, with_log: bool = False, out: np.ndarray | None =
     ``out`` when it is given. Every step works along the last axis alone, so a
     row comes out with the same bits on its own as inside a block of rows.
     """
-    shifted = scaled - scaled.max(axis=-1, keepdims=True)
-    p = np.exp(shifted, out=out)
+    shifted = np.subtract(scaled, scaled.max(axis=-1, keepdims=True), out=None if with_log else out)
+    p = np.exp(shifted, out=out if with_log else shifted)
     total = p.sum(axis=-1, keepdims=True)
     p /= total
     if not with_log:
@@ -65,7 +65,7 @@ def tempered_softmax(
         raise ValueError("logits must be finite")
     if not (t.min() > 0 and t.max() < np.inf):
         raise ValueError(f"temperature must be positive and finite, got {temperature}")
-    return softmax(z / t, out=out)
+    return softmax(np.divide(z, t, out=out), out=out)
 
 
 def per_instance_softmax(output: LogitsOutput) -> np.ndarray:

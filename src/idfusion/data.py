@@ -12,9 +12,10 @@ import json
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass, fields, replace
+from functools import cached_property
 from pathlib import Path
 from types import UnionType
-from typing import Any, Iterable, Iterator, Mapping, get_args, get_origin, get_type_hints
+from typing import Any, Iterable, Iterator, Mapping, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -171,19 +172,49 @@ class Dataset:
         ds = cls(obs, grid, n_identities, feature_dims)
         return validate_dataset(ds)
 
-    @property
+    # The splits and the new-location subset depend on the data alone, so each
+    # is derived once per dataset, on first use.
+    @cached_property
     def train(self) -> tuple[Observation, ...]:
         return tuple(o for o in self.observations if o.split == TRAIN)
 
-    @property
+    @cached_property
     def test(self) -> tuple[Observation, ...]:
         return tuple(o for o in self.observations if o.split == TEST)
+
+    @cached_property
+    def new_location_ids(self) -> frozenset[str]:
+        """obs_ids of the test sightings whose (identity, cell) pair never occurs in training."""
+        return new_location_subset(self.test, train_location_pairs(self), self)
 
     @property
     def test_only_identities(self) -> frozenset[int]:
         """Identities never seen in training; they can never be predicted correctly."""
         seen_in_train = {o.identity for o in self.observations if o.split == TRAIN}
         return frozenset(o.identity for o in self.observations if o.identity not in seen_in_train)
+
+
+def train_location_pairs(dataset: Dataset) -> frozenset[tuple[int, int]]:
+    """(identity, cell) pairs observed during training."""
+    return frozenset(
+        (o.identity, dataset.grid.cell_index(o.location)) for o in dataset.train
+    )
+
+
+def new_location_subset(
+    observations: Sequence[Observation],
+    train_pairs: frozenset[tuple[int, int]],
+    dataset: Dataset,
+) -> frozenset[str]:
+    """obs_ids of observations whose (identity, cell) pair is new.
+
+    Membership depends only on the data, never on any prediction.
+    """
+    return frozenset(
+        o.obs_id
+        for o in observations
+        if (o.identity, dataset.grid.cell_index(o.location)) not in train_pairs
+    )
 
 
 def validate_dataset(dataset: Dataset, require_train_coverage: bool = False) -> Dataset:

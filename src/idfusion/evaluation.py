@@ -19,8 +19,7 @@ import numpy as np
 
 from .calibration import ece_from_top_predictions
 from .classifier import BackgroundLocationModel, PitsModel, TrainConfig, train, train_background_model
-from .data import (Dataset, IdentityCatalog, Observation, build_catalog, from_fields, read_json,
-                   write_json)
+from .data import Dataset, IdentityCatalog, build_catalog, from_fields, read_json, write_json
 from .errors import ConfigError
 from .fusion import Prediction, prediction_records, sequential_infer
 from .priors import (
@@ -80,29 +79,6 @@ def overall_accuracy(predictions: Sequence[Prediction]) -> float:
     if any(f is None for f in flags):
         raise ValueError("all predictions need ground-truth identities to score accuracy")
     return float(sum(flags)) / len(flags)
-
-
-def train_location_pairs(dataset: Dataset) -> frozenset[tuple[int, int]]:
-    """(identity, cell) pairs observed during training."""
-    return frozenset(
-        (o.identity, dataset.grid.cell_index(o.location)) for o in dataset.train
-    )
-
-
-def new_location_subset(
-    observations: Sequence[Observation],
-    train_pairs: frozenset[tuple[int, int]],
-    dataset: Dataset,
-) -> frozenset[str]:
-    """obs_ids of observations whose (identity, cell) pair is new.
-
-    Membership depends only on the data, never on any prediction.
-    """
-    return frozenset(
-        o.obs_id
-        for o in observations
-        if (o.identity, dataset.grid.cell_index(o.location)) not in train_pairs
-    )
 
 
 def infer(
@@ -185,7 +161,7 @@ def score_predictions(
     n_unknown = 0
     n_hits_new = 0
     n_new = 0
-    new_ids = new_location_subset(dataset.test, train_location_pairs(dataset), dataset)
+    new_ids = dataset.new_location_ids
     per_identity: dict[int, list[int]] = {}
     for rec in records:
         obs = by_id.get(rec["obs_id"])

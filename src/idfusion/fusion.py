@@ -19,7 +19,10 @@ axis alone, so a sighting's posterior has the same bits whether it comes
 alone or in a block, in one call or in many. That is why the logits are one
 matrix-vector product per row (``PitsModel.forward_rows``) and not one
 matrix product over the block: a matrix product sums in another order and
-would move the last bits of the logits.
+would move the last bits of the logits. ``fuse_rows`` is the one fusion
+kernel, for a block, a row and :func:`fuse`. The log-likelihood it adds in
+log space is taken once per block, and the error state that lets a lost row
+take log(0) is set once per call, not once per row.
 
 Records are built afterwards, ``BLOCK_ROWS`` at a time, each top 5 exact down
 to ties, so ``sequential_infer``'s single-sighting callers never pay for them.
@@ -86,27 +89,30 @@ class Prediction:
         return self.predicted == self.true_identity
 
 
-def fuse_rows(likelihood: np.ndarray, prior: np.ndarray, out: np.ndarray) -> np.ndarray:
+def fuse_rows(likelihood: np.ndarray, log_likelihood: np.ndarray, prior: np.ndarray,
+              out: np.ndarray) -> np.ndarray:
     """:func:`fuse` along the last axis of (..., K) arrays, written to ``out``:
-    an (n, K) block or a single (K,) row.
+    an (n, K) block or a single (K,) row. ``log_likelihood`` is
+    ``np.log(likelihood)``, taken by the caller once for a whole block; only
+    log space (K > ``LOG_SPACE_THRESHOLD``) reads it.
 
     Inputs are not checked: each row must be a valid likelihood and prior.
-    Each row that loses all its mass logs one warning.
+    The caller ignores divide and invalid errors, since a row that loses all
+    its mass takes log(0) or 0/0; each such row logs one warning.
     """
     constant = (prior == prior[..., :1]).all(axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if likelihood.shape[-1] > LOG_SPACE_THRESHOLD:
-            np.log(prior, out=out)
-            out += np.log(likelihood)
-            lost = np.isinf(out).all(axis=-1)
-            softmax(out, out=out)
-        else:
-            np.multiply(likelihood, prior, out=out)
-            total = out.sum(axis=-1, keepdims=True)
-            lost = total[..., 0] <= 0
-            out /= total
+    if likelihood.shape[-1] > LOG_SPACE_THRESHOLD:
+        np.log(prior, out=out)
+        out += log_likelihood
+        lost = np.isinf(out).all(axis=-1)
+        softmax(out, out=out)
+    else:
+        np.multiply(likelihood, prior, out=out)
+        total = out.sum(axis=-1, keepdims=True)
+        lost = total[..., 0] <= 0
+        out /= total
     fallback = constant | lost
-    if fallback.any():
+    if np.count_nonzero(fallback):
         for _ in range(int((lost & ~constant).sum())):
             logger.warning("fused posterior lost all mass; falling back to the likelihood")
         kept = likelihood[fallback]
@@ -114,6 +120,7 @@ def fuse_rows(likelihood: np.ndarray, prior: np.ndarray, out: np.ndarray) -> np.
     return out
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def fuse(likelihood: np.ndarray, prior: np.ndarray) -> np.ndarray:
     """Normalized elementwise product of likelihood and prior.
 
@@ -130,7 +137,7 @@ def fuse(likelihood: np.ndarray, prior: np.ndarray) -> np.ndarray:
         raise ValueError("likelihood and prior entries must be non-negative")
     if l.sum() <= 0:
         raise ValueError("likelihood must have positive mass")
-    return fuse_rows(l, p, np.empty_like(l))
+    return fuse_rows(l, np.log(l), p, np.empty_like(l))
 
 
 def _stream_order(observations: Sequence[Observation]) -> list[int]:
@@ -142,6 +149,7 @@ def _stream_order(observations: Sequence[Observation]) -> list[int]:
     )
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def sequential_infer(
     model: PitsModel,
     state: PriorState,
@@ -173,11 +181,13 @@ def sequential_infer(
         raise ValueError("model and prior state disagree on the label space")
     state._matched_labels = model.labels if isinstance(model.labels, tuple) else None
 
-    active = {state.config.kind, *state.config.combine_with}
-    track_location = MIGRATING_LOCATION in active
-    track_time = TIME_DECAY in active
+    kinds = (state.config.kind, *state.config.combine_with)
+    track_location = MIGRATING_LOCATION in kinds
+    track_time = TIME_DECAY in kinds
 
-    stream = [observations[i] for i in _stream_order(observations)]
+    stream = observations
+    if len(observations) > 1:
+        stream = [observations[i] for i in _stream_order(observations)]
     labels = state.labels
     predictions: list[Prediction] = []
     for start in range(0, len(stream), BLOCK_ROWS):
@@ -188,34 +198,29 @@ def sequential_infer(
         logits, temperatures = model.forward_rows(
             np.array([features_from(o, model.input_kind) for o in block])
         )
-        likelihood, prior, posterior = (np.empty((len(block), len(labels))) for _ in range(3))
+        shape = (len(block), len(labels))
+        likelihood, prior, posterior = np.empty(shape), np.empty(shape), np.empty(shape)
         tempered_softmax(logits, temperatures[:, None], out=likelihood)
+        log_likelihood = np.log(likelihood)
         rows = list(zip(likelihood, prior, posterior))
         if not (track_location or track_time):
             prior_rows(state, xy, times, out=prior)
-            fuse_rows(likelihood, prior, posterior)
+            fuse_rows(likelihood, log_likelihood, prior, posterior)
             winners = [labels[w] for w in posterior.argmax(axis=1).tolist()]
         else:
             winners = []
-            for obs, loc, loc_xy, t, (l, p, post) in zip(block, locations, xy, times, rows):
+            for obs, loc, loc_xy, t, log_l, (l, p, post) in zip(
+                block, locations, xy, times, log_likelihood, rows
+            ):
                 prior_rows(state, loc_xy, t, out=p)
-                winner = labels[fuse_rows(l, p, post).argmax()]
+                winner = labels[fuse_rows(l, log_l, p, post).argmax()]
                 if track_location:
                     update_location(state, winner, loc)
                 if track_time:
                     update_last_seen(state, winner, obs.timestamp)
                 winners.append(winner)
         predictions += [
-            Prediction(
-                obs_id=obs.obs_id,
-                predicted=winner,
-                posterior=post,
-                likelihood=l,
-                prior=p,
-                resolved_location=loc,
-                temperature_used=temperature,
-                true_identity=obs.identity,
-            )
+            Prediction(obs.obs_id, winner, post, l, p, loc, temperature, obs.identity)
             for obs, winner, (l, p, post), loc, temperature in zip(
                 block, winners, rows, locations, temperatures.tolist()
             )

@@ -6,23 +6,23 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from idfusion.classifier import TrainConfig
-from idfusion.data import Dataset, GridSpec, Location
+from idfusion.classifier import TrainConfig, train
+from idfusion.data import (Dataset, GridSpec, Location, build_catalog, new_location_subset,
+                           train_location_pairs)
 from idfusion.evaluation import (
     ExperimentReport,
+    infer,
     load_report,
-    new_location_subset,
     overall_accuracy,
     render_report_table,
     run_experiment,
     run_row_suite,
     save_report,
     score_predictions,
-    train_location_pairs,
     write_report_csv,
 )
 from idfusion.fusion import Prediction, prediction_records, read_predictions, write_predictions
-from idfusion.priors import MIGRATING_LOCATION, UNIFORM, PriorConfig
+from idfusion.priors import HOME_LOCATION, MIGRATING_LOCATION, TIME_DECAY, UNIFORM, PriorConfig
 from idfusion.simulate import SimConfig, generate
 
 from conftest import make_obs
@@ -223,6 +223,30 @@ def test_score_predictions_reproduces_report(tmp_path):
     # run_experiment scores through the same records, so nothing may differ.
     assert _report_bytes(rescored, tmp_path / "rescored.json") == \
         _report_bytes(report, tmp_path / "report.json")
+
+
+def test_scoring_many_record_sets_finds_new_locations_once(tmp_path, monkeypatch):
+    # A population run scores every prior against one dataset; the dataset-only
+    # new-location pass must run once for all of them and change no report byte.
+    ds = _small_sim()
+    model = train(ds, build_catalog(ds), _FAST_TRAIN)
+    meta = {"labels": list(model.labels), "seed": 0}
+    record_sets = []
+    for kind in (UNIFORM, HOME_LOCATION, MIGRATING_LOCATION, TIME_DECAY):
+        preds, _ = infer(ds, model, PriorConfig(kind=kind))
+        record_sets.append(list(prediction_records(preds, model.labels, kind)))
+    fresh = [score_predictions(r, meta, Dataset.from_observations(ds.observations, ds.grid))
+             for r in record_sets]
+
+    shared = Dataset.from_observations(ds.observations, ds.grid)
+    calls = []
+    cell_index = GridSpec.cell_index
+    monkeypatch.setattr(GridSpec, "cell_index",
+                        lambda grid, loc: calls.append(loc) or cell_index(grid, loc))
+    reports = [score_predictions(r, meta, shared) for r in record_sets]
+    assert len(calls) == len(ds.train) + len(ds.test)
+    for i, (a, b) in enumerate(zip(reports, fresh)):
+        assert _report_bytes(a, tmp_path / f"a{i}.json") == _report_bytes(b, tmp_path / f"b{i}.json")
 
 
 def test_row_suite_runs_named_rows():

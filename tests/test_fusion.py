@@ -1,5 +1,6 @@
 """Posterior fusion and the stateful sequential inference loop."""
 
+import hashlib
 import logging
 
 import numpy as np
@@ -372,3 +373,127 @@ def test_read_predictions_names_the_bad_line(tmp_path, bad, why):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(ParseError, match=f"predictions.jsonl: line 3: {why}"):
         read_predictions(tmp_path)
+
+
+def _k80_run(kind, per_sighting, grid):
+    # K=80 takes fuse's log-space branch, which the K<=64 pins never reach.
+    rng = np.random.default_rng(80)
+    k, d = 80, 6
+    model = PitsModel(W=rng.normal(size=(k, d)) * 2.0, b=rng.normal(size=k) * 0.1,
+                      w_T=rng.normal(size=d) * 0.2, b_T=0.1, labels=tuple(range(k)),
+                      input_kind="foreground", temperature_head_active=True)
+    homes = rng.uniform(0.0, 10.0, size=(k, 2))
+    state = PriorState(labels=tuple(range(k)), home_xy=homes, last_loc_xy=homes.copy(),
+                       last_seen=rng.uniform(0.0, 60.0, size=k), config=PriorConfig(kind=kind))
+    obs = [make_obs(f"o{j:03d}", int(rng.integers(0, k)), float(rng.uniform(61.0, 400.0)),
+                    Location(float(rng.uniform(0, 10)), float(rng.uniform(0, 10))),
+                    fg=rng.normal(size=d))
+           for j in range(70)]
+    if per_sighting:
+        preds = [p for o in (obs[i] for i in _stream_order(obs))
+                 for p in sequential_infer(model, state, [o], grid=grid)]
+    else:
+        preds = sequential_infer(model, state, obs, grid=grid)
+    digest = hashlib.sha256(np.array([p.predicted for p in preds]).tobytes())
+    for p in preds:
+        for field in ("posterior", "likelihood", "prior"):
+            digest.update(getattr(p, field).tobytes())
+    return digest.hexdigest(), state
+
+
+# Recorded before the single-sighting path was reworked; a change that moves
+# one bit of a K=80 posterior, likelihood or prior fails here.
+K80_DIGESTS = {
+    UNIFORM: "758aadd0362db236c597d64d88a52eddddb861be44fb863b5e5ce9b0bbb8a6df",
+    HOME_LOCATION: "d5f50fdbeb328b4196c8f7b2e66469414dd50f52930c72b6e3bea1fbd6ccbf64",
+    MIGRATING_LOCATION: "7c3e4dcb0360341bf1dfb0c0030a11b29517968990f7552b0f1710002b0c1946",
+    TIME_DECAY: "7516ea0191ca9bf3e6b7d641eb2a235e84bdff10a107dee3dba3fcb213054a60",
+}
+
+
+@pytest.mark.parametrize("kind", [UNIFORM, HOME_LOCATION, MIGRATING_LOCATION, TIME_DECAY])
+def test_log_space_bits_are_pinned_whole_stream_and_per_sighting(kind, grid2x2):
+    whole, whole_state = _k80_run(kind, False, grid2x2)
+    single, single_state = _k80_run(kind, True, grid2x2)
+    assert whole == single == K80_DIGESTS[kind]
+    assert np.array_equal(whole_state.last_loc_xy, single_state.last_loc_xy)
+    assert np.array_equal(whole_state.last_seen, single_state.last_seen)
+
+
+def _one_hot_model(k):
+    # Logits 1000 apart: every likelihood is exactly one-hot, and T is exactly 1.
+    return _plain_model(np.eye(k) * 1000.0)
+
+
+def _sharp_stream(k):
+    """Anchors 50 km apart under alpha=100 give one-hot migrating priors.
+    Identity 0 starts far away; sightings 1, 2 and 4 look like it but sit at
+    identity 1's or 2's anchor, so the two supports are disjoint there."""
+    P, Q = Location(0.0, 0.0), Location(50.0, 0.0)
+    anchors = np.array([[500.0, 500.0], [P.x, P.y], [Q.x, Q.y]]
+                       + [[1000.0 + 10.0 * i, 1000.0] for i in range(k - 3)])
+    state = PriorState(labels=tuple(range(k)), home_xy=anchors, last_loc_xy=anchors.copy(),
+                       last_seen=np.zeros(k),
+                       config=PriorConfig(kind=MIGRATING_LOCATION, alpha=100.0))
+    fg = [np.eye(k)[i] for i in (0, 0, 1, 0, 0)]
+    obs = [make_obs(f"s{j}", 0, float(j + 1), loc, fg=x)
+           for j, (loc, x) in enumerate(zip((P, Q, P, P, P), fg))]
+    return state, obs
+
+
+@pytest.mark.parametrize("k", [5, 80])
+def test_per_sighting_lost_rows_fall_back_with_one_warning_each(k, grid2x2, caplog):
+    state, obs = _sharp_stream(k)
+    model = _one_hot_model(k)
+    with caplog.at_level(logging.WARNING, logger="idfusion.fusion"):
+        preds = [sequential_infer(model, state, [o], grid=grid2x2)[0] for o in obs]
+    lost = [not np.any((p.likelihood > 0) & (p.prior > 0)) for p in preds]
+    assert lost == [True, True, False, True, False]
+    assert sum("lost all mass" in r.message for r in caplog.records) == 3
+    for p, was_lost in zip(preds, lost):
+        if was_lost:
+            assert np.array_equal(p.posterior, p.likelihood / p.likelihood.sum())
+    assert [p.predicted for p in preds] == [0, 0, 1, 0, 0]
+    # The fallback winner still moves its anchor: identity 0 ends at P.
+    assert tuple(state.last_loc_xy[0]) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("k", [5, 80])
+def test_per_sighting_zero_rate_prior_returns_the_likelihood(k, grid2x2, caplog):
+    rng = np.random.default_rng(k)
+    model = PitsModel(W=rng.normal(size=(k, 3)), b=rng.normal(size=k), w_T=rng.normal(size=3),
+                      b_T=0.2, labels=tuple(range(k)), input_kind="foreground",
+                      temperature_head_active=True)
+    homes = rng.uniform(0.0, 10.0, size=(k, 2))
+    state = PriorState(labels=tuple(range(k)), home_xy=homes, last_loc_xy=homes.copy(),
+                       last_seen=np.zeros(k),
+                       config=PriorConfig(kind=MIGRATING_LOCATION, alpha=0.0))
+    obs = [make_obs(f"z{j}", 0, float(j + 1),
+                    Location(float(rng.uniform(0, 10)), float(rng.uniform(0, 10))),
+                    fg=rng.normal(size=3))
+           for j in range(6)]
+    with caplog.at_level(logging.WARNING, logger="idfusion.fusion"):
+        for o in obs:
+            p = sequential_infer(model, state, [o], grid=grid2x2)[0]
+            assert (p.prior == p.prior[0]).all()
+            assert np.array_equal(p.posterior, p.likelihood / p.likelihood.sum())
+    assert not caplog.records
+
+
+@pytest.mark.parametrize("k", [5, 80])
+def test_sequential_infer_restores_the_callers_error_state(k, grid2x2):
+    # Lost rows take log(0) and 0/0; the call must neither raise on them under
+    # the caller's "raise" nor leave its own error state behind, even when it raises.
+    state, obs = _sharp_stream(k)
+    model = _one_hot_model(k)
+    with np.errstate(divide="raise", over="ignore", under="ignore", invalid="raise"):
+        caller = np.geterr()
+        for o in obs:
+            sequential_infer(model, state, [o], grid=grid2x2)
+            assert np.geterr() == caller
+        # Logits overflow to inf, which the likelihood check refuses mid-call.
+        huge = _plain_model(np.full((k, k), 1e300))
+        with pytest.raises(ValueError, match="finite"):
+            sequential_infer(huge, state, [make_obs("h", 0, 9.0, obs[0].location,
+                                                    fg=np.full(k, 1e10))], grid=grid2x2)
+        assert np.geterr() == caller
