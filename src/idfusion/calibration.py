@@ -59,13 +59,14 @@ def tempered_softmax(
     ``temperature`` is a scalar, or an ``(n, 1)`` column giving each row of
     an ``(n, K)`` block its own temperature; ``out`` receives the result.
     """
-    z = np.asarray(logits, dtype=np.float64)
     t = np.asarray(temperature, dtype=np.float64)
-    if not np.isfinite(z).all():
-        raise ValueError("logits must be finite")
     if not (t.min() > 0 and t.max() < np.inf):
         raise ValueError(f"temperature must be positive and finite, got {temperature}")
-    return softmax(np.divide(z, t, out=out), out=out)
+    # Checking the quotient covers non-finite logits and overflow alike.
+    scaled = np.divide(np.asarray(logits, dtype=np.float64), t, out=out)
+    if not np.isfinite(scaled).all():
+        raise ValueError("logits / temperature must be finite")
+    return softmax(scaled, out=out)
 
 
 def per_instance_softmax(output: LogitsOutput) -> np.ndarray:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from pathlib import Path
 from types import UnionType
@@ -125,7 +125,7 @@ class Observation:
         object.__setattr__(self, "bg_features", np.asarray(self.bg_features, dtype=np.float64))
         if self.fg_features.ndim != 1 or self.bg_features.ndim != 1:
             raise ValueError(f"{self.obs_id}: feature vectors must be one-dimensional")
-        if not np.all(np.isfinite(self.fg_features)) or not np.all(np.isfinite(self.bg_features)):
+        if not np.isfinite(self.fg_features).all() or not np.isfinite(self.bg_features).all():
             raise ValueError(f"{self.obs_id}: feature vectors must contain only finite values")
         if self.identity < 0:
             raise ValueError(f"{self.obs_id}: identity label must be non-negative")
@@ -254,6 +254,18 @@ def validate_dataset(dataset: Dataset, require_train_coverage: bool = False) -> 
     return dataset
 
 
+_OBSERVATION_FIELDS = tuple(f.name for f in fields(Observation))
+
+
+def _with_split(obs: Observation, split: str) -> Observation:
+    # A validated observation with only its split changed, so __post_init__
+    # does not run again; set in __init__ order to keep the shared-key dict.
+    copy = object.__new__(Observation)
+    for name in _OBSERVATION_FIELDS:
+        object.__setattr__(copy, name, split if name == "split" else getattr(obs, name))
+    return copy
+
+
 def temporal_split(
     observations: Iterable[Observation], cutoff: float, grid: GridSpec
 ) -> Dataset:
@@ -262,8 +274,7 @@ def temporal_split(
     Raises:
         SplitError: if either side of the cutoff is empty.
     """
-    obs = list(observations)
-    tagged = [replace(o, split=TRAIN if o.timestamp < cutoff else TEST) for o in obs]
+    tagged = [_with_split(o, TRAIN if o.timestamp < cutoff else TEST) for o in observations]
     n_train = sum(1 for o in tagged if o.split == TRAIN)
     if n_train == 0:
         raise SplitError(f"no observations before cutoff {cutoff}")
@@ -414,8 +425,8 @@ def _record_from(obs: Observation) -> dict:
     rec = {
         "obs_id": obs.obs_id,
         "identity": int(obs.identity),
-        "fg": [float(v) for v in obs.fg_features],
-        "bg": [float(v) for v in obs.bg_features],
+        "fg": obs.fg_features.tolist(),
+        "bg": obs.bg_features.tolist(),
         "loc": [float(obs.location.x), float(obs.location.y)],
         "t": float(obs.timestamp),
     }

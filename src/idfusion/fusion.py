@@ -133,6 +133,8 @@ def fuse(likelihood: np.ndarray, prior: np.ndarray) -> np.ndarray:
     p = np.asarray(prior, dtype=np.float64)
     if l.shape != p.shape or l.ndim != 1:
         raise ValueError(f"likelihood {l.shape} and prior {p.shape} must be equal-length vectors")
+    if not (np.isfinite(l).all() and np.isfinite(p).all()):
+        raise ValueError("likelihood and prior entries must be finite")
     if np.any(l < 0) or np.any(p < 0):
         raise ValueError("likelihood and prior entries must be non-negative")
     if l.sum() <= 0:

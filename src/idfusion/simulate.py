@@ -150,6 +150,7 @@ def _identity_stream(
     times = np.sort(times)
 
     hrow, hcol = divmod(home_cell, grid.n_cells_x)
+    center = grid.cell_center(home_cell)
     sightings = []
     for t in times:
         if rng.uniform() < config.migration_prob:
@@ -157,7 +158,7 @@ def _identity_stream(
             # sightings follow the animal rather than snapping back.
             hrow = min(max(hrow + rng.integers(-1, 2), 0), grid.n_cells_y - 1)
             hcol = min(max(hcol + rng.integers(-1, 2), 0), grid.n_cells_x - 1)
-        center = grid.cell_center(hrow * grid.n_cells_x + hcol)
+            center = grid.cell_center(hrow * grid.n_cells_x + hcol)
         jitter = rng.normal(0.0, config.home_range_cells * grid.cell_size_km, size=2)
         x = min(max(center.x + jitter[0], grid.origin.x),
                 grid.origin.x + grid.cell_size_km * grid.n_cells_x)

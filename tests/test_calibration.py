@@ -54,12 +54,19 @@ def test_tempered_softmax_preserves_argmax():
 
 
 def test_tempered_softmax_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        tempered_softmax(np.array([1.0, np.nan]), 1.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            tempered_softmax(np.array([1.0, bad]), 1.0)
     with pytest.raises(ValueError):
         tempered_softmax(np.array([1.0, 0.0]), 0.0)
     with pytest.raises(ValueError):
         tempered_softmax(np.array([1.0, 0.0]), math.inf)
+
+
+def test_tempered_softmax_rejects_an_overflowing_quotient():
+    # Finite logits over a tiny finite temperature overflow to inf.
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+        tempered_softmax(np.array([1e300, 0.0]), 1e-10)
 
 
 def test_logits_output_enforces_floor_and_shape():

@@ -1,10 +1,14 @@
 import json
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from idfusion.data import (
+    TEST,
+    TRAIN,
     Dataset,
     GridSpec,
     IdentityCatalog,
@@ -72,8 +76,11 @@ def test_observation_rejects_bad_split(grid2x2):
 
 
 def test_observation_rejects_non_finite_features(grid2x2):
-    with pytest.raises(ValueError):
-        make_obs("x", 0, 1.0, grid2x2.cell_center(0), fg=[1.0, float("nan"), 0.0])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            make_obs("x", 0, 1.0, grid2x2.cell_center(0), fg=[1.0, bad, 0.0])
+        with pytest.raises(ValueError, match="finite"):
+            make_obs("x", 0, 1.0, grid2x2.cell_center(0), bg=[bad, 0.0])
 
 
 def test_dataset_split_views(grid2x2):
@@ -138,6 +145,32 @@ def test_temporal_split_is_strict_before_cutoff(grid2x2):
     ds = temporal_split(raw, 3.0, grid2x2)
     assert [o.obs_id for o in ds.train] == ["o1", "o2"]
     assert [o.obs_id for o in ds.test] == ["o3", "o4"]
+
+
+def _traced_bytes(build):
+    # Bytes tracemalloc still counts as allocated while build()'s result is alive.
+    tracemalloc.start()
+    try:
+        kept = build()
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def test_temporal_split_tags_copies_without_revalidating(grid2x2, monkeypatch):
+    raw = [make_obs(f"o{i}", i % 2, float(i), grid2x2.cell_center(i % 4)) for i in range(1, 65)]
+    replaced = lambda: [replace(o, split=TRAIN if o.timestamp < 30.0 else TEST) for o in raw]
+    # Fields set in __init__ order keep the compact instance layout a constructed
+    # Observation has; copying through __dict__ would also materialize each input's
+    # dict, over 100 more bytes per observation.
+    split_bytes = _traced_bytes(lambda: temporal_split(raw, 30.0, grid2x2))
+    assert split_bytes <= 1.05 * _traced_bytes(lambda: Dataset.from_observations(replaced(), grid2x2))
+    expected = replaced()
+    # The inputs are already validated, so splitting must not validate them again.
+    monkeypatch.setattr(Observation, "__post_init__", lambda self: pytest.fail("re-validated"))
+    ds = temporal_split(raw, 30.0, grid2x2)
+    assert all(o.split is None for o in raw)
+    assert list(ds.observations) == expected
 
 
 def test_temporal_split_rejects_empty_side(grid2x2):

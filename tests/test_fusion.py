@@ -100,6 +100,18 @@ def test_fuse_input_validation():
         fuse(np.array([0.0, 0.0]), np.array([0.5, 0.5]))
 
 
+@pytest.mark.parametrize("likelihood, prior", [
+    ([np.nan, 0.5], [0.5, 0.5]),
+    ([np.inf, 0.5], [0.3, 0.7]),
+    ([0.5, 0.5], [np.nan, 0.5]),
+    ([0.5, 0.5], [0.3, np.inf]),
+])
+def test_fuse_rejects_non_finite_entries(likelihood, prior):
+    # NaN and inf pass the sign and mass checks, so only a finiteness check stops them.
+    with pytest.raises(ValueError, match="finite"):
+        fuse(np.array(likelihood), np.array(prior))
+
+
 def test_stream_order_sorts_and_breaks_ties():
     obs = [
         make_obs("b", 0, 5.0, Location(0.0, 0.0)),

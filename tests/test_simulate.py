@@ -1,9 +1,18 @@
 """Synthetic population generator: determinism and knob semantics."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from idfusion.data import GridSpec, Location, validate_dataset
+from idfusion.data import (
+    OBSERVATIONS_FILENAME,
+    SIDECAR_FILENAME,
+    GridSpec,
+    Location,
+    save_dataset,
+    validate_dataset,
+)
 from idfusion.errors import ConfigError
 from idfusion.simulate import (
     PRESETS,
@@ -185,3 +194,39 @@ def test_sim_config_dict_round_trip():
     rebuilt = SimConfig.from_dict(config.to_dict())
     assert rebuilt == config
     assert rebuilt.grid == config.grid
+
+
+# A K >= 100 population on a 10x10 grid with the default drift, so homes
+# move and most cells hold sightings.
+_POPULATION = SimConfig(
+    n_identities=120, feature_dim=32, bg_feature_dim=24, grid=_grid(10, 10), obs_rate=10.0, seed=5
+)
+
+# sha256 of observations.jsonl and dataset.json as save_dataset writes each
+# generated dataset. Simulation and writing may get faster, but any byte
+# they move fails here.
+SAVED_DIGESTS = {
+    "lynx-0": (
+        lynx_like(0),
+        "c0d81574586e9388843319e7ff58dafa41d219089825537c9e3195f652789878",
+        "bfffc3eb6f2ed459ca735b32ac170182f57a3facbb5bd8c3f8ec083119abbefa",
+    ),
+    "turtle-2": (
+        turtle_like(2),
+        "cf0328731bb7e0e69e269045f1aed5d52962a9977f5937b2dca7a0c3db22dea6",
+        "f00767769673216c398ad0953b22ce0ce56decbcfa5c457033f9dfe0f10abd90",
+    ),
+    "population-5": (
+        _POPULATION,
+        "1c19293982376f6dcec6034085187bbda46f47ec453477c8e8fc89ff41813b10",
+        "55995340e26cde2c7c78c91b3314f8fde7a59c640a3d9e28d57f1a2f9b2255ba",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAVED_DIGESTS))
+def test_saved_dataset_bytes_are_pinned(tmp_path, name):
+    config, observations_sha, sidecar_sha = SAVED_DIGESTS[name]
+    save_dataset(generate(config), tmp_path)
+    digest = lambda f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+    assert (digest(OBSERVATIONS_FILENAME), digest(SIDECAR_FILENAME)) == (observations_sha, sidecar_sha)
