@@ -41,10 +41,13 @@ def softmax(scaled: np.ndarray, with_log: bool = False, out: np.ndarray | None =
     callers that only need ``p`` never pay for them. The probabilities go to
     ``out`` when it is given. Every step works along the last axis alone, so a
     row comes out with the same bits on its own as inside a block of rows.
+    The reductions are the ufuncs ``ndarray.max`` and ``ndarray.sum`` call,
+    without their Python wrappers.
     """
-    shifted = np.subtract(scaled, scaled.max(axis=-1, keepdims=True), out=None if with_log else out)
+    row_max = np.maximum.reduce(scaled, axis=-1, keepdims=True)
+    shifted = np.subtract(scaled, row_max, out=None if with_log else out)
     p = np.exp(shifted, out=out if with_log else shifted)
-    total = p.sum(axis=-1, keepdims=True)
+    total = np.add.reduce(p, axis=-1, keepdims=True)
     p /= total
     if not with_log:
         return p
@@ -92,19 +95,26 @@ def pits_objective(
     so nothing is validated: ``labels`` must be (m,) integers in [0, k), and
     ``temperatures`` and ``targets`` (m,) positive finite values.
     """
-    scaled = logits if temperatures is None else logits / temperatures[:, None]
-    p, log_p = softmax(scaled, with_log=True)
-    rows = np.arange(logits.shape[0])
-    loss = -log_p[rows, labels]
-    grad_t = None
-    if temperatures is not None:
-        gap = temperatures - targets
-        loss += lam * gap**2
-        z_dot_p = np.einsum("ij,ij->i", logits, p)
-        grad_t = (logits[rows, labels] - z_dot_p) / temperatures**2 + 2.0 * lam * gap
-    p[rows, labels] -= 1.0
-    if temperatures is not None:
-        p /= temperatures[:, None]
+    m, k = logits.shape
+    picks = np.arange(0, m * k, k)  # flat position of each row's label
+    picks += labels
+    if temperatures is None:
+        p, log_p = softmax(logits, with_log=True)
+        p.flat[picks] -= 1.0
+        return np.negative(log_p.take(picks)), p, None
+    t_col = temperatures[:, None]
+    p, log_p = softmax(logits / t_col, with_log=True)
+    gap = temperatures - targets
+    loss = np.square(gap)
+    loss *= lam
+    loss -= log_p.take(picks)  # the same bits as -log_p_y + lam * gap**2
+    grad_t = logits.take(picks)
+    grad_t -= np.einsum("ij,ij->i", logits, p)
+    grad_t /= np.square(temperatures)
+    gap *= 2.0 * lam
+    grad_t += gap
+    p.flat[picks] -= 1.0
+    p /= t_col
     return loss, p, grad_t
 
 

@@ -166,38 +166,69 @@ def _descend(
 
     Updates ``W`` and ``b`` in place; with ``targets`` the temperature head
     (``w_T`` in place, ``b_T`` returned) trains too, otherwise the objective
-    is plain cross-entropy. Gradients are averaged per mini-batch; batches
-    come from a seeded shuffle each epoch. Returns the per-epoch mean losses
-    and the final ``b_T``.
+    is plain cross-entropy. Returns the per-epoch mean losses and the final
+    ``b_T``.
+
+    Once per epoch: draw the seeded shuffle, copy ``X``, ``y`` and
+    ``targets`` into that order (into buffers reused across epochs), record
+    the mean loss and check that the loss and every weight are finite. Per
+    batch: take the next contiguous slice of the shuffled copies, run the
+    forward pass and :func:`pits_objective`, and step each weight by its
+    batch-mean gradient. Each step is written in place with the same float
+    operations in the same order as ``W -= lr * (G.T @ Xb) / m``, so the
+    weights carry the same bits as that plain expression gives.
 
     Raises:
         TrainingError: if the loss or any weight goes non-finite, reporting
             the epoch and the learning rate in effect.
     """
     n = X.shape[0]
+    batch = config.batch_size
+    Xs, ys = np.empty_like(X), np.empty_like(y)
+    ts = None if targets is None else np.empty_like(targets)
     history: list[float] = []
     for epoch in range(config.epochs):
         lr = _epoch_lr(config.learning_rate, epoch, config.epochs, config.lr_schedule)
         order = rng.permutation(n)
+        # "clip" never fires on a permutation; "raise" would copy through a
+        # temporary as large as X.
+        np.take(X, order, axis=0, out=Xs, mode="clip")
+        np.take(y, order, out=ys, mode="clip")
+        if ts is not None:
+            np.take(targets, order, out=ts, mode="clip")
         epoch_loss = 0.0
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            Xb = X[idx]
-            m = len(idx)
-            Z = Xb @ W.T + b
-            if targets is None:
-                loss, G, _ = pits_objective(Z, y[idx])
+        for start in range(0, n, batch):
+            stop = start + batch
+            Xb = Xs[start:stop]
+            m = Xb.shape[0]
+            Z = Xb @ W.T
+            Z += b
+            if ts is None:
+                loss, G, _ = pits_objective(Z, ys[start:stop])
             else:
-                U = Xb @ w_T + b_T
-                loss, G, dT = pits_objective(
-                    Z, y[idx], 1.0 + _softplus(U), targets[idx], config.lam
-                )
-                dU = dT / (1.0 + np.exp(-U))
-                w_T -= lr * (Xb.T @ dU) / m
-                b_T -= lr * float(dU.sum() / m)
-            epoch_loss += float(loss.sum() / m) * m
-            W -= lr * (G.T @ Xb) / m
-            b -= lr * (G.sum(axis=0) / m)
+                U = Xb @ w_T
+                U += b_T
+                T = _softplus(U)
+                T += 1.0
+                loss, G, dU = pits_objective(Z, ys[start:stop], T, ts[start:stop], config.lam)
+                # dL/dU = dL/dT / (1 + exp(-U)), the softplus derivative.
+                denom = np.exp(np.negative(U, out=U), out=U)
+                denom += 1.0
+                dU /= denom
+                step = Xb.T @ dU
+                step *= lr
+                step /= m
+                w_T -= step
+                b_T -= lr * (float(np.add.reduce(dU)) / m)
+            epoch_loss += float(np.add.reduce(loss)) / m * m
+            step = G.T @ Xb
+            step *= lr
+            step /= m
+            W -= step
+            step = np.add.reduce(G, axis=0)
+            step /= m
+            step *= lr
+            b -= step
 
         history.append(epoch_loss / n)
         weights = (W, b) if targets is None else (W, b, w_T, b_T)

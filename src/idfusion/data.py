@@ -108,9 +108,20 @@ class GridSpec:
         )
 
 
+def _read_only_copy(values) -> np.ndarray:
+    # The observation owns its features: a caller's later write to the array
+    # it passed in, or a write through the attribute, cannot reach them.
+    a = np.array(values, dtype=np.float64)
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class Observation:
-    """One sighting: features, capture location, capture time, identity label."""
+    """One sighting: features, capture location, capture time, identity label.
+
+    The feature vectors are read-only float64 copies of what was passed in.
+    """
 
     obs_id: str
     identity: int
@@ -121,11 +132,13 @@ class Observation:
     split: str | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "fg_features", np.asarray(self.fg_features, dtype=np.float64))
-        object.__setattr__(self, "bg_features", np.asarray(self.bg_features, dtype=np.float64))
+        object.__setattr__(self, "fg_features", _read_only_copy(self.fg_features))
+        object.__setattr__(self, "bg_features", _read_only_copy(self.bg_features))
         if self.fg_features.ndim != 1 or self.bg_features.ndim != 1:
             raise ValueError(f"{self.obs_id}: feature vectors must be one-dimensional")
-        if not np.isfinite(self.fg_features).all() or not np.isfinite(self.bg_features).all():
+        # ndarray.all without its Python wrapper: this runs once per sighting loaded.
+        if not (np.logical_and.reduce(np.isfinite(self.fg_features))
+                and np.logical_and.reduce(np.isfinite(self.bg_features))):
             raise ValueError(f"{self.obs_id}: feature vectors must contain only finite values")
         if self.identity < 0:
             raise ValueError(f"{self.obs_id}: identity label must be non-negative")
@@ -441,8 +454,8 @@ def _observation_from(rec: dict, lineno: int) -> Observation:
         return Observation(
             obs_id=str(rec["obs_id"]),
             identity=int(rec["identity"]),
-            fg_features=np.asarray(rec["fg"], dtype=np.float64),
-            bg_features=np.asarray(rec["bg"], dtype=np.float64),
+            fg_features=rec["fg"],
+            bg_features=rec["bg"],
             location=Location(float(loc[0]), float(loc[1])),
             timestamp=float(rec["t"]),
             split=rec.get("split"),

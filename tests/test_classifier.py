@@ -1,11 +1,13 @@
 """Linear classifier with the temperature head, plus the background model."""
 
+import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from idfusion.calibration import per_instance_softmax, pits_objective
+from idfusion.calibration import fit_global_temperature, per_instance_softmax, pits_objective
 from idfusion.classifier import (
     BackgroundLocationModel,
     PitsModel,
@@ -20,7 +22,7 @@ from idfusion.classifier import (
 )
 from idfusion.data import Dataset, GridSpec, Location, build_catalog
 from idfusion.errors import ConfigError, TrainingError
-from idfusion.simulate import SimConfig, generate
+from idfusion.simulate import SimConfig, generate, lynx_like
 
 from conftest import make_obs
 from oracles import pits_loss_ref
@@ -215,6 +217,19 @@ def test_feature_noise_changes_fit_but_stays_deterministic(grid2x2):
     assert np.array_equal(train(ds, catalog, noisy).W, train(ds, catalog, noisy).W)
 
 
+@pytest.mark.parametrize("config", [
+    TrainConfig(loss_kind="pits", epochs=3, learning_rate=0.05, batch_size=7),
+    TrainConfig(loss_kind="ce", input_kind="whole", epochs=3, noise_std=0.5, batch_size=1000),
+])
+def test_training_leaves_the_observations_alone(grid2x2, config):
+    ds = _two_identity_dataset(grid2x2)
+    features = lambda: [(o.fg_features.tobytes(), o.bg_features.tobytes()) for o in ds.observations]
+    before = features()
+    train(ds, build_catalog(ds), config)
+    train_background_model(ds, grid2x2, config)
+    assert features() == before
+
+
 def test_model_checkpoint_round_trip(tmp_path, grid2x2):
     ds = _two_identity_dataset(grid2x2)
     config = TrainConfig(epochs=10, learning_rate=0.05)
@@ -299,3 +314,61 @@ def test_background_model_blind_without_signal():
     ]
     # Nine cells: anything close to chance confirms there is nothing to learn.
     assert float(np.mean(hits)) < 2.5 / 9.0
+
+
+# sha256 of the raw float64 bytes of each trained run's weights and loss
+# history, recorded before the training step was made to work in place.
+# Training may get faster, but any bit it moves fails here.
+_LYNX_RECIPE = TrainConfig(loss_kind="pits", input_kind="foreground", learning_rate=1e-2,
+                           batch_size=8)
+TRAINING_DIGESTS = {
+    # 700 train sightings: the last batch of 8 is a partial one.
+    "pits-recipe": (_LYNX_RECIPE,
+                    "4c2bf693ed58e75aca58194b4a89d7bd8bbeccc63885b0e497a8cdafecc02dbc"),
+    "ce-whole-32": (TrainConfig(loss_kind="ce", input_kind="whole", learning_rate=1e-2,
+                                batch_size=32, epochs=30, seed=1),
+                    "b228e9675a5244b4e17a0e4e68430edcc434f51b88f333ef4eaa40b62c01c62e"),
+    "pits-noise": (TrainConfig(learning_rate=1e-2, batch_size=8, epochs=20, noise_std=0.5,
+                               seed=2),
+                   "df168057a32f013e75b6b31db30600ae9d0b86696539662b5c28ccabc7100ab1"),
+    # Batches of 12 and a last one of 4: dividing by 12 is not exact, so
+    # an update that reorders its scaling moves bits here.
+    "pits-batch-12": (TrainConfig(learning_rate=2e-2, batch_size=12, epochs=20, seed=4),
+                      "b6409a5ad0de76e930934f0da986f5dae5264c0bb7147e008a86b7d0547d5c96"),
+    "pits-one-batch": (TrainConfig(learning_rate=5e-2, batch_size=5000, epochs=40, seed=3),
+                       "5828f602d521915a2ae9ca9a2865d9d2c045e23355a03920b92058ce86ae096b"),
+}
+BACKGROUND_DIGEST = "eee56a273f6166842cba79ab0761be6c1bbcea889a27697b17babc09e035c81c"
+GLOBAL_TEMPERATURE_HEX = "0x1.88f05afd5cd1ap+0"
+
+
+def _sha256_of(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def lynx0():
+    return generate(lynx_like(0))
+
+
+@pytest.mark.parametrize("name", sorted(TRAINING_DIGESTS))
+def test_trained_weights_are_pinned(lynx0, name):
+    config, want = TRAINING_DIGESTS[name]
+    m = train(lynx0, build_catalog(lynx0), config)
+    assert _sha256_of(m.W, m.b, m.w_T, [m.b_T], m.loss_history) == want
+
+
+def test_background_weights_are_pinned(lynx0):
+    bg = train_background_model(lynx0, lynx0.grid, replace(_LYNX_RECIPE, seed=1))
+    assert _sha256_of(bg.W, bg.b) == BACKGROUND_DIGEST
+
+
+def test_global_temperature_is_pinned():
+    rng = np.random.default_rng(4)
+    labels = rng.integers(0, 25, size=300)
+    logits = rng.normal(size=(300, 25)) * 3.0
+    logits[np.arange(300), labels] += 6.0
+    assert fit_global_temperature(logits, labels).hex() == GLOBAL_TEMPERATURE_HEX

@@ -83,6 +83,30 @@ def test_observation_rejects_non_finite_features(grid2x2):
             make_obs("x", 0, 1.0, grid2x2.cell_center(0), bg=[bad, 0.0])
 
 
+def test_observation_owns_read_only_copies_of_its_features(grid2x2):
+    fg, bg = np.zeros(3), np.full(2, 0.5)
+    o = Observation("x", 0, fg, bg, grid2x2.cell_center(0), 1.0)
+    fg[0] = math.nan
+    bg[1] = math.inf
+    assert np.array_equal(o.fg_features, [0.0, 0.0, 0.0])
+    assert np.array_equal(o.bg_features, [0.5, 0.5])
+    for features in (o.fg_features, o.bg_features):
+        assert features.dtype == np.float64 and not features.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            features[1] = math.inf
+    assert np.isfinite(o.fg_features).all() and np.isfinite(o.bg_features).all()
+
+
+def test_loaded_observations_have_read_only_features(tmp_path, grid2x2):
+    path = tmp_path / "obs.jsonl"
+    save_observations(tiny_dataset(grid2x2).observations, path)
+    for o in load_observations(path):
+        for features in (o.fg_features, o.bg_features):
+            assert features.dtype == np.float64 and not features.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                features[0] = math.nan
+
+
 def test_dataset_split_views(grid2x2):
     ds = tiny_dataset(grid2x2)
     assert len(ds.train) == 4

@@ -144,6 +144,16 @@ def test_cross_entropy_is_the_unit_temperature_objective(batch):
     assert np.array_equal(loss, unit_loss) and np.array_equal(grad_z, unit_grad_z)
 
 
+@given(_batches(), st.booleans())
+def test_objective_leaves_its_inputs_alone(batch, with_temperature):
+    inputs = batch if with_temperature else batch[:2]
+    before = [a.tobytes() for a in inputs]
+    outputs = [out for out in pits_objective(*inputs, lam=0.1) if out is not None]
+    assert [a.tobytes() for a in inputs] == before
+    assert len(outputs) == (3 if with_temperature else 2)
+    assert not any(np.shares_memory(out, a) for out in outputs for a in inputs)
+
+
 @st.composite
 def _states(draw):
     k = draw(st.integers(1, 30))
