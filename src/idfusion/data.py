@@ -121,6 +121,8 @@ class Observation:
     """One sighting: features, capture location, capture time, identity label.
 
     The feature vectors are read-only float64 copies of what was passed in.
+    A simulated observation instead holds read-only rows of its dataset's
+    private feature matrices, which nothing else can write.
     """
 
     obs_id: str
@@ -140,6 +142,9 @@ class Observation:
         if not (np.logical_and.reduce(np.isfinite(self.fg_features))
                 and np.logical_and.reduce(np.isfinite(self.bg_features))):
             raise ValueError(f"{self.obs_id}: feature vectors must contain only finite values")
+        self._check_scalars()
+
+    def _check_scalars(self) -> None:
         if self.identity < 0:
             raise ValueError(f"{self.obs_id}: identity label must be non-negative")
         if not (self.timestamp > 0 and math.isfinite(self.timestamp)):
@@ -270,13 +275,67 @@ def validate_dataset(dataset: Dataset, require_train_coverage: bool = False) -> 
 _OBSERVATION_FIELDS = tuple(f.name for f in fields(Observation))
 
 
+def _assembled(values: Iterable) -> Observation:
+    # An observation from field values in __init__ order, set in that order to
+    # keep the shared-key dict; __post_init__ does not run.
+    obs = object.__new__(Observation)
+    for name, value in zip(_OBSERVATION_FIELDS, values):
+        object.__setattr__(obs, name, value)
+    return obs
+
+
+def _observations_from_rows(
+    obs_ids: Sequence[str],
+    identities: Sequence[int],
+    fg: np.ndarray,
+    bg: np.ndarray,
+    locations: Sequence[Location],
+    timestamps: Sequence[float],
+    splits: Sequence[str],
+) -> list[Observation]:
+    """Observations that hold row ``i`` of ``fg`` and ``bg``, which they take over.
+
+    The caller hands over matrices nothing else refers to; they are checked
+    once (two-dimensional, all finite) and made read-only, so no observation's
+    features can change. The scalars are checked per sighting, as
+    :class:`Observation` checks them.
+    """
+    for m in (fg, bg):
+        if m.ndim != 2:
+            raise ValueError("feature matrices must be two-dimensional")
+        finite = np.isfinite(m).all(axis=1)
+        if not finite.all():
+            raise ValueError(
+                f"{obs_ids[int(np.argmin(finite))]}: feature vectors must contain only finite values"
+            )
+        m.setflags(write=False)
+    rows = zip(obs_ids, identities, fg, bg, locations, timestamps, splits, strict=True)
+    observations = list(map(_assembled, rows))
+    for obs in observations:
+        obs._check_scalars()
+    return observations
+
+
 def _with_split(obs: Observation, split: str) -> Observation:
     # A validated observation with only its split changed, so __post_init__
-    # does not run again; set in __init__ order to keep the shared-key dict.
-    copy = object.__new__(Observation)
-    for name in _OBSERVATION_FIELDS:
-        object.__setattr__(copy, name, split if name == "split" else getattr(obs, name))
-    return copy
+    # does not run again.
+    return _assembled((obs.obs_id, obs.identity, obs.fg_features, obs.bg_features,
+                       obs.location, obs.timestamp, split))
+
+
+def _split_tags(timestamps: Iterable[float], cutoff: float) -> list[str]:
+    """TRAIN for each timestamp before ``cutoff``, TEST for the rest.
+
+    Raises:
+        SplitError: if either side of the cutoff is empty.
+    """
+    tags = [TRAIN if t < cutoff else TEST for t in timestamps]
+    n_train = tags.count(TRAIN)
+    if n_train == 0:
+        raise SplitError(f"no observations before cutoff {cutoff}")
+    if n_train == len(tags):
+        raise SplitError(f"no observations at or after cutoff {cutoff}")
+    return tags
 
 
 def temporal_split(
@@ -287,13 +346,9 @@ def temporal_split(
     Raises:
         SplitError: if either side of the cutoff is empty.
     """
-    tagged = [_with_split(o, TRAIN if o.timestamp < cutoff else TEST) for o in observations]
-    n_train = sum(1 for o in tagged if o.split == TRAIN)
-    if n_train == 0:
-        raise SplitError(f"no observations before cutoff {cutoff}")
-    if n_train == len(tagged):
-        raise SplitError(f"no observations at or after cutoff {cutoff}")
-    return Dataset.from_observations(tagged, grid)
+    observations = list(observations)
+    tags = _split_tags((o.timestamp for o in observations), cutoff)
+    return Dataset.from_observations(map(_with_split, observations, tags), grid)
 
 
 def target_temperature(n_k: float, n_max: float) -> float:

@@ -8,6 +8,13 @@ with noise, which controls how much the scenery gives away the location. A
 seasonal mode concentrates sightings into one shared recurring active block
 per cycle, with each identity attending a random subset of cycles, for
 populations that surface in bursts rather than year-round.
+
+An identity's substream draws its sighting times first, then per sighting,
+in time order: one uniform that decides whether the home drifts, the two
+integer steps of a drift when it does, and one standard-normal row of
+2 + feature_dim + bg_feature_dim values (location jitter, foreground noise,
+background noise). Everything else is computed a whole array at a time, and
+each observation holds one row of the dataset's two feature matrices.
 """
 
 from __future__ import annotations
@@ -17,7 +24,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import Dataset, GridSpec, Location, Observation, from_fields, temporal_split
+from .data import (
+    Dataset, GridSpec, Location, _observations_from_rows, _split_tags, from_fields,
+)
 from .errors import ConfigError, SimulationError
 
 logger = logging.getLogger(__name__)
@@ -69,6 +78,11 @@ class SimConfig:
             raise ConfigError("cutoff_quantile must lie strictly inside (0, 1)")
         if self.obs_rate <= 0 or self.duration_days <= 0:
             raise ConfigError("obs_rate and duration_days must be positive")
+        if round(self.obs_rate * self.n_identities) < self.n_identities:
+            raise ConfigError(
+                f"obs_rate {self.obs_rate} gives {round(self.obs_rate * self.n_identities)}"
+                f" sightings for {self.n_identities} identities; every identity needs one"
+            )
         if self.seasonal_bursts < 0:
             raise ConfigError("seasonal_bursts must be non-negative")
         if not 0 < self.season_duty <= 1:
@@ -131,11 +145,19 @@ def _season_times(
     return np.maximum(cycles * cycle + offset + starts * active, 1e-6)
 
 
+def _clamp(v: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    # min(max(v, lo), hi) element by element, signed zeros included: each
+    # bound replaces v only where it is strictly beyond it.
+    v = np.where(lo > v, lo, v)
+    return np.where(hi < v, hi, v)
+
+
 def _identity_stream(
-    config: SimConfig, k: int, count: int, attempt: int,
-    fg_prototype: np.ndarray, home_cell: int, phase: float,
-) -> list[tuple[float, int, np.ndarray, np.ndarray, Location]]:
-    """Sightings for one identity: (time, cell, fg noise-free-of-bg, bg noise, location).
+    config: SimConfig, k: int, count: int, attempt: int, home_cell: int, phase: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Sightings for one identity: sorted times, x, y and a (count, d + d_bg)
+    matrix whose row i holds sighting i's foreground then background
+    standard-normal draws.
 
     The substream key includes the retry attempt so a redraw is a fresh,
     reproducible stream rather than a continuation.
@@ -149,26 +171,35 @@ def _identity_stream(
         times = rng.uniform(1e-6, config.duration_days, size=count)
     times = np.sort(times)
 
-    hrow, hcol = divmod(home_cell, grid.n_cells_x)
-    center = grid.cell_center(home_cell)
-    sightings = []
-    for t in times:
+    nx = grid.n_cells_x
+    hrow, hcol = divmod(home_cell, nx)
+    homes = []
+    z = np.empty((count, 2 + config.feature_dim + config.bg_feature_dim))
+    for row in z:
         if rng.uniform() < config.migration_prob:
             # The home itself drifts one cell and stays there, so later
             # sightings follow the animal rather than snapping back.
             hrow = min(max(hrow + rng.integers(-1, 2), 0), grid.n_cells_y - 1)
-            hcol = min(max(hcol + rng.integers(-1, 2), 0), grid.n_cells_x - 1)
-            center = grid.cell_center(hrow * grid.n_cells_x + hcol)
-        jitter = rng.normal(0.0, config.home_range_cells * grid.cell_size_km, size=2)
-        x = min(max(center.x + jitter[0], grid.origin.x),
-                grid.origin.x + grid.cell_size_km * grid.n_cells_x)
-        y = min(max(center.y + jitter[1], grid.origin.y),
-                grid.origin.y + grid.cell_size_km * grid.n_cells_y)
-        loc = Location(x, y)
-        fg = fg_prototype + rng.normal(0.0, config.fg_noise, size=config.feature_dim)
-        bg_noise = rng.normal(0.0, 1.0, size=config.bg_feature_dim)
-        sightings.append((float(t), grid.cell_index(loc), fg, bg_noise, loc))
-    return sightings
+            hcol = min(max(hcol + rng.integers(-1, 2), 0), nx - 1)
+        homes.append(hrow * nx + hcol)
+        rng.standard_normal(out=row)
+
+    # normal(0, scale) draws 0.0 + scale * z; adding 0.0 last keeps its zero sign.
+    jitter = z[:, :2] * (config.home_range_cells * grid.cell_size_km) + 0.0
+    rows, cols = np.divmod(np.array(homes, dtype=np.intp), nx)
+    x = _clamp(grid.origin.x + (cols + 0.5) * grid.cell_size_km + jitter[:, 0],
+               grid.origin.x, grid.origin.x + grid.cell_size_km * nx)
+    y = _clamp(grid.origin.y + (rows + 0.5) * grid.cell_size_km + jitter[:, 1],
+               grid.origin.y, grid.origin.y + grid.cell_size_km * grid.n_cells_y)
+    return times, x, y, z[:, 2:]
+
+
+def _cell_indices(grid: GridSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """:meth:`GridSpec.cell_index` of every (x, y); numpy's float floor
+    division rounds as Python's does."""
+    col = np.clip(((x - grid.origin.x) // grid.cell_size_km).astype(np.intp), 0, grid.n_cells_x - 1)
+    row = np.clip(((y - grid.origin.y) // grid.cell_size_km).astype(np.intp), 0, grid.n_cells_y - 1)
+    return row * grid.n_cells_x + col
 
 
 def generate(config: SimConfig) -> Dataset:
@@ -185,58 +216,69 @@ def generate(config: SimConfig) -> Dataset:
     """
     global_rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0,)))
     grid = config.grid
+    n_ids, d = config.n_identities, config.feature_dim
 
     counts = _sample_counts(global_rng, config)
-    fg_prototypes = global_rng.normal(0.0, 1.0, size=(config.n_identities, config.feature_dim))
+    fg_prototypes = global_rng.normal(0.0, 1.0, size=(n_ids, d))
     cell_signatures = global_rng.normal(0.0, 1.0, size=(grid.n_cells, config.bg_feature_dim))
-    home_cells = global_rng.integers(0, grid.n_cells, size=config.n_identities)
+    home_cells = global_rng.integers(0, grid.n_cells, size=n_ids)
     season_phase = float(global_rng.uniform())
 
-    streams = [
-        _identity_stream(config, k, int(counts[k]), 0, fg_prototypes[k],
-                         int(home_cells[k]), season_phase)
-        for k in range(config.n_identities)
-    ]
+    def stream(k: int, attempt: int) -> tuple[np.ndarray, ...]:
+        return _identity_stream(config, k, int(counts[k]), attempt, int(home_cells[k]), season_phase)
 
-    all_times = np.array([t for stream in streams for (t, *_rest) in stream])
-    cutoff = float(np.quantile(all_times, config.cutoff_quantile))
+    streams = [stream(k, 0) for k in range(n_ids)]
+    cutoff = float(np.quantile(np.concatenate([s[0] for s in streams]), config.cutoff_quantile))
 
-    for k in range(config.n_identities):
+    for k in range(n_ids):
         for attempt in range(1, COVERAGE_RETRIES + 1):
-            if any(t < cutoff for (t, *_rest) in streams[k]):
+            # Times are sorted and every stream holds at least one sighting.
+            if streams[k][0][0] < cutoff:
                 break
-            streams[k] = _identity_stream(
-                config, k, int(counts[k]), attempt, fg_prototypes[k],
-                int(home_cells[k]), season_phase,
-            )
+            streams[k] = stream(k, attempt)
         else:
             raise SimulationError(
                 f"identity {k} drew no sighting before the cutoff in {COVERAGE_RETRIES}"
                 " redraws; raise obs_rate or lower cutoff_quantile"
             )
 
-    raw = [
-        (t, k, cell, fg, bg_noise, loc)
-        for k, stream in enumerate(streams)
-        for (t, cell, fg, bg_noise, loc) in stream
-    ]
-    raw.sort(key=lambda r: (r[0], r[1]))
+    # Sightings in (time, identity) order, ties in stream order: a stable sort
+    # of the times as the streams list them, identity by identity.
+    times, x, y = (np.concatenate(parts) for parts in zip(*(s[:3] for s in streams)))
+    owners = np.repeat(np.arange(n_ids), counts)
+    order = np.argsort(times, kind="stable")
+    slots = np.empty_like(order)
+    slots[order] = np.arange(len(order))
 
-    observations = []
-    for i, (t, k, cell, fg, bg_noise, loc) in enumerate(raw):
-        bg = config.bg_cell_signal * cell_signatures[cell] + (1.0 - config.bg_cell_signal) * bg_noise
-        observations.append(
-            Observation(
-                obs_id=f"o{i:06d}",
-                identity=k,
-                fg_features=fg,
-                bg_features=bg,
-                location=loc,
-                timestamp=t,
-            )
-        )
+    # Each identity's draws go straight to their sorted rows and are freed.
+    fg = np.empty((len(order), d))
+    bg = np.empty((len(order), config.bg_feature_dim))
+    start = 0
+    for k in range(n_ids):
+        noise = streams[k][3]
+        streams[k] = None
+        rows = slots[start:start + len(noise)]
+        start += len(noise)
+        # prototype + normal(0.0, fg_noise) and normal(0.0, 1.0), drawn as the jitter is.
+        fg[rows] = noise[:, :d] * config.fg_noise + 0.0 + fg_prototypes[k]
+        bg[rows] = noise[:, d:] + 0.0
+    del noise
 
-    dataset = temporal_split(observations, cutoff, grid)
+    x, y = x[order], y[order]
+    bg *= 1.0 - config.bg_cell_signal
+    bg += (config.bg_cell_signal * cell_signatures)[_cell_indices(grid, x, y)]
+
+    timestamps = times[order].tolist()
+    observations = _observations_from_rows(
+        [f"o{i:06d}" for i in range(len(order))],
+        owners[order].tolist(),
+        fg,
+        bg,
+        list(map(Location, x.tolist(), y.tolist())),
+        timestamps,
+        _split_tags(timestamps, cutoff),
+    )
+    dataset = Dataset.from_observations(observations, grid)
     if dataset.test_only_identities:
         raise SimulationError(
             f"identities {sorted(dataset.test_only_identities)} missing from train after redraws"

@@ -4,9 +4,13 @@
 # no shared code with the package, no numpy vectorization, no numerical
 # stabilization tricks beyond what the formulas themselves require. If the
 # package and these disagree, the package is wrong until proven otherwise.
+# The one exception is the reference simulator at the end, which must draw
+# from numpy's generator because the bytes it pins come from that stream.
 
 import cmath
 import math
+
+import numpy as np
 
 
 def softmax_t(z, t):
@@ -153,3 +157,91 @@ def brute_force_sequential(
         posteriors.append(post)
         predictions.append(best)
     return posteriors, predictions
+
+
+# ---------------------------------------------------------------------------
+# Reference simulator: the per-sighting loop `simulate.generate` ran before it
+# drew and built whole arrays at a time. Each sighting draws its jitter, its
+# foreground noise and its background noise through three `normal` calls and
+# becomes one `Observation` through the public constructor. Only the draws
+# shared by every version (counts, prototypes, signatures, homes, season
+# times) come from the package.
+# ---------------------------------------------------------------------------
+
+
+def _reference_stream(config, k, count, attempt, fg_prototype, home_cell, phase):
+    from idfusion.data import Location
+    from idfusion.simulate import _season_times
+
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(1, k, attempt)))
+    grid = config.grid
+    if config.seasonal_bursts > 0:
+        times = _season_times(rng, count, config, phase)
+    else:
+        times = rng.uniform(1e-6, config.duration_days, size=count)
+    times = np.sort(times)
+
+    hrow, hcol = divmod(home_cell, grid.n_cells_x)
+    center = grid.cell_center(home_cell)
+    sightings = []
+    for t in times:
+        if rng.uniform() < config.migration_prob:
+            hrow = min(max(hrow + rng.integers(-1, 2), 0), grid.n_cells_y - 1)
+            hcol = min(max(hcol + rng.integers(-1, 2), 0), grid.n_cells_x - 1)
+            center = grid.cell_center(hrow * grid.n_cells_x + hcol)
+        jitter = rng.normal(0.0, config.home_range_cells * grid.cell_size_km, size=2)
+        x = min(max(center.x + jitter[0], grid.origin.x),
+                grid.origin.x + grid.cell_size_km * grid.n_cells_x)
+        y = min(max(center.y + jitter[1], grid.origin.y),
+                grid.origin.y + grid.cell_size_km * grid.n_cells_y)
+        loc = Location(x, y)
+        fg = fg_prototype + rng.normal(0.0, config.fg_noise, size=config.feature_dim)
+        bg_noise = rng.normal(0.0, 1.0, size=config.bg_feature_dim)
+        sightings.append((float(t), grid.cell_index(loc), fg, bg_noise, loc))
+    return sightings
+
+
+def reference_generate(config):
+    """The dataset `simulate.generate(config)` must equal, field for field and
+    feature byte for feature byte."""
+    from idfusion.data import TEST, TRAIN, Dataset, Observation
+    from idfusion.errors import SimulationError, SplitError
+    from idfusion.simulate import COVERAGE_RETRIES, _sample_counts
+
+    global_rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0,)))
+    grid = config.grid
+    counts = _sample_counts(global_rng, config)
+    fg_prototypes = global_rng.normal(0.0, 1.0, size=(config.n_identities, config.feature_dim))
+    cell_signatures = global_rng.normal(0.0, 1.0, size=(grid.n_cells, config.bg_feature_dim))
+    home_cells = global_rng.integers(0, grid.n_cells, size=config.n_identities)
+    season_phase = float(global_rng.uniform())
+
+    def stream(k, attempt):
+        return _reference_stream(config, k, int(counts[k]), attempt, fg_prototypes[k],
+                                 int(home_cells[k]), season_phase)
+
+    streams = [stream(k, 0) for k in range(config.n_identities)]
+    cutoff = float(np.quantile([s[0] for st in streams for s in st], config.cutoff_quantile))
+    for k in range(config.n_identities):
+        for attempt in range(1, COVERAGE_RETRIES + 1):
+            if any(s[0] < cutoff for s in streams[k]):
+                break
+            streams[k] = stream(k, attempt)
+        else:
+            raise SimulationError(f"identity {k} drew no sighting before the cutoff")
+
+    raw = [(t, k, cell, fg, bg_noise, loc)
+           for k, st in enumerate(streams) for (t, cell, fg, bg_noise, loc) in st]
+    raw.sort(key=lambda r: (r[0], r[1]))
+    observations = []
+    for i, (t, k, cell, fg, bg_noise, loc) in enumerate(raw):
+        bg = config.bg_cell_signal * cell_signatures[cell] + (1.0 - config.bg_cell_signal) * bg_noise
+        observations.append(Observation(
+            obs_id=f"o{i:06d}", identity=k, fg_features=fg, bg_features=bg,
+            location=loc, timestamp=t, split=TRAIN if t < cutoff else TEST,
+        ))
+    if all(o.split == TEST for o in observations):
+        raise SplitError(f"no observations before cutoff {cutoff}")
+    if all(o.split == TRAIN for o in observations):
+        raise SplitError(f"no observations at or after cutoff {cutoff}")
+    return Dataset.from_observations(observations, grid)

@@ -243,6 +243,12 @@ def test_error_paths_exit_one(tmp_path, config_path, capsys):
         err = error_line(argv + ["--config", str(cfg)])
         assert all(w in err for w in words), err
 
+    # Too few sightings for the identities is a config error, not a failed redraw.
+    cfg = tmp_path / "sparse.json"
+    cfg.write_text(json.dumps({"sim": {"n_identities": 5, "obs_rate": 0.9}}), encoding="utf-8")
+    err = error_line(["simulate", "--config", str(cfg), "--out", str(tmp_path / "d3")])
+    assert "sim:" in err and "every identity needs one" in err, err
+
     # A predictions line that is not an object names the file and the line.
     preds = tmp_path / "preds"
     assert main(["infer", "--data", data, "--model", model, "--out", str(preds)]) == 0

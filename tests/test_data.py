@@ -14,6 +14,7 @@ from idfusion.data import (
     IdentityCatalog,
     Location,
     Observation,
+    _observations_from_rows,
     build_catalog,
     load_dataset,
     load_observations,
@@ -105,6 +106,41 @@ def test_loaded_observations_have_read_only_features(tmp_path, grid2x2):
             assert features.dtype == np.float64 and not features.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 features[0] = math.nan
+
+
+def _rows_args(grid, **changes):
+    args = dict(
+        obs_ids=["a", "b"], identities=[0, 1], fg=np.zeros((2, 3)), bg=np.full((2, 2), 0.5),
+        locations=[grid.cell_center(0)] * 2, timestamps=[1.0, 2.0], splits=[TRAIN, TEST],
+    )
+    return {**args, **changes}
+
+
+def test_observations_from_rows_hold_read_only_rows(grid2x2):
+    args = _rows_args(grid2x2)
+    a, b = _observations_from_rows(**args)
+    assert a == make_obs("a", 0, 1.0, grid2x2.cell_center(0), fg=np.zeros(3), split=TRAIN,
+                         bg=np.full(2, 0.5))
+    assert b.identity == 1 and b.split == TEST
+    for m in (args["fg"], args["bg"]):
+        assert not m.flags.writeable
+    for features in (a.fg_features, b.bg_features):
+        assert features.base is not None and not features.flags.writeable
+        with pytest.raises(ValueError):
+            features.setflags(write=True)
+
+
+@pytest.mark.parametrize("changes, words", [
+    (dict(fg=np.zeros(3)), "two-dimensional"),
+    (dict(bg=np.array([[0.5, 0.5], [0.5, math.inf]])), "b: feature vectors must contain only finite"),
+    (dict(fg=np.array([[math.nan, 0.0, 0.0], [0.0, 0.0, 0.0]])), "a: feature vectors"),
+    (dict(identities=[0, -1]), "b: identity label must be non-negative"),
+    (dict(timestamps=[1.0, 0.0]), "b: timestamp must be strictly positive"),
+    (dict(splits=[TRAIN, "dev"]), "b: split must be"),
+])
+def test_observations_from_rows_checks_like_the_constructor(grid2x2, changes, words):
+    with pytest.raises(ValueError, match=words):
+        _observations_from_rows(**_rows_args(grid2x2, **changes))
 
 
 def test_dataset_split_views(grid2x2):

@@ -62,10 +62,11 @@ from idfusion.priors import (
     time_decay_prior,
     uniform_prior,
 )
-from idfusion.simulate import SimConfig
+from idfusion.errors import SplitError
+from idfusion.simulate import SimConfig, generate
 
 from conftest import make_obs
-from oracles import numeric_pits_grad, top_entries
+from oracles import numeric_pits_grad, reference_generate, top_entries
 
 settings.register_profile("properties", deadline=None, derandomize=True, database=None)
 settings.load_profile("properties")
@@ -412,7 +413,8 @@ sim_configs = st.builds(
     migration_prob=unit,
     fg_noise=non_negative,
     bg_cell_signal=unit,
-    obs_rate=positive,
+    # At least one sighting per identity: round(obs_rate * n_identities) >= n_identities.
+    obs_rate=st.floats(1.0, 1e300),
     duration_days=positive,
     cutoff_quantile=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
     seasonal_bursts=st.integers(0, 100),
@@ -602,3 +604,70 @@ def test_report_rewrites_byte_identically(report):
         save_report(again, second / "report.json")
 
     _rewrite_is_stable(lambda d: save_report(report, d / "report.json"), rewrite)
+
+
+@st.composite
+def _small_sim_configs(draw):
+    seasonal = draw(st.booleans())
+    return SimConfig(
+        n_identities=draw(st.integers(2, 12)),
+        feature_dim=draw(st.integers(1, 8)),
+        bg_feature_dim=draw(st.integers(1, 8)),
+        grid=GridSpec(
+            origin=Location(draw(st.sampled_from((0.0, -0.0, -7.5, 3.25))),
+                            draw(st.sampled_from((0.0, -0.0, -2.0, 11.5)))),
+            cell_size_km=draw(st.sampled_from((0.7, 1.0, 5.0))),
+            n_cells_x=draw(st.integers(1, 4)),
+            n_cells_y=draw(st.integers(1, 4)),
+        ),
+        longtail_exponent=draw(st.sampled_from((0.0, 1.0, 2.0))),
+        home_range_cells=draw(st.sampled_from((0.0, 0.35, 2.0))),
+        migration_prob=draw(st.sampled_from((0.0, 0.3, 1.0))),
+        fg_noise=draw(st.sampled_from((0.0, 1.0, 2.8))),
+        bg_cell_signal=draw(st.sampled_from((0.0, 0.5, 1.0))),
+        obs_rate=draw(st.floats(1.0, 12.0)),
+        duration_days=draw(st.sampled_from((30.0, 365.0))),
+        cutoff_quantile=draw(st.sampled_from((0.3, 0.7, 0.93))),
+        seasonal_bursts=draw(st.integers(1, 4)) if seasonal else 0,
+        season_duty=draw(st.sampled_from((0.3, 1.0))),
+        season_attendance=draw(st.sampled_from((0.45, 1.0))),
+        seed=draw(seeds),
+    )
+
+
+def _observation_fields(o):
+    # Feature bytes and float hex so that signed zeros count; the type of the
+    # scalars may differ (the loop kept numpy scalars in some locations).
+    return (
+        o.obs_id, o.identity, o.split, float(o.timestamp).hex(),
+        float(o.location.x).hex(), float(o.location.y).hex(),
+        o.fg_features.dtype, o.fg_features.shape, o.fg_features.tobytes(),
+        o.bg_features.dtype, o.bg_features.shape, o.bg_features.tobytes(),
+    )
+
+
+@settings(max_examples=60)
+@given(_small_sim_configs())
+# Times clamped to 1e-6 tie within and across identities 0 and 1.
+@example(SimConfig(
+    n_identities=6, feature_dim=2, bg_feature_dim=2, grid=GridSpec(Location(0.0, 0.0), 1.0, 2, 2),
+    obs_rate=8.0, duration_days=1e-5, seasonal_bursts=1, season_duty=1.0, seed=0,
+))
+def test_generate_matches_the_per_sighting_reference(config):
+    try:
+        expected = reference_generate(config)
+    except SplitError:
+        with pytest.raises(SplitError):
+            generate(config)
+        return
+    dataset = generate(config)
+    assert (dataset.grid, dataset.n_identities, dataset.feature_dims) == (
+        expected.grid, expected.n_identities, expected.feature_dims)
+    assert list(map(_observation_fields, dataset.observations)) == list(
+        map(_observation_fields, expected.observations))
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, ds in (("change", dataset), ("reference", expected)):
+            save_dataset(ds, Path(tmp) / name)
+        for name in ("observations.jsonl", "dataset.json"):
+            assert (Path(tmp) / "change" / name).read_bytes() == (
+                Path(tmp) / "reference" / name).read_bytes()
