@@ -36,13 +36,8 @@ from .data import (
     Observation,
     build_catalog,
     load_dataset,
-    load_observations,
     save_dataset,
-    save_observations,
     target_temperature,
-    temporal_split,
-    train_location_pairs,
-    validate_dataset,
 )
 from .errors import (
     ConfigError,
@@ -66,13 +61,9 @@ from .fusion import Prediction, fuse, read_predictions, sequential_infer, write_
 from .priors import (
     PriorConfig,
     PriorState,
-    home_location_prior,
     init_state,
-    migrating_location_prior,
     prior_vector,
     resolve_location,
-    time_decay_prior,
-    uniform_prior,
     update_last_seen,
     update_location,
 )
@@ -109,16 +100,13 @@ __all__ = [
     "fit_global_temperature",
     "fuse",
     "generate",
-    "home_location_prior",
     "infer",
     "init_state",
     "load_background_model",
     "load_dataset",
     "load_model",
-    "load_observations",
     "load_report",
     "lynx_like",
-    "migrating_location_prior",
     "overall_accuracy",
     "per_instance_softmax",
     "pits_objective",
@@ -130,21 +118,15 @@ __all__ = [
     "save_background_model",
     "save_dataset",
     "save_model",
-    "save_observations",
     "save_report",
     "score_predictions",
     "sequential_infer",
     "target_temperature",
     "tempered_softmax",
-    "temporal_split",
-    "time_decay_prior",
     "train",
     "train_background_model",
-    "train_location_pairs",
     "turtle_like",
-    "uniform_prior",
     "update_last_seen",
     "update_location",
-    "validate_dataset",
     "write_predictions",
 ]

@@ -40,9 +40,6 @@ class Location:
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError(f"location coordinates must be finite, got ({self.x}, {self.y})")
 
-    def distance_to(self, other: "Location") -> float:
-        return math.hypot(self.x - other.x, self.y - other.y)
-
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -202,40 +199,18 @@ class Dataset:
 
     @cached_property
     def new_location_ids(self) -> frozenset[str]:
-        """obs_ids of the test sightings whose (identity, cell) pair never occurs in training."""
-        return new_location_subset(self.test, train_location_pairs(self), self)
+        """obs_ids of the test sightings whose (identity, cell) pair never occurs in training.
 
-    @property
-    def test_only_identities(self) -> frozenset[int]:
-        """Identities never seen in training; they can never be predicted correctly."""
-        seen_in_train = {o.identity for o in self.observations if o.split == TRAIN}
-        return frozenset(o.identity for o in self.observations if o.identity not in seen_in_train)
-
-
-def train_location_pairs(dataset: Dataset) -> frozenset[tuple[int, int]]:
-    """(identity, cell) pairs observed during training."""
-    return frozenset(
-        (o.identity, dataset.grid.cell_index(o.location)) for o in dataset.train
-    )
+        Membership depends only on the data, never on any prediction.
+        """
+        cell = self.grid.cell_index
+        train_pairs = frozenset((o.identity, cell(o.location)) for o in self.train)
+        return frozenset(
+            o.obs_id for o in self.test if (o.identity, cell(o.location)) not in train_pairs
+        )
 
 
-def new_location_subset(
-    observations: Sequence[Observation],
-    train_pairs: frozenset[tuple[int, int]],
-    dataset: Dataset,
-) -> frozenset[str]:
-    """obs_ids of observations whose (identity, cell) pair is new.
-
-    Membership depends only on the data, never on any prediction.
-    """
-    return frozenset(
-        o.obs_id
-        for o in observations
-        if (o.identity, dataset.grid.cell_index(o.location)) not in train_pairs
-    )
-
-
-def validate_dataset(dataset: Dataset, require_train_coverage: bool = False) -> Dataset:
+def validate_dataset(dataset: Dataset) -> Dataset:
     """Check dataset invariants, returning the dataset unchanged if they hold.
 
     Raises:
@@ -265,10 +240,6 @@ def validate_dataset(dataset: Dataset, require_train_coverage: bool = False) -> 
     if labels_seen != set(range(dataset.n_identities)):
         missing = sorted(set(range(dataset.n_identities)) - labels_seen)
         raise SchemaError(f"identity labels are not contiguous; missing {missing}")
-    if require_train_coverage:
-        orphans = dataset.test_only_identities
-        if orphans:
-            raise SchemaError(f"identities with no training sightings: {sorted(orphans)}")
     return dataset
 
 
@@ -316,13 +287,6 @@ def _observations_from_rows(
     return observations
 
 
-def _with_split(obs: Observation, split: str) -> Observation:
-    # A validated observation with only its split changed, so __post_init__
-    # does not run again.
-    return _assembled((obs.obs_id, obs.identity, obs.fg_features, obs.bg_features,
-                       obs.location, obs.timestamp, split))
-
-
 def _split_tags(timestamps: Iterable[float], cutoff: float) -> list[str]:
     """TRAIN for each timestamp before ``cutoff``, TEST for the rest.
 
@@ -336,19 +300,6 @@ def _split_tags(timestamps: Iterable[float], cutoff: float) -> list[str]:
     if n_train == len(tags):
         raise SplitError(f"no observations at or after cutoff {cutoff}")
     return tags
-
-
-def temporal_split(
-    observations: Iterable[Observation], cutoff: float, grid: GridSpec
-) -> Dataset:
-    """Tag observations before ``cutoff`` as train and the rest as test.
-
-    Raises:
-        SplitError: if either side of the cutoff is empty.
-    """
-    observations = list(observations)
-    tags = _split_tags((o.timestamp for o in observations), cutoff)
-    return Dataset.from_observations(map(_with_split, observations, tags), grid)
 
 
 def target_temperature(n_k: float, n_max: float) -> float:
@@ -376,10 +327,6 @@ class IdentityCatalog:
     @property
     def identities(self) -> tuple[int, ...]:
         return tuple(sorted(self.counts))
-
-    @property
-    def n_max(self) -> int:
-        return max(self.counts.values())
 
 
 def build_catalog(dataset: Dataset) -> IdentityCatalog:
@@ -519,51 +466,32 @@ def _observation_from(rec: dict, lineno: int) -> Observation:
         raise ParseError(f"line {lineno}: {exc}") from exc
 
 
-def save_observations(observations: Iterable[Observation], path: str | Path) -> None:
-    """Write observations as one JSON object per line."""
-    write_jsonl(path, map(_record_from, observations))
-
-
-def load_observations(path: str | Path) -> list[Observation]:
-    """Read a JSONL observation file.
-
-    Raises:
-        ParseError: on a malformed record, naming the line number.
-        SchemaError: when records disagree on feature dimensions.
-    """
-    observations: list[Observation] = []
-    dims: tuple[int, int] | None = None
-    for lineno, rec in read_jsonl(path):
-        obs = _observation_from(rec, lineno)
-        rec_dims = (obs.fg_features.shape[0], obs.bg_features.shape[0])
-        if dims is None:
-            dims = rec_dims
-        elif rec_dims != dims:
-            raise SchemaError(
-                f"line {lineno}: feature dims {rec_dims} differ from first record {dims}"
-            )
-        observations.append(obs)
-    return observations
-
-
 def save_dataset(dataset: Dataset, directory: str | Path, extra_meta: Mapping | None = None) -> None:
-    """Write ``observations.jsonl`` plus the ``dataset.json`` sidecar."""
+    """Write ``observations.jsonl``, one JSON object per sighting, plus the
+    ``dataset.json`` sidecar."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    save_observations(dataset.observations, directory / OBSERVATIONS_FILENAME)
+    write_jsonl(directory / OBSERVATIONS_FILENAME, map(_record_from, dataset.observations))
     meta = {**dataset.grid.to_dict(), "n_identities": dataset.n_identities, **(extra_meta or {})}
     write_json(directory / SIDECAR_FILENAME, meta)
 
 
 def load_dataset(directory: str | Path) -> Dataset:
-    """Load a dataset directory written by :func:`save_dataset`."""
+    """Load a dataset directory written by :func:`save_dataset`.
+
+    Raises:
+        ParseError: on a malformed observation record, naming the line number.
+        SchemaError: on a missing or malformed sidecar, or observations that
+            break a dataset invariant (feature dims that differ included).
+    """
     directory = Path(directory)
     sidecar = directory / SIDECAR_FILENAME
     if not sidecar.is_file():
         raise SchemaError(f"missing sidecar file {sidecar}")
     meta = read_json(sidecar)
     grid = GridSpec.from_dict(meta, str(sidecar))
-    dataset = Dataset.from_observations(load_observations(directory / OBSERVATIONS_FILENAME), grid)
+    records = read_jsonl(directory / OBSERVATIONS_FILENAME)
+    dataset = Dataset.from_observations((_observation_from(rec, n) for n, rec in records), grid)
     if dataset.n_identities != meta.get("n_identities"):
         raise SchemaError(
             f"{sidecar}: declares {meta.get('n_identities')!r} identities but observations"

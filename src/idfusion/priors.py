@@ -200,23 +200,6 @@ def _xy(loc: Location) -> np.ndarray:
     return np.array([loc.x, loc.y])
 
 
-def uniform_prior(state: PriorState) -> np.ndarray:
-    k = len(state.labels)
-    return np.full(k, 1.0 / k)
-
-
-def home_location_prior(state: PriorState, loc: Location) -> np.ndarray:
-    return _distance_decay(state.home_xy, _xy(loc), state.config)
-
-
-def migrating_location_prior(state: PriorState, loc: Location) -> np.ndarray:
-    return _distance_decay(state.last_loc_xy, _xy(loc), state.config)
-
-
-def time_decay_prior(state: PriorState, timestamp: float) -> np.ndarray:
-    return _time_decay(state.last_seen, timestamp, state.config)
-
-
 def update_location(state: PriorState, label: int, loc: Location) -> None:
     state.last_loc_xy[state.index_of(label)] = (loc.x, loc.y)
 

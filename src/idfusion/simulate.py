@@ -278,12 +278,7 @@ def generate(config: SimConfig) -> Dataset:
         timestamps,
         _split_tags(timestamps, cutoff),
     )
-    dataset = Dataset.from_observations(observations, grid)
-    if dataset.test_only_identities:
-        raise SimulationError(
-            f"identities {sorted(dataset.test_only_identities)} missing from train after redraws"
-        )
-    return dataset
+    return Dataset.from_observations(observations, grid)
 
 
 # ---------------------------------------------------------------------------

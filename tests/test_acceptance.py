@@ -35,7 +35,7 @@ from idfusion.priors import (
     UNIFORM,
     PriorConfig,
     PriorState,
-    home_location_prior,
+    prior_rows,
     prior_vector,
 )
 from idfusion.simulate import generate, lynx_like, turtle_like
@@ -271,7 +271,7 @@ def test_05_priors_normalize_and_match_hand_values(capsys):
         last_seen=np.zeros(2),
         config=PriorConfig(kind=HOME_LOCATION, alpha=2.5, cell_size_km=5.0),
     )
-    p = home_location_prior(state, Location(0.0, 0.0))
+    p = prior_rows(state, np.array([0.0, 0.0]), 0.0)
     assert p[0] == pytest.approx(0.9241, abs=1e-4)
     assert p[1] == pytest.approx(0.0759, abs=1e-4)
     _announce(

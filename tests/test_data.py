@@ -1,7 +1,5 @@
 import json
 import math
-import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,13 +13,11 @@ from idfusion.data import (
     Location,
     Observation,
     _observations_from_rows,
+    _split_tags,
     build_catalog,
     load_dataset,
-    load_observations,
     save_dataset,
-    save_observations,
     target_temperature,
-    temporal_split,
     validate_dataset,
 )
 from idfusion.errors import ParseError, SchemaError, SplitError
@@ -34,10 +30,6 @@ def test_location_rejects_non_finite():
         Location(float("nan"), 0.0)
     with pytest.raises(ValueError):
         Location(0.0, float("inf"))
-
-
-def test_location_distance_is_euclidean():
-    assert Location(0.0, 0.0).distance_to(Location(3.0, 4.0)) == pytest.approx(5.0)
 
 
 def test_grid_cell_index_row_major(grid2x2):
@@ -99,9 +91,8 @@ def test_observation_owns_read_only_copies_of_its_features(grid2x2):
 
 
 def test_loaded_observations_have_read_only_features(tmp_path, grid2x2):
-    path = tmp_path / "obs.jsonl"
-    save_observations(tiny_dataset(grid2x2).observations, path)
-    for o in load_observations(path):
+    save_dataset(tiny_dataset(grid2x2), tmp_path / "d")
+    for o in load_dataset(tmp_path / "d").observations:
         for features in (o.fg_features, o.bg_features):
             assert features.dtype == np.float64 and not features.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
@@ -152,7 +143,9 @@ def test_dataset_split_views(grid2x2):
 
 
 def test_validate_passes_on_well_formed(grid2x2):
-    validate_dataset(tiny_dataset(grid2x2), require_train_coverage=True)
+    ds = tiny_dataset(grid2x2)
+    assert validate_dataset(ds) is ds
+    assert {o.identity for o in ds.train} == set(range(ds.n_identities))
 
 
 def test_construction_rejects_out_of_grid(grid2x2):
@@ -189,56 +182,25 @@ def test_construction_rejects_missing_split(grid2x2):
         Dataset.from_observations(obs, grid2x2)
 
 
-def test_train_coverage_check_is_opt_in(grid2x2):
+def test_construction_keeps_test_only_identities(grid2x2):
     obs = [
         make_obs("a", 0, 1.0, grid2x2.cell_center(0), split="train"),
         make_obs("b", 1, 2.0, grid2x2.cell_center(1), split="test"),
     ]
     ds = Dataset.from_observations(obs, grid2x2)
-    assert ds.test_only_identities == frozenset({1})
-    with pytest.raises(SchemaError):
-        validate_dataset(ds, require_train_coverage=True)
+    assert ds.n_identities == 2
+    assert {o.identity for o in ds.train} == {0}
 
 
-def test_temporal_split_is_strict_before_cutoff(grid2x2):
-    raw = [make_obs(f"o{i}", 0, float(i), grid2x2.cell_center(0)) for i in (1, 2, 3, 4)]
-    ds = temporal_split(raw, 3.0, grid2x2)
-    assert [o.obs_id for o in ds.train] == ["o1", "o2"]
-    assert [o.obs_id for o in ds.test] == ["o3", "o4"]
+def test_temporal_split_is_strict_before_cutoff():
+    assert _split_tags([1.0, 2.0, 3.0, 4.0], 3.0) == [TRAIN, TRAIN, TEST, TEST]
 
 
-def _traced_bytes(build):
-    # Bytes tracemalloc still counts as allocated while build()'s result is alive.
-    tracemalloc.start()
-    try:
-        kept = build()
-        return tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-
-
-def test_temporal_split_tags_copies_without_revalidating(grid2x2, monkeypatch):
-    raw = [make_obs(f"o{i}", i % 2, float(i), grid2x2.cell_center(i % 4)) for i in range(1, 65)]
-    replaced = lambda: [replace(o, split=TRAIN if o.timestamp < 30.0 else TEST) for o in raw]
-    # Fields set in __init__ order keep the compact instance layout a constructed
-    # Observation has; copying through __dict__ would also materialize each input's
-    # dict, over 100 more bytes per observation.
-    split_bytes = _traced_bytes(lambda: temporal_split(raw, 30.0, grid2x2))
-    assert split_bytes <= 1.05 * _traced_bytes(lambda: Dataset.from_observations(replaced(), grid2x2))
-    expected = replaced()
-    # The inputs are already validated, so splitting must not validate them again.
-    monkeypatch.setattr(Observation, "__post_init__", lambda self: pytest.fail("re-validated"))
-    ds = temporal_split(raw, 30.0, grid2x2)
-    assert all(o.split is None for o in raw)
-    assert list(ds.observations) == expected
-
-
-def test_temporal_split_rejects_empty_side(grid2x2):
-    raw = [make_obs("o1", 0, 1.0, grid2x2.cell_center(0))]
-    with pytest.raises(SplitError):
-        temporal_split(raw, 0.5, grid2x2)
-    with pytest.raises(SplitError):
-        temporal_split(raw, 5.0, grid2x2)
+def test_temporal_split_rejects_empty_side():
+    with pytest.raises(SplitError, match="no observations before cutoff 0.5"):
+        _split_tags([1.0], 0.5)
+    with pytest.raises(SplitError, match="no observations at or after cutoff 5.0"):
+        _split_tags([1.0], 5.0)
 
 
 def test_target_temperature_most_frequent_is_one():
@@ -260,7 +222,6 @@ def test_catalog_counts_and_clock(grid2x2):
     cat = build_catalog(tiny_dataset(grid2x2))
     assert cat.counts == {0: 2, 1: 2}
     assert cat.last_train_time == {0: 2.0, 1: 4.0}
-    assert cat.n_max == 2
     assert cat.target_temperatures[0] == 1.0
     assert cat.target_temperatures[1] == 1.0
 
@@ -296,31 +257,32 @@ def test_catalog_counts_use_train_split_only(grid2x2):
 
 def test_observations_jsonl_round_trip(tmp_path, grid2x2):
     ds = tiny_dataset(grid2x2)
-    path = tmp_path / "obs.jsonl"
-    save_observations(ds.observations, path)
-    back = load_observations(path)
-    assert list(ds.observations) == back
+    save_dataset(ds, tmp_path / "d")
+    lines = (tmp_path / "d" / "observations.jsonl").read_text().splitlines()
+    assert [json.loads(line)["obs_id"] for line in lines] == [o.obs_id for o in ds.observations]
+    assert list(load_dataset(tmp_path / "d").observations) == list(ds.observations)
 
 
-def test_load_observations_reports_line_number(tmp_path):
-    path = tmp_path / "obs.jsonl"
-    path.write_text('{"bad json\n')
+def test_load_observations_reports_line_number(tmp_path, grid2x2):
+    save_dataset(tiny_dataset(grid2x2), tmp_path / "d")
+    path = tmp_path / "d" / "observations.jsonl"
+    path.write_text(path.read_text() + '{"bad json\n')
     with pytest.raises(ParseError) as err:
-        load_observations(path)
-    assert "line 1" in str(err.value)
+        load_dataset(tmp_path / "d")
+    assert "observations.jsonl: line 7" in str(err.value)
 
 
 def test_load_observations_rejects_dim_drift(tmp_path, grid2x2):
     ds = tiny_dataset(grid2x2)
-    path = tmp_path / "obs.jsonl"
-    save_observations(ds.observations, path)
+    save_dataset(ds, tmp_path / "d")
+    path = tmp_path / "d" / "observations.jsonl"
     lines = path.read_text().splitlines()
     rec = json.loads(lines[-1])
     rec["fg"] = rec["fg"] + [0.0]
     lines[-1] = json.dumps(rec)
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(SchemaError):
-        load_observations(path)
+    with pytest.raises(SchemaError, match="feature dims"):
+        load_dataset(tmp_path / "d")
 
 
 def test_dataset_directory_round_trip(tmp_path, grid2x2):

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from idfusion.classifier import TrainConfig, train
-from idfusion.data import (Dataset, GridSpec, Location, build_catalog, new_location_subset,
-                           train_location_pairs)
+from idfusion.data import Dataset, GridSpec, Location, build_catalog
 from idfusion.evaluation import (
     ExperimentReport,
     infer,
@@ -97,10 +96,8 @@ def _pair_fixture(grid):
 
 def test_new_location_subset_membership(grid2x2):
     ds = _pair_fixture(grid2x2)
-    pairs = train_location_pairs(ds)
-    assert pairs == frozenset({(0, 0), (1, 1)})
-    subset = new_location_subset(ds.test, pairs, ds)
-    assert subset == frozenset({"b", "d"})
+    assert {(o.identity, ds.grid.cell_index(o.location)) for o in ds.train} == {(0, 0), (1, 1)}
+    assert ds.new_location_ids == frozenset({"b", "d"})
 
 
 def _score(preds, ds, labels=(0, 1)):
@@ -110,13 +107,12 @@ def _score(preds, ds, labels=(0, 1)):
 
 def test_accuracy_recomposes_from_subsets(grid2x2):
     ds = _pair_fixture(grid2x2)
-    pairs = train_location_pairs(ds)
     preds = [_pred("a", 0, 0), _pred("b", 1, 0), _pred("c", 1, 1), _pred("d", 1, 1)]
     report = _score(preds, ds)
     nl_acc, nl_n = report.new_location_accuracy, report.n_new_location
     assert (nl_acc, nl_n) == (0.5, 2)
 
-    members = new_location_subset(ds.test, pairs, ds)
+    members = ds.new_location_ids
     old = [p for p in preds if p.obs_id not in members]
     old_acc = overall_accuracy(old)
     total = overall_accuracy(preds)

@@ -17,13 +17,10 @@ from idfusion.priors import (
     UNIFORM,
     PriorConfig,
     PriorState,
-    home_location_prior,
     init_state,
-    migrating_location_prior,
+    prior_rows,
     prior_vector,
     resolve_location,
-    time_decay_prior,
-    uniform_prior,
     update_last_seen,
     update_location,
 )
@@ -41,6 +38,12 @@ def _random_state(rng, k=6, kind=UNIFORM, **cfg):
         last_seen=rng.uniform(0.0, 400.0, size=k),
         config=config,
     )
+
+
+def _prior(state, kind, loc=Location(0.0, 0.0), t=1.0):
+    # The prior of one kind alone, from ``state`` at one sighting.
+    alone = replace(state, config=replace(state.config, kind=kind, combine_with=()))
+    return prior_rows(alone, np.array([loc.x, loc.y]), t)
 
 
 def test_prior_config_validation():
@@ -76,14 +79,8 @@ def test_every_prior_normalizes(kind):
         state = _random_state(rng, k=int(rng.integers(2, 40)), kind=kind)
         obs_loc = Location(float(rng.uniform(0, 30)), float(rng.uniform(0, 30)))
         t = float(rng.uniform(0.0, 500.0))
-        if kind == UNIFORM:
-            p = uniform_prior(state)
-        elif kind == HOME_LOCATION:
-            p = home_location_prior(state, obs_loc)
-        elif kind == MIGRATING_LOCATION:
-            p = migrating_location_prior(state, obs_loc)
-        else:
-            p = time_decay_prior(state, t)
+        p = prior_rows(state, np.array([obs_loc.x, obs_loc.y]), t)
+        assert p.shape == (len(state.labels),)
         assert abs(p.sum() - 1.0) < 1e-12
         assert np.all(p >= 0)
 
@@ -98,7 +95,7 @@ def test_home_prior_two_identity_worked_values():
         last_seen=np.zeros(2),
         config=PriorConfig(kind=HOME_LOCATION, alpha=2.5, cell_size_km=5.0),
     )
-    p = home_location_prior(state, Location(0.0, 0.0))
+    p = prior_rows(state, np.array([0.0, 0.0]), 0.0)
     assert p[0] == pytest.approx(0.9241, abs=1e-4)
     assert p[1] == pytest.approx(0.0759, abs=1e-4)
 
@@ -107,8 +104,8 @@ def test_zero_decay_constants_flatten_priors():
     rng = np.random.default_rng(31)
     state = _random_state(rng, kind=HOME_LOCATION, alpha=0.0, beta=0.0)
     loc = Location(10.0, 10.0)
-    assert np.allclose(home_location_prior(state, loc), 1.0 / 6.0, atol=1e-15)
-    assert np.allclose(time_decay_prior(state, 100.0), 1.0 / 6.0, atol=1e-15)
+    assert np.allclose(_prior(state, HOME_LOCATION, loc), 1.0 / 6.0, atol=1e-15)
+    assert np.allclose(_prior(state, TIME_DECAY, t=100.0), 1.0 / 6.0, atol=1e-15)
 
 
 def test_distance_units_are_interchangeable():
@@ -119,8 +116,8 @@ def test_distance_units_are_interchangeable():
     homes = rng.uniform(0.0, 30.0, size=(8, 2))
     loc = Location(12.0, 7.0)
     args = dict(labels=tuple(range(8)), home_xy=homes, last_loc_xy=homes, last_seen=np.zeros(8))
-    a = home_location_prior(PriorState(config=in_cells, **args), loc)
-    b = home_location_prior(PriorState(config=in_km, **args), loc)
+    a = _prior(PriorState(config=in_cells, **args), HOME_LOCATION, loc)
+    b = _prior(PriorState(config=in_km, **args), HOME_LOCATION, loc)
     assert np.allclose(a, b, atol=1e-12)
 
 
@@ -165,12 +162,12 @@ def test_migrating_prior_follows_updates():
         config=config,
     )
     query = Location(20.0, 20.0)
-    assert migrating_location_prior(state, query)[1] > 0.99
+    assert _prior(state, MIGRATING_LOCATION, query)[1] > 0.99
     update_location(state, 0, query)
-    p = migrating_location_prior(state, query)
+    p = _prior(state, MIGRATING_LOCATION, query)
     assert np.allclose(p, 0.5, atol=1e-15)
     # The static home prior is oblivious to the move.
-    assert home_location_prior(state, query)[1] > 0.99
+    assert _prior(state, HOME_LOCATION, query)[1] > 0.99
 
 
 def test_time_decay_orders_by_recency():
@@ -181,10 +178,10 @@ def test_time_decay_orders_by_recency():
         last_seen=np.array([100.0, 70.0, 40.0, 10.0]),
         config=PriorConfig(kind=TIME_DECAY, beta=3.0),
     )
-    p = time_decay_prior(state, 100.0)
+    p = _prior(state, TIME_DECAY, t=100.0)
     assert p[0] > p[1] > p[2] > p[3]
     # Equal gaps on either side of t weigh the same.
-    sym = time_decay_prior(state, 55.0)
+    sym = _prior(state, TIME_DECAY, t=55.0)
     assert sym[1] == pytest.approx(sym[2], abs=1e-15)
 
 
@@ -212,8 +209,8 @@ def test_prior_vector_combines_by_product():
 
     p, used_loc = prior_vector(state, obs)
     assert used_loc == obs.location
-    hl = home_location_prior(state, obs.location)
-    td = time_decay_prior(state, obs.timestamp)
+    hl = _prior(state, HOME_LOCATION, obs.location)
+    td = _prior(state, TIME_DECAY, t=obs.timestamp)
     want = hl * td
     want /= want.sum()
     assert np.allclose(p, want, atol=1e-12)

@@ -7,6 +7,7 @@ derandomized so the suite gives the same verdict on every machine."""
 import logging
 import tempfile
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -57,10 +58,7 @@ from idfusion.priors import (
     UNIFORM,
     PriorConfig,
     PriorState,
-    home_location_prior,
-    migrating_location_prior,
-    time_decay_prior,
-    uniform_prior,
+    prior_rows,
 )
 from idfusion.errors import SplitError
 from idfusion.simulate import SimConfig, generate
@@ -174,8 +172,8 @@ def test_every_prior_is_a_distribution(state, x, y, t):
     # a legal config raises no numpy warning.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        priors = (uniform_prior(state), home_location_prior(state, loc),
-                  migrating_location_prior(state, loc), time_decay_prior(state, t))
+        priors = [prior_rows(replace(state, config=replace(state.config, kind=kind)),
+                             np.array([loc.x, loc.y]), t) for kind in PRIOR_KINDS]
     for p in priors:
         _assert_distribution(p)
 

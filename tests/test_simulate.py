@@ -67,13 +67,14 @@ def test_generate_respects_temporal_cutoff():
     ds = generate(SimConfig(**_BASE))
     assert ds.train and ds.test
     assert max(o.timestamp for o in ds.train) < min(o.timestamp for o in ds.test)
-    assert not ds.test_only_identities
+    assert {o.identity for o in ds.train} == set(range(ds.n_identities))
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_presets_generate_valid_datasets(name):
     ds = generate(PRESETS[name](seed=0))
-    validate_dataset(ds, require_train_coverage=True)
+    assert validate_dataset(ds) is ds
+    assert {o.identity for o in ds.train} == set(range(ds.n_identities))
     identities = {o.identity for o in ds.observations}
     assert identities == set(range(len(identities)))
 
