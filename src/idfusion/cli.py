@@ -114,7 +114,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         base = PRESETS[args.preset](seed=_effective_seed(args, cfg)).to_dict()
         section = _merge(base, cfg.get("sim", {}))
     else:
-        section = dict(cfg.get("sim", {}))
+        section = {"seed": _effective_seed(args, cfg), **cfg.get("sim", {})}
     if args.seed is not None:
         section["seed"] = args.seed
     sim = SimConfig.from_dict(section)

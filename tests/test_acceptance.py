@@ -489,7 +489,9 @@ def test_10_same_seed_runs_are_byte_identical(tmp_path, capsys):
         for name in ("predictions.jsonl", "predictions_meta.json")
     }
     assert digests == {
-        "predictions.jsonl": "2b351a2afd068b7bc14b72377123c78dfbf8f03729d05da2912ee0cbc026b739",
+        # Simulated at the top-level seed (9); before simulate honoured it the
+        # data came from seed 0, and "seed": 9 inside "sim" gave these bytes.
+        "predictions.jsonl": "28580e4a9c4fbe95135e4cc2e4317b93fc46fd5b6f4937bcf4c8252cb6a38924",
         # Records the checkpoint's training config and seed (9), not a stub.
         "predictions_meta.json": "32587593649852ab961e7f9f133e4e942b422891c2f90ffcf9751976f71d4f5d",
     }

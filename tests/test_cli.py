@@ -177,6 +177,20 @@ def test_simulate_preset_with_overrides(tmp_path, capsys):
     assert meta["sim_config"]["obs_rate"] == 8.0
 
 
+def test_simulate_config_seed_reaches_the_dataset(tmp_path, capsys):
+    # The top-level seed applies without --preset; sim.seed and then --seed win over it.
+    for name, sim, flags, seed in (("top", SIM_SECTION, [], 9),
+                                   ("sim", {**SIM_SECTION, "seed": 4}, [], 4),
+                                   ("flag", {**SIM_SECTION, "seed": 4}, ["--seed", "2"], 2)):
+        cfg_path = tmp_path / f"{name}.json"
+        cfg_path.write_text(json.dumps({"seed": 9, "sim": sim}), encoding="utf-8")
+        assert main(["simulate", "--config", str(cfg_path), *flags,
+                     "--out", str(tmp_path / name)]) == 0
+        meta = json.loads((tmp_path / name / "dataset.json").read_text())
+        assert (meta["seed"], meta["sim_config"]["seed"]) == (seed, seed), name
+    capsys.readouterr()
+
+
 def test_seed_changes_simulated_data(tmp_path, capsys):
     cfg_path = tmp_path / "c.json"
     cfg_path.write_text(json.dumps({"sim": SIM_SECTION}), encoding="utf-8")
