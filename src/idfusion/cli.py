@@ -154,8 +154,9 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     label_pos = {k: i for i, k in enumerate(model.labels)}
 
     def logits_and_labels(observations) -> tuple[np.ndarray, np.ndarray]:
-        logits = np.stack(
-            [model.forward(features_from(o, model.input_kind)).logits for o in observations]
+        # One block call; each row has the bits a one-row forward gives it.
+        logits, _ = model.forward_rows(
+            np.array([features_from(o, model.input_kind) for o in observations])
         )
         labels = np.array([label_pos.get(o.identity, -1) for o in observations], dtype=np.int64)
         return logits, labels

@@ -467,8 +467,7 @@ def _observation_from(rec: dict, lineno: int) -> Observation:
 
 
 def save_dataset(dataset: Dataset, directory: str | Path, extra_meta: Mapping | None = None) -> None:
-    """Write ``observations.jsonl``, one JSON object per sighting, plus the
-    ``dataset.json`` sidecar."""
+    """Write ``observations.jsonl`` plus the ``dataset.json`` sidecar."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     write_jsonl(directory / OBSERVATIONS_FILENAME, map(_record_from, dataset.observations))
@@ -477,13 +476,8 @@ def save_dataset(dataset: Dataset, directory: str | Path, extra_meta: Mapping | 
 
 
 def load_dataset(directory: str | Path) -> Dataset:
-    """Load a dataset directory written by :func:`save_dataset`.
-
-    Raises:
-        ParseError: on a malformed observation record, naming the line number.
-        SchemaError: on a missing or malformed sidecar, or observations that
-            break a dataset invariant (feature dims that differ included).
-    """
+    """Load a dataset directory written by :func:`save_dataset`; ParseError naming the line
+    of a malformed record, SchemaError on a bad sidecar or observations that break an invariant."""
     directory = Path(directory)
     sidecar = directory / SIDECAR_FILENAME
     if not sidecar.is_file():

@@ -27,7 +27,7 @@ import numpy as np
 from .data import (
     Dataset, GridSpec, Location, _observations_from_rows, _split_tags, from_fields,
 )
-from .errors import ConfigError, SimulationError
+from .errors import ConfigError, SimulationError, SplitError
 
 logger = logging.getLogger(__name__)
 
@@ -212,7 +212,8 @@ def generate(config: SimConfig) -> Dataset:
 
     Raises:
         SimulationError: if some identity still lacks train coverage after
-            the retry budget.
+            the retry budget, or if the redraws leave no sighting at or after
+            the cutoff.
     """
     global_rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0,)))
     grid = config.grid
@@ -269,6 +270,14 @@ def generate(config: SimConfig) -> Dataset:
     bg += (config.bg_cell_signal * cell_signatures)[_cell_indices(grid, x, y)]
 
     timestamps = times[order].tolist()
+    try:
+        splits = _split_tags(timestamps, cutoff)
+    except SplitError as exc:
+        raise SimulationError(
+            f"{exc}: {len(timestamps)} sightings for n_identities {n_ids} at obs_rate"
+            f" {config.obs_rate} left no test split once every identity had a train"
+            " sighting; raise obs_rate"
+        ) from exc
     observations = _observations_from_rows(
         [f"o{i:06d}" for i in range(len(order))],
         owners[order].tolist(),
@@ -276,7 +285,7 @@ def generate(config: SimConfig) -> Dataset:
         bg,
         list(map(Location, x.tolist(), y.tolist())),
         timestamps,
-        _split_tags(timestamps, cutoff),
+        splits,
     )
     return Dataset.from_observations(observations, grid)
 

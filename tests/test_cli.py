@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from idfusion.calibration import fit_global_temperature
+from idfusion.calibration import expected_calibration_error, fit_global_temperature, tempered_softmax
 from idfusion.classifier import TrainConfig, load_model
 from idfusion.cli import main
 from idfusion.data import load_dataset
@@ -114,8 +114,15 @@ def test_calibrate_fits_on_train_and_scores_test(tmp_path, config_path, capsys):
     logits = np.stack([model.forward(o.fg_features).logits for o in ds.train])
     labels = np.array([model.labels.index(o.identity) for o in ds.train])
     stored = json.loads(out.read_text())
-    assert stored["temperature"] == fit_global_temperature(logits, labels)
+    t_star = fit_global_temperature(logits, labels)
+    assert stored["temperature"] == t_star
     assert stored["n_evaluated"] == len(ds.test)
+    # Scored out of sample, from logits computed one observation at a time.
+    logits = np.stack([model.forward(o.fg_features).logits for o in ds.test])
+    labels = np.array([model.labels.index(o.identity) if o.identity in model.labels else -1
+                       for o in ds.test])
+    for key, t in (("ece_before", 1.0), ("ece_after", t_star)):
+        assert stored[key] == expected_calibration_error(tempered_softmax(logits, t), labels).ece
     # No --config here: the seed is the model's (5), as infer records it.
     assert stored["seed"] == 5
 
@@ -313,6 +320,17 @@ def test_error_paths_exit_one(tmp_path, config_path, capsys):
     report.write_text(json.dumps(body), encoding="utf-8")
     err = error_line(["report", str(report)])
     assert f"{report}: per_identity key 'x'" in err, err
+
+
+def test_simulate_too_sparse_to_split_names_its_cause(tmp_path, capsys):
+    # One sighting per identity passes the config check, but once every
+    # identity has a train sighting none is left for the test split.
+    cfg = tmp_path / "sparse.json"
+    cfg.write_text(json.dumps({"sim": {"n_identities": 10, "obs_rate": 1.0}}), encoding="utf-8")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "obs_rate 1.0" in err and "n_identities 10" in err and "10 sightings" in err, err
 
 
 @pytest.mark.parametrize("flag", [["--config", "c.json"], ["--seed", "1"]])

@@ -60,7 +60,7 @@ from idfusion.priors import (
     PriorState,
     prior_rows,
 )
-from idfusion.errors import SplitError
+from idfusion.errors import SimulationError, SplitError
 from idfusion.simulate import SimConfig, generate
 
 from conftest import make_obs
@@ -651,11 +651,13 @@ def _observation_fields(o):
     n_identities=6, feature_dim=2, bg_feature_dim=2, grid=GridSpec(Location(0.0, 0.0), 1.0, 2, 2),
     obs_rate=8.0, duration_days=1e-5, seasonal_bursts=1, season_duty=1.0, seed=0,
 ))
+# One sighting per identity: the redraws leave no test split.
+@example(SimConfig(n_identities=10, feature_dim=2, bg_feature_dim=2, obs_rate=1.0, seed=0))
 def test_generate_matches_the_per_sighting_reference(config):
     try:
         expected = reference_generate(config)
     except SplitError:
-        with pytest.raises(SplitError):
+        with pytest.raises(SimulationError, match="obs_rate"):
             generate(config)
         return
     dataset = generate(config)
