@@ -275,7 +275,7 @@ def generate(config: SimConfig) -> Dataset:
     except SplitError as exc:
         raise SimulationError(
             f"{exc}: {len(timestamps)} sightings for n_identities {n_ids} at obs_rate"
-            f" {config.obs_rate} left no test split once every identity had a train"
+            f" {config.obs_rate} are too few to split once every identity has a train"
             " sighting; raise obs_rate"
         ) from exc
     observations = _observations_from_rows(
