@@ -198,7 +198,7 @@ def ece_from_top_predictions(
         raise ValueError("confidences and correctness flags must be equal-length vectors")
     if conf.shape[0] == 0:
         raise ValueError("cannot compute calibration over zero predictions")
-    if np.any(conf <= 0) or np.any(conf > 1):
+    if not np.all((conf > 0) & (conf <= 1)):  # NaN fails both comparisons
         raise ValueError("confidences must lie in (0, 1]")
     if n_bins < 1:
         raise ValueError("need at least one bin")

@@ -36,8 +36,6 @@ class TrainConfig:
     epochs: int = 100
     learning_rate: float = 1e-3
     batch_size: int = 32
-    lr_schedule: str = "cosine"
-    noise_std: float = 0.0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -45,14 +43,12 @@ class TrainConfig:
             raise ConfigError(f"loss_kind must be one of {LOSS_KINDS}, got {self.loss_kind!r}")
         if self.input_kind not in INPUT_KINDS:
             raise ConfigError(f"input_kind must be one of {INPUT_KINDS}, got {self.input_kind!r}")
-        if self.lr_schedule not in ("cosine", "constant"):
-            raise ConfigError(f"lr_schedule must be 'cosine' or 'constant', got {self.lr_schedule!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be positive")
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be positive")
-        if self.lam < 0 or self.noise_std < 0:
-            raise ConfigError("lam and noise_std must be non-negative")
+        if self.lam < 0:
+            raise ConfigError("lam must be non-negative")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -151,12 +147,6 @@ def _init_params(rng: np.random.Generator, k: int, d: int) -> tuple[np.ndarray, 
     return W, np.zeros(k), w_T, 0.0
 
 
-def _epoch_lr(base: float, epoch: int, total: int, schedule: str) -> float:
-    if schedule == "constant":
-        return base
-    return base * 0.5 * (1.0 + math.cos(math.pi * epoch / total))
-
-
 def _descend(
     X: np.ndarray, y: np.ndarray, W: np.ndarray, b: np.ndarray, config: TrainConfig,
     rng: np.random.Generator, targets: np.ndarray | None = None,
@@ -188,7 +178,7 @@ def _descend(
     ts = None if targets is None else np.empty_like(targets)
     history: list[float] = []
     for epoch in range(config.epochs):
-        lr = _epoch_lr(config.learning_rate, epoch, config.epochs, config.lr_schedule)
+        lr = config.learning_rate * 0.5 * (1.0 + math.cos(math.pi * epoch / config.epochs))
         order = rng.permutation(n)
         # "clip" never fires on a permutation; "raise" would copy through a
         # temporary as large as X.
@@ -246,7 +236,7 @@ def train(dataset: Dataset, catalog: IdentityCatalog, config: TrainConfig) -> Pi
     The label space is the catalog's sorted identity set; test-only
     identities are outside it by design, so every label and target
     temperature is valid as :func:`pits_objective` requires. The learning
-    rate anneals to zero on a cosine unless configured constant.
+    rate anneals to zero on a cosine.
 
     Raises:
         TrainingError: if the loss or any weight goes non-finite, reporting
@@ -265,10 +255,6 @@ def train(dataset: Dataset, catalog: IdentityCatalog, config: TrainConfig) -> Pi
     rng = np.random.default_rng(config.seed)
     W, b, w_T, b_T = _init_params(rng, k, d)
     use_temperature = config.loss_kind == "pits"
-
-    if config.noise_std > 0:
-        X = X + rng.normal(0.0, config.noise_std, size=X.shape)
-
     history, b_T = _descend(
         X, y, W, b, config, rng, targets if use_temperature else None, w_T, b_T
     )

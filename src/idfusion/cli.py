@@ -46,7 +46,7 @@ from .evaluation import (
     score_predictions,
     write_report_csv,
 )
-from .fusion import read_predictions, write_predictions
+from .fusion import PREDICTIONS_FILENAME, read_predictions, write_predictions
 from .priors import PRIOR_KINDS, PriorConfig
 from .simulate import PRESETS, SimConfig, generate
 
@@ -68,39 +68,30 @@ def _load_config_file(path: str | None) -> dict:
     return cfg
 
 
-def _merge(section: dict, overrides: dict) -> dict:
-    return {**section, **{k: v for k, v in overrides.items() if v is not None}}
-
-
 def _effective_seed(args: argparse.Namespace, cfg: dict) -> int:
     return args.seed if args.seed is not None else int(cfg.get("seed", 0))
 
 
-def _train_config(args: argparse.Namespace, cfg: dict) -> TrainConfig:
-    section = _merge(
-        cfg.get("train", {}),
-        {
-            "loss_kind": getattr(args, "loss", None),
-            "input_kind": getattr(args, "input", None),
-            "epochs": getattr(args, "epochs", None),
-            "learning_rate": getattr(args, "learning_rate", None),
-            "seed": getattr(args, "seed", None),
-        },
-    )
-    section.setdefault("seed", int(cfg.get("seed", 0)))
-    return from_fields(TrainConfig, section, "train")
+_SECTIONS = {
+    "sim": SimConfig.from_dict,
+    "train": lambda d: from_fields(TrainConfig, d, "train"),
+    "prior": lambda d: from_fields(PriorConfig, d, "prior"),
+}
 
 
-def _prior_config(args: argparse.Namespace, cfg: dict) -> PriorConfig:
-    section = _merge(
-        cfg.get("prior", {}),
-        {
-            "kind": getattr(args, "prior", None),
-            "location_source": ("background_model" if getattr(args, "background_model", None)
-                                else None),
-        },
-    )
-    return from_fields(PriorConfig, section, "prior")
+def _section(args: argparse.Namespace, cfg: dict, name: str, base: dict | None = None,
+             **flags):
+    """Config section ``name``, built by the one rule every command follows:
+    ``base`` (a preset's fields without its seed), then the file's section
+    as written, so a ``null`` fails like any wrongly typed value, then each
+    flag that was given. A seeded section takes ``--seed``, else its own
+    seed, else the file's top-level one."""
+    section = {**(base or {}), **cfg.get(name, {}),
+               **{k: v for k, v in flags.items() if v is not None}}
+    if name != "prior":
+        section["seed"] = args.seed if args.seed is not None else section.get(
+            "seed", cfg.get("seed", 0))
+    return _SECTIONS[name](section)
 
 
 # ---------------------------------------------------------------------------
@@ -110,14 +101,11 @@ def _prior_config(args: argparse.Namespace, cfg: dict) -> PriorConfig:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _load_config_file(args.config)
+    base = None
     if args.preset:
-        base = PRESETS[args.preset](seed=_effective_seed(args, cfg)).to_dict()
-        section = _merge(base, cfg.get("sim", {}))
-    else:
-        section = {"seed": _effective_seed(args, cfg), **cfg.get("sim", {})}
-    if args.seed is not None:
-        section["seed"] = args.seed
-    sim = SimConfig.from_dict(section)
+        base = PRESETS[args.preset]().to_dict()
+        del base["seed"]
+    sim = _section(args, cfg, "sim", base)
     dataset = generate(sim)
     save_dataset(dataset, args.out, extra_meta={"sim_config": sim.to_dict(), "seed": sim.seed})
     print(
@@ -131,7 +119,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_train(args: argparse.Namespace) -> int:
     cfg = _load_config_file(args.config)
     dataset = load_dataset(args.data)
-    tc = _train_config(args, cfg)
+    tc = _section(args, cfg, "train", loss_kind=args.loss, input_kind=args.input,
+                  epochs=args.epochs, learning_rate=args.learning_rate)
     if args.model_kind == "background":
         model = train_background_model(dataset, dataset.grid, tc)
         save_background_model(model, args.out, config=tc)
@@ -194,7 +183,8 @@ def _cmd_infer(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.data)
     model = load_model(args.model)
     checkpoint = read_json(args.model)
-    pc = _prior_config(args, cfg)
+    pc = _section(args, cfg, "prior", kind=args.prior,
+                  location_source="background_model" if args.background_model else None)
     background_model = None
     if args.background_model:
         background_model = load_background_model(args.background_model)
@@ -226,7 +216,10 @@ def _cmd_infer(args: argparse.Namespace) -> int:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.data)
     records, meta = read_predictions(args.predictions)
-    report = score_predictions(records, meta, dataset)
+    try:
+        report = score_predictions(records, meta, dataset)
+    except SchemaError as exc:
+        raise SchemaError(f"{Path(args.predictions) / PREDICTIONS_FILENAME}: {exc}") from exc
     if args.out:
         save_report(report, args.out)
     nl = ("n/a" if report.new_location_accuracy is None
@@ -261,8 +254,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
             reports[name] = rep
     elif args.data:
         dataset = load_dataset(args.data)
-        reports = run_row_suite(dataset, base_train=_train_config(args, cfg),
-                                base_prior=_prior_config(args, cfg))
+        reports = run_row_suite(dataset, base_train=_section(args, cfg, "train"),
+                                base_prior=_section(args, cfg, "prior"))
     else:
         print("error: give report files to compare or --data to run the standard grid",
               file=sys.stderr)

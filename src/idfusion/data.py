@@ -450,7 +450,7 @@ def _record_from(obs: Observation) -> dict:
     return rec
 
 
-def _observation_from(rec: dict, lineno: int) -> Observation:
+def _observation_from(rec: dict, lineno: int, path: Path) -> Observation:
     try:
         loc = rec["loc"]
         return Observation(
@@ -462,8 +462,22 @@ def _observation_from(rec: dict, lineno: int) -> Observation:
             timestamp=float(rec["t"]),
             split=rec.get("split"),
         )
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
-        raise ParseError(f"line {lineno}: {exc}") from exc
+    except KeyError as exc:
+        raise ParseError(f"{path}: line {lineno}: record has no {exc.args[0]!r}") from exc
+    except (IndexError, TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: line {lineno}: {_bad_field(rec)}{exc}") from exc
+
+
+def _bad_field(rec: dict) -> str:
+    """``"field 'key': "`` naming the first field of a failed record that does not
+    convert; empty when the record broke an invariant, whose message names it."""
+    for key, convert in (("identity", int), ("fg", _read_only_copy), ("bg", _read_only_copy),
+                         ("loc", lambda v: (float(v[0]), float(v[1]))), ("t", float)):
+        try:
+            convert(rec[key])
+        except (IndexError, TypeError, ValueError):
+            return f"field {key!r}: "
+    return ""
 
 
 def save_dataset(dataset: Dataset, directory: str | Path, extra_meta: Mapping | None = None) -> None:
@@ -476,16 +490,19 @@ def save_dataset(dataset: Dataset, directory: str | Path, extra_meta: Mapping | 
 
 
 def load_dataset(directory: str | Path) -> Dataset:
-    """Load a dataset directory written by :func:`save_dataset`; ParseError naming the line
-    of a malformed record, SchemaError on a bad sidecar or observations that break an invariant."""
+    """Load a dataset directory written by :func:`save_dataset`; ParseError naming the file,
+    the line and the field of a malformed record, SchemaError on a bad sidecar or
+    observations that break an invariant."""
     directory = Path(directory)
     sidecar = directory / SIDECAR_FILENAME
     if not sidecar.is_file():
         raise SchemaError(f"missing sidecar file {sidecar}")
     meta = read_json(sidecar)
     grid = GridSpec.from_dict(meta, str(sidecar))
-    records = read_jsonl(directory / OBSERVATIONS_FILENAME)
-    dataset = Dataset.from_observations((_observation_from(rec, n) for n, rec in records), grid)
+    path = directory / OBSERVATIONS_FILENAME
+    records = read_jsonl(path)
+    dataset = Dataset.from_observations((_observation_from(rec, n, path) for n, rec in records),
+                                        grid)
     if dataset.n_identities != meta.get("n_identities"):
         raise SchemaError(
             f"{sidecar}: declares {meta.get('n_identities')!r} identities but observations"

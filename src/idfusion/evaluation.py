@@ -20,7 +20,7 @@ import numpy as np
 from .calibration import ece_from_top_predictions
 from .classifier import BackgroundLocationModel, PitsModel, TrainConfig, train, train_background_model
 from .data import Dataset, IdentityCatalog, build_catalog, from_fields, read_json, write_json
-from .errors import ConfigError
+from .errors import ConfigError, SchemaError
 from .fusion import Prediction, prediction_records, sequential_infer
 from .priors import (
     HOME_LOCATION,
@@ -147,7 +147,8 @@ def score_predictions(
     :func:`run_experiment`; every report comes from here.
 
     Works from the stored top-5 entries: top-1 confidence and correctness are
-    all that top-label calibration and accuracy need.
+    all that top-label calibration and accuracy need. A malformed record
+    raises SchemaError naming its position and obs_id.
     """
     if not records:
         raise ValueError("prediction file holds no records")
@@ -163,35 +164,47 @@ def score_predictions(
     n_new = 0
     new_ids = dataset.new_location_ids
     per_identity: dict[int, list[int]] = {}
-    for rec in records:
-        obs = by_id.get(rec["obs_id"])
-        true = rec["true"] if rec["true"] is not None else (obs.identity if obs else None)
-        if true is None:
-            raise ValueError(f"{rec['obs_id']}: no ground truth available")
-        hit = int(rec["predicted"]) == int(true)
-        correct.append(hit)
-        post_conf.append(float(rec["posterior_top5"][0][1]))
-        # The likelihood is scored as its own predictor: its top entry's
-        # label, not the fused prediction, decides correctness here.
-        like_conf.append(float(rec["likelihood_top5"][0][1]))
-        like_correct.append(int(rec["likelihood_top5"][0][0]) == int(true))
-        if labels and int(true) not in labels:
-            n_unknown += 1
-        if rec["obs_id"] in new_ids:
-            n_new += 1
-            n_hits_new += 1 if hit else 0
-        entry = per_identity.setdefault(int(true), [0, 0])
-        entry[0] += 1 if hit else 0
-        entry[1] += 1
+    try:
+        for rec in records:
+            obs = by_id.get(rec["obs_id"])
+            true = rec["true"] if rec["true"] is not None else (obs.identity if obs else None)
+            if true is None:
+                raise ValueError("no ground truth available")
+            hit = int(rec["predicted"]) == int(true)
+            correct.append(hit)
+            post_conf.append(float(rec["posterior_top5"][0][1]))
+            # The likelihood is scored as its own predictor: its top entry's
+            # label, not the fused prediction, decides correctness here.
+            like_conf.append(float(rec["likelihood_top5"][0][1]))
+            like_correct.append(int(rec["likelihood_top5"][0][0]) == int(true))
+            if labels and int(true) not in labels:
+                n_unknown += 1
+            if rec["obs_id"] in new_ids:
+                n_new += 1
+                n_hits_new += 1 if hit else 0
+            entry = per_identity.setdefault(int(true), [0, 0])
+            entry[0] += 1 if hit else 0
+            entry[1] += 1
+        rec = None
+        correct_arr = np.array(correct, dtype=np.float64)
+        ece_fused = ece_from_top_predictions(np.array(post_conf), correct_arr).ece
+        ece_likelihood = ece_from_top_predictions(
+            np.array(like_conf), np.array(like_correct, dtype=np.float64)
+        ).ece
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        if rec is None:  # Every record parsed: a top confidence lies outside (0, 1].
+            rec = next(r for r, p, q in zip(records, post_conf, like_conf)
+                       if not (0 < p <= 1 and 0 < q <= 1))
+        index = next(i for i, r in enumerate(records) if r is rec)
+        name = f" ({rec['obs_id']})" if "obs_id" in rec else ""
+        reason = f"has no {exc.args[0]!r}" if isinstance(exc, KeyError) else exc
+        raise SchemaError(f"record {index + 1}{name}: {reason}") from exc
 
-    correct_arr = np.array(correct, dtype=np.float64)
     return ExperimentReport(
         overall_accuracy=float(correct_arr.mean()),
         new_location_accuracy=None if n_new == 0 else n_hits_new / n_new,
-        ece_fused=ece_from_top_predictions(np.array(post_conf), correct_arr).ece,
-        ece_likelihood=ece_from_top_predictions(
-            np.array(like_conf), np.array(like_correct, dtype=np.float64)
-        ).ece,
+        ece_fused=ece_fused,
+        ece_likelihood=ece_likelihood,
         n_test=len(records),
         n_new_location=n_new,
         n_unknown_identity=n_unknown,

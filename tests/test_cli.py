@@ -1,6 +1,7 @@
 """Command-line workflow: simulate, train, calibrate, infer, evaluate, report."""
 
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,11 @@ SIM_SECTION = {
 }
 
 
+def _write_config(path, cfg) -> str:
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    return str(path)
+
+
 @pytest.fixture
 def config_path(tmp_path):
     cfg = {
@@ -34,9 +40,7 @@ def config_path(tmp_path):
         "sim": SIM_SECTION,
         "train": {"epochs": 15, "learning_rate": 0.05, "batch_size": 16},
     }
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(cfg), encoding="utf-8")
-    return str(path)
+    return _write_config(tmp_path / "config.json", cfg)
 
 
 def test_full_pipeline(tmp_path, config_path, capsys):
@@ -184,18 +188,43 @@ def test_simulate_preset_with_overrides(tmp_path, capsys):
     assert meta["sim_config"]["obs_rate"] == 8.0
 
 
-def test_simulate_config_seed_reaches_the_dataset(tmp_path, capsys):
-    # The top-level seed applies without --preset; sim.seed and then --seed win over it.
-    for name, sim, flags, seed in (("top", SIM_SECTION, [], 9),
-                                   ("sim", {**SIM_SECTION, "seed": 4}, [], 4),
-                                   ("flag", {**SIM_SECTION, "seed": 4}, ["--seed", "2"], 2)):
-        cfg_path = tmp_path / f"{name}.json"
-        cfg_path.write_text(json.dumps({"seed": 9, "sim": sim}), encoding="utf-8")
-        assert main(["simulate", "--config", str(cfg_path), *flags,
-                     "--out", str(tmp_path / name)]) == 0
-        meta = json.loads((tmp_path / name / "dataset.json").read_text())
-        assert (meta["seed"], meta["sim_config"]["seed"]) == (seed, seed), name
+@pytest.mark.parametrize("section, preset", [("sim", []), ("sim", ["--preset", "lynx"]),
+                                             ("train", [])], ids=["sim", "sim-preset", "train"])
+def test_each_config_section_follows_one_rule(tmp_path, capsys, section, preset):
+    body = {"sim": SIM_SECTION, "train": {"epochs": 2, "learning_rate": 0.05}}[section]
+    data = str(tmp_path / "data")
+    command = {"sim": ["simulate", *preset], "train": ["train", "--data", data]}[section]
+    if section == "train":
+        sim = _write_config(tmp_path / "sim.json", {"sim": SIM_SECTION})
+        assert main(["simulate", "--config", sim, "--out", data]) == 0
+
+    def run(name, cfg, flags=()):
+        out = tmp_path / name
+        return main([*command, "--config", _write_config(tmp_path / f"{name}.json", cfg), *flags,
+                     "--out", str(out)]), out
+
+    # --seed wins over the section's seed, which wins over the top-level one.
+    for name, own, flags, seed in (("top", body, [], 9), ("own", {**body, "seed": 4}, [], 4),
+                                   ("flag", {**body, "seed": 4}, ["--seed", "2"], 2)):
+        code, out = run(name, {"seed": 9, section: own}, flags)
+        assert code == 0, name
+        if section == "sim":
+            meta = json.loads((out / "dataset.json").read_text())
+            assert (meta["seed"], meta["sim_config"]["seed"]) == (seed, seed), name
+        else:
+            checkpoint = json.loads(out.read_text())
+            assert (checkpoint["seed"], checkpoint["train_config"]["seed"]) == (seed, seed), name
     capsys.readouterr()
+
+    # The file's section is taken as written: a null is no fallback to a
+    # default, and the removed training options are unknown keys.
+    for key, value, words in (({"sim": "obs_rate", "train": "epochs"}[section], None, "got None"),
+                              ("lr_schedule", "cosine", "unknown key 'lr_schedule'"),
+                              ("noise_std", 0.5, "unknown key 'noise_std'")):
+        assert run(f"bad-{key}", {section: {**body, key: value}})[0] == 1, key
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {section}: ") and err.count("\n") == 1, err
+        assert words in err, err
 
 
 def test_seed_changes_simulated_data(tmp_path, capsys):
@@ -320,6 +349,62 @@ def test_error_paths_exit_one(tmp_path, config_path, capsys):
     report.write_text(json.dumps(body), encoding="utf-8")
     err = error_line(["report", str(report)])
     assert f"{report}: per_identity key 'x'" in err, err
+
+
+def test_malformed_dataset_record_names_file_line_and_field(tmp_path, config_path, capsys):
+    data = tmp_path / "data"
+    assert main(["simulate", "--config", config_path, "--out", str(data)]) == 0
+    path = data / "observations.jsonl"
+    lines = path.read_text().splitlines()
+    for edit, words in ((lambda r: r.pop("t"), "record has no 't'"),
+                        (lambda r: r.update(t=None), "field 't': "),
+                        (lambda r: r.update(loc=[1.0]), "field 'loc': "),
+                        (lambda r: r.update(fg="x"), "field 'fg': ")):
+        rec = json.loads(lines[2])
+        edit(rec)
+        path.write_text("\n".join([*lines[:2], json.dumps(rec), *lines[3:]]) + "\n")
+        assert main(["train", "--data", str(data), "--out", str(tmp_path / "m.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: line 3: {words}") and err.count("\n") == 1, err
+
+
+@pytest.fixture(scope="module")
+def predictions(tmp_path_factory):
+    """A dataset and the predictions directory of a model trained on it."""
+    tmp = tmp_path_factory.mktemp("run")
+    cfg = _write_config(tmp / "config.json", {"seed": 5, "sim": SIM_SECTION,
+                                              "train": {"epochs": 2, "learning_rate": 0.05}})
+    for argv in (["simulate", "--out", str(tmp / "data")],
+                 ["train", "--data", str(tmp / "data"), "--out", str(tmp / "model.json")],
+                 ["infer", "--data", str(tmp / "data"), "--model", str(tmp / "model.json"),
+                  "--out", str(tmp / "preds")]):
+        assert main([*argv, "--config", cfg]) == 0
+    return tmp / "data", tmp / "preds"
+
+
+@pytest.mark.parametrize("edit, words", [
+    (lambda r: r.pop("obs_id"), "record 2: has no 'obs_id'"),
+    (lambda r: r.update(posterior_top5=[]), "record 2 ({id}): list index out of range"),
+    (lambda r: r["posterior_top5"][0].__setitem__(1, 1.5),
+     "record 2 ({id}): confidences must lie in (0, 1]"),
+    (lambda r: r["likelihood_top5"][0].__setitem__(1, float("nan")),
+     "record 2 ({id}): confidences must lie in (0, 1]"),
+], ids=["no-obs-id", "empty-top5", "confidence-above-1", "nan-confidence"])
+def test_malformed_prediction_record_names_file_and_record(tmp_path, predictions, capsys,
+                                                           edit, words):
+    data, source = predictions
+    preds = tmp_path / "preds"
+    shutil.copytree(source, preds)
+    path = preds / "predictions.jsonl"
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[1])
+    obs_id = rec["obs_id"]
+    edit(rec)
+    path.write_text("\n".join([lines[0], json.dumps(rec), *lines[2:]]) + "\n")
+    capsys.readouterr()
+    assert main(["evaluate", "--data", str(data), "--predictions", str(preds)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: {words.format(id=obs_id)}\n", err
 
 
 def test_simulate_too_sparse_to_split_names_its_cause(tmp_path, capsys):
