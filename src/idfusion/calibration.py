@@ -16,6 +16,8 @@ import numpy as np
 logger = logging.getLogger(__name__)
 
 TEMPERATURE_REGULARIZER = 0.1
+# fit_global_temperature searches ln T over [ln T_MIN, ln T_MAX] to a width of T_TOL.
+T_MIN, T_MAX, T_TOL = 0.05, 50.0, 1e-4
 
 
 @dataclass(frozen=True)
@@ -123,13 +125,7 @@ def _mean_nll(logits: np.ndarray, labels: np.ndarray, temperature: float) -> flo
     return float(loss.sum() / len(labels))
 
 
-def fit_global_temperature(
-    logits: np.ndarray,
-    labels: np.ndarray,
-    t_min: float = 0.05,
-    t_max: float = 50.0,
-    tol: float = 1e-4,
-) -> float:
+def fit_global_temperature(logits: np.ndarray, labels: np.ndarray) -> float:
     """Single temperature minimizing mean cross-entropy on held-out logits.
 
     The objective is unimodal in ln T for fixed logits, so a coarse grid scan
@@ -143,7 +139,7 @@ def fit_global_temperature(
     if logits.shape[0] == 0:
         raise ValueError("cannot fit a temperature to zero rows")
 
-    lo, hi = math.log(t_min), math.log(t_max)
+    lo, hi = math.log(T_MIN), math.log(T_MAX)
     grid = np.linspace(lo, hi, 161)
     values = [_mean_nll(logits, labels, math.exp(g)) for g in grid]
     if max(values) - min(values) < 1e-12:
@@ -160,7 +156,7 @@ def fit_global_temperature(
     d = a + invphi * (b - a)
     fc = _mean_nll(logits, labels, math.exp(c))
     fd = _mean_nll(logits, labels, math.exp(d))
-    while abs(b - a) > tol:
+    while abs(b - a) > T_TOL:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)

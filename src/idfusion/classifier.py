@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .calibration import TEMPERATURE_REGULARIZER, LogitsOutput, pits_objective
-from .data import Dataset, GridSpec, IdentityCatalog, Location, Observation, read_json, write_json
+from .data import (Dataset, GridSpec, IdentityCatalog, Location, Observation, from_fields,
+                   read_json, write_json)
 from .errors import ConfigError, SchemaError, TrainingError
 
 logger = logging.getLogger(__name__)
@@ -334,16 +335,10 @@ def train_background_model(
 # ---------------------------------------------------------------------------
 
 
-def _write_checkpoint(payload: dict, path: str | Path, config: TrainConfig | None) -> None:
-    """Write a JSON checkpoint; exact float reprs round-trip bit-identically."""
-    if config is not None:
-        payload["train_config"] = config.to_dict()
-        payload["seed"] = config.seed
-    write_json(path, payload)
-
-
-def save_model(model: PitsModel, path: str | Path, config: TrainConfig | None = None) -> None:
-    payload = {
+def save_model(model: PitsModel, path: str | Path, config: TrainConfig) -> None:
+    """Write a JSON checkpoint that records ``config``, the run that trained
+    ``model``; exact float reprs round-trip bit-identically."""
+    write_json(path, {
         "W": model.W.tolist(),
         "b": model.b.tolist(),
         "w_T": model.w_T.tolist(),
@@ -354,8 +349,8 @@ def save_model(model: PitsModel, path: str | Path, config: TrainConfig | None = 
         "input_kind": model.input_kind,
         "temperature_head_active": model.temperature_head_active,
         "loss_history": list(model.loss_history),
-    }
-    _write_checkpoint(payload, path, config)
+        "train_config": config.to_dict(),
+    })
 
 
 def _floats(value) -> np.ndarray:
@@ -386,8 +381,18 @@ def load_model(path: str | Path) -> PitsModel:
         SchemaError: naming the file and the key when an entry is missing,
             malformed or disagrees with the stored ``K`` and ``d``.
     """
-    payload = read_json(path)
+    return _model_from(path, read_json(path))
 
+
+def load_model_and_config(path: str | Path) -> tuple[PitsModel, TrainConfig]:
+    """:func:`load_model`, plus the checkpoint's ``train_config``, checked as
+    a config section is: the provenance of every run inferred from it."""
+    payload = read_json(path)
+    return _model_from(path, payload), _checkpoint_field(
+        path, payload, "train_config", lambda d: from_fields(TrainConfig, d, "train_config"))
+
+
+def _model_from(path: str | Path, payload: dict) -> PitsModel:
     def field(key, convert, shape=None):
         return _checkpoint_field(path, payload, key, convert, shape)
 
@@ -405,15 +410,15 @@ def load_model(path: str | Path) -> PitsModel:
     )
 
 
-def save_background_model(
-    model: BackgroundLocationModel, path: str | Path, config: TrainConfig | None = None
-) -> None:
-    payload = {
+def save_background_model(model: BackgroundLocationModel, path: str | Path,
+                          config: TrainConfig) -> None:
+    """Like :func:`save_model`, for a background location model."""
+    write_json(path, {
         "W": model.W.tolist(),
         "b": model.b.tolist(),
         "C": model.n_cells,
-    }
-    _write_checkpoint(payload, path, config)
+        "train_config": config.to_dict(),
+    })
 
 
 def load_background_model(path: str | Path) -> BackgroundLocationModel:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from .classifier import (
     TrainConfig,
     features_from,
     load_background_model,
-    load_model,
+    load_model_and_config,
     save_background_model,
     save_model,
     train,
@@ -46,7 +47,7 @@ from .evaluation import (
     score_predictions,
     write_report_csv,
 )
-from .fusion import PREDICTIONS_FILENAME, read_predictions, write_predictions
+from .fusion import read_predictions, write_predictions
 from .priors import PRIOR_KINDS, PriorConfig
 from .simulate import PRESETS, SimConfig, generate
 
@@ -66,10 +67,6 @@ def _load_config_file(path: str | None) -> dict:
         if key != "seed" and not isinstance(value, dict):
             raise ConfigError(f"{path}: section {key!r} must be a JSON object")
     return cfg
-
-
-def _effective_seed(args: argparse.Namespace, cfg: dict) -> int:
-    return args.seed if args.seed is not None else int(cfg.get("seed", 0))
 
 
 _SECTIONS = {
@@ -137,9 +134,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
-    cfg = _load_config_file(args.config)
     dataset = load_dataset(args.data)
-    model = load_model(args.model)
+    model, tc = load_model_and_config(args.model)
     label_pos = {k: i for i, k in enumerate(model.labels)}
 
     def logits_and_labels(observations) -> tuple[np.ndarray, np.ndarray]:
@@ -172,7 +168,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
             "ece_after": after.ece,
             "n_evaluated": int(labels.shape[0]),
             # The model's own seed, as infer records it.
-            "seed": read_json(args.model).get("seed", _effective_seed(args, cfg)),
+            "seed": tc.seed,
         }
         write_json(args.out, payload)
     return 0
@@ -181,8 +177,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 def _cmd_infer(args: argparse.Namespace) -> int:
     cfg = _load_config_file(args.config)
     dataset = load_dataset(args.data)
-    model = load_model(args.model)
-    checkpoint = read_json(args.model)
+    model, tc = load_model_and_config(args.model)
     pc = _section(args, cfg, "prior", kind=args.prior,
                   location_source="background_model" if args.background_model else None)
     background_model = None
@@ -191,22 +186,9 @@ def _cmd_infer(args: argparse.Namespace) -> int:
     elif pc.location_source == "background_model":
         raise ConfigError("location_source 'background_model' needs --background-model,"
                           " a checkpoint from 'train --model-kind background'")
-    predictions, pc = infer(dataset, model, pc, background_model=background_model)
+    predictions, meta = infer(dataset, model, tc, pc, background_model=background_model)
     n_correct = sum(1 for p in predictions if p.correct)
-    write_predictions(
-        predictions, args.out, model.labels, pc.kind,
-        meta={
-            "model_input_kind": model.input_kind,
-            # The model's own training run; a checkpoint saved without one
-            # still names its row.
-            "train_config": checkpoint.get("train_config", {
-                "input_kind": model.input_kind,
-                "loss_kind": "pits" if model.temperature_head_active else "ce",
-            }),
-            "prior_config": pc.to_dict(),
-            "seed": checkpoint.get("seed", _effective_seed(args, cfg)),
-        },
-    )
+    write_predictions(predictions, args.out, model.labels, pc.kind, meta)
     print(
         f"wrote {len(predictions)} predictions ({n_correct} correct, prior={pc.kind}) to {args.out}"
     )
@@ -218,8 +200,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     records, meta = read_predictions(args.predictions)
     try:
         report = score_predictions(records, meta, dataset)
-    except SchemaError as exc:
-        raise SchemaError(f"{Path(args.predictions) / PREDICTIONS_FILENAME}: {exc}") from exc
+    except SchemaError as exc:  # The message starts with the file's name.
+        raise SchemaError(os.path.join(args.predictions, str(exc))) from exc
     if args.out:
         save_report(report, args.out)
     nl = ("n/a" if report.new_location_accuracy is None
@@ -281,9 +263,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true", help="enable debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, out_required: bool = True) -> None:
+    def common(p: argparse.ArgumentParser, out_required: bool = True, seed: bool = True) -> None:
         p.add_argument("--config", help="JSON config file with sim/train/prior sections")
-        p.add_argument("--seed", type=int, help="override the run seed")
+        if seed:
+            p.add_argument("--seed", type=int, help="override the run seed")
         p.add_argument("--out", required=out_required, help="output path")
 
     p = sub.add_parser("simulate", help="generate a synthetic sighting dataset")
@@ -305,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="fit a global temperature to a trained model")
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--model", required=True, help="model checkpoint path")
-    common(p, out_required=False)
+    p.add_argument("--out", help="calibration JSON path")
     p.set_defaults(func=_cmd_calibrate)
 
     p = sub.add_parser("infer", help="run fused inference over the test split")
@@ -314,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prior", choices=PRIOR_KINDS, help="prior kind")
     p.add_argument("--background-model", help="checkpoint from 'train --model-kind background';"
                    " spatial priors then take capture locations from it, not the metadata")
-    common(p)
+    common(p, seed=False)
     p.set_defaults(func=_cmd_infer)
 
     p = sub.add_parser("evaluate", help="score a predictions directory against a dataset")

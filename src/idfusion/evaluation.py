@@ -21,7 +21,8 @@ from .calibration import ece_from_top_predictions
 from .classifier import BackgroundLocationModel, PitsModel, TrainConfig, train, train_background_model
 from .data import Dataset, IdentityCatalog, build_catalog, from_fields, read_json, write_json
 from .errors import ConfigError, SchemaError
-from .fusion import Prediction, prediction_records, sequential_infer
+from .fusion import (PREDICTIONS_FILENAME, PREDICTIONS_META_FILENAME, Prediction,
+                     prediction_records, sequential_infer)
 from .priors import (
     HOME_LOCATION,
     MIGRATING_LOCATION,
@@ -84,15 +85,16 @@ def overall_accuracy(predictions: Sequence[Prediction]) -> float:
 def infer(
     dataset: Dataset,
     model: PitsModel,
+    train_config: TrainConfig,
     prior_config: PriorConfig,
     catalog: IdentityCatalog | None = None,
     background_model: BackgroundLocationModel | None = None,
-) -> tuple[list[Prediction], PriorConfig]:
-    """Sequential fusion over the test split from a fresh prior state.
-
-    The prior's cell size is synced to the dataset grid so distances always
-    come out in this dataset's cell units; the synced config is returned with
-    the predictions. The library and the CLI both infer through here.
+) -> tuple[list[Prediction], dict]:
+    """Sequential fusion over the test split from a fresh prior state, and the
+    run's record: ``labels``, ``seed``, ``train_config`` (the run that trained
+    ``model``) and ``prior_config``, whose cell size is synced to the dataset
+    grid so distances always come out in this dataset's cell units. The
+    library and the CLI both infer and record runs through here.
     """
     if prior_config.cell_size_km != dataset.grid.cell_size_km:
         prior_config = replace(prior_config, cell_size_km=dataset.grid.cell_size_km)
@@ -100,7 +102,9 @@ def infer(
         catalog = build_catalog(dataset)
     state = init_state(catalog, prior_config)
     predictions = sequential_infer(model, state, dataset.test, dataset.grid, background_model)
-    return predictions, prior_config
+    meta = {"labels": list(model.labels), "seed": train_config.seed,
+            "train_config": train_config.to_dict(), "prior_config": prior_config.to_dict()}
+    return predictions, meta
 
 
 def run_experiment(
@@ -127,14 +131,8 @@ def run_experiment(
         bg_config = replace(train_config, seed=train_config.seed + 1)
         background_model = train_background_model(dataset, dataset.grid, bg_config)
 
-    predictions, prior_config = infer(dataset, model, prior_config, catalog, background_model)
+    predictions, meta = infer(dataset, model, train_config, prior_config, catalog, background_model)
     records = list(prediction_records(predictions, model.labels, prior_config.kind))
-    meta = {
-        "labels": list(model.labels),
-        "seed": train_config.seed,
-        "train_config": train_config.to_dict(),
-        "prior_config": prior_config.to_dict(),
-    }
     return score_predictions(records, meta, dataset), predictions
 
 
@@ -147,13 +145,19 @@ def score_predictions(
     :func:`run_experiment`; every report comes from here.
 
     Works from the stored top-5 entries: top-1 confidence and correctness are
-    all that top-label calibration and accuracy need. A malformed record
-    raises SchemaError naming its position and obs_id.
+    all that top-label calibration and accuracy need. A run record (``meta``)
+    key of the wrong JSON type, or a malformed record, raises SchemaError
+    naming its file, and the key or the record's position and obs_id.
     """
+    for key, kind, name in (("labels", list, "a list of ints"), ("seed", int, "an int"),
+                            ("train_config", dict, "an object"), ("prior_config", dict, "an object")):
+        value = meta.get(key)
+        if type(value) is not kind or kind is list and any(type(v) is not int for v in value):
+            raise SchemaError(f"{PREDICTIONS_META_FILENAME}: {key!r} must be {name}, got {value!r}")
     if not records:
         raise ValueError("prediction file holds no records")
     by_id = {o.obs_id: o for o in dataset.test}
-    labels = set(int(v) for v in meta.get("labels", ()))
+    labels = set(meta["labels"])
 
     correct = []
     post_conf = []
@@ -198,7 +202,7 @@ def score_predictions(
         index = next(i for i, r in enumerate(records) if r is rec)
         name = f" ({rec['obs_id']})" if "obs_id" in rec else ""
         reason = f"has no {exc.args[0]!r}" if isinstance(exc, KeyError) else exc
-        raise SchemaError(f"record {index + 1}{name}: {reason}") from exc
+        raise SchemaError(f"{PREDICTIONS_FILENAME}: record {index + 1}{name}: {reason}") from exc
 
     return ExperimentReport(
         overall_accuracy=float(correct_arr.mean()),
@@ -208,9 +212,9 @@ def score_predictions(
         n_test=len(records),
         n_new_location=n_new,
         n_unknown_identity=n_unknown,
-        seed=int(meta.get("seed", 0)),
-        train_config=dict(meta.get("train_config", {})),
-        prior_config=dict(meta.get("prior_config", {})),
+        seed=meta["seed"],
+        train_config=dict(meta["train_config"]),
+        prior_config=dict(meta["prior_config"]),
         per_identity={k: h / n for k, (h, n) in sorted(per_identity.items())},
     )
 

@@ -494,8 +494,10 @@ def test_10_same_seed_runs_are_byte_identical(tmp_path, capsys):
         "predictions.jsonl": "28580e4a9c4fbe95135e4cc2e4317b93fc46fd5b6f4937bcf4c8252cb6a38924",
         # Records the checkpoint's training config and seed (9), not a stub;
         # the config has no lr_schedule or noise_std since TrainConfig lost
-        # both, and these bytes are the earlier file's without those keys.
-        "predictions_meta.json": "30e9e39c49cf6c8ff793d84ebc6635f153a20839442a1451b343442a8bc9dc31",
+        # both, and the record no model_input_kind, which repeated the
+        # config's input_kind: these bytes are the earlier file's without
+        # those keys, rewritten by write_json.
+        "predictions_meta.json": "5802041dde7ab9ffd3ffb7f81d3ac056011245f2c5037e98ef52cea0c12728bc",
     }
     size = (first / "report.json").stat().st_size
     _announce(

@@ -236,7 +236,7 @@ def test_model_checkpoint_round_trip(tmp_path, grid2x2):
 def test_background_checkpoint_round_trip(tmp_path):
     model = BackgroundLocationModel(W=np.arange(8.0).reshape(4, 2), b=np.array([0.0, 1.0, 2.0, 3.0]))
     path = tmp_path / "bg.json"
-    save_background_model(model, path)
+    save_background_model(model, path, config=TrainConfig())
     loaded = load_background_model(path)
     assert np.array_equal(loaded.W, model.W)
     assert np.array_equal(loaded.b, model.b)

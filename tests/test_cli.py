@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from idfusion.calibration import expected_calibration_error, fit_global_temperature, tempered_softmax
-from idfusion.classifier import TrainConfig, load_model
+from idfusion.classifier import TrainConfig, load_background_model, load_model, load_model_and_config
 from idfusion.cli import main
 from idfusion.data import load_dataset
-from idfusion.evaluation import load_report, run_experiment
+from idfusion.evaluation import infer, load_report, run_experiment
+from idfusion.fusion import write_predictions
 from idfusion.priors import MIGRATING_LOCATION, PriorConfig
 
 
@@ -127,7 +128,7 @@ def test_calibrate_fits_on_train_and_scores_test(tmp_path, config_path, capsys):
                        for o in ds.test])
     for key, t in (("ece_before", 1.0), ("ece_after", t_star)):
         assert stored[key] == expected_calibration_error(tempered_softmax(logits, t), labels).ece
-    # No --config here: the seed is the model's (5), as infer records it.
+    # The seed is the model's (5), from its checkpoint's train_config, as infer records it.
     assert stored["seed"] == 5
 
 
@@ -213,7 +214,7 @@ def test_each_config_section_follows_one_rule(tmp_path, capsys, section, preset)
             assert (meta["seed"], meta["sim_config"]["seed"]) == (seed, seed), name
         else:
             checkpoint = json.loads(out.read_text())
-            assert (checkpoint["seed"], checkpoint["train_config"]["seed"]) == (seed, seed), name
+            assert checkpoint["train_config"]["seed"] == seed, name
     capsys.readouterr()
 
     # The file's section is taken as written: a null is no fallback to a
@@ -338,6 +339,21 @@ def test_error_paths_exit_one(tmp_path, config_path, capsys):
                               *(arg for pair in checkpoints.items() for arg in pair)])
             assert f"{path}: checkpoint" in err and all(w in err for w in words), err
 
+    # The model checkpoint's train_config is the run's provenance: infer and
+    # calibrate check it as a config section and name the file when it fails.
+    for case, edit, words in (
+        ("no-train-config", lambda c: c.pop("train_config"), "has no 'train_config'"),
+        ("bad-seed", lambda c: c["train_config"].update(seed="abc"), "seed must be int"),
+    ):
+        checkpoint = json.loads(Path(model).read_text())
+        edit(checkpoint)
+        path = tmp_path / f"{case}.json"
+        path.write_text(json.dumps(checkpoint), encoding="utf-8")
+        for argv in (["infer", "--data", data, "--model", str(path), "--out", str(tmp_path / "p6")],
+                     ["calibrate", "--data", data, "--model", str(path)]):
+            err = error_line(argv)
+            assert f"{path}: checkpoint" in err and "'train_config'" in err and words in err, err
+
     # A report whose per_identity has a key that is not a label names the
     # file and the key.
     preds, report = str(tmp_path / "p5"), tmp_path / "report.json"
@@ -407,6 +423,60 @@ def test_malformed_prediction_record_names_file_and_record(tmp_path, predictions
     assert err == f"error: {path}: {words.format(id=obs_id)}\n", err
 
 
+@pytest.mark.parametrize("key, value, words", [
+    ("labels", 7, "'labels' must be a list of ints, got 7"),
+    ("labels", ["0"], "'labels' must be a list of ints, got ['0']"),
+    ("seed", "abc", "'seed' must be an int, got 'abc'"),
+    ("seed", True, "'seed' must be an int, got True"),
+    ("train_config", 5, "'train_config' must be an object, got 5"),
+    ("prior_config", None, "'prior_config' must be an object, got None"),
+    ("seed", ..., "'seed' must be an int, got None"),
+], ids=["labels-int", "labels-str", "seed-str", "seed-bool", "train-config-int",
+        "prior-config-null", "no-seed"])
+def test_malformed_predictions_meta_names_file_and_key(tmp_path, predictions, capsys,
+                                                       key, value, words):
+    data, source = predictions
+    preds = tmp_path / "preds"
+    shutil.copytree(source, preds)
+    path = preds / "predictions_meta.json"
+    meta = json.loads(path.read_text())
+    if value is ...:
+        del meta[key]
+    else:
+        meta[key] = value
+    path.write_text(json.dumps(meta), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["evaluate", "--data", str(data), "--predictions", str(preds)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: {words}\n"
+
+
+def test_infer_writes_the_library_record(tmp_path, config_path, capsys):
+    # One record for the CLI and the library: the same checkpoints, config
+    # file and prior give the same prediction directory, byte for byte.
+    data, model, bg = (str(tmp_path / name) for name in ("data", "model.json", "bg.json"))
+    prior = _write_config(tmp_path / "prior.json", {"prior": {"kind": MIGRATING_LOCATION,
+                                                              "alpha": 0.5}})
+    assert main(["simulate", "--config", config_path, "--out", data]) == 0
+    assert main(["train", "--data", data, "--config", config_path, "--out", model]) == 0
+    assert main(["train", "--data", data, "--config", config_path, "--model-kind", "background",
+                 "--out", bg]) == 0
+    assert main(["infer", "--data", data, "--model", model, "--config", prior,
+                 "--background-model", bg, "--out", str(tmp_path / "cli")]) == 0
+    capsys.readouterr()
+
+    lib_model, tc = load_model_and_config(model)
+    predictions, meta = infer(load_dataset(data), lib_model, tc,
+                              PriorConfig(kind=MIGRATING_LOCATION, alpha=0.5,
+                                          location_source="background_model"),
+                              background_model=load_background_model(bg))
+    write_predictions(predictions, tmp_path / "lib", lib_model.labels, MIGRATING_LOCATION, meta)
+    names = sorted(p.name for p in (tmp_path / "cli").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "lib").iterdir())
+    for name in names:
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
+    assert meta["train_config"] == tc.to_dict() and meta["seed"] == tc.seed == 5
+
+
 def test_simulate_too_sparse_to_split_names_its_cause(tmp_path, capsys):
     # One sighting per identity passes the config check, but once every
     # identity has a train sighting none is left for the test split.
@@ -420,11 +490,17 @@ def test_simulate_too_sparse_to_split_names_its_cause(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag", [["--config", "c.json"], ["--seed", "1"]])
 def test_evaluate_takes_no_config_or_seed(flag, capsys):
-    # evaluate reads neither, so it accepts neither.
-    with pytest.raises(SystemExit) as exc:
-        main(["evaluate", "--data", "d", "--predictions", "p", *flag])
-    assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    # evaluate reads neither, so it accepts neither. calibrate reads no config
+    # section, and it and infer take the seed from the checkpoint.
+    evaluate_argv = ["evaluate", "--data", "d", "--predictions", "p"]
+    calibrate_argv = ["calibrate", "--data", "d", "--model", "m"]
+    infer_argv = ["infer", "--data", "d", "--model", "m", "--out", "p"]
+    for command in {"--config": (evaluate_argv, calibrate_argv),
+                    "--seed": (evaluate_argv, calibrate_argv, infer_argv)}[flag[0]]:
+        with pytest.raises(SystemExit) as exc:
+            main([*command, *flag])
+        assert exc.value.code == 2, command
+        assert "unrecognized arguments" in capsys.readouterr().err, command
 
 
 def test_version_flag():

@@ -102,7 +102,8 @@ def test_new_location_subset_membership(grid2x2):
 
 def _score(preds, ds, labels=(0, 1)):
     records = list(prediction_records(preds, labels, UNIFORM))
-    return score_predictions(records, {"labels": list(labels)}, ds)
+    meta = {"labels": list(labels), "seed": 0, "train_config": {}, "prior_config": {}}
+    return score_predictions(records, meta, ds)
 
 
 def test_accuracy_recomposes_from_subsets(grid2x2):
@@ -226,20 +227,19 @@ def test_scoring_many_record_sets_finds_new_locations_once(tmp_path, monkeypatch
     # new-location pass must run once for all of them and change no report byte.
     ds = _small_sim()
     model = train(ds, build_catalog(ds), _FAST_TRAIN)
-    meta = {"labels": list(model.labels), "seed": 0}
     record_sets = []
     for kind in (UNIFORM, HOME_LOCATION, MIGRATING_LOCATION, TIME_DECAY):
-        preds, _ = infer(ds, model, PriorConfig(kind=kind))
-        record_sets.append(list(prediction_records(preds, model.labels, kind)))
+        preds, meta = infer(ds, model, _FAST_TRAIN, PriorConfig(kind=kind))
+        record_sets.append((list(prediction_records(preds, model.labels, kind)), meta))
     fresh = [score_predictions(r, meta, Dataset.from_observations(ds.observations, ds.grid))
-             for r in record_sets]
+             for r, meta in record_sets]
 
     shared = Dataset.from_observations(ds.observations, ds.grid)
     calls = []
     cell_index = GridSpec.cell_index
     monkeypatch.setattr(GridSpec, "cell_index",
                         lambda grid, loc: calls.append(loc) or cell_index(grid, loc))
-    reports = [score_predictions(r, meta, shared) for r in record_sets]
+    reports = [score_predictions(r, meta, shared) for r, meta in record_sets]
     assert len(calls) == len(ds.train) + len(ds.test)
     for i, (a, b) in enumerate(zip(reports, fresh)):
         assert _report_bytes(a, tmp_path / f"a{i}.json") == _report_bytes(b, tmp_path / f"b{i}.json")
