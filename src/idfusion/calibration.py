@@ -121,8 +121,9 @@ def pits_objective(
 
 
 def _mean_nll(logits: np.ndarray, labels: np.ndarray, temperature: float) -> float:
-    loss, _, _ = pits_objective(logits / temperature, labels)
-    return float(loss.sum() / len(labels))
+    """Mean cross-entropy of ``softmax(logits / temperature)``: the loss alone, no gradient."""
+    _, log_p = softmax(logits / temperature, with_log=True)
+    return float(np.negative(log_p[np.arange(len(labels)), labels]).sum() / len(labels))
 
 
 def fit_global_temperature(logits: np.ndarray, labels: np.ndarray) -> float:

@@ -64,6 +64,8 @@ def _load_config_file(path: str | None) -> dict:
     for key, value in cfg.items():
         if key not in ("seed", "sim", "train", "prior"):
             raise ConfigError(f"{path}: unknown key {key!r}; expected seed, sim, train or prior")
+        if key == "seed" and type(value) is not int:
+            raise ConfigError(f"{path}: seed must be int, got {value!r}")
         if key != "seed" and not isinstance(value, dict):
             raise ConfigError(f"{path}: section {key!r} must be a JSON object")
     return cfg

@@ -66,11 +66,20 @@ class GridSpec:
 
     @classmethod
     def from_dict(cls, d: Mapping, what: str = "grid") -> "GridSpec":
-        """Inverse of :meth:`to_dict`; raises SchemaError naming ``what``."""
+        """Inverse of :meth:`to_dict`; raises SchemaError naming ``what`` and the key
+        whose value is missing, of the wrong JSON type (as :func:`from_fields` reads
+        types) or out of range."""
+        origin = d.get("origin")
+        if not (isinstance(origin, (list, tuple)) and len(origin) == 2
+                and all(_has_type(v, float) for v in origin)):
+            raise SchemaError(f"{what}: origin must be [x, y] numbers, got {origin!r}")
+        for key, hint in (("cell_size_km", float), ("n_cells_x", int), ("n_cells_y", int)):
+            if not _has_type(d.get(key), hint):
+                raise SchemaError(f"{what}: {key} must be {hint.__name__}, got {d.get(key)!r}")
         try:
-            origin = Location(float(d["origin"][0]), float(d["origin"][1]))
-            return cls(origin, float(d["cell_size_km"]), int(d["n_cells_x"]), int(d["n_cells_y"]))
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            return cls(Location(float(origin[0]), float(origin[1])), float(d["cell_size_km"]),
+                       d["n_cells_x"], d["n_cells_y"])
+        except (OverflowError, ValueError) as exc:
             raise SchemaError(f"{what}: {exc}") from exc
 
     @property

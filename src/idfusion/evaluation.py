@@ -23,14 +23,8 @@ from .data import Dataset, IdentityCatalog, build_catalog, from_fields, read_jso
 from .errors import ConfigError, SchemaError
 from .fusion import (PREDICTIONS_FILENAME, PREDICTIONS_META_FILENAME, Prediction,
                      prediction_records, sequential_infer)
-from .priors import (
-    HOME_LOCATION,
-    MIGRATING_LOCATION,
-    TIME_DECAY,
-    UNIFORM,
-    PriorConfig,
-    init_state,
-)
+from .priors import (HOME_LOCATION, MIGRATING_LOCATION, TIME_DECAY, UNIFORM, PriorConfig,
+                     init_state)
 
 logger = logging.getLogger(__name__)
 
@@ -144,8 +138,10 @@ def score_predictions(
     """Score prediction records, read back from disk or built in memory by
     :func:`run_experiment`; every report comes from here.
 
-    Works from the stored top-5 entries: top-1 confidence and correctness are
-    all that top-label calibration and accuracy need. A run record (``meta``)
+    A record's truth is the identity of the dataset's test sighting with its
+    obs_id; the record's own ``true`` must be null or that identity. Works
+    from the stored top-5 entries: top-1 confidence and correctness are all
+    that top-label calibration and accuracy need. A run record (``meta``)
     key of the wrong JSON type, or a malformed record, raises SchemaError
     naming its file, and the key or the record's position and obs_id.
     """
@@ -156,66 +152,49 @@ def score_predictions(
             raise SchemaError(f"{PREDICTIONS_META_FILENAME}: {key!r} must be {name}, got {value!r}")
     if not records:
         raise ValueError("prediction file holds no records")
-    by_id = {o.obs_id: o for o in dataset.test}
-    labels = set(meta["labels"])
-
-    correct = []
-    post_conf = []
-    like_conf = []
-    like_correct = []
-    n_unknown = 0
-    n_hits_new = 0
-    n_new = 0
+    truth = {o.obs_id: o.identity for o in dataset.test}
     new_ids = dataset.new_location_ids
-    per_identity: dict[int, list[int]] = {}
-    try:
-        for rec in records:
-            obs = by_id.get(rec["obs_id"])
-            true = rec["true"] if rec["true"] is not None else (obs.identity if obs else None)
-            if true is None:
-                raise ValueError("no ground truth available")
-            hit = int(rec["predicted"]) == int(true)
-            correct.append(hit)
-            post_conf.append(float(rec["posterior_top5"][0][1]))
+    n = len(records)
+    true = np.empty(n, dtype=np.int64)
+    hit, like_hit, new = np.empty((3, n), dtype=bool)
+    conf = np.empty((2, n))  # top fused and top likelihood confidence
+    for i, rec in enumerate(records):
+        try:
+            obs_id, predicted, stored = rec["obs_id"], rec["predicted"], rec["true"]
+            identity = truth.get(obs_id)
+            if identity is None:
+                raise ValueError(f"obs_id {obs_id!r} is not a test sighting of the dataset")
+            if stored is not None and (type(stored) is not int or stored != identity):
+                raise ValueError(f"true {stored!r} is not the dataset's identity {identity}")
+            if type(predicted) is not int:
+                raise ValueError(f"predicted must be an int, got {predicted!r}")
+            post, like = rec["posterior_top5"][0], rec["likelihood_top5"][0]
+            p, q = float(post[1]), float(like[1])
+            if not (0 < p <= 1 and 0 < q <= 1):  # NaN fails both comparisons
+                raise ValueError("confidences must lie in (0, 1]")
             # The likelihood is scored as its own predictor: its top entry's
             # label, not the fused prediction, decides correctness here.
-            like_conf.append(float(rec["likelihood_top5"][0][1]))
-            like_correct.append(int(rec["likelihood_top5"][0][0]) == int(true))
-            if labels and int(true) not in labels:
-                n_unknown += 1
-            if rec["obs_id"] in new_ids:
-                n_new += 1
-                n_hits_new += 1 if hit else 0
-            entry = per_identity.setdefault(int(true), [0, 0])
-            entry[0] += 1 if hit else 0
-            entry[1] += 1
-        rec = None
-        correct_arr = np.array(correct, dtype=np.float64)
-        ece_fused = ece_from_top_predictions(np.array(post_conf), correct_arr).ece
-        ece_likelihood = ece_from_top_predictions(
-            np.array(like_conf), np.array(like_correct, dtype=np.float64)
-        ).ece
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
-        if rec is None:  # Every record parsed: a top confidence lies outside (0, 1].
-            rec = next(r for r, p, q in zip(records, post_conf, like_conf)
-                       if not (0 < p <= 1 and 0 < q <= 1))
-        index = next(i for i, r in enumerate(records) if r is rec)
-        name = f" ({rec['obs_id']})" if "obs_id" in rec else ""
-        reason = f"has no {exc.args[0]!r}" if isinstance(exc, KeyError) else exc
-        raise SchemaError(f"{PREDICTIONS_FILENAME}: record {index + 1}{name}: {reason}") from exc
+            true[i], hit[i], like_hit[i] = identity, predicted == identity, int(like[0]) == identity
+            new[i], conf[:, i] = obs_id in new_ids, (p, q)
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            name = f" ({rec['obs_id']})" if "obs_id" in rec else ""
+            reason = f"has no {exc.args[0]!r}" if isinstance(exc, KeyError) else exc
+            raise SchemaError(f"{PREDICTIONS_FILENAME}: record {i + 1}{name}: {reason}") from exc
 
+    ids, inverse = np.unique(true, return_inverse=True)
+    per_identity = np.bincount(inverse, weights=hit) / np.bincount(inverse)
     return ExperimentReport(
-        overall_accuracy=float(correct_arr.mean()),
-        new_location_accuracy=None if n_new == 0 else n_hits_new / n_new,
-        ece_fused=ece_fused,
-        ece_likelihood=ece_likelihood,
-        n_test=len(records),
-        n_new_location=n_new,
-        n_unknown_identity=n_unknown,
+        overall_accuracy=float(hit.mean()),
+        new_location_accuracy=float(hit[new].mean()) if new.any() else None,
+        ece_fused=ece_from_top_predictions(conf[0], hit).ece,
+        ece_likelihood=ece_from_top_predictions(conf[1], like_hit).ece,
+        n_test=n,
+        n_new_location=int(new.sum()),
+        n_unknown_identity=int(np.count_nonzero(~np.isin(true, meta["labels"]))),
         seed=meta["seed"],
         train_config=dict(meta["train_config"]),
         prior_config=dict(meta["prior_config"]),
-        per_identity={k: h / n for k, (h, n) in sorted(per_identity.items())},
+        per_identity=dict(zip(ids.tolist(), per_identity.tolist())),
     )
 
 

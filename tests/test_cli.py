@@ -294,6 +294,16 @@ def test_error_paths_exit_one(tmp_path, config_path, capsys):
         err = error_line(argv + ["--config", str(cfg)])
         assert all(w in err for w in words), err
 
+    # A top-level seed of the wrong type fails where the file is read, even
+    # when every seeded section has a seed of its own.
+    cfg = _write_config(tmp_path / "seed.json", {"seed": "abc", "train": {"seed": 1, "epochs": 2},
+                                                "prior": {}})
+    for argv in (["train", "--data", data, "--out", str(tmp_path / "m3.json")],
+                 ["infer", "--data", data, "--model", model, "--out", str(tmp_path / "p7")],
+                 ["report", "--data", data]):
+        err = error_line(argv + ["--config", cfg])
+        assert f"{cfg}: seed must be int, got 'abc'" in err, err
+
     # Too few sightings for the identities is a config error, not a failed redraw.
     cfg = tmp_path / "sparse.json"
     cfg.write_text(json.dumps({"sim": {"n_identities": 5, "obs_rate": 0.9}}), encoding="utf-8")
@@ -405,7 +415,13 @@ def predictions(tmp_path_factory):
      "record 2 ({id}): confidences must lie in (0, 1]"),
     (lambda r: r["likelihood_top5"][0].__setitem__(1, float("nan")),
      "record 2 ({id}): confidences must lie in (0, 1]"),
-], ids=["no-obs-id", "empty-top5", "confidence-above-1", "nan-confidence"])
+    (lambda r: r.update(obs_id="x"),
+     "record 2 (x): obs_id 'x' is not a test sighting of the dataset"),
+    (lambda r: r.update(true=str(r["true"])),
+     "record 2 ({id}): true '{true}' is not the dataset's identity {true}"),
+    (lambda r: r.update(predicted=3.5), "record 2 ({id}): predicted must be an int, got 3.5"),
+], ids=["no-obs-id", "empty-top5", "confidence-above-1", "nan-confidence", "not-a-test-sighting",
+        "true-str", "predicted-float"])
 def test_malformed_prediction_record_names_file_and_record(tmp_path, predictions, capsys,
                                                            edit, words):
     data, source = predictions
@@ -414,13 +430,29 @@ def test_malformed_prediction_record_names_file_and_record(tmp_path, predictions
     path = preds / "predictions.jsonl"
     lines = path.read_text().splitlines()
     rec = json.loads(lines[1])
-    obs_id = rec["obs_id"]
+    obs_id, true = rec["obs_id"], rec["true"]
     edit(rec)
     path.write_text("\n".join([lines[0], json.dumps(rec), *lines[2:]]) + "\n")
     capsys.readouterr()
     assert main(["evaluate", "--data", str(data), "--predictions", str(preds)]) == 1
     err = capsys.readouterr().err
-    assert err == f"error: {path}: {words.format(id=obs_id)}\n", err
+    assert err == f"error: {path}: {words.format(id=obs_id, true=true)}\n", err
+
+
+def test_evaluate_rejects_another_seeds_dataset(tmp_path, predictions, capsys):
+    # Both datasets number their sightings alike, so only the truth behind
+    # each obs_id tells them apart: the first record that disagrees fails.
+    _, preds = predictions
+    other = tmp_path / "other"
+    cfg = _write_config(tmp_path / "config.json", {"sim": SIM_SECTION})
+    assert main(["simulate", "--config", cfg, "--seed", "6", "--out", str(other)]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", "--data", str(other), "--predictions", str(preds)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {preds / 'predictions.jsonl'}: record ") and \
+        err.count("\n") == 1, err
+    assert "is not a test sighting of the dataset" in err or \
+        "is not the dataset's identity" in err, err
 
 
 @pytest.mark.parametrize("key, value, words", [

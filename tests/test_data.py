@@ -21,6 +21,7 @@ from idfusion.data import (
     validate_dataset,
 )
 from idfusion.errors import ParseError, SchemaError, SplitError
+from idfusion.simulate import SimConfig
 
 from conftest import make_obs, tiny_dataset
 
@@ -299,3 +300,26 @@ def test_dataset_sidecar_mentions_grid(tmp_path, grid2x2):
     meta = json.loads((tmp_path / "d" / "dataset.json").read_text())
     assert meta["cell_size_km"] == 5.0
     assert meta["n_cells_x"] == 2
+
+
+@pytest.mark.parametrize("changes, words", [
+    ({"n_cells_x": 3.9, "cell_size_km": "5"}, "cell_size_km must be float, got '5'"),
+    ({"n_cells_x": 3.9}, "n_cells_x must be int, got 3.9"),
+    ({"n_cells_y": True}, "n_cells_y must be int, got True"),
+    ({"cell_size_km": False}, "cell_size_km must be float, got False"),
+    ({"origin": [0.0, None]}, "origin must be [x, y] numbers, got [0.0, None]"),
+    ({"origin": [0.0]}, "origin must be [x, y] numbers, got [0.0]"),
+    ({"n_cells_x": 0}, "grid must have at least one cell per axis"),
+])
+def test_grid_from_sidecar_or_sim_config_checks_each_key(tmp_path, grid2x2, changes, words):
+    # A dataset sidecar and a simulator config read a grid by one rule:
+    # ints for cell counts, numbers but not booleans for the rest.
+    save_dataset(tiny_dataset(grid2x2), tmp_path / "d")
+    sidecar = tmp_path / "d" / "dataset.json"
+    sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), **changes}))
+    with pytest.raises(SchemaError) as exc:
+        load_dataset(tmp_path / "d")
+    assert str(exc.value) == f"{sidecar}: {words}"
+    with pytest.raises(SchemaError) as exc:
+        SimConfig.from_dict({"grid": {**grid2x2.to_dict(), **changes}})
+    assert str(exc.value) == f"sim.grid: {words}"

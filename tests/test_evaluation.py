@@ -1,6 +1,7 @@
 """Scoring, the new-location subset, report serialization, and the row suite."""
 
 import csv
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -220,6 +221,38 @@ def test_score_predictions_reproduces_report(tmp_path):
     # run_experiment scores through the same records, so nothing may differ.
     assert _report_bytes(rescored, tmp_path / "rescored.json") == \
         _report_bytes(report, tmp_path / "report.json")
+
+
+# sha256 of the report.json bytes of score_predictions over one model per
+# loss and each of the four prior kinds, in the order of _PIN_PRIORS,
+# recorded before the scorer was rewritten as one pass over the records.
+# Identity 5 has no training sighting, so its test sightings are unknown to
+# the model. Scoring may get simpler, but any byte of a report it moves
+# fails here.
+_PIN_PRIORS = (UNIFORM, HOME_LOCATION, MIGRATING_LOCATION, TIME_DECAY)
+REPORT_DIGESTS = {
+    "ce": "90548a159c22e9ee09ec332cf6eaf9714edce146a7fb32b5008a6104ee618ec6",
+    "pits": "122054e6142d90074cdf9952074ed9e9c6e0a69022de4ec745b2beb2265ffe52",
+}
+
+
+@pytest.mark.parametrize("loss", sorted(REPORT_DIGESTS))
+def test_report_bytes_are_pinned(tmp_path, loss):
+    sim = generate(SimConfig(
+        n_identities=6, feature_dim=8, bg_feature_dim=6,
+        grid=GridSpec(origin=Location(0.0, 0.0), cell_size_km=5.0, n_cells_x=3, n_cells_y=2),
+        home_range_cells=0.6, migration_prob=0.3, fg_noise=1.0, obs_rate=20.0,
+        duration_days=240.0, seed=7))
+    ds = Dataset.from_observations(
+        [o for o in sim.observations if o.split == "test" or o.identity != 5], sim.grid)
+    config = replace(_FAST_TRAIN, loss_kind=loss, seed=2)
+    model = train(ds, build_catalog(ds), config)
+    digest = hashlib.sha256()
+    for kind in _PIN_PRIORS:
+        preds, meta = infer(ds, model, config, PriorConfig(kind=kind))
+        report = score_predictions(list(prediction_records(preds, model.labels, kind)), meta, ds)
+        digest.update(_report_bytes(report, tmp_path / f"{kind}.json"))
+    assert digest.hexdigest() == REPORT_DIGESTS[loss]
 
 
 def test_scoring_many_record_sets_finds_new_locations_once(tmp_path, monkeypatch):
