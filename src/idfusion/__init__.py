@@ -17,13 +17,10 @@ from .calibration import (
     tempered_softmax,
 )
 from .classifier import (
-    BackgroundLocationModel,
     PitsModel,
     TrainConfig,
     features_from,
-    load_background_model,
     load_model,
-    save_background_model,
     save_model,
     train,
     train_background_model,
@@ -72,7 +69,6 @@ from .simulate import PRESETS, SimConfig, generate, lynx_like, turtle_like
 __version__ = "0.1.0"
 
 __all__ = [
-    "BackgroundLocationModel",
     "CalibrationReport",
     "ConfigError",
     "Dataset",
@@ -102,7 +98,6 @@ __all__ = [
     "generate",
     "infer",
     "init_state",
-    "load_background_model",
     "load_dataset",
     "load_model",
     "load_report",
@@ -115,7 +110,6 @@ __all__ = [
     "resolve_location",
     "run_experiment",
     "run_row_suite",
-    "save_background_model",
     "save_dataset",
     "save_model",
     "save_report",

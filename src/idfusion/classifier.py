@@ -4,7 +4,8 @@ The model is deliberately small: a single linear layer produces logits and a
 second linear head produces the temperature through 1 + softplus, which keeps
 T >= 1 by construction. Training is plain mini-batch gradient descent with
 cosine-annealed learning rate; given the same seed and data it is bit-exact
-across runs.
+across runs. The background location model is the same linear model over the
+grid's cells, trained on background features with its temperature head off.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .calibration import TEMPERATURE_REGULARIZER, LogitsOutput, pits_objective
-from .data import (Dataset, GridSpec, IdentityCatalog, Location, Observation, from_fields,
+from .data import (Dataset, GridSpec, IdentityCatalog, Observation, _has_type, from_fields,
                    read_json, write_json)
 from .errors import ConfigError, SchemaError, TrainingError
 
@@ -71,7 +72,8 @@ def _softplus(u: np.ndarray | float) -> np.ndarray | float:
 
 @dataclass(frozen=True, eq=False)
 class PitsModel:
-    """Trained linear classifier over a fixed identity label space.
+    """Trained linear classifier over a fixed label space: identities, or
+    the grid's cell indices for a background location model.
 
     ``temperature_head_active`` separates calibrated models from plain
     cross-entropy baselines. A CE-trained model never touched its temperature
@@ -276,47 +278,10 @@ def train(dataset: Dataset, catalog: IdentityCatalog, config: TrainConfig) -> Pi
     )
 
 
-# ---------------------------------------------------------------------------
-# Background location model
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class BackgroundLocationModel:
-    """Linear classifier from background features to grid-cell indices."""
-
-    W: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "W", np.asarray(self.W, dtype=np.float64))
-        object.__setattr__(self, "b", np.asarray(self.b, dtype=np.float64))
-        if self.W.ndim != 2 or self.b.shape != (self.W.shape[0],):
-            raise ValueError("weights must be (C, d_bg) with one bias per cell")
-
-    @property
-    def n_cells(self) -> int:
-        return self.W.shape[0]
-
-    def predict_location(self, x_bg: np.ndarray, grid: GridSpec) -> Location:
-        """Center of the highest-scoring cell; ties go to the lowest index."""
-        x_bg = np.asarray(x_bg, dtype=np.float64)
-        if x_bg.shape != (self.W.shape[1],):
-            raise ValueError(f"expected bg features of dim {self.W.shape[1]}, got {x_bg.shape}")
-        if grid.n_cells != self.n_cells:
-            raise ValueError(f"grid has {grid.n_cells} cells but model scores {self.n_cells}")
-        scores = self.W @ x_bg + self.b
-        return grid.cell_center(int(np.argmax(scores)))
-
-
-def train_background_model(
-    dataset: Dataset, grid: GridSpec, config: TrainConfig
-) -> BackgroundLocationModel:
-    """Fit a cell classifier on background features via cross-entropy.
-
-    Reuses the optimizer settings from ``config``; the loss is always plain
-    CE over cell indices regardless of config.loss_kind.
-    """
+def train_background_model(dataset: Dataset, grid: GridSpec, config: TrainConfig) -> PitsModel:
+    """Fit a cell classifier on background features by plain cross-entropy,
+    whatever config.loss_kind says, with ``config``'s optimizer settings: a
+    :class:`PitsModel` over the grid's cell indices, temperature head inactive."""
     train_obs = dataset.train
     X = np.stack([o.bg_features for o in train_obs])
     y = np.array([grid.cell_index(o.location) for o in train_obs], dtype=np.int64)
@@ -326,8 +291,10 @@ def train_background_model(
     bound = 1.0 / math.sqrt(d)
     W = rng.uniform(-bound, bound, size=(grid.n_cells, d))
     b = np.zeros(grid.n_cells)
-    _descend(X, y, W, b, config, rng)
-    return BackgroundLocationModel(W=W, b=b)
+    history, _ = _descend(X, y, W, b, config, rng)
+    return PitsModel(W=W, b=b, w_T=np.zeros(d), b_T=0.0, labels=tuple(range(grid.n_cells)),
+                     input_kind="background", temperature_head_active=False,
+                     loss_history=tuple(history))
 
 
 # ---------------------------------------------------------------------------
@@ -357,25 +324,37 @@ def _floats(value) -> np.ndarray:
     return np.array(value, dtype=np.float64)
 
 
+def _labels(value) -> tuple[int, ...]:
+    if not (isinstance(value, list) and all(type(v) is int for v in value)):
+        raise TypeError(f"must be a list of ints, got {value!r}")
+    return tuple(value)
+
+
 def _checkpoint_field(path: str | Path, payload: dict, key: str, convert, shape=None):
-    """``convert(payload[key])``, of ``shape`` when one is given (None
-    matches any length). A missing key, a value that will not convert or a
-    wrong shape raises SchemaError naming the file and the key."""
+    """``convert(payload[key])``, of ``shape`` when one is given. A scalar
+    ``convert`` (int, float, bool or str) takes only a value of that JSON
+    type, as :func:`from_fields` reads types: ``"25"`` is no ``K`` and
+    ``"false"`` no bool. A missing key, a value of another type or that will
+    not convert, or a wrong shape raises SchemaError naming the file and the
+    key."""
     if key not in payload:
         raise SchemaError(f"{path}: checkpoint has no {key!r}")
+    value = payload[key]
     try:
-        value = convert(payload[key])
+        if convert in (int, float, bool, str) and not _has_type(value, convert):
+            raise TypeError(f"must be {convert.__name__}, got {value!r}")
+        value = convert(value)
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: checkpoint {key!r} is malformed: {exc}") from exc
-    if shape is not None:
-        got = np.shape(value)
-        if len(got) != len(shape) or any(e not in (None, g) for e, g in zip(shape, got)):
-            raise SchemaError(f"{path}: checkpoint {key!r} has shape {got}, expected {shape}")
+    if shape is not None and np.shape(value) != shape:
+        raise SchemaError(
+            f"{path}: checkpoint {key!r} has shape {np.shape(value)}, expected {shape}")
     return value
 
 
 def load_model(path: str | Path) -> PitsModel:
-    """The model in a :func:`save_model` checkpoint.
+    """The model in a :func:`save_model` checkpoint, an identity model or a
+    background location model alike.
 
     Raises:
         SchemaError: naming the file and the key when an entry is missing,
@@ -402,35 +381,9 @@ def _model_from(path: str | Path, payload: dict) -> PitsModel:
         b=field("b", _floats, (k,)),
         w_T=field("w_T", _floats, (d,)),
         b_T=field("b_T", float),
-        labels=field("labels", lambda v: tuple(int(x) for x in v), (k,)),
+        labels=field("labels", _labels, (k,)),
         input_kind=field("input_kind", str),
         temperature_head_active=field("temperature_head_active", bool),
         loss_history=(field("loss_history", lambda v: tuple(float(x) for x in v))
                       if "loss_history" in payload else ()),
-    )
-
-
-def save_background_model(model: BackgroundLocationModel, path: str | Path,
-                          config: TrainConfig) -> None:
-    """Like :func:`save_model`, for a background location model."""
-    write_json(path, {
-        "W": model.W.tolist(),
-        "b": model.b.tolist(),
-        "C": model.n_cells,
-        "train_config": config.to_dict(),
-    })
-
-
-def load_background_model(path: str | Path) -> BackgroundLocationModel:
-    """The model in a :func:`save_background_model` checkpoint.
-
-    Raises:
-        SchemaError: naming the file and the key when an entry is missing,
-            malformed or disagrees with the stored cell count ``C``.
-    """
-    payload = read_json(path)
-    c = _checkpoint_field(path, payload, "C", int)
-    return BackgroundLocationModel(
-        W=_checkpoint_field(path, payload, "W", _floats, (c, None)),
-        b=_checkpoint_field(path, payload, "b", _floats, (c,)),
     )

@@ -22,9 +22,8 @@ from .calibration import expected_calibration_error, fit_global_temperature, tem
 from .classifier import (
     TrainConfig,
     features_from,
-    load_background_model,
+    load_model,
     load_model_and_config,
-    save_background_model,
     save_model,
     train,
     train_background_model,
@@ -48,7 +47,7 @@ from .evaluation import (
     write_report_csv,
 )
 from .fusion import read_predictions, write_predictions
-from .priors import PRIOR_KINDS, PriorConfig
+from .priors import PRIOR_KINDS, PriorConfig, check_background_model
 from .simulate import PRESETS, SimConfig, generate
 
 logger = logging.getLogger(__name__)
@@ -122,16 +121,13 @@ def _cmd_train(args: argparse.Namespace) -> int:
                   epochs=args.epochs, learning_rate=args.learning_rate)
     if args.model_kind == "background":
         model = train_background_model(dataset, dataset.grid, tc)
-        save_background_model(model, args.out, config=tc)
-        print(f"wrote background location model ({model.n_cells} cells) to {args.out}")
-        return 0
-    catalog = build_catalog(dataset)
-    model = train(dataset, catalog, tc)
+        what = f"background location model ({model.n_classes} cells)"
+    else:
+        model = train(dataset, build_catalog(dataset), tc)
+        what = (f"{tc.loss_kind}/{tc.input_kind} model ({model.n_classes} classes,"
+                f" final loss {model.final_train_loss:.4f})")
     save_model(model, args.out, config=tc)
-    print(
-        f"wrote {tc.loss_kind}/{tc.input_kind} model "
-        f"({model.n_classes} classes, final loss {model.final_train_loss:.4f}) to {args.out}"
-    )
+    print(f"wrote {what} to {args.out}")
     return 0
 
 
@@ -184,7 +180,8 @@ def _cmd_infer(args: argparse.Namespace) -> int:
                   location_source="background_model" if args.background_model else None)
     background_model = None
     if args.background_model:
-        background_model = load_background_model(args.background_model)
+        background_model = load_model(args.background_model)
+        check_background_model(background_model, dataset.grid, args.background_model)
     elif pc.location_source == "background_model":
         raise ConfigError("location_source 'background_model' needs --background-model,"
                           " a checkpoint from 'train --model-kind background'")
@@ -224,10 +221,13 @@ def _row_name(report) -> str:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    cfg = _load_config_file(args.config)
     if args.reports:
         if args.data:
             print("error: pass either report files or --data, not both", file=sys.stderr)
+            return 1
+        if args.config or args.seed is not None:
+            print("error: --config and --seed apply only to --data, not to report files",
+                  file=sys.stderr)
             return 1
         reports = {}
         for path in args.reports:
@@ -237,6 +237,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
                 name = f"{name}_{Path(path).stem}"
             reports[name] = rep
     elif args.data:
+        cfg = _load_config_file(args.config)
         dataset = load_dataset(args.data)
         reports = run_row_suite(dataset, base_train=_section(args, cfg, "train"),
                                 base_prior=_section(args, cfg, "prior"))

@@ -459,34 +459,39 @@ def _record_from(obs: Observation) -> dict:
     return rec
 
 
+_NUMBERS = (int, float)
+
+
 def _observation_from(rec: dict, lineno: int, path: Path) -> Observation:
+    """The observation in record ``rec``, each field read by its JSON type, as
+    :func:`_has_type` reads types: an identity of 1.9 or ``true`` is no int
+    and ``"1.09"`` no time. ParseError names the file, the line and the
+    missing or mistyped field."""
     try:
-        loc = rec["loc"]
-        return Observation(
-            obs_id=str(rec["obs_id"]),
-            identity=int(rec["identity"]),
-            fg_features=rec["fg"],
-            bg_features=rec["bg"],
-            location=Location(float(loc[0]), float(loc[1])),
-            timestamp=float(rec["t"]),
-            split=rec.get("split"),
-        )
+        obs_id, identity, fg, bg, loc, t = (
+            rec["obs_id"], rec["identity"], rec["fg"], rec["bg"], rec["loc"], rec["t"])
     except KeyError as exc:
         raise ParseError(f"{path}: line {lineno}: record has no {exc.args[0]!r}") from exc
-    except (IndexError, TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: line {lineno}: {_bad_field(rec)}{exc}") from exc
-
-
-def _bad_field(rec: dict) -> str:
-    """``"field 'key': "`` naming the first field of a failed record that does not
-    convert; empty when the record broke an invariant, whose message names it."""
-    for key, convert in (("identity", int), ("fg", _read_only_copy), ("bg", _read_only_copy),
-                         ("loc", lambda v: (float(v[0]), float(v[1]))), ("t", float)):
+    if type(obs_id) is not str:
+        key, kind = "obs_id", "a string"
+    elif type(identity) is not int:
+        key, kind = "identity", "an int"
+    elif type(loc) is not list or len(loc) != 2 or type(loc[0]) not in _NUMBERS \
+            or type(loc[1]) not in _NUMBERS:
+        key, kind = "loc", "[x, y] numbers"
+    elif type(t) not in _NUMBERS:
+        key, kind = "t", "a number"
+    else:
         try:
-            convert(rec[key])
-        except (IndexError, TypeError, ValueError):
-            return f"field {key!r}: "
-    return ""
+            return Observation(obs_id, identity, fg, bg, Location(float(loc[0]), float(loc[1])),
+                               float(t), rec.get("split"))
+        except (TypeError, ValueError) as exc:
+            # Only the features are left unchecked: name the one that does not convert.
+            key = next((k for k in ("fg", "bg") if type(rec[k]) is not list
+                        or any(type(v) not in _NUMBERS for v in rec[k])), None)
+            field = "" if key is None else f"field {key!r}: "
+            raise ParseError(f"{path}: line {lineno}: {field}{exc}") from exc
+    raise ParseError(f"{path}: line {lineno}: field {key!r}: must be {kind}, got {rec[key]!r}")
 
 
 def save_dataset(dataset: Dataset, directory: str | Path, extra_meta: Mapping | None = None) -> None:

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .calibration import ece_from_top_predictions
-from .classifier import BackgroundLocationModel, PitsModel, TrainConfig, train, train_background_model
+from .classifier import PitsModel, TrainConfig, train, train_background_model
 from .data import Dataset, IdentityCatalog, build_catalog, from_fields, read_json, write_json
 from .errors import ConfigError, SchemaError
 from .fusion import (PREDICTIONS_FILENAME, PREDICTIONS_META_FILENAME, Prediction,
@@ -82,7 +82,7 @@ def infer(
     train_config: TrainConfig,
     prior_config: PriorConfig,
     catalog: IdentityCatalog | None = None,
-    background_model: BackgroundLocationModel | None = None,
+    background_model: PitsModel | None = None,
 ) -> tuple[list[Prediction], dict]:
     """Sequential fusion over the test split from a fresh prior state, and the
     run's record: ``labels``, ``seed``, ``train_config`` (the run that trained
@@ -169,12 +169,17 @@ def score_predictions(
             if type(predicted) is not int:
                 raise ValueError(f"predicted must be an int, got {predicted!r}")
             post, like = rec["posterior_top5"][0], rec["likelihood_top5"][0]
-            p, q = float(post[1]), float(like[1])
+            for key, top in (("posterior_top5", post), ("likelihood_top5", like)):
+                # [label, confidence] by JSON type: no bool, string or float label.
+                if not (type(top) is list and len(top) == 2 and type(top[0]) is int
+                        and type(top[1]) in (int, float)):
+                    raise ValueError(f"{key}[0] must be [int, float], got {top!r}")
+            p, q = post[1], like[1]
             if not (0 < p <= 1 and 0 < q <= 1):  # NaN fails both comparisons
                 raise ValueError("confidences must lie in (0, 1]")
             # The likelihood is scored as its own predictor: its top entry's
             # label, not the fused prediction, decides correctness here.
-            true[i], hit[i], like_hit[i] = identity, predicted == identity, int(like[0]) == identity
+            true[i], hit[i], like_hit[i] = identity, predicted == identity, like[0] == identity
             new[i], conf[:, i] = obs_id in new_ids, (p, q)
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             name = f" ({rec['obs_id']})" if "obs_id" in rec else ""

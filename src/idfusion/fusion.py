@@ -38,14 +38,14 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .calibration import softmax, tempered_softmax
-from .classifier import BackgroundLocationModel, PitsModel, features_from
+from .classifier import PitsModel, features_from
 from .data import GridSpec, Location, Observation, read_json, read_jsonl, write_json, write_jsonl
 from .priors import (
     MIGRATING_LOCATION,
     TIME_DECAY,
     PriorState,
     prior_rows,
-    resolve_location,
+    resolve_locations,
     update_last_seen,
     update_location,
 )
@@ -157,7 +157,7 @@ def sequential_infer(
     state: PriorState,
     observations: Iterable[Observation],
     grid: GridSpec | None = None,
-    background_model: BackgroundLocationModel | None = None,
+    background_model: PitsModel | None = None,
 ) -> list[Prediction]:
     """Run fusion over a time-ordered stream, updating prior state as it goes.
 
@@ -194,7 +194,7 @@ def sequential_infer(
     predictions: list[Prediction] = []
     for start in range(0, len(stream), BLOCK_ROWS):
         block = stream[start : start + BLOCK_ROWS]
-        locations = [resolve_location(o, state.config, background_model, grid) for o in block]
+        locations = resolve_locations(block, state.config, background_model, grid)
         where = np.array([(loc.x, loc.y, o.timestamp) for loc, o in zip(locations, block)])
         xy, times = where[:, :2], where[:, 2:]
         logits, temperatures = model.forward_rows(

@@ -16,10 +16,11 @@ the same meaning across datasets.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from typing import Sequence
 
 import numpy as np
 
-from .classifier import BackgroundLocationModel
+from .classifier import PitsModel
 from .data import GridSpec, IdentityCatalog, Location, Observation
 from .errors import ConfigError
 
@@ -208,31 +209,44 @@ def update_last_seen(state: PriorState, label: int, timestamp: float) -> None:
     state.last_seen[state.index_of(label)] = timestamp
 
 
-def resolve_location(
-    obs: Observation,
-    config: PriorConfig,
-    background_model: BackgroundLocationModel | None = None,
-    grid: GridSpec | None = None,
-) -> Location:
-    """Capture location used by the spatial priors.
+def check_background_model(model: PitsModel, grid: GridSpec, what: str = "background model") -> None:
+    """ConfigError naming ``what`` unless ``model`` scores ``grid``'s cells 0 .. n_cells - 1
+    from background features, as ``classifier.train_background_model`` trains it."""
+    if model.input_kind != "background" or model.labels != tuple(range(grid.n_cells)):
+        raise ConfigError(f"{what} must score the grid's {grid.n_cells} cells from background"
+                          f" features, not {model.n_classes} labels from {model.input_kind} features")
+
+
+def resolve_locations(observations: Sequence[Observation], config: PriorConfig,
+                      background_model: PitsModel | None = None,
+                      grid: GridSpec | None = None) -> list[Location]:
+    """Capture location used by the spatial priors, for each observation.
 
     Either the trusted metadata location or, when coordinates cannot be
-    trusted or are absent, the background model's best guess from scene
-    features.
+    trusted or are absent, the centre of the cell that the background model
+    scores highest from scene features, ties to the lowest cell: one check of
+    the model and one ``forward_rows`` call over the background rows, so a
+    sighting resolves to the same cell alone or in a block.
     """
     if config.location_source == "metadata":
-        return obs.location
-    if background_model is None:
-        raise ConfigError("location_source='background_model' requires a background model")
-    if grid is None:
-        raise ConfigError("location_source='background_model' requires the grid")
-    return background_model.predict_location(obs.bg_features, grid)
+        return [o.location for o in observations]
+    if background_model is None or grid is None:
+        raise ConfigError("location_source='background_model' requires a background model and the grid")
+    check_background_model(background_model, grid)
+    logits, _ = background_model.forward_rows(np.array([o.bg_features for o in observations]))
+    return [grid.cell_center(cell) for cell in logits.argmax(axis=1).tolist()]
+
+
+def resolve_location(obs: Observation, config: PriorConfig, background_model: PitsModel | None = None,
+                     grid: GridSpec | None = None) -> Location:
+    """:func:`resolve_locations` for one observation."""
+    return resolve_locations((obs,), config, background_model, grid)[0]
 
 
 def prior_vector(
     state: PriorState,
     obs: Observation,
-    background_model: BackgroundLocationModel | None = None,
+    background_model: PitsModel | None = None,
     grid: GridSpec | None = None,
 ) -> tuple[np.ndarray, Location]:
     """Evaluate the configured prior (times any combine_with extras) at one

@@ -1,4 +1,5 @@
-"""Linear classifier with the temperature head, plus the background model."""
+"""Linear classifier with the temperature head, and the background location model
+that is the same linear model over grid cells."""
 
 import hashlib
 import math
@@ -9,19 +10,17 @@ import pytest
 
 from idfusion.calibration import fit_global_temperature, per_instance_softmax, pits_objective
 from idfusion.classifier import (
-    BackgroundLocationModel,
     PitsModel,
     TrainConfig,
     features_from,
-    load_background_model,
     load_model,
-    save_background_model,
     save_model,
     train,
     train_background_model,
 )
 from idfusion.data import Dataset, GridSpec, Location, build_catalog
 from idfusion.errors import ConfigError, TrainingError
+from idfusion.priors import MIGRATING_LOCATION, PriorConfig, resolve_locations
 from idfusion.simulate import SimConfig, generate, lynx_like
 
 from conftest import make_obs
@@ -233,32 +232,23 @@ def test_model_checkpoint_round_trip(tmp_path, grid2x2):
                           per_instance_softmax(model.forward(x)))
 
 
-def test_background_checkpoint_round_trip(tmp_path):
-    model = BackgroundLocationModel(W=np.arange(8.0).reshape(4, 2), b=np.array([0.0, 1.0, 2.0, 3.0]))
+def test_background_checkpoint_round_trip(tmp_path, grid2x2):
+    # A background location model is a PitsModel over the grid's cells, so
+    # save_model and load_model carry it, its input kind and labels included.
+    ds = _two_identity_dataset(grid2x2)
+    model = train_background_model(ds, grid2x2, TrainConfig(epochs=5, learning_rate=0.05))
+    assert model.labels == (0, 1, 2, 3) and model.input_kind == "background"
+    assert not model.temperature_head_active and len(model.loss_history) == 5
     path = tmp_path / "bg.json"
-    save_background_model(model, path, config=TrainConfig())
-    loaded = load_background_model(path)
-    assert np.array_equal(loaded.W, model.W)
-    assert np.array_equal(loaded.b, model.b)
+    save_model(model, path, config=TrainConfig())
+    loaded = load_model(path)
+    for name in ("W", "b", "w_T"):
+        assert np.array_equal(getattr(loaded, name), getattr(model, name)), name
+    for name in ("b_T", "labels", "input_kind", "temperature_head_active", "loss_history"):
+        assert getattr(loaded, name) == getattr(model, name), name
 
 
-def test_predict_location_one_hot_scores(grid2x2):
-    model = BackgroundLocationModel(W=4.0 * np.eye(4), b=np.zeros(4))
-    for c in range(4):
-        x = np.zeros(4)
-        x[c] = 1.0
-        assert model.predict_location(x, grid2x2) == grid2x2.cell_center(c)
-    # All-zero scores tie; the lowest cell index wins.
-    assert model.predict_location(np.zeros(4), grid2x2) == grid2x2.cell_center(0)
-
-
-def test_predict_location_validates_dims(grid2x2):
-    model = BackgroundLocationModel(W=np.eye(4), b=np.zeros(4))
-    with pytest.raises(ValueError):
-        model.predict_location(np.zeros(3), grid2x2)
-    wrong_grid = GridSpec(origin=Location(0.0, 0.0), cell_size_km=5.0, n_cells_x=3, n_cells_y=3)
-    with pytest.raises(ValueError):
-        model.predict_location(np.zeros(4), wrong_grid)
+_FROM_BACKGROUND = PriorConfig(kind=MIGRATING_LOCATION, location_source="background_model")
 
 
 def test_background_model_localizes_strong_signal():
@@ -275,7 +265,8 @@ def test_background_model_localizes_strong_signal():
     ds = generate(config)
     bg = train_background_model(ds, ds.grid, TrainConfig(epochs=60, learning_rate=0.1, seed=0))
     diagonal = config.grid.cell_size_km * math.sqrt(2.0)
-    guesses = [(bg.predict_location(o.bg_features, ds.grid), o.location) for o in ds.test]
+    guesses = zip(resolve_locations(ds.test, _FROM_BACKGROUND, bg, ds.grid),
+                  (o.location for o in ds.test))
     errors = [math.hypot(g.x - loc.x, g.y - loc.y) for g, loc in guesses]
     assert float(np.median(errors)) <= diagonal
 
@@ -294,9 +285,8 @@ def test_background_model_blind_without_signal():
     ds = generate(config)
     bg = train_background_model(ds, ds.grid, TrainConfig(epochs=60, learning_rate=0.1, seed=0))
     hits = [
-        ds.grid.cell_index(bg.predict_location(o.bg_features, ds.grid))
-        == ds.grid.cell_index(o.location)
-        for o in ds.test
+        ds.grid.cell_index(loc) == ds.grid.cell_index(o.location)
+        for loc, o in zip(resolve_locations(ds.test, _FROM_BACKGROUND, bg, ds.grid), ds.test)
     ]
     # Nine cells: anything close to chance confirms there is nothing to learn.
     assert float(np.mean(hits)) < 2.5 / 9.0

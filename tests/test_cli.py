@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from idfusion.calibration import expected_calibration_error, fit_global_temperature, tempered_softmax
-from idfusion.classifier import TrainConfig, load_background_model, load_model, load_model_and_config
+from idfusion.classifier import TrainConfig, load_model, load_model_and_config
 from idfusion.cli import main
 from idfusion.data import load_dataset
 from idfusion.evaluation import infer, load_report, run_experiment
@@ -339,6 +339,16 @@ def test_error_paths_exit_one(tmp_path, config_path, capsys):
         for case, edit, words in (
             ("missing", lambda c: c.pop("W"), ("has no 'W'",)),
             ("shape", lambda c: c.update(b=c["b"][:-1]), ("'b' has shape", "expected")),
+            # Scalars are read by JSON type, as a config section's are.
+            ("K-str", lambda c: c.update(K=str(c["K"])), ("'K' is malformed: must be int",)),
+            ("d-float", lambda c: c.update(d=c["d"] + 0.5), ("'d' is malformed: must be int",)),
+            ("labels-float", lambda c: c["labels"].__setitem__(0, 1.7),
+             ("'labels' is malformed: must be a list of ints",)),
+            ("b_T-str", lambda c: c.update(b_T="0.5"), ("'b_T' is malformed: must be float",)),
+            ("input-kind-int", lambda c: c.update(input_kind=1),
+             ("'input_kind' is malformed: must be str",)),
+            ("head-str", lambda c: c.update(temperature_head_active="false"),
+             ("'temperature_head_active' is malformed: must be bool, got 'false'",)),
         ):
             checkpoint = json.loads(Path(source).read_text())
             edit(checkpoint)
@@ -348,6 +358,20 @@ def test_error_paths_exit_one(tmp_path, config_path, capsys):
             err = error_line(["infer", "--data", data, "--out", str(tmp_path / "p4"),
                               *(arg for pair in checkpoints.items() for arg in pair)])
             assert f"{path}: checkpoint" in err and all(w in err for w in words), err
+
+    # The background model is a PitsModel over the grid's cells: an identity
+    # checkpoint is no background model, and the old cell-count ("C") format
+    # is no checkpoint any more.
+    err = error_line(["infer", "--data", data, "--model", model, "--background-model", model,
+                      "--out", str(tmp_path / "p8")])
+    assert err.startswith(f"error: {model} must score the grid's 4 cells from background"), err
+    old = tmp_path / "old-bg.json"
+    checkpoint = json.loads(Path(bg).read_text())
+    old.write_text(json.dumps({"W": checkpoint["W"], "b": checkpoint["b"], "C": 4,
+                               "train_config": checkpoint["train_config"]}), encoding="utf-8")
+    err = error_line(["infer", "--data", data, "--model", model, "--background-model", str(old),
+                      "--out", str(tmp_path / "p8")])
+    assert f"{old}: checkpoint has no 'K'" in err, err
 
     # The model checkpoint's train_config is the run's provenance: infer and
     # calibrate check it as a config section and name the file when it fails.
@@ -370,6 +394,11 @@ def test_error_paths_exit_one(tmp_path, config_path, capsys):
     assert main(["infer", "--data", data, "--model", model, "--out", preds]) == 0
     assert main(["evaluate", "--data", data, "--predictions", preds, "--out", str(report)]) == 0
     capsys.readouterr()
+    # Report files are compared as they are: a config or a seed would change nothing.
+    for flags in (["--config", config_path], ["--seed", "3"]):
+        err = error_line(["report", str(report), *flags])
+        assert err == "error: --config and --seed apply only to --data, not to report files\n", err
+
     body = json.loads(report.read_text())
     body["per_identity"]["x"] = 0.5
     report.write_text(json.dumps(body), encoding="utf-8")
@@ -385,7 +414,14 @@ def test_malformed_dataset_record_names_file_line_and_field(tmp_path, config_pat
     for edit, words in ((lambda r: r.pop("t"), "record has no 't'"),
                         (lambda r: r.update(t=None), "field 't': "),
                         (lambda r: r.update(loc=[1.0]), "field 'loc': "),
-                        (lambda r: r.update(fg="x"), "field 'fg': ")):
+                        (lambda r: r.update(fg="x"), "field 'fg': "),
+                        # Each field is read by its JSON type, never converted.
+                        (lambda r: r.update(identity=r["identity"] + 0.9), "field 'identity': "),
+                        (lambda r: r.update(identity=True), "field 'identity': "),
+                        (lambda r: r.update(obs_id=12345), "field 'obs_id': "),
+                        (lambda r: r.update(t=str(r["t"])), "field 't': "),
+                        (lambda r: r.update(loc=[str(r["loc"][0]), r["loc"][1]]), "field 'loc': "),
+                        (lambda r: r.update(bg=[*r["bg"][:-1], "x"]), "field 'bg': ")):
         rec = json.loads(lines[2])
         edit(rec)
         path.write_text("\n".join([*lines[:2], json.dumps(rec), *lines[3:]]) + "\n")
@@ -420,8 +456,14 @@ def predictions(tmp_path_factory):
     (lambda r: r.update(true=str(r["true"])),
      "record 2 ({id}): true '{true}' is not the dataset's identity {true}"),
     (lambda r: r.update(predicted=3.5), "record 2 ({id}): predicted must be an int, got 3.5"),
+    (lambda r: r["posterior_top5"][0].__setitem__(1, True),
+     "record 2 ({id}): posterior_top5[0] must be [int, float], got [{post[0]}, True]"),
+    (lambda r: r["likelihood_top5"][0].__setitem__(1, "0.9"),
+     "record 2 ({id}): likelihood_top5[0] must be [int, float], got [{like[0]}, '0.9']"),
+    (lambda r: r["likelihood_top5"][0].__setitem__(0, 1.7),
+     "record 2 ({id}): likelihood_top5[0] must be [int, float], got [1.7, {like[1]!r}]"),
 ], ids=["no-obs-id", "empty-top5", "confidence-above-1", "nan-confidence", "not-a-test-sighting",
-        "true-str", "predicted-float"])
+        "true-str", "predicted-float", "confidence-true", "confidence-str", "label-float"])
 def test_malformed_prediction_record_names_file_and_record(tmp_path, predictions, capsys,
                                                            edit, words):
     data, source = predictions
@@ -431,12 +473,14 @@ def test_malformed_prediction_record_names_file_and_record(tmp_path, predictions
     lines = path.read_text().splitlines()
     rec = json.loads(lines[1])
     obs_id, true = rec["obs_id"], rec["true"]
+    post, like = list(rec["posterior_top5"][0]), list(rec["likelihood_top5"][0])
     edit(rec)
     path.write_text("\n".join([lines[0], json.dumps(rec), *lines[2:]]) + "\n")
     capsys.readouterr()
     assert main(["evaluate", "--data", str(data), "--predictions", str(preds)]) == 1
     err = capsys.readouterr().err
-    assert err == f"error: {path}: {words.format(id=obs_id, true=true)}\n", err
+    expected = words.format(id=obs_id, true=true, post=post, like=like)
+    assert err == f"error: {path}: {expected}\n", err
 
 
 def test_evaluate_rejects_another_seeds_dataset(tmp_path, predictions, capsys):
@@ -500,7 +544,7 @@ def test_infer_writes_the_library_record(tmp_path, config_path, capsys):
     predictions, meta = infer(load_dataset(data), lib_model, tc,
                               PriorConfig(kind=MIGRATING_LOCATION, alpha=0.5,
                                           location_source="background_model"),
-                              background_model=load_background_model(bg))
+                              background_model=load_model(bg))
     write_predictions(predictions, tmp_path / "lib", lib_model.labels, MIGRATING_LOCATION, meta)
     names = sorted(p.name for p in (tmp_path / "cli").iterdir())
     assert names == sorted(p.name for p in (tmp_path / "lib").iterdir())

@@ -1,4 +1,5 @@
-"""Spatial and temporal priors: shapes, worked values, update semantics."""
+"""Spatial and temporal priors: shapes, worked values, update semantics, and the
+capture locations they read from metadata or a background location model."""
 
 import math
 from dataclasses import replace
@@ -6,9 +7,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from idfusion.classifier import BackgroundLocationModel
-from idfusion.data import Location, build_catalog
+from idfusion.classifier import PitsModel, TrainConfig, train, train_background_model
+from idfusion.data import GridSpec, Location, build_catalog
 from idfusion.errors import ConfigError
+from idfusion.fusion import BLOCK_ROWS, sequential_infer
 from idfusion.priors import (
     HOME_LOCATION,
     MIGRATING_LOCATION,
@@ -21,9 +23,11 @@ from idfusion.priors import (
     prior_rows,
     prior_vector,
     resolve_location,
+    resolve_locations,
     update_last_seen,
     update_location,
 )
+from idfusion.simulate import SimConfig, generate
 
 from conftest import make_obs, tiny_dataset
 
@@ -185,19 +189,90 @@ def test_time_decay_orders_by_recency():
     assert sym[1] == pytest.approx(sym[2], abs=1e-15)
 
 
+def _cell_model(W, input_kind="background", labels=None):
+    """A background location model: a PitsModel over cells 0 .. len(W) - 1."""
+    W = np.asarray(W, dtype=np.float64)
+    return PitsModel(W=W, b=np.zeros(W.shape[0]), w_T=np.zeros(W.shape[1]), b_T=0.0,
+                     labels=tuple(range(W.shape[0])) if labels is None else labels,
+                     input_kind=input_kind, temperature_head_active=False)
+
+
+FROM_BACKGROUND = PriorConfig(kind=HOME_LOCATION, location_source="background_model")
+
+
 def test_resolve_location_modes(grid2x2):
     obs = make_obs("a", 0, 1.0, grid2x2.cell_center(3), bg=[0.0, 1.0])
     meta = PriorConfig(kind=HOME_LOCATION, location_source="metadata")
     assert resolve_location(obs, meta) == obs.location
 
-    from_bg = PriorConfig(kind=HOME_LOCATION, location_source="background_model")
-    bg_model = BackgroundLocationModel(W=np.array([[5.0, 0.0], [0.0, 5.0], [0.0, 0.0], [0.0, 0.0]]), b=np.zeros(4))
+    bg_model = _cell_model([[5.0, 0.0], [0.0, 5.0], [0.0, 0.0], [0.0, 0.0]])
     with pytest.raises(ConfigError):
-        resolve_location(obs, from_bg)
+        resolve_location(obs, FROM_BACKGROUND)
     with pytest.raises(ConfigError):
-        resolve_location(obs, from_bg, background_model=bg_model)
-    got = resolve_location(obs, from_bg, background_model=bg_model, grid=grid2x2)
+        resolve_location(obs, FROM_BACKGROUND, background_model=bg_model)
+    got = resolve_location(obs, FROM_BACKGROUND, background_model=bg_model, grid=grid2x2)
     assert got == grid2x2.cell_center(1)
+
+
+def test_background_location_one_hot_scores(grid2x2):
+    model = _cell_model(4.0 * np.eye(4))
+    for c in range(4):
+        obs = make_obs("a", 0, 1.0, grid2x2.cell_center(0), bg=np.eye(4)[c])
+        assert resolve_location(obs, FROM_BACKGROUND, model, grid2x2) == grid2x2.cell_center(c)
+    # All-zero scores tie; the lowest cell index wins.
+    obs = make_obs("a", 0, 1.0, grid2x2.cell_center(3), bg=np.zeros(4))
+    assert resolve_location(obs, FROM_BACKGROUND, model, grid2x2) == grid2x2.cell_center(0)
+
+
+def test_background_location_rejects_wrong_dims_and_grid(grid2x2):
+    model = _cell_model(np.eye(4))
+    with pytest.raises(ValueError, match=r"expected inputs of shape \(n, 4\)"):
+        resolve_location(make_obs("a", 0, 1.0, grid2x2.cell_center(0), bg=np.zeros(3)),
+                         FROM_BACKGROUND, model, grid2x2)
+    wrong_grid = GridSpec(origin=Location(0.0, 0.0), cell_size_km=5.0, n_cells_x=3, n_cells_y=3)
+    obs = make_obs("a", 0, 1.0, wrong_grid.cell_center(0), bg=np.zeros(4))
+    with pytest.raises(ConfigError, match="grid's 9 cells"):
+        resolve_location(obs, FROM_BACKGROUND, model, wrong_grid)
+
+
+@pytest.mark.parametrize("input_kind, labels", [("foreground", None), ("whole", None),
+                                                ("background", (0, 1, 2, 4))],
+                         ids=["foreground", "whole", "other-labels"])
+def test_identity_model_is_no_background_model(grid2x2, input_kind, labels):
+    # An identity model scores labels, not cells: used as the background
+    # model it fails at once rather than reading labels as cell indices.
+    model = _cell_model(np.eye(4), input_kind=input_kind, labels=labels)
+    obs = make_obs("a", 0, 1.0, grid2x2.cell_center(0), bg=np.ones(4), fg=np.ones(4))
+    with pytest.raises(ConfigError, match="background model must score the grid's 4 cells"):
+        resolve_location(obs, FROM_BACKGROUND, model, grid2x2)
+    state = init_state(build_catalog(tiny_dataset(grid2x2)), FROM_BACKGROUND)
+    identities = _cell_model(np.eye(2, 4), input_kind="foreground")
+    with pytest.raises(ConfigError, match="background model must score"):
+        sequential_infer(identities, state, [obs], grid2x2, model)
+
+
+def test_a_block_resolves_as_one_call_per_sighting():
+    grid = GridSpec(origin=Location(0.0, 0.0), cell_size_km=5.0, n_cells_x=3, n_cells_y=3)
+    ds = generate(SimConfig(n_identities=8, feature_dim=8, bg_feature_dim=16, grid=grid,
+                            bg_cell_signal=1.0, obs_rate=40.0, duration_days=365.0, seed=5))
+    bg = train_background_model(ds, grid, TrainConfig(epochs=20, learning_rate=0.1))
+    config = replace(FROM_BACKGROUND, kind=MIGRATING_LOCATION)
+    single = [resolve_location(o, config, bg, grid) for o in ds.test]
+    assert resolve_locations(ds.test, config, bg, grid) == single
+    assert len(set(single)) > 1
+    # sequential_infer resolves a block at a time; one call per sighting
+    # resolves, and so moves the migrating prior's anchors, alike.
+    catalog = build_catalog(ds)
+    model = train(ds, catalog, TrainConfig(epochs=2))
+    whole = sequential_infer(model, init_state(catalog, config), ds.test, grid, bg)
+    state = init_state(catalog, config)
+    apart = [p for o in sorted(ds.test, key=lambda o: (o.timestamp, o.obs_id))
+             for p in sequential_infer(model, state, [o], grid, bg)]
+    assert len(ds.test) > 2 * BLOCK_ROWS
+    assert [(p.obs_id, p.predicted, p.resolved_location) for p in whole] == \
+        [(p.obs_id, p.predicted, p.resolved_location) for p in apart]
+    by_id = dict(zip((o.obs_id for o in ds.test), single))
+    assert [p.resolved_location for p in whole] == [by_id[p.obs_id] for p in whole]
 
 
 def test_prior_vector_combines_by_product():
