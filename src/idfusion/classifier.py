@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .calibration import TEMPERATURE_REGULARIZER, LogitsOutput, pits_objective
-from .data import (Dataset, GridSpec, IdentityCatalog, Observation, _has_type, from_fields,
-                   read_json, write_json)
+from .data import (Dataset, GridSpec, IdentityCatalog, JsonSpec, Observation, check_finite,
+                   from_fields, read_json, write_json)
 from .errors import ConfigError, SchemaError, TrainingError
 
 logger = logging.getLogger(__name__)
@@ -47,10 +47,7 @@ class TrainConfig:
             raise ConfigError(f"input_kind must be one of {INPUT_KINDS}, got {self.input_kind!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be positive")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
-        if self.lam < 0:
-            raise ConfigError("lam must be non-negative")
+        check_finite(self, positive=("learning_rate",), non_negative=("lam",))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -320,46 +317,15 @@ def save_model(model: PitsModel, path: str | Path, config: TrainConfig) -> None:
     })
 
 
-def _floats(value) -> np.ndarray:
-    return np.array(value, dtype=np.float64)
-
-
-def _labels(value) -> tuple[int, ...]:
-    if not (isinstance(value, list) and all(type(v) is int for v in value)):
-        raise TypeError(f"must be a list of ints, got {value!r}")
-    return tuple(value)
-
-
-def _checkpoint_field(path: str | Path, payload: dict, key: str, convert, shape=None):
-    """``convert(payload[key])``, of ``shape`` when one is given. A scalar
-    ``convert`` (int, float, bool or str) takes only a value of that JSON
-    type, as :func:`from_fields` reads types: ``"25"`` is no ``K`` and
-    ``"false"`` no bool. A missing key, a value of another type or that will
-    not convert, or a wrong shape raises SchemaError naming the file and the
-    key."""
-    if key not in payload:
-        raise SchemaError(f"{path}: checkpoint has no {key!r}")
-    value = payload[key]
-    try:
-        if convert in (int, float, bool, str) and not _has_type(value, convert):
-            raise TypeError(f"must be {convert.__name__}, got {value!r}")
-        value = convert(value)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{path}: checkpoint {key!r} is malformed: {exc}") from exc
-    if shape is not None and np.shape(value) != shape:
-        raise SchemaError(
-            f"{path}: checkpoint {key!r} has shape {np.shape(value)}, expected {shape}")
-    return value
+_CHECKPOINT = JsonSpec({"K": int, "d": int, "W": list[list[float]], "b": list[float],
+                        "w_T": list[float], "b_T": float, "labels": list[int], "input_kind": str,
+                        "temperature_head_active": bool, "loss_history": list[float]})
 
 
 def load_model(path: str | Path) -> PitsModel:
-    """The model in a :func:`save_model` checkpoint, an identity model or a
-    background location model alike.
-
-    Raises:
-        SchemaError: naming the file and the key when an entry is missing,
-            malformed or disagrees with the stored ``K`` and ``d``.
-    """
+    """The model in a :func:`save_model` checkpoint, an identity model or a background
+    location model alike; SchemaError naming the file and the key when an entry is
+    missing, not of its JSON type or of another shape than ``K`` and ``d`` give it."""
     return _model_from(path, read_json(path))
 
 
@@ -367,23 +333,29 @@ def load_model_and_config(path: str | Path) -> tuple[PitsModel, TrainConfig]:
     """:func:`load_model`, plus the checkpoint's ``train_config``, checked as
     a config section is: the provenance of every run inferred from it."""
     payload = read_json(path)
-    return _model_from(path, payload), _checkpoint_field(
-        path, payload, "train_config", lambda d: from_fields(TrainConfig, d, "train_config"))
+    model = _model_from(path, payload)
+    if "train_config" not in payload:
+        raise SchemaError(f"{path}: checkpoint has no 'train_config'")
+    return model, from_fields(TrainConfig, payload["train_config"], f"{path}: train_config",
+                              SchemaError)
 
 
 def _model_from(path: str | Path, payload: dict) -> PitsModel:
-    def field(key, convert, shape=None):
-        return _checkpoint_field(path, payload, key, convert, shape)
-
-    k, d = field("K", int), field("d", int)
-    return PitsModel(
-        W=field("W", _floats, (k, d)),
-        b=field("b", _floats, (k,)),
-        w_T=field("w_T", _floats, (d,)),
-        b_T=field("b_T", float),
-        labels=field("labels", _labels, (k,)),
-        input_kind=field("input_kind", str),
-        temperature_head_active=field("temperature_head_active", bool),
-        loss_history=(field("loss_history", lambda v: tuple(float(x) for x in v))
-                      if "loss_history" in payload else ()),
-    )
+    for key in _CHECKPOINT.tests:
+        if key not in payload and key != "loss_history":
+            raise SchemaError(f"{path}: checkpoint has no {key!r}")
+    _CHECKPOINT.check(payload, str(path), SchemaError)
+    k, d = payload["K"], payload["d"]
+    arrays = {}
+    for key, shape in (("W", (k, d)), ("b", (k,)), ("w_T", (d,)), ("labels", (k,))):
+        try:
+            arrays[key] = np.array(payload[key], dtype=np.float64)
+        except (OverflowError, ValueError) as exc:  # ragged rows, a huge int
+            raise SchemaError(f"{path}: checkpoint {key!r} is malformed: {exc}") from exc
+        if arrays[key].shape != shape:
+            raise SchemaError(
+                f"{path}: checkpoint {key!r} has shape {arrays[key].shape}, expected {shape}")
+    return PitsModel(W=arrays["W"], b=arrays["b"], w_T=arrays["w_T"], b_T=float(payload["b_T"]),
+                     labels=tuple(payload["labels"]), input_kind=payload["input_kind"],
+                     temperature_head_active=payload["temperature_head_active"],
+                     loss_history=tuple(map(float, payload.get("loss_history", ()))))

@@ -28,7 +28,8 @@ from .classifier import (
     train,
     train_background_model,
 )
-from .data import build_catalog, from_fields, load_dataset, read_json, save_dataset, write_json
+from .data import (JsonSpec, build_catalog, from_fields, load_dataset, read_json, save_dataset,
+                   write_json)
 from .errors import (
     ConfigError,
     ParseError,
@@ -56,17 +57,14 @@ _EXPECTED = (ConfigError, ParseError, SchemaError, SplitError, TrainingError,
              SimulationError, FileNotFoundError, ValueError, KeyError)
 
 
+_CONFIG_FILE = JsonSpec({"seed": int, "sim": dict, "train": dict, "prior": dict})
+
+
 def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
     cfg = read_json(path)
-    for key, value in cfg.items():
-        if key not in ("seed", "sim", "train", "prior"):
-            raise ConfigError(f"{path}: unknown key {key!r}; expected seed, sim, train or prior")
-        if key == "seed" and type(value) is not int:
-            raise ConfigError(f"{path}: seed must be int, got {value!r}")
-        if key != "seed" and not isinstance(value, dict):
-            raise ConfigError(f"{path}: section {key!r} must be a JSON object")
+    _CONFIG_FILE.check(cfg, path, ConfigError, closed=True)
     return cfg
 
 

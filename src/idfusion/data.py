@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 from collections import Counter
 from dataclasses import asdict, dataclass, fields
-from functools import cached_property
+from functools import cache, cached_property
+from operator import itemgetter
 from pathlib import Path
-from types import UnionType
+from types import NoneType, UnionType
 from typing import Any, Iterable, Iterator, Mapping, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -55,8 +57,7 @@ class GridSpec:
     n_cells_y: int = 1
 
     def __post_init__(self) -> None:
-        if not (self.cell_size_km > 0 and math.isfinite(self.cell_size_km)):
-            raise ValueError(f"cell_size_km must be positive, got {self.cell_size_km}")
+        check_finite(self, positive=("cell_size_km",))
         if self.n_cells_x < 1 or self.n_cells_y < 1:
             raise ValueError("grid must have at least one cell per axis")
 
@@ -66,18 +67,11 @@ class GridSpec:
 
     @classmethod
     def from_dict(cls, d: Mapping, what: str = "grid") -> "GridSpec":
-        """Inverse of :meth:`to_dict`; raises SchemaError naming ``what`` and the key
-        whose value is missing, of the wrong JSON type (as :func:`from_fields` reads
-        types) or out of range."""
-        origin = d.get("origin")
-        if not (isinstance(origin, (list, tuple)) and len(origin) == 2
-                and all(_has_type(v, float) for v in origin)):
-            raise SchemaError(f"{what}: origin must be [x, y] numbers, got {origin!r}")
-        for key, hint in (("cell_size_km", float), ("n_cells_x", int), ("n_cells_y", int)):
-            if not _has_type(d.get(key), hint):
-                raise SchemaError(f"{what}: {key} must be {hint.__name__}, got {d.get(key)!r}")
+        """Inverse of :meth:`to_dict`; SchemaError naming ``what`` and a missing (read as
+        null), mistyped or out-of-range key."""
+        _GRID.check({**dict.fromkeys(_GRID.tests), **d}, what, SchemaError)
         try:
-            return cls(Location(float(origin[0]), float(origin[1])), float(d["cell_size_km"]),
+            return cls(Location(*map(float, d["origin"])), float(d["cell_size_km"]),
                        d["n_cells_x"], d["n_cells_y"])
         except (OverflowError, ValueError) as exc:
             raise SchemaError(f"{what}: {exc}") from exc
@@ -413,36 +407,101 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
             yield lineno, rec
 
 
-def _has_type(value: Any, hint: Any) -> bool:
-    # JSON's view of a field type: ints pass as floats, lists as tuples, and
-    # booleans as neither number.
-    if hint in (int, float):
-        return isinstance(value, (int, hint)) and not isinstance(value, bool)
-    origin = get_origin(hint)
-    if origin is UnionType:
-        return any(_has_type(value, arg) for arg in get_args(hint))
-    if origin is tuple:
-        return isinstance(value, (list, tuple))
-    return isinstance(value, origin or hint)
+# The types a JSON value of each scalar hint may have: no bool is a number.
+_SCALARS = {float: (int, float), int: (int,), bool: (bool,), str: (str,), NoneType: (NoneType,)}
 
 
-def from_fields(cls: type, d: Any, what: str) -> Any:
-    """``cls(**d)`` for a dataclass read from JSON; ConfigError naming ``what`` when ``d``
-    is not an object, a key is not a field, a value has the wrong type or ``cls`` rejects it."""
+def _json_source(hint: Any, v: str, consts: list) -> str:
+    """Python source that tests the JSON value named ``v`` against ``hint``; the type
+    sets and classes it names are appended to ``consts`` and read as ``c<index>``."""
+    def const(value: Any) -> str:
+        consts.append(value)
+        return f"c{len(consts) - 1}"
+
+    origin, args = get_origin(hint), get_args(hint)
+    if hint in _SCALARS or origin is UnionType:  # unions of scalars, such as int | None
+        return f"type({v}) in {const(frozenset().union(*(_SCALARS[a] for a in args or (hint,))))}"
+    if origin is tuple and args[-1] is not ...:
+        entries = "".join(f" and {_json_source(a, f'{v}[{i}]', consts)}" for i, a in enumerate(args))
+        return f"(type({v}) in (list, tuple) and len({v}) == {len(args)}{entries})"
+    if origin not in (list, tuple, dict):
+        return f"isinstance({v}, {const(origin or hint)})"
+    outer = f"type({v}) is dict" if origin is dict else f"type({v}) in (list, tuple)"
+    values, entry = (f"{v}.values()", args[1]) if origin is dict else (v, args[0])
+    if entry in _SCALARS:  # all entries tested in one C-level pass over their types
+        return f"({outer} and {const(frozenset(_SCALARS[entry]))}.issuperset(map(type, {values})))"
+    x = f"x{len(consts)}"
+    return f"({outer} and all({_json_source(entry, x, consts)} for {x} in {values}))"
+
+
+class JsonSpec:
+    """The JSON type of each key of one file or config section, by one rule: ints pass
+    as floats and booleans as neither number, ``list[X]`` and ``tuple[X, ...]`` test
+    every entry, ``tuple[X, Y]`` the length too, ``dict[str, V]`` every value, and
+    ``X | None`` is a union. A failure reads ``<where>: <key> must be <type>, got
+    <value>``, a long value shortened. Each hint compiles once into Python source, as
+    dataclasses compiles ``__init__``, so a record's check costs what hand-written tests do."""
+
+    def __init__(self, hints: Mapping[str, Any]) -> None:
+        self.hints = dict(hints)
+        consts: list = []
+        tests = [_json_source(hint, "v", consts) for hint in self.hints.values()]
+        row = [_json_source(hint, f"v[{i}]", consts) for i, hint in enumerate(self.hints.values())]
+        scope = {f"c{i}": value for i, value in enumerate(consts)}
+        self.tests = {key: eval(f"lambda v: {test}", scope) for key, test in zip(self.hints, tests)}
+        # All keys at once, over a sequence of values in key order.
+        self._holds = eval(f"lambda v: {' and '.join(row)}", scope)
+
+    def _message(self, key: str, value: Any) -> str:
+        hint = self.hints[key]
+        if get_origin(hint) is dict:  # JSON object keys are strings
+            hint = dict[str, get_args(hint)[1]]
+        name = hint.__name__ if isinstance(hint, type) else hint
+        return f"{key} must be {name}, got {reprlib.repr(value)}"
+
+    def check_values(self, values: Sequence) -> None:
+        """ValueError for the first of ``values``, one per key in order, that fails its test."""
+        if not self._holds(values):
+            raise ValueError(next(self._message(key, value) for (key, test), value
+                                  in zip(self.tests.items(), values) if not test(value)))
+
+    def check(self, d: Mapping, where: str, error: type[Exception], closed: bool = False) -> None:
+        """``error`` for the first key of ``d`` that fails its test or, when ``closed``, that
+        the spec does not name; a key ``d`` lacks is left to the reader."""
+        for key, value in d.items():
+            if closed and key not in self.tests:
+                raise error(f"{where}: unknown key {key!r}; expected one of {list(self.tests)}")
+            if key in self.tests and not self.tests[key](value):
+                raise error(f"{where}: {self._message(key, value)}")
+
+
+_GRID = JsonSpec({"origin": tuple[float, float], "cell_size_km": float, "n_cells_x": int,
+                  "n_cells_y": int})
+_SIDECAR = JsonSpec({**_GRID.hints, "n_identities": int})
+
+
+def check_finite(config: Any, positive: Sequence[str] = (), non_negative: Sequence[str] = ()) -> None:
+    """ConfigError naming the first field of ``config`` that is NaN, infinite or out of
+    range: not positive for a name in ``positive``, negative for one in ``non_negative``."""
+    for name in (*positive, *non_negative):
+        value, kind = getattr(config, name), "positive" if name in positive else "non-negative"
+        if not ((value > 0 if name in positive else value >= 0) and math.isfinite(value)):
+            raise ConfigError(f"{name} must be finite and {kind}, got {value}")
+
+
+_fields_spec = cache(lambda cls: JsonSpec(get_type_hints(cls)))
+
+
+def from_fields(cls: type, d: Any, what: str, error: type[Exception] = ConfigError) -> Any:
+    """``cls(**d)`` for a dataclass read from JSON; ``error`` naming ``what`` when ``d`` is
+    not an object, a key is no field, a value not of its field's type or ``cls`` rejects it."""
     if not isinstance(d, dict):
-        raise ConfigError(f"{what}: expected a JSON object, got {type(d).__name__}")
-    hints = get_type_hints(cls)
-    names = [f.name for f in fields(cls)]
-    for key, value in d.items():
-        if key not in names:
-            raise ConfigError(f"{what}: unknown key {key!r}; expected one of {names}")
-        if not _has_type(value, hints[key]):
-            kind = getattr(hints[key], "__name__", hints[key])
-            raise ConfigError(f"{what}: {key} must be {kind}, got {value!r}")
+        raise error(f"{what}: expected a JSON object, got {type(d).__name__}")
+    _fields_spec(cls).check(d, what, error, closed=True)
     try:
         return cls(**d)
-    except (TypeError, ConfigError) as exc:
-        raise ConfigError(f"{what}: {exc}") from exc
+    except (TypeError, OverflowError, ConfigError) as exc:
+        raise error(f"{what}: {exc}") from exc
 
 
 def _record_from(obs: Observation) -> dict:
@@ -459,39 +518,23 @@ def _record_from(obs: Observation) -> dict:
     return rec
 
 
-_NUMBERS = (int, float)
+_RECORD = JsonSpec({"obs_id": str, "identity": int, "fg": list[float], "bg": list[float],
+                    "loc": tuple[float, float], "t": float, "split": str | None})
+_required_fields = itemgetter("obs_id", "identity", "fg", "bg", "loc", "t")
 
 
 def _observation_from(rec: dict, lineno: int, path: Path) -> Observation:
-    """The observation in record ``rec``, each field read by its JSON type, as
-    :func:`_has_type` reads types: an identity of 1.9 or ``true`` is no int
-    and ``"1.09"`` no time. ParseError names the file, the line and the
-    missing or mistyped field."""
+    """The observation in record ``rec``; ParseError naming the file, the line and the
+    missing, mistyped or out-of-range field."""
     try:
-        obs_id, identity, fg, bg, loc, t = (
-            rec["obs_id"], rec["identity"], rec["fg"], rec["bg"], rec["loc"], rec["t"])
+        values = (*_required_fields(rec), rec.get("split"))
+        _RECORD.check_values(values)
+        obs_id, identity, fg, bg, (x, y), t, split = values
+        return Observation(obs_id, identity, fg, bg, Location(float(x), float(y)), float(t), split)
     except KeyError as exc:
         raise ParseError(f"{path}: line {lineno}: record has no {exc.args[0]!r}") from exc
-    if type(obs_id) is not str:
-        key, kind = "obs_id", "a string"
-    elif type(identity) is not int:
-        key, kind = "identity", "an int"
-    elif type(loc) is not list or len(loc) != 2 or type(loc[0]) not in _NUMBERS \
-            or type(loc[1]) not in _NUMBERS:
-        key, kind = "loc", "[x, y] numbers"
-    elif type(t) not in _NUMBERS:
-        key, kind = "t", "a number"
-    else:
-        try:
-            return Observation(obs_id, identity, fg, bg, Location(float(loc[0]), float(loc[1])),
-                               float(t), rec.get("split"))
-        except (TypeError, ValueError) as exc:
-            # Only the features are left unchecked: name the one that does not convert.
-            key = next((k for k in ("fg", "bg") if type(rec[k]) is not list
-                        or any(type(v) not in _NUMBERS for v in rec[k])), None)
-            field = "" if key is None else f"field {key!r}: "
-            raise ParseError(f"{path}: line {lineno}: {field}{exc}") from exc
-    raise ParseError(f"{path}: line {lineno}: field {key!r}: must be {kind}, got {rec[key]!r}")
+    except (OverflowError, ValueError) as exc:
+        raise ParseError(f"{path}: line {lineno}: {exc}") from exc
 
 
 def save_dataset(dataset: Dataset, directory: str | Path, extra_meta: Mapping | None = None) -> None:
@@ -512,14 +555,13 @@ def load_dataset(directory: str | Path) -> Dataset:
     if not sidecar.is_file():
         raise SchemaError(f"missing sidecar file {sidecar}")
     meta = read_json(sidecar)
+    _SIDECAR.check({**dict.fromkeys(_SIDECAR.tests), **meta}, str(sidecar), SchemaError)
     grid = GridSpec.from_dict(meta, str(sidecar))
     path = directory / OBSERVATIONS_FILENAME
     records = read_jsonl(path)
     dataset = Dataset.from_observations((_observation_from(rec, n, path) for n, rec in records),
                                         grid)
-    if dataset.n_identities != meta.get("n_identities"):
-        raise SchemaError(
-            f"{sidecar}: declares {meta.get('n_identities')!r} identities but observations"
-            f" imply {dataset.n_identities}"
-        )
+    if dataset.n_identities != meta["n_identities"]:
+        raise SchemaError(f"{sidecar}: declares {meta['n_identities']} identities but"
+                          f" observations imply {dataset.n_identities}")
     return dataset

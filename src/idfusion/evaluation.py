@@ -19,7 +19,8 @@ import numpy as np
 
 from .calibration import ece_from_top_predictions
 from .classifier import PitsModel, TrainConfig, train, train_background_model
-from .data import Dataset, IdentityCatalog, build_catalog, from_fields, read_json, write_json
+from .data import (Dataset, IdentityCatalog, JsonSpec, build_catalog, from_fields, read_json,
+                   write_json)
 from .errors import ConfigError, SchemaError
 from .fusion import (PREDICTIONS_FILENAME, PREDICTIONS_META_FILENAME, Prediction,
                      prediction_records, sequential_infer)
@@ -53,13 +54,10 @@ class ExperimentReport:
     def from_dict(cls, d: dict, what: str = "report") -> "ExperimentReport":
         """Inverse of :meth:`to_dict`; raises ConfigError naming ``what``."""
         report = from_fields(cls, d, what)
-        per_identity = {}
-        for key, value in report.per_identity.items():
-            try:
-                per_identity[int(key)] = value
-            except ValueError:
-                raise ConfigError(f"{what}: per_identity key {key!r} is not an identity label") from None
-        return replace(report, per_identity=per_identity)
+        try:  # the keys are identity labels, written as strings
+            return replace(report, per_identity={int(k): v for k, v in report.per_identity.items()})
+        except ValueError as exc:
+            raise ConfigError(f"{what}: per_identity key is not an identity label: {exc}") from None
 
 
 def overall_accuracy(predictions: Sequence[Prediction]) -> float:
@@ -130,6 +128,12 @@ def run_experiment(
     return score_predictions(records, meta, dataset), predictions
 
 
+_META = JsonSpec({"labels": list[int], "seed": int, "train_config": dict, "prior_config": dict})
+# What scoring reads of a prediction record; only the top entry of each top-5 list.
+_SCORED = JsonSpec({"obs_id": str, "true": int | None, "predicted": int,
+                    "posterior_top5[0]": tuple[int, float], "likelihood_top5[0]": tuple[int, float]})
+
+
 def score_predictions(
     records: Sequence[Mapping],
     meta: Mapping,
@@ -139,52 +143,44 @@ def score_predictions(
     :func:`run_experiment`; every report comes from here.
 
     A record's truth is the identity of the dataset's test sighting with its
-    obs_id; the record's own ``true`` must be null or that identity. Works
-    from the stored top-5 entries: top-1 confidence and correctness are all
-    that top-label calibration and accuracy need. A run record (``meta``)
-    key of the wrong JSON type, or a malformed record, raises SchemaError
-    naming its file, and the key or the record's position and obs_id.
+    obs_id, which no other record may repeat; its own ``true`` must be null
+    or that identity. Works from the stored top-5 entries: top-1 confidence
+    and correctness are all that top-label calibration and accuracy need. A
+    run record (``meta``) key of the wrong JSON type, or a malformed record,
+    raises SchemaError naming its file, and the key or the record's obs_id.
     """
-    for key, kind, name in (("labels", list, "a list of ints"), ("seed", int, "an int"),
-                            ("train_config", dict, "an object"), ("prior_config", dict, "an object")):
-        value = meta.get(key)
-        if type(value) is not kind or kind is list and any(type(v) is not int for v in value):
-            raise SchemaError(f"{PREDICTIONS_META_FILENAME}: {key!r} must be {name}, got {value!r}")
+    _META.check({**dict.fromkeys(_META.tests), **meta}, PREDICTIONS_META_FILENAME, SchemaError)
     if not records:
         raise ValueError("prediction file holds no records")
+    # Each record takes its sighting's truth out, so a repeated obs_id finds none.
     truth = {o.obs_id: o.identity for o in dataset.test}
     new_ids = dataset.new_location_ids
-    n = len(records)
-    true = np.empty(n, dtype=np.int64)
-    hit, like_hit, new = np.empty((3, n), dtype=bool)
-    conf = np.empty((2, n))  # top fused and top likelihood confidence
+    scored = []  # per record: truth, fused hit, likelihood hit, new location, top confidences
     for i, rec in enumerate(records):
         try:
-            obs_id, predicted, stored = rec["obs_id"], rec["predicted"], rec["true"]
-            identity = truth.get(obs_id)
+            values = (rec["obs_id"], rec["true"], rec["predicted"], rec["posterior_top5"][0],
+                      rec["likelihood_top5"][0])
+            _SCORED.check_values(values)
+            obs_id, stored, predicted, (_, p), (like_label, q) = values
+            identity = truth.pop(obs_id, None)
             if identity is None:
-                raise ValueError(f"obs_id {obs_id!r} is not a test sighting of the dataset")
-            if stored is not None and (type(stored) is not int or stored != identity):
+                first = next((j for j in range(i) if records[j]["obs_id"] == obs_id), None)
+                raise ValueError(f"obs_id {obs_id!r} is not a test sighting of the dataset"
+                                 if first is None else f"obs_id {obs_id!r} repeats record {first + 1}")
+            if stored is not None and stored != identity:
                 raise ValueError(f"true {stored!r} is not the dataset's identity {identity}")
-            if type(predicted) is not int:
-                raise ValueError(f"predicted must be an int, got {predicted!r}")
-            post, like = rec["posterior_top5"][0], rec["likelihood_top5"][0]
-            for key, top in (("posterior_top5", post), ("likelihood_top5", like)):
-                # [label, confidence] by JSON type: no bool, string or float label.
-                if not (type(top) is list and len(top) == 2 and type(top[0]) is int
-                        and type(top[1]) in (int, float)):
-                    raise ValueError(f"{key}[0] must be [int, float], got {top!r}")
-            p, q = post[1], like[1]
             if not (0 < p <= 1 and 0 < q <= 1):  # NaN fails both comparisons
                 raise ValueError("confidences must lie in (0, 1]")
             # The likelihood is scored as its own predictor: its top entry's
             # label, not the fused prediction, decides correctness here.
-            true[i], hit[i], like_hit[i] = identity, predicted == identity, like[0] == identity
-            new[i], conf[:, i] = obs_id in new_ids, (p, q)
+            scored.append((identity, predicted == identity, like_label == identity,
+                           obs_id in new_ids, p, q))
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             name = f" ({rec['obs_id']})" if "obs_id" in rec else ""
             reason = f"has no {exc.args[0]!r}" if isinstance(exc, KeyError) else exc
             raise SchemaError(f"{PREDICTIONS_FILENAME}: record {i + 1}{name}: {reason}") from exc
+    true, hit, like_hit, new, p, q = map(np.array, zip(*scored))
+    conf = np.array((p, q), dtype=np.float64)  # top fused and top likelihood confidence
 
     ids, inverse = np.unique(true, return_inverse=True)
     per_identity = np.bincount(inverse, weights=hit) / np.bincount(inverse)
@@ -193,7 +189,7 @@ def score_predictions(
         new_location_accuracy=float(hit[new].mean()) if new.any() else None,
         ece_fused=ece_from_top_predictions(conf[0], hit).ece,
         ece_likelihood=ece_from_top_predictions(conf[1], like_hit).ece,
-        n_test=n,
+        n_test=len(scored),
         n_new_location=int(new.sum()),
         n_unknown_identity=int(np.count_nonzero(~np.isin(true, meta["labels"]))),
         seed=meta["seed"],

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .classifier import PitsModel
-from .data import GridSpec, IdentityCatalog, Location, Observation
+from .data import GridSpec, IdentityCatalog, Location, Observation, check_finite
 from .errors import ConfigError
 
 HOME_LOCATION = "home_location"
@@ -61,12 +61,8 @@ class PriorConfig:
             )
         if self.distance_unit not in ("cells", "km"):
             raise ConfigError(f"distance_unit must be 'cells' or 'km', got {self.distance_unit!r}")
-        if not (self.alpha >= 0 and np.isfinite(self.alpha)):
-            raise ConfigError(f"alpha must be finite and non-negative, got {self.alpha}")
-        if not (self.beta >= 0 and np.isfinite(self.beta)):
-            raise ConfigError(f"beta must be finite and non-negative, got {self.beta}")
-        if self.time_unit_days <= 0 or self.cell_size_km <= 0:
-            raise ConfigError("time_unit_days and cell_size_km must be positive")
+        check_finite(self, positive=("time_unit_days", "cell_size_km"),
+                     non_negative=("alpha", "beta"))
         for extra in self.combine_with:
             if extra not in PRIOR_KINDS or extra == UNIFORM:
                 raise ConfigError(f"cannot combine with prior kind {extra!r}")

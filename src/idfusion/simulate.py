@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .data import (
-    Dataset, GridSpec, Location, _observations_from_rows, _split_tags, from_fields,
+    Dataset, GridSpec, Location, _observations_from_rows, _split_tags, check_finite, from_fields,
 )
 from .errors import ConfigError, SimulationError, SplitError
 
@@ -64,20 +64,14 @@ class SimConfig:
             raise ConfigError("need at least two identities")
         if self.feature_dim < 1 or self.bg_feature_dim < 1:
             raise ConfigError("feature dims must be positive")
-        if self.longtail_exponent < 0:
-            raise ConfigError("longtail_exponent must be non-negative")
-        if self.home_range_cells < 0:
-            raise ConfigError("home_range_cells must be non-negative")
+        check_finite(self, positive=("obs_rate", "duration_days"),
+                     non_negative=("longtail_exponent", "home_range_cells", "fg_noise"))
         if not 0 <= self.migration_prob <= 1:
             raise ConfigError("migration_prob must lie in [0, 1]")
-        if self.fg_noise < 0:
-            raise ConfigError("fg_noise must be non-negative")
         if not 0 <= self.bg_cell_signal <= 1:
             raise ConfigError("bg_cell_signal must lie in [0, 1]")
         if not 0 < self.cutoff_quantile < 1:
             raise ConfigError("cutoff_quantile must lie strictly inside (0, 1)")
-        if self.obs_rate <= 0 or self.duration_days <= 0:
-            raise ConfigError("obs_rate and duration_days must be positive")
         if round(self.obs_rate * self.n_identities) < self.n_identities:
             raise ConfigError(
                 f"obs_rate {self.obs_rate} gives {round(self.obs_rate * self.n_identities)}"

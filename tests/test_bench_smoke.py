@@ -1,6 +1,7 @@
 """Tier-1 smoke runs of the benchmark: the set-up and first pass of the
-lynx-loop (K=25) and population-replay (K=500, so fusion's log-space branch)
-workloads at seed 0 must reproduce the counts and the accuracy recorded in
+lynx-loop (K=25), population-replay (K=500, so fusion's log-space branch)
+and online-stream (the same population, one sighting per call) workloads at
+seed 0 must reproduce the counts and the accuracy recorded in
 bench/reference.json exactly. Catches a dataset or prediction byte drift
 before a benchmark run does; makes no timing assertion."""
 
@@ -41,3 +42,7 @@ def test_lynx_loop_first_pass_matches_the_reference(tmp_path, monkeypatch):
 
 def test_population_replay_first_pass_matches_the_reference(tmp_path, monkeypatch):
     _first_pass("population-replay", tmp_path, monkeypatch)
+
+
+def test_online_stream_first_pass_matches_the_reference(tmp_path, monkeypatch):
+    _first_pass("online-stream", tmp_path, monkeypatch)

@@ -1,19 +1,28 @@
 """Command-line workflow: simulate, train, calibrate, infer, evaluate, report."""
 
+import contextlib
+import io
 import json
+import math
+import reprlib
 import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idfusion.calibration import expected_calibration_error, fit_global_temperature, tempered_softmax
 from idfusion.classifier import TrainConfig, load_model, load_model_and_config
 from idfusion.cli import main
 from idfusion.data import load_dataset
+from idfusion.errors import ConfigError
 from idfusion.evaluation import infer, load_report, run_experiment
 from idfusion.fusion import write_predictions
 from idfusion.priors import MIGRATING_LOCATION, PriorConfig
+from idfusion.simulate import SimConfig
 
 
 SIM_SECTION = {
@@ -337,18 +346,22 @@ def test_error_paths_exit_one(tmp_path, config_path, capsys):
     for name, flag, source in (("identity", "--model", model),
                                ("background", "--background-model", bg)):
         for case, edit, words in (
-            ("missing", lambda c: c.pop("W"), ("has no 'W'",)),
-            ("shape", lambda c: c.update(b=c["b"][:-1]), ("'b' has shape", "expected")),
-            # Scalars are read by JSON type, as a config section's are.
-            ("K-str", lambda c: c.update(K=str(c["K"])), ("'K' is malformed: must be int",)),
-            ("d-float", lambda c: c.update(d=c["d"] + 0.5), ("'d' is malformed: must be int",)),
+            ("missing", lambda c: c.pop("W"), ("checkpoint has no 'W'",)),
+            ("shape", lambda c: c.update(b=c["b"][:-1]), ("checkpoint 'b' has shape", "expected")),
+            # Every entry is read by JSON type, as a config section's are.
+            ("K-str", lambda c: c.update(K=str(c["K"])), ("K must be int, got '",)),
+            ("d-float", lambda c: c.update(d=c["d"] + 0.5), ("d must be int, got ",)),
             ("labels-float", lambda c: c["labels"].__setitem__(0, 1.7),
-             ("'labels' is malformed: must be a list of ints",)),
-            ("b_T-str", lambda c: c.update(b_T="0.5"), ("'b_T' is malformed: must be float",)),
-            ("input-kind-int", lambda c: c.update(input_kind=1),
-             ("'input_kind' is malformed: must be str",)),
+             ("labels must be list[int], got [1.7, ",)),
+            ("b_T-str", lambda c: c.update(b_T="0.5"), ("b_T must be float, got '0.5'",)),
+            ("input-kind-int", lambda c: c.update(input_kind=1), ("input_kind must be str, got 1",)),
             ("head-str", lambda c: c.update(temperature_head_active="false"),
-             ("'temperature_head_active' is malformed: must be bool, got 'false'",)),
+             ("temperature_head_active must be bool, got 'false'",)),
+            ("W-true", lambda c: c["W"][0].__setitem__(0, True),
+             ("W must be list[list[float]], got [[True, ",)),
+            ("b-str", lambda c: c["b"].__setitem__(0, "1e3"), ("b must be list[float], got ['1e3', ",)),
+            ("loss-history", lambda c: c.update(loss_history=["0.5", False]),
+             ("loss_history must be list[float], got ['0.5', False]",)),
         ):
             checkpoint = json.loads(Path(source).read_text())
             edit(checkpoint)
@@ -357,7 +370,7 @@ def test_error_paths_exit_one(tmp_path, config_path, capsys):
             checkpoints = {"--model": model, flag: str(path)}
             err = error_line(["infer", "--data", data, "--out", str(tmp_path / "p4"),
                               *(arg for pair in checkpoints.items() for arg in pair)])
-            assert f"{path}: checkpoint" in err and all(w in err for w in words), err
+            assert err.startswith(f"error: {path}: ") and all(w in err for w in words), err
 
     # The background model is a PitsModel over the grid's cells: an identity
     # checkpoint is no background model, and the old cell-count ("C") format
@@ -376,8 +389,9 @@ def test_error_paths_exit_one(tmp_path, config_path, capsys):
     # The model checkpoint's train_config is the run's provenance: infer and
     # calibrate check it as a config section and name the file when it fails.
     for case, edit, words in (
-        ("no-train-config", lambda c: c.pop("train_config"), "has no 'train_config'"),
-        ("bad-seed", lambda c: c["train_config"].update(seed="abc"), "seed must be int"),
+        ("no-train-config", lambda c: c.pop("train_config"), "checkpoint has no 'train_config'"),
+        ("bad-seed", lambda c: c["train_config"].update(seed="abc"),
+         "train_config: seed must be int, got 'abc'"),
     ):
         checkpoint = json.loads(Path(model).read_text())
         edit(checkpoint)
@@ -386,7 +400,7 @@ def test_error_paths_exit_one(tmp_path, config_path, capsys):
         for argv in (["infer", "--data", data, "--model", str(path), "--out", str(tmp_path / "p6")],
                      ["calibrate", "--data", data, "--model", str(path)]):
             err = error_line(argv)
-            assert f"{path}: checkpoint" in err and "'train_config'" in err and words in err, err
+            assert err == f"error: {path}: {words}\n", err
 
     # A report whose per_identity has a key that is not a label names the
     # file and the key.
@@ -403,7 +417,7 @@ def test_error_paths_exit_one(tmp_path, config_path, capsys):
     body["per_identity"]["x"] = 0.5
     report.write_text(json.dumps(body), encoding="utf-8")
     err = error_line(["report", str(report)])
-    assert f"{report}: per_identity key 'x'" in err, err
+    assert f"{report}: per_identity key is not an identity label: " in err and "'x'" in err, err
 
 
 def test_malformed_dataset_record_names_file_line_and_field(tmp_path, config_path, capsys):
@@ -412,16 +426,24 @@ def test_malformed_dataset_record_names_file_line_and_field(tmp_path, config_pat
     path = data / "observations.jsonl"
     lines = path.read_text().splitlines()
     for edit, words in ((lambda r: r.pop("t"), "record has no 't'"),
-                        (lambda r: r.update(t=None), "field 't': "),
-                        (lambda r: r.update(loc=[1.0]), "field 'loc': "),
-                        (lambda r: r.update(fg="x"), "field 'fg': "),
+                        (lambda r: r.update(t=None), "t must be float, got None"),
+                        (lambda r: r.update(loc=[1.0]), "loc must be tuple[float, float], got [1.0]"),
+                        (lambda r: r.update(fg="x"), "fg must be list[float], got 'x'"),
                         # Each field is read by its JSON type, never converted.
-                        (lambda r: r.update(identity=r["identity"] + 0.9), "field 'identity': "),
-                        (lambda r: r.update(identity=True), "field 'identity': "),
-                        (lambda r: r.update(obs_id=12345), "field 'obs_id': "),
-                        (lambda r: r.update(t=str(r["t"])), "field 't': "),
-                        (lambda r: r.update(loc=[str(r["loc"][0]), r["loc"][1]]), "field 'loc': "),
-                        (lambda r: r.update(bg=[*r["bg"][:-1], "x"]), "field 'bg': ")):
+                        (lambda r: r.update(identity=r["identity"] + 0.9), "identity must be int, got "),
+                        (lambda r: r.update(identity=True), "identity must be int, got True"),
+                        (lambda r: r.update(obs_id=12345), "obs_id must be str, got 12345"),
+                        (lambda r: r.update(t=str(r["t"])), "t must be float, got '"),
+                        (lambda r: r.update(loc=[str(r["loc"][0]), r["loc"][1]]),
+                         "loc must be tuple[float, float], got ['"),
+                        (lambda r: r.update(bg=[*r["bg"][:-1], "x"]), "bg must be list[float], got ["),
+                        # Feature entries too: a boolean is no number, a string no float.
+                        (lambda r: r.update(fg=[True, False, 2.0]),
+                         "fg must be list[float], got [True, False, 2.0]\n"),
+                        (lambda r: r.update(bg=["0.5"]), "bg must be list[float], got ['0.5']\n"),
+                        (lambda r: r.update(fg=[True, *r["fg"][1:]], split=5),
+                         "fg must be list[float], got [True, "),
+                        (lambda r: r.update(split=5), "split must be str | None, got 5\n")):
         rec = json.loads(lines[2])
         edit(rec)
         path.write_text("\n".join([*lines[:2], json.dumps(rec), *lines[3:]]) + "\n")
@@ -454,14 +476,14 @@ def predictions(tmp_path_factory):
     (lambda r: r.update(obs_id="x"),
      "record 2 (x): obs_id 'x' is not a test sighting of the dataset"),
     (lambda r: r.update(true=str(r["true"])),
-     "record 2 ({id}): true '{true}' is not the dataset's identity {true}"),
-    (lambda r: r.update(predicted=3.5), "record 2 ({id}): predicted must be an int, got 3.5"),
+     "record 2 ({id}): true must be int | None, got '{true}'"),
+    (lambda r: r.update(predicted=3.5), "record 2 ({id}): predicted must be int, got 3.5"),
     (lambda r: r["posterior_top5"][0].__setitem__(1, True),
-     "record 2 ({id}): posterior_top5[0] must be [int, float], got [{post[0]}, True]"),
+     "record 2 ({id}): posterior_top5[0] must be tuple[int, float], got [{post[0]}, True]"),
     (lambda r: r["likelihood_top5"][0].__setitem__(1, "0.9"),
-     "record 2 ({id}): likelihood_top5[0] must be [int, float], got [{like[0]}, '0.9']"),
+     "record 2 ({id}): likelihood_top5[0] must be tuple[int, float], got [{like[0]}, '0.9']"),
     (lambda r: r["likelihood_top5"][0].__setitem__(0, 1.7),
-     "record 2 ({id}): likelihood_top5[0] must be [int, float], got [1.7, {like[1]!r}]"),
+     "record 2 ({id}): likelihood_top5[0] must be tuple[int, float], got [1.7, {like[1]!r}]"),
 ], ids=["no-obs-id", "empty-top5", "confidence-above-1", "nan-confidence", "not-a-test-sighting",
         "true-str", "predicted-float", "confidence-true", "confidence-str", "label-float"])
 def test_malformed_prediction_record_names_file_and_record(tmp_path, predictions, capsys,
@@ -500,13 +522,13 @@ def test_evaluate_rejects_another_seeds_dataset(tmp_path, predictions, capsys):
 
 
 @pytest.mark.parametrize("key, value, words", [
-    ("labels", 7, "'labels' must be a list of ints, got 7"),
-    ("labels", ["0"], "'labels' must be a list of ints, got ['0']"),
-    ("seed", "abc", "'seed' must be an int, got 'abc'"),
-    ("seed", True, "'seed' must be an int, got True"),
-    ("train_config", 5, "'train_config' must be an object, got 5"),
-    ("prior_config", None, "'prior_config' must be an object, got None"),
-    ("seed", ..., "'seed' must be an int, got None"),
+    ("labels", 7, "labels must be list[int], got 7"),
+    ("labels", ["0"], "labels must be list[int], got ['0']"),
+    ("seed", "abc", "seed must be int, got 'abc'"),
+    ("seed", True, "seed must be int, got True"),
+    ("train_config", 5, "train_config must be dict, got 5"),
+    ("prior_config", None, "prior_config must be dict, got None"),
+    ("seed", ..., "seed must be int, got None"),
 ], ids=["labels-int", "labels-str", "seed-str", "seed-bool", "train-config-int",
         "prior-config-null", "no-seed"])
 def test_malformed_predictions_meta_names_file_and_key(tmp_path, predictions, capsys,
@@ -524,6 +546,179 @@ def test_malformed_predictions_meta_names_file_and_key(tmp_path, predictions, ca
     capsys.readouterr()
     assert main(["evaluate", "--data", str(data), "--predictions", str(preds)]) == 1
     assert capsys.readouterr().err == f"error: {path}: {words}\n"
+
+
+def test_evaluate_rejects_a_repeated_obs_id(tmp_path, predictions, capsys):
+    # A doubled predictions file would count each sighting twice; scoring a
+    # subset stays legal, so only a repeat is an error.
+    data, source = predictions
+    preds = tmp_path / "preds"
+    shutil.copytree(source, preds)
+    path = preds / "predictions.jsonl"
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines + lines) + "\n")
+    assert main(["evaluate", "--data", str(data), "--predictions", str(preds)]) == 1
+    obs_id = json.loads(lines[0])["obs_id"]
+    assert capsys.readouterr().err == (f"error: {path}: record {len(lines) + 1} ({obs_id}):"
+                                       f" obs_id {obs_id!r} repeats record 1\n")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("cls, key", [
+    (TrainConfig, "learning_rate"), (TrainConfig, "lam"),
+    (PriorConfig, "time_unit_days"), (PriorConfig, "cell_size_km"),
+    (SimConfig, "longtail_exponent"), (SimConfig, "home_range_cells"), (SimConfig, "fg_noise"),
+    (SimConfig, "obs_rate"), (SimConfig, "duration_days"),
+])
+def test_config_values_must_be_finite(cls, key, value):
+    with pytest.raises(ConfigError) as exc:
+        cls(**{key: value})
+    assert str(exc.value).startswith(f"{key} must be finite and "), exc.value
+    assert str(exc.value).endswith(f", got {value}"), exc.value
+
+
+def test_cli_names_a_non_finite_config_value(tmp_path, predictions, capsys):
+    # A NaN time unit would make every confidence NaN, and a NaN learning
+    # rate would read as divergence: each is named as the config value it is.
+    data, _ = predictions
+    model = data.parent / "model.json"
+    for section, body, argv in (
+        ("prior", {"kind": "time_decay", "time_unit_days": math.nan},
+         ["infer", "--data", str(data), "--model", str(model), "--out", str(tmp_path / "p")]),
+        ("train", {"learning_rate": math.nan},
+         ["train", "--data", str(data), "--out", str(tmp_path / "m.json")]),
+    ):
+        cfg = _write_config(tmp_path / f"{section}.json", {section: body})
+        assert main([*argv, "--config", cfg]) == 1, section
+        key = next(k for k in body if k != "kind")
+        assert capsys.readouterr().err == (
+            f"error: {section}: {key} must be finite and positive, got nan\n")
+    assert not (tmp_path / "p").exists()
+
+
+def _numeric_leaves(value, path=()):
+    """The path to every number in a JSON value; a boolean is no number."""
+    if isinstance(value, dict):
+        for key, entry in value.items():
+            yield from _numeric_leaves(entry, (*path, key))
+    elif isinstance(value, list):
+        for index, entry in enumerate(value):
+            yield from _numeric_leaves(entry, (*path, index))
+    elif type(value) in (int, float):
+        yield path
+
+
+@pytest.fixture(scope="module")
+def written(predictions):
+    """Every kind of file the package writes, from one small run, plus a
+    config file whose sections are the ones the run recorded."""
+    data, preds = predictions
+    root = data.parent
+    assert main(["evaluate", "--data", str(data), "--predictions", str(preds),
+                 "--out", str(root / "report.json")]) == 0
+    sections = {"sim": json.loads((data / "dataset.json").read_text())["sim_config"],
+                "train": json.loads((root / "model.json").read_text())["train_config"],
+                "prior": json.loads((preds / "predictions_meta.json").read_text())["prior_config"]}
+    _write_config(root / "sections.json", sections)
+    return root
+
+
+def _reader(kind, root, key=None):
+    """The command that reads a file of ``kind`` (a config section: the one
+    named ``key``) under ``root``."""
+    data, model, out = str(root / "data"), str(root / "model.json"), str(root / f"{kind}-{key}")
+    return {
+        "record": ["train", "--data", data, "--out", out],
+        "sidecar": ["train", "--data", data, "--out", out],
+        "checkpoint": ["infer", "--data", data, "--model", model, "--out", out],
+        "meta": ["evaluate", "--data", data, "--predictions", str(root / "preds")],
+        "prediction": ["evaluate", "--data", data, "--predictions", str(root / "preds")],
+        "report": ["report", str(root / "report.json")],
+        "section": {"sim": ["simulate", "--out", out],
+                    "train": ["train", "--data", data, "--out", out],
+                    "prior": ["infer", "--data", data, "--model", model, "--out", out]}.get(key),
+    }[kind]
+
+
+# Per kind: its file, and whether it holds one record per line.
+_FILES = {"record": ("data/observations.jsonl", True), "sidecar": ("data/dataset.json", False),
+          "checkpoint": ("model.json", False), "section": ("sections.json", False),
+          "meta": ("preds/predictions_meta.json", False),
+          "prediction": ("preds/predictions.jsonl", True), "report": ("report.json", False)}
+# Numbers no reader takes as numbers, per kind: the sidecar's record of the
+# run that simulated it, the run configs a prediction sidecar or a report
+# copies, and a prediction's T_i and resolved location.
+_CARRIED = {"sidecar": ("sim_config", "seed"), "meta": ("train_config", "prior_config"),
+            "prediction": ("T_i", "resolved_loc"), "report": ("train_config", "prior_config")}
+
+
+def _place(kind, where, path):
+    """For the number at ``path`` in a file of ``kind``: the failure's where,
+    its key and the path of the value it shows; None when no reader types it."""
+    head = path[0]
+    if kind == "checkpoint" and head == "train_config":
+        return f"{where}: train_config", path[1], path[:2]
+    if kind == "section":
+        return ("sim.grid", path[2], path[:3]) if path[:2] == ("sim", "grid") else (
+            head, path[1], path[:2])
+    if kind == "prediction" and head in ("posterior_top5", "likelihood_top5"):
+        return (where, f"{head}[0]", path[:2]) if path[1] == 0 else None  # only top entries
+    return None if head in _CARRIED.get(kind, ()) else (where, head, path[:1])
+
+
+def _get(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def test_each_written_file_passes_its_spec(written, tmp_path, capsys):
+    root = tmp_path / "run"
+    shutil.copytree(written, root)
+    for kind in _FILES:
+        for key in ("sim", "train", "prior") if kind == "section" else (None,):
+            config = ["--config", str(root / "sections.json")] if kind == "section" else []
+            assert main([*_reader(kind, root, key), *config]) == 0, (kind, key)
+    capsys.readouterr()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_a_mistyped_number_fails_by_one_rule(written, data):
+    # In any file the package writes, a number replaced by true or by its
+    # string form fails with one line: where, the key, its type, the value.
+    kind = data.draw(st.sampled_from(sorted(_FILES)), label="kind")
+    name, per_line = _FILES[kind]
+    text = (written / name).read_text()
+    lines = text.splitlines()
+    index = data.draw(st.integers(0, len(lines) - 1), label="line") if per_line else None
+    doc = json.loads(lines[index] if per_line else text)
+    leaves = [p for p in _numeric_leaves(doc) if _place(kind, "", p) is not None]
+    path = data.draw(st.sampled_from(leaves), label="leaf")
+    for bad in (True, str(_get(doc, path))):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp) / "run"
+            shutil.copytree(written, root)
+            edited = json.loads(json.dumps(doc))
+            _get(edited, path[:-1])[path[-1]] = bad
+            if per_line:
+                lines_out = [*lines[:index], json.dumps(edited), *lines[index + 1:]]
+                (root / name).write_text("\n".join(lines_out) + "\n")
+            else:
+                (root / name).write_text(json.dumps(edited))
+            where = str(root / name)
+            if per_line:
+                where += (f": line {index + 1}" if kind == "record"
+                          else f": record {index + 1} ({doc['obs_id']})")
+            where, key, shown = _place(kind, where, path)
+            config = ["--config", str(root / name)] if kind == "section" else []
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                assert main([*_reader(kind, root, path[0]), *config]) == 1, (kind, path, bad)
+            line = err.getvalue()
+            assert line.startswith(f"error: {where}: {key} must be "), line
+            assert line.endswith(f", got {reprlib.repr(_get(edited, shown))}\n"), line
+            assert line.count("\n") == 1, line
 
 
 def test_infer_writes_the_library_record(tmp_path, config_path, capsys):

@@ -307,8 +307,8 @@ def test_dataset_sidecar_mentions_grid(tmp_path, grid2x2):
     ({"n_cells_x": 3.9}, "n_cells_x must be int, got 3.9"),
     ({"n_cells_y": True}, "n_cells_y must be int, got True"),
     ({"cell_size_km": False}, "cell_size_km must be float, got False"),
-    ({"origin": [0.0, None]}, "origin must be [x, y] numbers, got [0.0, None]"),
-    ({"origin": [0.0]}, "origin must be [x, y] numbers, got [0.0]"),
+    ({"origin": [0.0, None]}, "origin must be tuple[float, float], got [0.0, None]"),
+    ({"origin": [0.0]}, "origin must be tuple[float, float], got [0.0]"),
     ({"n_cells_x": 0}, "grid must have at least one cell per axis"),
 ])
 def test_grid_from_sidecar_or_sim_config_checks_each_key(tmp_path, grid2x2, changes, words):
