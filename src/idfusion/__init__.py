@@ -10,7 +10,6 @@ instead of being baked invisibly into a single end-to-end score.
 from .calibration import (
     CalibrationReport,
     LogitsOutput,
-    expected_calibration_error,
     fit_global_temperature,
     per_instance_softmax,
     pits_objective,
@@ -91,7 +90,6 @@ __all__ = [
     "TrainConfig",
     "TrainingError",
     "build_catalog",
-    "expected_calibration_error",
     "features_from",
     "fit_global_temperature",
     "fuse",

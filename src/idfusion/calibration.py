@@ -120,53 +120,43 @@ def pits_objective(
     return loss, p, grad_t
 
 
-def _mean_nll(logits: np.ndarray, labels: np.ndarray, temperature: float) -> float:
-    """Mean cross-entropy of ``softmax(logits / temperature)``: the loss alone, no gradient."""
-    _, log_p = softmax(logits / temperature, with_log=True)
-    return float(np.negative(log_p[np.arange(len(labels)), labels]).sum() / len(labels))
-
-
 def fit_global_temperature(logits: np.ndarray, labels: np.ndarray) -> float:
     """Single temperature minimizing mean cross-entropy on held-out logits.
 
-    The objective is unimodal in ln T for fixed logits, so a coarse grid scan
-    followed by golden-section refinement is reliable. A flat objective (for
-    example, all-identical logit rows) falls back to T = 1 with a warning.
+    The loss is convex in beta = 1/T: its slope, mean(sum_j p_j z_j - z_y), never
+    falls as beta grows, so ln beta is bisected on the slope's sign within
+    [1/T_MAX, 1/T_MIN]. A zero slope (every p_j off the label has underflowed)
+    counts as falling. All-constant logit rows give T = 1 with a warning.
     """
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    if logits.ndim != 2 or logits.shape[0] != labels.shape[0]:
+    if logits.ndim != 2 or labels.shape != logits.shape[:1]:
         raise ValueError("logits must be (n, k) with one label per row")
-    if logits.shape[0] == 0:
+    n, k = logits.shape
+    if n == 0:
         raise ValueError("cannot fit a temperature to zero rows")
-
-    lo, hi = math.log(T_MIN), math.log(T_MAX)
-    grid = np.linspace(lo, hi, 161)
-    values = [_mean_nll(logits, labels, math.exp(g)) for g in grid]
-    if max(values) - min(values) < 1e-12:
+    if not ((labels >= 0) & (labels < k)).all():
+        raise ValueError(f"labels must lie in [0, {k})")
+    if not np.isfinite(logits).all():
+        raise ValueError("logits must be finite")
+    if (logits == logits[:, :1]).all():
         logger.warning("temperature objective is flat; falling back to T=1")
         return 1.0
+    label_logits = logits[np.arange(n), labels]
 
-    best = int(np.argmin(values))
-    a = grid[max(best - 1, 0)]
-    b = grid[min(best + 1, len(grid) - 1)]
+    def rising(log_beta: float) -> bool:
+        p = softmax(logits * math.exp(log_beta))
+        return (np.einsum("ij,ij->i", p, logits) - label_logits).mean() > 0
 
-    # Golden-section search on ln T over the bracketing interval.
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc = _mean_nll(logits, labels, math.exp(c))
-    fd = _mean_nll(logits, labels, math.exp(d))
-    while abs(b - a) > T_TOL:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = _mean_nll(logits, labels, math.exp(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = _mean_nll(logits, labels, math.exp(d))
-    return float(math.exp((a + b) / 2.0))
+    lo, hi = -math.log(T_MAX), -math.log(T_MIN)
+    if rising(lo):
+        return T_MAX
+    if not rising(hi):
+        return T_MIN
+    while hi - lo > T_TOL:
+        mid = (lo + hi) / 2.0
+        lo, hi = (lo, mid) if rising(mid) else (mid, hi)
+    return math.exp(-(lo + hi) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -219,24 +209,3 @@ def ece_from_top_predictions(
         bin_counts=tuple(int(v) for v in bin_n),
         n_samples=n,
     )
-
-
-def expected_calibration_error(
-    probabilities: np.ndarray, labels: np.ndarray, n_bins: int = 15
-) -> CalibrationReport:
-    """ECE of a batch of probability vectors against integer labels.
-
-    Labels outside [0, k) (for example, identities absent from training,
-    conventionally encoded as -1) count as incorrect predictions.
-    """
-    probs = np.asarray(probabilities, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    if probs.ndim != 2 or probs.shape[0] != labels.shape[0]:
-        raise ValueError("probabilities must be (n, k) with one label per row")
-    row_sums = probs.sum(axis=1)
-    if not np.allclose(row_sums, 1.0, atol=1e-6):
-        raise ValueError("probability rows must sum to 1")
-    predicted = probs.argmax(axis=1)
-    confidences = probs[np.arange(probs.shape[0]), predicted]
-    correct = (predicted == labels).astype(np.float64)
-    return ece_from_top_predictions(confidences, correct, n_bins=n_bins)

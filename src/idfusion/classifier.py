@@ -345,6 +345,8 @@ def _model_from(path: str | Path, payload: dict) -> PitsModel:
         if key not in payload and key != "loss_history":
             raise SchemaError(f"{path}: checkpoint has no {key!r}")
     _CHECKPOINT.check(payload, str(path), SchemaError)
+    if (kind := payload["input_kind"]) not in INPUT_KINDS:
+        raise SchemaError(f"{path}: input_kind must be one of {INPUT_KINDS}, got {kind!r}")
     k, d = payload["K"], payload["d"]
     arrays = {}
     for key, shape in (("W", (k, d)), ("b", (k,)), ("w_T", (d,)), ("labels", (k,))):

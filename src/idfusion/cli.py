@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .calibration import expected_calibration_error, fit_global_temperature, tempered_softmax
+from .calibration import ece_from_top_predictions, fit_global_temperature, tempered_softmax
 from .classifier import (
     TrainConfig,
     features_from,
@@ -152,16 +152,21 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     t_star = fit_global_temperature(fit_logits[known], fit_labels[known])
 
     logits, labels = logits_and_labels(dataset.test)
-    before = expected_calibration_error(tempered_softmax(logits, 1.0), labels)
-    after = expected_calibration_error(tempered_softmax(logits, t_star), labels)
+
+    def ece(temperature: float) -> float:
+        # Top-1 confidence and hit, as score_predictions scores them; label -1 is a miss.
+        p = tempered_softmax(logits, temperature)
+        return ece_from_top_predictions(p.max(axis=1), p.argmax(axis=1) == labels).ece
+
+    before, after = ece(1.0), ece(t_star)
     print(f"fitted global temperature: {t_star:.4f}")
-    print(f"ece before: {before.ece:.4f}")
-    print(f"ece after:  {after.ece:.4f}")
+    print(f"ece before: {before:.4f}")
+    print(f"ece after:  {after:.4f}")
     if args.out:
         payload = {
             "temperature": t_star,
-            "ece_before": before.ece,
-            "ece_after": after.ece,
+            "ece_before": before,
+            "ece_after": after,
             "n_evaluated": int(labels.shape[0]),
             # The model's own seed, as infer records it.
             "seed": tc.seed,

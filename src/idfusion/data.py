@@ -376,8 +376,8 @@ def read_json(path: str | Path) -> dict:
     """The JSON object in ``path``; SchemaError naming the file on invalid JSON or a non-object."""
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: invalid JSON ({exc.msg})") from exc
+    except ValueError as exc:  # a JSONDecodeError, or an int past Python's digit limit
+        raise SchemaError(f"{path}: invalid JSON ({getattr(exc, 'msg', exc)})") from exc
     if not isinstance(obj, dict):
         raise SchemaError(f"{path}: file must hold a JSON object, not {type(obj).__name__}")
     return obj
@@ -400,8 +400,9 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
                 continue
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
+            except ValueError as exc:
+                raise ParseError(
+                    f"{path}: line {lineno}: invalid JSON ({getattr(exc, 'msg', exc)})") from exc
             if not isinstance(rec, dict):
                 raise ParseError(f"{path}: line {lineno}: record is not a JSON object")
             yield lineno, rec

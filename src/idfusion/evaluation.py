@@ -54,6 +54,8 @@ class ExperimentReport:
     def from_dict(cls, d: dict, what: str = "report") -> "ExperimentReport":
         """Inverse of :meth:`to_dict`; raises ConfigError naming ``what``."""
         report = from_fields(cls, d, what)
+        for key, config in (("train_config", TrainConfig), ("prior_config", PriorConfig)):
+            from_fields(config, d[key], f"{what}: {key}")  # kept as written, checked as configs
         try:  # the keys are identity labels, written as strings
             return replace(report, per_identity={int(k): v for k, v in report.per_identity.items()})
         except ValueError as exc:
@@ -146,10 +148,13 @@ def score_predictions(
     obs_id, which no other record may repeat; its own ``true`` must be null
     or that identity. Works from the stored top-5 entries: top-1 confidence
     and correctness are all that top-label calibration and accuracy need. A
-    run record (``meta``) key of the wrong JSON type, or a malformed record,
-    raises SchemaError naming its file, and the key or the record's obs_id.
+    run record (``meta``) key of the wrong JSON type (its train and prior
+    configs checked as config sections), or a malformed record, raises
+    SchemaError naming its file, and the key or the record's obs_id.
     """
     _META.check({**dict.fromkeys(_META.tests), **meta}, PREDICTIONS_META_FILENAME, SchemaError)
+    for key, config in (("train_config", TrainConfig), ("prior_config", PriorConfig)):
+        from_fields(config, meta[key], f"{PREDICTIONS_META_FILENAME}: {key}", SchemaError)
     if not records:
         raise ValueError("prediction file holds no records")
     # Each record takes its sighting's truth out, so a repeated obs_id finds none.

@@ -71,6 +71,33 @@ def ece_ref(confidences, correct, n_bins):
     return total
 
 
+def mean_nll_ref(rows, labels, t):
+    """Mean cross-entropy of softmax(z / t) over rows of logits with integer labels.
+    Each row's -log p_y is log(1 + sum over j != y of exp((z_j - z_y) / t)), so a
+    nearly certain hit keeps its tiny loss instead of rounding it to noise."""
+    return math.fsum(
+        math.log1p(math.fsum(math.exp((v - z[y]) / t) for j, v in enumerate(z) if j != y))
+        for z, y in zip(rows, labels)) / len(rows)
+
+
+def brute_force_temperature(rows, labels, t_min, t_max, n_grid=401, tol=1e-9):
+    """The temperature in [t_min, t_max] minimizing mean_nll_ref, by values alone:
+    a dense ln-T scan finds the first grid minimum, then a ternary search between
+    its two grid neighbours narrows it to ``tol`` (a tie keeps the colder side)."""
+    lo, hi = math.log(t_min), math.log(t_max)
+    grid = [lo + (hi - lo) * i / (n_grid - 1) for i in range(n_grid)]
+    values = [mean_nll_ref(rows, labels, math.exp(u)) for u in grid]
+    best = values.index(min(values))
+    a, b = grid[max(best - 1, 0)], grid[min(best + 1, n_grid - 1)]
+    while b - a > tol:
+        c, d = a + (b - a) / 3, b - (b - a) / 3
+        if mean_nll_ref(rows, labels, math.exp(c)) <= mean_nll_ref(rows, labels, math.exp(d)):
+            b = d
+        else:
+            a = c
+    return math.exp((a + b) / 2)
+
+
 # ---------------------------------------------------------------------------
 # Brute-force sequential inference over a linear model with a temperature
 # head, for small instances. Observations are plain dicts:

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from idfusion.calibration import (
-    expected_calibration_error,
+    ece_from_top_predictions,
     fit_global_temperature,
     pits_objective,
     tempered_softmax,
@@ -281,24 +281,27 @@ def test_05_priors_normalize_and_match_hand_values(capsys):
     )
 
 
+def _top1_ece(probs, labels, n_bins):
+    """ECE from each row's top-1 confidence and hit, as calibrate and scoring read them."""
+    return ece_from_top_predictions(probs.max(axis=1), probs.argmax(axis=1) == labels,
+                                    n_bins=n_bins).ece
+
+
 def test_06_calibration_metrics(capsys):
     """Hand-computed ECE fixtures are exact; the fitter recovers T = 2."""
     # All one-hot and correct: zero gap in the top bin.
     probs = np.eye(3)[[0, 1, 2, 0, 1, 2]]
-    report = expected_calibration_error(probs, np.array([0, 1, 2, 0, 1, 2]), n_bins=15)
-    assert report.ece == 0.0
+    assert _top1_ece(probs, np.array([0, 1, 2, 0, 1, 2]), n_bins=15) == 0.0
 
     # Fully confident but half wrong: a single bin with gap 0.5.
-    report = expected_calibration_error(probs, np.array([0, 1, 2, 1, 2, 0]), n_bins=15)
-    assert report.ece == 0.5
+    assert _top1_ece(probs, np.array([0, 1, 2, 1, 2, 0]), n_bins=15) == 0.5
 
     # Two occupied bins out of ten; written in the same float arithmetic the
     # hand computation uses, so equality is exact.
     probs = np.array([[0.6, 0.4], [0.6, 0.4], [0.9, 0.1], [0.9, 0.1]])
     labels = np.array([0, 1, 0, 0])
-    report = expected_calibration_error(probs, labels, n_bins=10)
-    assert report.ece == 0.5 * abs(0.5 - 0.6) + 0.5 * abs(1.0 - 0.9)
-    fixture3 = report.ece
+    fixture3 = _top1_ece(probs, labels, n_bins=10)
+    assert fixture3 == 0.5 * abs(0.5 - 0.6) + 0.5 * abs(1.0 - 0.9)
 
     # Monte Carlo recovery: labels drawn at temperature 2 over 10k rows.
     rng = np.random.default_rng(5)

@@ -1,21 +1,28 @@
-"""Tempered softmax, the per-instance loss and its gradients, and ECE."""
+"""Tempered softmax, the per-instance loss and its gradients, the global
+temperature fit, and ECE."""
 
 import logging
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from idfusion.calibration import (
+    T_MAX,
+    T_MIN,
+    T_TOL,
     LogitsOutput,
     ece_from_top_predictions,
-    expected_calibration_error,
     fit_global_temperature,
     pits_objective,
     tempered_softmax,
 )
 
-from oracles import ece_ref, numeric_pits_grad, pits_loss_ref, softmax_t
+from oracles import (brute_force_temperature, ece_ref, numeric_pits_grad, pits_loss_ref,
+                     softmax_t)
 
 
 def test_tempered_softmax_uniform_logits():
@@ -145,17 +152,26 @@ def test_fit_recovers_doubled_scale():
 
 
 def test_fit_clamps_at_lower_bound():
-    # One confidently-correct row: colder is always better, so the search
-    # runs into the bottom of the allowed range (within one grid step).
-    t = fit_global_temperature(np.array([[10.0, 0.0]]), np.array([0]))
-    assert 0.05 <= t <= 0.055
+    # One confidently-correct row: colder is always better. Past beta = 1/T
+    # of about 3.7 p_1 underflows and the slope is exactly zero; a zero
+    # slope counts as falling, so the fit runs on to the bottom of the range.
+    assert fit_global_temperature(np.array([[10.0, 0.0]]), np.array([0])) == T_MIN
+
+
+def test_fit_clamps_at_upper_bound():
+    # One row whose label has the lower logit: hotter is always better.
+    assert fit_global_temperature(np.array([[0.0, 1.0]]), np.array([0])) == T_MAX
 
 
 def test_fit_flat_objective_warns_and_returns_unit(caplog):
-    with caplog.at_level(logging.WARNING, logger="idfusion.calibration"):
-        t = fit_global_temperature(np.zeros((20, 4)), np.zeros(20, dtype=int))
-    assert t == 1.0
-    assert any("flat" in r.message for r in caplog.records)
+    # With K = 3 and rows of 7.0, sum(p * z) rounds below z_y, so the slope
+    # alone would read as falling everywhere: flat rows are found as such.
+    for logits in (np.zeros((20, 4)), np.full((5, 3), 7.0)):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="idfusion.calibration"):
+            t = fit_global_temperature(logits, np.zeros(len(logits), dtype=int))
+        assert t == 1.0
+        assert any("flat" in r.message for r in caplog.records)
 
 
 def test_fit_validates_shapes():
@@ -163,6 +179,46 @@ def test_fit_validates_shapes():
         fit_global_temperature(np.zeros((0, 3)), np.zeros(0, dtype=int))
     with pytest.raises(ValueError):
         fit_global_temperature(np.zeros((4, 3)), np.zeros(5, dtype=int))
+
+
+@pytest.mark.parametrize("edit, words", [
+    (lambda z, y: y.__setitem__(0, -1), "labels must lie in"),
+    (lambda z, y: y.__setitem__(0, 4), "labels must lie in"),
+    (lambda z, y: z.__setitem__((0, 1), np.nan), "must be finite"),
+    (lambda z, y: z.__setitem__((0, 1), np.inf), "must be finite"),
+], ids=["label-negative", "label-k", "nan-logit", "inf-logit"])
+def test_fit_rejects_bad_input(edit, words):
+    # Unchecked, a label of -1 indexes the last class and a NaN logit still
+    # yields a temperature, so both are rejected before the fit.
+    rng = np.random.default_rng(9)
+    z, y = rng.normal(size=(50, 4)), rng.integers(0, 4, size=50)
+    edit(z, y)
+    with pytest.raises(ValueError, match=words):
+        fit_global_temperature(z, y)
+
+
+@st.composite
+def _fit_problems(draw):
+    """Logits on a 1/8 lattice in [-8, 8], so every row that is not constant
+    has a spread the value-based oracle can resolve."""
+    n, k = draw(st.integers(1, 12)), draw(st.integers(2, 6))
+    ticks = draw(hnp.arrays(np.int64, (n, k), elements=st.integers(-64, 64), fill=st.nothing()))
+    logits = ticks / 8.0
+    labels = draw(hnp.arrays(np.int64, n, elements=st.integers(0, k - 1), fill=st.nothing()))
+    assume(not (logits == logits[:, :1]).all())  # flat rows are the flat test's case
+    return logits, labels
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@example((np.array([[10.0, 0.0]]), np.array([0])))  # the underflow plateau: T_MIN
+@example((np.array([[0.0, 1.0]]), np.array([0])))  # T_MAX
+@example((np.array([[2.0, 0.0], [2.0, 0.0], [0.0, 2.0]]), np.array([0, 0, 0])))  # interior
+@given(_fit_problems())
+def test_fit_agrees_with_brute_force(problem):
+    logits, labels = problem
+    got = fit_global_temperature(logits, labels)
+    want = brute_force_temperature(logits.tolist(), labels.tolist(), T_MIN, T_MAX)
+    assert abs(math.log(got) - math.log(want)) <= T_TOL
 
 
 def test_ece_perfectly_calibrated_certainty():
@@ -203,21 +259,3 @@ def test_ece_input_validation():
         ece_from_top_predictions(np.array([]), np.array([]))
     with pytest.raises(ValueError):
         ece_from_top_predictions(np.array([0.5]), np.array([1.0]), n_bins=0)
-
-
-def test_expected_calibration_error_on_probability_rows():
-    probs = np.array([[0.6, 0.4], [0.6, 0.4], [0.9, 0.1], [0.9, 0.1]])
-    labels = np.array([0, 1, 0, 0])
-    report = expected_calibration_error(probs, labels, n_bins=10)
-    assert report.ece == pytest.approx(0.10, abs=1e-12)
-
-
-def test_expected_calibration_error_unknown_label_counts_as_miss():
-    probs = np.array([[1.0, 0.0], [1.0, 0.0]])
-    got = expected_calibration_error(probs, np.array([0, -1]), n_bins=10)
-    assert got.ece == pytest.approx(0.5, abs=1e-12)
-
-
-def test_expected_calibration_error_rejects_unnormalized_rows():
-    with pytest.raises(ValueError):
-        expected_calibration_error(np.array([[0.6, 0.6]]), np.array([0]))

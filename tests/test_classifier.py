@@ -312,7 +312,7 @@ TRAINING_DIGESTS = {
                        "5828f602d521915a2ae9ca9a2865d9d2c045e23355a03920b92058ce86ae096b"),
 }
 BACKGROUND_DIGEST = "eee56a273f6166842cba79ab0761be6c1bbcea889a27697b17babc09e035c81c"
-GLOBAL_TEMPERATURE_HEX = "0x1.88f05afd5cd1ap+0"
+GLOBAL_TEMPERATURE_HEX = "0x1.88f2c0f3622c9p+0"
 
 
 def _sha256_of(*arrays) -> str:

@@ -14,14 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idfusion.calibration import expected_calibration_error, fit_global_temperature, tempered_softmax
+from idfusion.calibration import ece_from_top_predictions, fit_global_temperature, tempered_softmax
 from idfusion.classifier import TrainConfig, load_model, load_model_and_config
 from idfusion.cli import main
 from idfusion.data import load_dataset
 from idfusion.errors import ConfigError
 from idfusion.evaluation import infer, load_report, run_experiment
 from idfusion.fusion import write_predictions
-from idfusion.priors import MIGRATING_LOCATION, PriorConfig
+from idfusion.priors import MIGRATING_LOCATION, PRIOR_KINDS, PriorConfig
 from idfusion.simulate import SimConfig
 
 
@@ -119,6 +119,11 @@ def test_calibrate_fits_on_train_and_scores_test(tmp_path, config_path, capsys):
     model_path = str(tmp_path / "model.json")
     out = tmp_path / "calibration.json"
     assert main(["simulate", "--config", config_path, "--out", data]) == 0
+    # Identity 0 is seen only in test, so the model has never seen it.
+    path = Path(data) / "observations.jsonl"
+    recs = [json.loads(line) for line in path.read_text().splitlines()]
+    path.write_text("".join(json.dumps({**r, "split": "test"} if r["identity"] == 0 else r) + "\n"
+                            for r in recs), encoding="utf-8")
     assert main(["train", "--data", data, "--config", config_path, "--out", model_path]) == 0
     assert main(["calibrate", "--data", data, "--model", model_path, "--out", str(out)]) == 0
     capsys.readouterr()
@@ -135,8 +140,13 @@ def test_calibrate_fits_on_train_and_scores_test(tmp_path, config_path, capsys):
     logits = np.stack([model.forward(o.fg_features).logits for o in ds.test])
     labels = np.array([model.labels.index(o.identity) if o.identity in model.labels else -1
                        for o in ds.test])
+    assert (labels == -1).any()
     for key, t in (("ece_before", 1.0), ("ece_after", t_star)):
-        assert stored[key] == expected_calibration_error(tempered_softmax(logits, t), labels).ece
+        p = tempered_softmax(logits, t)
+        # From each row's top-1 confidence and hit, as evaluate scores them;
+        # a sighting of an identity the model never saw is a miss.
+        hit = [y >= 0 and row.argmax() == y for row, y in zip(p, labels)]
+        assert stored[key] == ece_from_top_predictions(p.max(axis=1), np.array(hit)).ece
     # The seed is the model's (5), from its checkpoint's train_config, as infer records it.
     assert stored["seed"] == 5
 
@@ -336,6 +346,10 @@ def test_error_paths_exit_one(tmp_path, config_path, capsys):
                  ["infer", "--data", data, "--model", str(empty), "--out", str(tmp_path / "p3")],
                  ["report", str(empty)]):
         assert "empty.json: file must hold a JSON object" in error_line(argv)
+    # So does one holding an integer longer than Python reads (4300 digits).
+    empty.write_text('{"K": ' + "9" * 5000 + "}", encoding="utf-8")
+    for argv in (["calibrate", "--data", data, "--model", str(empty)], ["report", str(empty)]):
+        assert error_line(argv).startswith(f"error: {empty}: invalid JSON (Exceeds the limit")
 
     # A checkpoint missing a key, or holding a wrongly shaped array, names
     # the file and the key.
@@ -355,6 +369,8 @@ def test_error_paths_exit_one(tmp_path, config_path, capsys):
              ("labels must be list[int], got [1.7, ",)),
             ("b_T-str", lambda c: c.update(b_T="0.5"), ("b_T must be float, got '0.5'",)),
             ("input-kind-int", lambda c: c.update(input_kind=1), ("input_kind must be str, got 1",)),
+            ("input-kind-xyz", lambda c: c.update(input_kind="xyz"),
+             ("input_kind must be one of ('foreground', 'background', 'whole'), got 'xyz'",)),
             ("head-str", lambda c: c.update(temperature_head_active="false"),
              ("temperature_head_active must be bool, got 'false'",)),
             ("W-true", lambda c: c["W"][0].__setitem__(0, True),
@@ -413,11 +429,17 @@ def test_error_paths_exit_one(tmp_path, config_path, capsys):
         err = error_line(["report", str(report), *flags])
         assert err == "error: --config and --seed apply only to --data, not to report files\n", err
 
-    body = json.loads(report.read_text())
+    text = report.read_text()
+    body = json.loads(text)
     body["per_identity"]["x"] = 0.5
     report.write_text(json.dumps(body), encoding="utf-8")
     err = error_line(["report", str(report)])
     assert f"{report}: per_identity key is not an identity label: " in err and "'x'" in err, err
+    # The run configs a report copies load as config sections do.
+    for key, value, words in (("train_config", {"lam": True}, "lam must be float, got True"),
+                              ("prior_config", {"alpha": "2.5"}, "alpha must be float, got '2.5'")):
+        report.write_text(json.dumps({**json.loads(text), key: value}), encoding="utf-8")
+        assert error_line(["report", str(report)]) == f"error: {report}: {key}: {words}\n"
 
 
 def test_malformed_dataset_record_names_file_line_and_field(tmp_path, config_path, capsys):
@@ -450,6 +472,12 @@ def test_malformed_dataset_record_names_file_line_and_field(tmp_path, config_pat
         assert main(["train", "--data", str(data), "--out", str(tmp_path / "m.json")]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: line 3: {words}") and err.count("\n") == 1, err
+    # An integer longer than Python reads (4300 digits) is no record either.
+    path.write_text("\n".join([*lines[:2], '{"t": ' + "9" * 5000 + "}", *lines[3:]]) + "\n")
+    assert main(["train", "--data", str(data), "--out", str(tmp_path / "m.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: line 3: invalid JSON (Exceeds the limit") and \
+        err.count("\n") == 1, err
 
 
 @pytest.fixture(scope="module")
@@ -529,8 +557,13 @@ def test_evaluate_rejects_another_seeds_dataset(tmp_path, predictions, capsys):
     ("train_config", 5, "train_config must be dict, got 5"),
     ("prior_config", None, "prior_config must be dict, got None"),
     ("seed", ..., "seed must be int, got None"),
+    # The run's configs load as config sections do; absent keys take defaults.
+    ("train_config", {"lam": True}, "train_config: lam must be float, got True"),
+    ("prior_config", {"alpha": "2.5"}, "prior_config: alpha must be float, got '2.5'"),
+    ("prior_config", {"kind": "xyz"},
+     f"prior_config: prior kind must be one of {PRIOR_KINDS}, got 'xyz'"),
 ], ids=["labels-int", "labels-str", "seed-str", "seed-bool", "train-config-int",
-        "prior-config-null", "no-seed"])
+        "prior-config-null", "no-seed", "lam-bool", "alpha-str", "prior-kind"])
 def test_malformed_predictions_meta_names_file_and_key(tmp_path, predictions, capsys,
                                                        key, value, words):
     data, source = predictions
@@ -646,18 +679,16 @@ _FILES = {"record": ("data/observations.jsonl", True), "sidecar": ("data/dataset
           "meta": ("preds/predictions_meta.json", False),
           "prediction": ("preds/predictions.jsonl", True), "report": ("report.json", False)}
 # Numbers no reader takes as numbers, per kind: the sidecar's record of the
-# run that simulated it, the run configs a prediction sidecar or a report
-# copies, and a prediction's T_i and resolved location.
-_CARRIED = {"sidecar": ("sim_config", "seed"), "meta": ("train_config", "prior_config"),
-            "prediction": ("T_i", "resolved_loc"), "report": ("train_config", "prior_config")}
+# run that simulated it, and a prediction's T_i and resolved location.
+_CARRIED = {"sidecar": ("sim_config", "seed"), "prediction": ("T_i", "resolved_loc")}
 
 
 def _place(kind, where, path):
     """For the number at ``path`` in a file of ``kind``: the failure's where,
     its key and the path of the value it shows; None when no reader types it."""
     head = path[0]
-    if kind == "checkpoint" and head == "train_config":
-        return f"{where}: train_config", path[1], path[:2]
+    if head in ("train_config", "prior_config"):  # a run config a checkpoint, meta or report holds
+        return f"{where}: {head}", path[1], path[:2]
     if kind == "section":
         return ("sim.grid", path[2], path[:3]) if path[:2] == ("sim", "grid") else (
             head, path[1], path[:2])
