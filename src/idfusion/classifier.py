@@ -19,7 +19,7 @@ import numpy as np
 
 from .calibration import TEMPERATURE_REGULARIZER, LogitsOutput, pits_objective
 from .data import (Dataset, GridSpec, IdentityCatalog, JsonSpec, Observation, check_finite,
-                   from_fields, read_json, write_json)
+                   from_fields, location_xy, read_json, write_json)
 from .errors import ConfigError, SchemaError, TrainingError
 
 logger = logging.getLogger(__name__)
@@ -281,7 +281,7 @@ def train_background_model(dataset: Dataset, grid: GridSpec, config: TrainConfig
     :class:`PitsModel` over the grid's cell indices, temperature head inactive."""
     train_obs = dataset.train
     X = np.stack([o.bg_features for o in train_obs])
-    y = np.array([grid.cell_index(o.location) for o in train_obs], dtype=np.int64)
+    y = grid.cell_indices(location_xy(train_obs)).astype(np.int64)
     d = X.shape[1]
 
     rng = np.random.default_rng(config.seed)

@@ -30,14 +30,7 @@ from .classifier import (
 )
 from .data import (JsonSpec, build_catalog, from_fields, load_dataset, read_json, save_dataset,
                    write_json)
-from .errors import (
-    ConfigError,
-    ParseError,
-    SchemaError,
-    SimulationError,
-    SplitError,
-    TrainingError,
-)
+from .errors import ConfigError, SchemaError, SimulationError, TrainingError
 from .evaluation import (
     infer,
     load_report,
@@ -53,8 +46,9 @@ from .simulate import PRESETS, SimConfig, generate
 
 logger = logging.getLogger(__name__)
 
-_EXPECTED = (ConfigError, ParseError, SchemaError, SplitError, TrainingError,
-             SimulationError, FileNotFoundError, ValueError, KeyError)
+# Every package error is a ValueError or one of the two RuntimeErrors; a file
+# that is missing, a directory or in the way is an OSError naming its path.
+_EXPECTED = (ValueError, OSError, TrainingError, SimulationError)
 
 
 _CONFIG_FILE = JsonSpec({"seed": int, "sim": dict, "train": dict, "prior": dict})

@@ -80,32 +80,44 @@ class GridSpec:
     def n_cells(self) -> int:
         return self.n_cells_x * self.n_cells_y
 
+    @property
+    def far_corner(self) -> tuple[float, float]:
+        """(x, y) of the corner opposite the origin, the grid's upper bound on each axis."""
+        return (self.origin.x + self.cell_size_km * self.n_cells_x,
+                self.origin.y + self.cell_size_km * self.n_cells_y)
+
     def contains(self, loc: Location) -> bool:
-        return (
-            self.origin.x <= loc.x <= self.origin.x + self.cell_size_km * self.n_cells_x
-            and self.origin.y <= loc.y <= self.origin.y + self.cell_size_km * self.n_cells_y
-        )
+        far_x, far_y = self.far_corner
+        return self.origin.x <= loc.x <= far_x and self.origin.y <= loc.y <= far_y
 
-    def cell_index(self, loc: Location) -> int:
-        """Index of the cell containing ``loc``.
+    def cell_indices(self, xy: np.ndarray) -> np.ndarray:
+        """Index of the cell containing each point of ``xy`` (n, 2).
 
-        Locations exactly on the far boundary belong to the last cell of the
-        axis, so every in-bounds location maps to a valid index.
+        Points on the far boundary belong to the last cell of the axis, and a
+        point outside the grid to the nearest cell of each axis; the clamp
+        runs on the floored floats, before the cast, so far-off points clamp
+        too. numpy's float floor division rounds as Python's does.
         """
-        col = int((loc.x - self.origin.x) // self.cell_size_km)
-        row = int((loc.y - self.origin.y) // self.cell_size_km)
-        col = min(max(col, 0), self.n_cells_x - 1)
-        row = min(max(row, 0), self.n_cells_y - 1)
+        xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
+        steps = (xy - (self.origin.x, self.origin.y)) // self.cell_size_km
+        col, row = np.clip(steps, 0, (self.n_cells_x - 1, self.n_cells_y - 1)).astype(np.intp).T
         return row * self.n_cells_x + col
 
+    def cell_index(self, loc: Location) -> int:
+        """:meth:`cell_indices` of one location."""
+        return int(self.cell_indices([(loc.x, loc.y)])[0])
+
+    def cell_centers(self, cells) -> np.ndarray:
+        """(n, 2) centres of the cells indexed by ``cells``, which must be in range."""
+        row, col = np.divmod(np.asarray(cells, dtype=np.intp), self.n_cells_x)
+        return np.stack([self.origin.x + (col + 0.5) * self.cell_size_km,
+                         self.origin.y + (row + 0.5) * self.cell_size_km], axis=-1)
+
     def cell_center(self, index: int) -> Location:
+        """:meth:`cell_centers` of one cell index; ValueError when it is out of range."""
         if not 0 <= index < self.n_cells:
             raise ValueError(f"cell index {index} out of range [0, {self.n_cells})")
-        row, col = divmod(index, self.n_cells_x)
-        return Location(
-            self.origin.x + (col + 0.5) * self.cell_size_km,
-            self.origin.y + (row + 0.5) * self.cell_size_km,
-        )
+        return Location(*self.cell_centers([index])[0].tolist())
 
 
 def _read_only_copy(values) -> np.ndarray:
@@ -206,11 +218,10 @@ class Dataset:
 
         Membership depends only on the data, never on any prediction.
         """
-        cell = self.grid.cell_index
-        train_pairs = frozenset((o.identity, cell(o.location)) for o in self.train)
-        return frozenset(
-            o.obs_id for o in self.test if (o.identity, cell(o.location)) not in train_pairs
-        )
+        cells = self.grid.cell_indices(location_xy(self.train + self.test)).tolist()
+        train_pairs = frozenset(zip((o.identity for o in self.train), cells))
+        return frozenset(o.obs_id for o, cell in zip(self.test, cells[len(self.train):])
+                         if (o.identity, cell) not in train_pairs)
 
 
 def validate_dataset(dataset: Dataset) -> Dataset:
@@ -290,6 +301,12 @@ def _observations_from_rows(
     return observations
 
 
+def location_xy(observations: Sequence[Observation]) -> np.ndarray:
+    """(n, 2) x and y of each observation's location, built from two lists of the
+    floats the locations hold, with no tuple per sighting."""
+    return np.array([[o.location.x for o in observations], [o.location.y for o in observations]]).T
+
+
 def _split_tags(timestamps: Iterable[float], cutoff: float) -> list[str]:
     """TRAIN for each timestamp before ``cutoff``, TEST for the rest.
 
@@ -345,20 +362,19 @@ def build_catalog(dataset: Dataset) -> IdentityCatalog:
     counts: dict[int, int] = {}
     cells: dict[int, Counter] = {}
     last_time: dict[int, float] = {}
-    for o in train:
+    for o, cell in zip(train, dataset.grid.cell_indices(location_xy(train)).tolist()):
         counts[o.identity] = counts.get(o.identity, 0) + 1
-        cells.setdefault(o.identity, Counter())[dataset.grid.cell_index(o.location)] += 1
+        cells.setdefault(o.identity, Counter())[cell] += 1
         last_time[o.identity] = max(last_time.get(o.identity, 0.0), o.timestamp)
 
     n_max = max(counts.values())
-    homes: dict[int, Location] = {}
-    temps: dict[int, float] = {}
-    for k, cell_counts in cells.items():
+    modal_cells = []
+    for cell_counts in cells.values():
         best = max(cell_counts.values())
-        modal_cell = min(c for c, n in cell_counts.items() if n == best)
-        homes[k] = dataset.grid.cell_center(modal_cell)
-        temps[k] = target_temperature(counts[k], n_max)
-
+        modal_cells.append(min(c for c, n in cell_counts.items() if n == best))
+    centers = dataset.grid.cell_centers(modal_cells).tolist()
+    homes = {k: Location(*xy) for k, xy in zip(cells, centers)}
+    temps = {k: target_temperature(counts[k], n_max) for k in cells}
     return IdentityCatalog(counts, homes, temps, last_time)
 
 
@@ -393,12 +409,14 @@ def write_jsonl(path: str | Path, records: Iterable[Mapping]) -> None:
 
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
     """Yield ``(line number, record)`` per non-blank line; ParseError naming the file and
-    the line on invalid JSON or a non-object."""
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+    the line on invalid UTF-8, invalid JSON or a non-object."""
+    # Each line is decoded on its own, so a byte that is not UTF-8 fails on its own line.
+    with Path(path).open("rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
             try:
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
                 rec = json.loads(line)
             except ValueError as exc:
                 raise ParseError(
@@ -559,9 +577,10 @@ def load_dataset(directory: str | Path) -> Dataset:
     _SIDECAR.check({**dict.fromkeys(_SIDECAR.tests), **meta}, str(sidecar), SchemaError)
     grid = GridSpec.from_dict(meta, str(sidecar))
     path = directory / OBSERVATIONS_FILENAME
-    records = read_jsonl(path)
-    dataset = Dataset.from_observations((_observation_from(rec, n, path) for n, rec in records),
-                                        grid)
+    observations = [_observation_from(rec, n, path) for n, rec in read_jsonl(path)]
+    if not observations:
+        raise SchemaError(f"{path}: file holds no observations")
+    dataset = Dataset.from_observations(observations, grid)
     if dataset.n_identities != meta["n_identities"]:
         raise SchemaError(f"{sidecar}: declares {meta['n_identities']} identities but"
                           f" observations imply {dataset.n_identities}")

@@ -156,7 +156,7 @@ def score_predictions(
     for key, config in (("train_config", TrainConfig), ("prior_config", PriorConfig)):
         from_fields(config, meta[key], f"{PREDICTIONS_META_FILENAME}: {key}", SchemaError)
     if not records:
-        raise ValueError("prediction file holds no records")
+        raise SchemaError(f"{PREDICTIONS_FILENAME}: file holds no records")
     # Each record takes its sighting's truth out, so a repeated obs_id finds none.
     truth = {o.obs_id: o.identity for o in dataset.test}
     new_ids = dataset.new_location_ids

@@ -6,23 +6,23 @@ spaces go through log space so products of many small numbers cannot
 underflow; an exactly uniform prior short-circuits to the likelihood itself,
 so the argmax is preserved exactly, not just up to floating-point error.
 
-Inference runs in two layers. The likelihood never depends on prior state,
-and neither do the uniform and home priors, so a batched layer computes
-them, and fuses them, for a block of up to ``BLOCK_ROWS`` sightings at a
-time. Only the migrating and time priors read state that the fused argmax
-writes, so for them a thin loop evaluates the prior one sighting at a time,
-fuses it with the precomputed likelihood row, takes the argmax and writes one
-state entry before the next sighting.
+Inference is one loop over blocks of up to ``BLOCK_ROWS`` sightings. The
+likelihood never depends on prior state, so each block computes it once.
+The prior, its fusion and the argmax then run a step at a time: the whole
+block when no configured kind reads state, one row when the migrating or
+time prior does, since those read the entry that the previous row's fused
+argmax wrote. After each row of a stateful prior the winner's entry is
+written by index, before the next row.
 
-Both layers run the same kernels, and every kernel works along the label
-axis alone, so a sighting's posterior has the same bits whether it comes
-alone or in a block, in one call or in many. That is why the logits are one
-matrix-vector product per row (``PitsModel.forward_rows``) and not one
-matrix product over the block: a matrix product sums in another order and
-would move the last bits of the logits. ``fuse_rows`` is the one fusion
-kernel, for a block, a row and :func:`fuse`. The log-likelihood it adds in
-log space is taken once per block, and the error state that lets a lost row
-take log(0) is set once per call, not once per row.
+Every kernel works along the label axis alone, so a sighting's posterior
+has the same bits whether it comes alone or in a block, in one call or in
+many. That is why the logits are one matrix-vector product per row
+(``PitsModel.forward_rows``) and not one matrix product over the block: a
+matrix product sums in another order and would move the last bits of the
+logits. ``fuse_rows`` is the one fusion kernel, for a block, a row and
+:func:`fuse`. The log-likelihood it adds in log space is taken once per
+block, and the error state that lets a lost row take log(0) is set once per
+call, not once per row.
 
 Records are built afterwards, ``BLOCK_ROWS`` at a time, each top 5 exact down
 to ties, so ``sequential_infer``'s single-sighting callers never pay for them.
@@ -46,14 +46,12 @@ from .priors import (
     PriorState,
     prior_rows,
     resolve_locations,
-    update_last_seen,
-    update_location,
 )
 
 logger = logging.getLogger(__name__)
 
 LOG_SPACE_THRESHOLD = 64
-# Sightings per block of the batched layer. Each block computes into a few
+# Sightings per block of the inference loop. Each block computes into a few
 # (BLOCK_ROWS, K) temporaries and stores its rows in three (BLOCK_ROWS, K)
 # arrays of its own. Blocks this small reuse memory the process already
 # holds, as per-sighting vectors did: at K=500, storing whole-stream (N, K)
@@ -204,27 +202,24 @@ def sequential_infer(
         likelihood, prior, posterior = np.empty(shape), np.empty(shape), np.empty(shape)
         tempered_softmax(logits, temperatures[:, None], out=likelihood)
         log_likelihood = np.log(likelihood)
-        rows = list(zip(likelihood, prior, posterior))
-        if not (track_location or track_time):
-            prior_rows(state, xy, times, out=prior)
-            fuse_rows(likelihood, log_likelihood, prior, posterior)
-            winners = [labels[w] for w in posterior.argmax(axis=1).tolist()]
-        else:
-            winners = []
-            for obs, loc, loc_xy, t, log_l, (l, p, post) in zip(
-                block, locations, xy, times, log_likelihood, rows
-            ):
-                prior_rows(state, loc_xy, t, out=p)
-                winner = labels[fuse_rows(l, log_l, p, post).argmax()]
-                if track_location:
-                    update_location(state, winner, loc)
-                if track_time:
-                    update_last_seen(state, winner, obs.timestamp)
-                winners.append(winner)
+        # A step is the whole block, or one row when a stateful prior must
+        # read what the previous row's winner wrote. A row is indexed, not
+        # sliced: the kernels run on its (K,) view, and the winner's state
+        # entry is written by a scalar index.
+        winners = np.empty(len(block), dtype=np.intp)
+        for rows in range(len(block)) if track_location or track_time else (slice(None),):
+            prior_rows(state, xy[rows], times[rows], out=prior[rows])
+            won = winners[rows] = fuse_rows(likelihood[rows], log_likelihood[rows], prior[rows],
+                                            posterior[rows]).argmax(axis=-1)
+            if track_location:
+                state.last_loc_xy[won] = xy[rows]
+            if track_time:
+                state.last_seen[won] = times[rows, 0]
         predictions += [
-            Prediction(obs.obs_id, winner, post, l, p, loc, temperature, obs.identity)
-            for obs, winner, (l, p, post), loc, temperature in zip(
-                block, winners, rows, locations, temperatures.tolist()
+            Prediction(obs.obs_id, labels[w], post, l, p, loc, temperature, obs.identity)
+            for obs, w, l, p, post, loc, temperature in zip(
+                block, winners.tolist(), likelihood, prior, posterior, locations,
+                temperatures.tolist()
             )
         ]
     return predictions

@@ -230,7 +230,7 @@ def resolve_locations(observations: Sequence[Observation], config: PriorConfig,
         raise ConfigError("location_source='background_model' requires a background model and the grid")
     check_background_model(background_model, grid)
     logits, _ = background_model.forward_rows(np.array([o.bg_features for o in observations]))
-    return [grid.cell_center(cell) for cell in logits.argmax(axis=1).tolist()]
+    return list(map(Location, *grid.cell_centers(logits.argmax(axis=1)).T.tolist()))
 
 
 def resolve_location(obs: Observation, config: PriorConfig, background_model: PitsModel | None = None,

@@ -139,19 +139,20 @@ def _season_times(
     return np.maximum(cycles * cycle + offset + starts * active, 1e-6)
 
 
-def _clamp(v: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    # min(max(v, lo), hi) element by element, signed zeros included: each
-    # bound replaces v only where it is strictly beyond it.
+def _clamp(v: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    # min(max(v, lo), hi) element by element, bounds broadcast along the last
+    # axis, signed zeros included: each bound replaces v only where it is
+    # strictly beyond it.
     v = np.where(lo > v, lo, v)
     return np.where(hi < v, hi, v)
 
 
 def _identity_stream(
     config: SimConfig, k: int, count: int, attempt: int, home_cell: int, phase: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Sightings for one identity: sorted times, x, y and a (count, d + d_bg)
-    matrix whose row i holds sighting i's foreground then background
-    standard-normal draws.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sightings for one identity: sorted times, (count, 2) locations and a
+    (count, d + d_bg) matrix whose row i holds sighting i's foreground then
+    background standard-normal draws.
 
     The substream key includes the retry attempt so a redraw is a fresh,
     reproducible stream rather than a continuation.
@@ -180,20 +181,9 @@ def _identity_stream(
 
     # normal(0, scale) draws 0.0 + scale * z; adding 0.0 last keeps its zero sign.
     jitter = z[:, :2] * (config.home_range_cells * grid.cell_size_km) + 0.0
-    rows, cols = np.divmod(np.array(homes, dtype=np.intp), nx)
-    x = _clamp(grid.origin.x + (cols + 0.5) * grid.cell_size_km + jitter[:, 0],
-               grid.origin.x, grid.origin.x + grid.cell_size_km * nx)
-    y = _clamp(grid.origin.y + (rows + 0.5) * grid.cell_size_km + jitter[:, 1],
-               grid.origin.y, grid.origin.y + grid.cell_size_km * grid.n_cells_y)
-    return times, x, y, z[:, 2:]
-
-
-def _cell_indices(grid: GridSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """:meth:`GridSpec.cell_index` of every (x, y); numpy's float floor
-    division rounds as Python's does."""
-    col = np.clip(((x - grid.origin.x) // grid.cell_size_km).astype(np.intp), 0, grid.n_cells_x - 1)
-    row = np.clip(((y - grid.origin.y) // grid.cell_size_km).astype(np.intp), 0, grid.n_cells_y - 1)
-    return row * grid.n_cells_x + col
+    xy = _clamp(grid.cell_centers(homes) + jitter, np.array([grid.origin.x, grid.origin.y]),
+                np.array(grid.far_corner))
+    return times, xy, z[:, 2:]
 
 
 def generate(config: SimConfig) -> Dataset:
@@ -239,7 +229,7 @@ def generate(config: SimConfig) -> Dataset:
 
     # Sightings in (time, identity) order, ties in stream order: a stable sort
     # of the times as the streams list them, identity by identity.
-    times, x, y = (np.concatenate(parts) for parts in zip(*(s[:3] for s in streams)))
+    times, xy = (np.concatenate(parts) for parts in zip(*(s[:2] for s in streams)))
     owners = np.repeat(np.arange(n_ids), counts)
     order = np.argsort(times, kind="stable")
     slots = np.empty_like(order)
@@ -250,7 +240,7 @@ def generate(config: SimConfig) -> Dataset:
     bg = np.empty((len(order), config.bg_feature_dim))
     start = 0
     for k in range(n_ids):
-        noise = streams[k][3]
+        noise = streams[k][2]
         streams[k] = None
         rows = slots[start:start + len(noise)]
         start += len(noise)
@@ -259,9 +249,9 @@ def generate(config: SimConfig) -> Dataset:
         bg[rows] = noise[:, d:] + 0.0
     del noise
 
-    x, y = x[order], y[order]
+    xy = xy[order]
     bg *= 1.0 - config.bg_cell_signal
-    bg += (config.bg_cell_signal * cell_signatures)[_cell_indices(grid, x, y)]
+    bg += (config.bg_cell_signal * cell_signatures)[grid.cell_indices(xy)]
 
     timestamps = times[order].tolist()
     try:
@@ -277,7 +267,7 @@ def generate(config: SimConfig) -> Dataset:
         owners[order].tolist(),
         fg,
         bg,
-        list(map(Location, x.tolist(), y.tolist())),
+        list(map(Location, *xy.T.tolist())),
         timestamps,
         splits,
     )

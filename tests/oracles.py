@@ -196,6 +196,22 @@ def brute_force_sequential(
 # ---------------------------------------------------------------------------
 
 
+def cell_index_ref(grid, x, y):
+    """The row-major index of the cell holding (x, y), one scalar at a time: Python's
+    float floor division, ``int``, then a clamp to the grid on each axis."""
+    col = int((x - grid.origin.x) // grid.cell_size_km)
+    row = int((y - grid.origin.y) // grid.cell_size_km)
+    return min(max(row, 0), grid.n_cells_y - 1) * grid.n_cells_x + min(max(col, 0), grid.n_cells_x - 1)
+
+
+def cell_center_ref(grid, index):
+    from idfusion.data import Location
+
+    row, col = divmod(index, grid.n_cells_x)
+    return Location(grid.origin.x + (col + 0.5) * grid.cell_size_km,
+                    grid.origin.y + (row + 0.5) * grid.cell_size_km)
+
+
 def _reference_stream(config, k, count, attempt, fg_prototype, home_cell, phase):
     from idfusion.data import Location
     from idfusion.simulate import _season_times
@@ -209,13 +225,13 @@ def _reference_stream(config, k, count, attempt, fg_prototype, home_cell, phase)
     times = np.sort(times)
 
     hrow, hcol = divmod(home_cell, grid.n_cells_x)
-    center = grid.cell_center(home_cell)
+    center = cell_center_ref(grid, home_cell)
     sightings = []
     for t in times:
         if rng.uniform() < config.migration_prob:
             hrow = min(max(hrow + rng.integers(-1, 2), 0), grid.n_cells_y - 1)
             hcol = min(max(hcol + rng.integers(-1, 2), 0), grid.n_cells_x - 1)
-            center = grid.cell_center(hrow * grid.n_cells_x + hcol)
+            center = cell_center_ref(grid, hrow * grid.n_cells_x + hcol)
         jitter = rng.normal(0.0, config.home_range_cells * grid.cell_size_km, size=2)
         x = min(max(center.x + jitter[0], grid.origin.x),
                 grid.origin.x + grid.cell_size_km * grid.n_cells_x)
@@ -224,7 +240,7 @@ def _reference_stream(config, k, count, attempt, fg_prototype, home_cell, phase)
         loc = Location(x, y)
         fg = fg_prototype + rng.normal(0.0, config.fg_noise, size=config.feature_dim)
         bg_noise = rng.normal(0.0, 1.0, size=config.bg_feature_dim)
-        sightings.append((float(t), grid.cell_index(loc), fg, bg_noise, loc))
+        sightings.append((float(t), cell_index_ref(grid, x, y), fg, bg_noise, loc))
     return sightings
 
 

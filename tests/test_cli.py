@@ -339,6 +339,16 @@ def test_error_paths_exit_one(tmp_path, config_path, capsys):
     err = error_line(["evaluate", "--data", data, "--predictions", str(preds)])
     assert "predictions.jsonl: line 2" in err
 
+    # An empty predictions or observations file names itself.
+    (preds / "predictions.jsonl").write_text("", encoding="utf-8")
+    err = error_line(["evaluate", "--data", data, "--predictions", str(preds)])
+    assert err == f"error: {preds / 'predictions.jsonl'}: file holds no records\n", err
+    empty_data = tmp_path / "empty-data"
+    shutil.copytree(data, empty_data)
+    (empty_data / "observations.jsonl").write_text("", encoding="utf-8")
+    err = error_line(["train", "--data", str(empty_data), "--out", str(tmp_path / "m4.json")])
+    assert err == f"error: {empty_data / 'observations.jsonl'}: file holds no observations\n", err
+
     # A checkpoint or a report holding a list names the file.
     empty = tmp_path / "empty.json"
     empty.write_text("[]", encoding="utf-8")
@@ -478,6 +488,34 @@ def test_malformed_dataset_record_names_file_line_and_field(tmp_path, config_pat
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: line 3: invalid JSON (Exceeds the limit") and \
         err.count("\n") == 1, err
+    # So is a line holding a byte that is not UTF-8, whatever the lines before it hold.
+    raw = [line.encode() for line in lines]
+    raw[3] = raw[3].replace(b'"obs_id": "', b'"obs_id": "\xff', 1)
+    path.write_bytes(b"\n".join(raw) + b"\n")
+    assert main(["train", "--data", str(data), "--out", str(tmp_path / "m.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: line 4: invalid JSON ('utf-8' codec can't decode byte"
+                          " 0xff") and err.count("\n") == 1, err
+
+
+def test_a_path_of_the_wrong_kind_names_itself(tmp_path, config_path, capsys):
+    # A directory where a file goes, or a file where a directory goes, exits 1
+    # with one line naming the path, whether it is read or written.
+    data, model, folder = str(tmp_path / "data"), str(tmp_path / "model.json"), tmp_path / "dir"
+    assert main(["simulate", "--config", config_path, "--out", data]) == 0
+    assert main(["train", "--data", data, "--config", config_path, "--out", model]) == 0
+    folder.mkdir()
+    capsys.readouterr()
+    for argv, path in (
+        (["train", "--data", data, "--config", config_path, "--out", str(folder)], folder),
+        (["calibrate", "--data", data, "--model", str(folder)], folder),
+        (["infer", "--data", data, "--model", model, "--out", model], model),
+        (["report", "--data", data, "--config", config_path, "--out", str(folder)], folder),
+    ):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno ") and err.endswith(f": {str(path)!r}\n") and \
+            err.count("\n") == 1, (argv, err)
 
 
 @pytest.fixture(scope="module")

@@ -269,11 +269,12 @@ def test_scoring_many_record_sets_finds_new_locations_once(tmp_path, monkeypatch
 
     shared = Dataset.from_observations(ds.observations, ds.grid)
     calls = []
-    cell_index = GridSpec.cell_index
-    monkeypatch.setattr(GridSpec, "cell_index",
-                        lambda grid, loc: calls.append(loc) or cell_index(grid, loc))
+    cell_indices = GridSpec.cell_indices
+    monkeypatch.setattr(GridSpec, "cell_indices",
+                        lambda grid, xy: calls.append(len(xy)) or cell_indices(grid, xy))
     reports = [score_predictions(r, meta, shared) for r, meta in record_sets]
-    assert len(calls) == len(ds.train) + len(ds.test)
+    # One call over every sighting, for all four record sets.
+    assert calls == [len(ds.train) + len(ds.test)]
     for i, (a, b) in enumerate(zip(reports, fresh)):
         assert _report_bytes(a, tmp_path / f"a{i}.json") == _report_bytes(b, tmp_path / f"b{i}.json")
 

@@ -61,7 +61,7 @@ from idfusion.errors import SimulationError, SplitError
 from idfusion.simulate import SimConfig, generate
 
 from conftest import make_obs
-from oracles import numeric_pits_grad, reference_generate, top_entries
+from oracles import cell_center_ref, cell_index_ref, numeric_pits_grad, reference_generate, top_entries
 
 settings.register_profile("properties", deadline=None, derandomize=True, database=None)
 settings.load_profile("properties")
@@ -213,8 +213,45 @@ def test_uniform_stream_predicts_the_likelihood_argmax(arrays):
 
 
 # ---------------------------------------------------------------------------
-# The batched and the sequential layer of sequential_infer: a sighting's
-# result has the same bits however the stream reaches it.
+# Grid geometry: the array forms give the scalar rule's cells and centres.
+# ---------------------------------------------------------------------------
+
+_grids = st.builds(GridSpec, origin=st.builds(Location, finite, finite),
+                   cell_size_km=st.floats(min_value=1e-2, max_value=1e3),
+                   n_cells_x=st.integers(1, 8), n_cells_y=st.integers(1, 8))
+
+
+@st.composite
+def _grid_points(draw):
+    """A grid and points on its cell edges (the far boundary included), beyond
+    either end, anywhere within 1e4 and at +-1e300, drawn per axis."""
+    grid = draw(_grids)
+
+    def axis(origin, n):
+        return st.one_of(st.integers(-3, n + 3).map(lambda i: origin + i * grid.cell_size_km),
+                         finite, st.sampled_from([1e300, -1e300]))
+
+    points = st.tuples(axis(grid.origin.x, grid.n_cells_x), axis(grid.origin.y, grid.n_cells_y))
+    return grid, draw(st.lists(points, min_size=1, max_size=20))
+
+
+@given(_grid_points())
+@example((GridSpec(Location(0.0, 0.0), 5.0, 2, 3),
+          [(5.0, 10.0), (10.0, 15.0), (-0.0, 0.0), (-5.0, 20.0), (1e300, -1e300), (-1e300, 1e300)]))
+def test_cell_indices_follow_the_scalar_rule(grid_and_points):
+    grid, points = grid_and_points
+    cells = grid.cell_indices(np.array(points)).tolist()
+    assert cells == [cell_index_ref(grid, x, y) for x, y in points]
+    assert cells == [grid.cell_index(Location(x, y)) for x, y in points]
+    assert grid.cell_index(Location(*grid.far_corner)) == grid.n_cells - 1
+    refs = [cell_center_ref(grid, i) for i in range(grid.n_cells)]
+    assert grid.cell_centers(range(grid.n_cells)).tolist() == [[c.x, c.y] for c in refs]
+    assert [grid.cell_center(i) for i in range(grid.n_cells)] == refs
+
+
+# ---------------------------------------------------------------------------
+# The inference loop's block and row steps: a sighting's result has the
+# same bits however the stream reaches it.
 # ---------------------------------------------------------------------------
 
 class _Fallbacks(logging.Handler):
@@ -231,7 +268,7 @@ class _Fallbacks(logging.Handler):
 @st.composite
 def _streams(draw, kind, k):
     """A model, a starting state and a stream of up to three blocks of the
-    batched layer. Sharp draws (large weights and decay constants) make
+    inference loop. Sharp draws (large weights and decay constants) make
     likelihood-times-prior products vanish, so fallbacks happen. The arrays
     come from a drawn seed, so every entry varies, as in real data."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
