@@ -98,7 +98,7 @@ class PitsModel:
                 f" and input dim {self.w_T.shape[0]}"
             )
         if self.b.shape != (len(self.labels),):
-            raise ValueError("bias vector must have one entry per label")
+            raise ValueError(f"b shape {self.b.shape} inconsistent with {len(self.labels)} labels")
 
     @property
     def n_classes(self) -> int:
@@ -107,10 +107,6 @@ class PitsModel:
     @property
     def input_dim(self) -> int:
         return self.w_T.shape[0]
-
-    @property
-    def final_train_loss(self) -> float | None:
-        return self.loss_history[-1] if self.loss_history else None
 
     def forward(self, x: np.ndarray) -> LogitsOutput:
         """Logits z = Wx + b and temperature T = 1 + softplus(w_T . x + b_T)."""
@@ -307,8 +303,6 @@ def save_model(model: PitsModel, path: str | Path, config: TrainConfig) -> None:
         "b": model.b.tolist(),
         "w_T": model.w_T.tolist(),
         "b_T": model.b_T,
-        "d": model.input_dim,
-        "K": model.n_classes,
         "labels": list(model.labels),
         "input_kind": model.input_kind,
         "temperature_head_active": model.temperature_head_active,
@@ -317,15 +311,16 @@ def save_model(model: PitsModel, path: str | Path, config: TrainConfig) -> None:
     })
 
 
-_CHECKPOINT = JsonSpec({"K": int, "d": int, "W": list[list[float]], "b": list[float],
-                        "w_T": list[float], "b_T": float, "labels": list[int], "input_kind": str,
+# Open: a checkpoint that still holds "K" and "d" loads; both are read off W.
+_CHECKPOINT = JsonSpec({"W": list[list[float]], "b": list[float], "w_T": list[float],
+                        "b_T": float, "labels": list[int], "input_kind": str,
                         "temperature_head_active": bool, "loss_history": list[float]})
 
 
 def load_model(path: str | Path) -> PitsModel:
     """The model in a :func:`save_model` checkpoint, an identity model or a background
     location model alike; SchemaError naming the file and the key when an entry is
-    missing, not of its JSON type or of another shape than ``K`` and ``d`` give it."""
+    missing or not of its JSON type, or the shapes when the arrays disagree."""
     return _model_from(path, read_json(path))
 
 
@@ -347,17 +342,11 @@ def _model_from(path: str | Path, payload: dict) -> PitsModel:
     _CHECKPOINT.check(payload, str(path), SchemaError)
     if (kind := payload["input_kind"]) not in INPUT_KINDS:
         raise SchemaError(f"{path}: input_kind must be one of {INPUT_KINDS}, got {kind!r}")
-    k, d = payload["K"], payload["d"]
-    arrays = {}
-    for key, shape in (("W", (k, d)), ("b", (k,)), ("w_T", (d,)), ("labels", (k,))):
-        try:
-            arrays[key] = np.array(payload[key], dtype=np.float64)
-        except (OverflowError, ValueError) as exc:  # ragged rows, a huge int
-            raise SchemaError(f"{path}: checkpoint {key!r} is malformed: {exc}") from exc
-        if arrays[key].shape != shape:
-            raise SchemaError(
-                f"{path}: checkpoint {key!r} has shape {arrays[key].shape}, expected {shape}")
-    return PitsModel(W=arrays["W"], b=arrays["b"], w_T=arrays["w_T"], b_T=float(payload["b_T"]),
-                     labels=tuple(payload["labels"]), input_kind=payload["input_kind"],
-                     temperature_head_active=payload["temperature_head_active"],
-                     loss_history=tuple(map(float, payload.get("loss_history", ()))))
+    try:
+        return PitsModel(W=payload["W"], b=payload["b"], w_T=payload["w_T"],
+                         b_T=float(payload["b_T"]), labels=tuple(payload["labels"]),
+                         input_kind=payload["input_kind"],
+                         temperature_head_active=payload["temperature_head_active"],
+                         loss_history=tuple(map(float, payload.get("loss_history", ()))))
+    except (OverflowError, ValueError) as exc:  # ragged rows, a huge int, a shape mismatch
+        raise SchemaError(f"{path}: malformed checkpoint: {exc}") from exc

@@ -10,9 +10,11 @@ on expected failures.
 from __future__ import annotations
 
 import argparse
+import errno
 import logging
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +54,19 @@ _EXPECTED = (ValueError, OSError, TrainingError, SimulationError)
 
 
 _CONFIG_FILE = JsonSpec({"seed": int, "sim": dict, "train": dict, "prior": dict})
+
+
+def _check_out(path: str, directory: bool) -> None:
+    """The OSError that writing the output ``path`` would raise, raised before any work:
+    a directory output that is an existing file, or a file output that is a directory
+    or whose parent directory is missing."""
+    p = Path(path)
+    if directory:
+        code = errno.EEXIST if p.exists() and not p.is_dir() else 0
+    else:
+        code = errno.EISDIR if p.is_dir() else 0 if p.parent.is_dir() else errno.ENOENT
+    if code:
+        raise OSError(code, os.strerror(code), path)
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -113,11 +128,13 @@ def _cmd_train(args: argparse.Namespace) -> int:
                   epochs=args.epochs, learning_rate=args.learning_rate)
     if args.model_kind == "background":
         model = train_background_model(dataset, dataset.grid, tc)
+        # The run it was: plain cross-entropy on background features, whatever tc says.
+        tc = replace(tc, loss_kind="ce", input_kind="background")
         what = f"background location model ({model.n_classes} cells)"
     else:
         model = train(dataset, build_catalog(dataset), tc)
         what = (f"{tc.loss_kind}/{tc.input_kind} model ({model.n_classes} classes,"
-                f" final loss {model.final_train_loss:.4f})")
+                f" final loss {model.loss_history[-1]:.4f})")
     save_model(model, args.out, config=tc)
     print(f"wrote {what} to {args.out}")
     return 0
@@ -322,6 +339,8 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
+        if args.out:
+            _check_out(args.out, directory=args.command in ("simulate", "infer"))
         return args.func(args)
     except _EXPECTED as exc:
         print(f"error: {exc}", file=sys.stderr)

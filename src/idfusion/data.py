@@ -1,4 +1,4 @@
-"""Domain types, JSON file I/O, temporal splitting, and per-identity training statistics.
+"""Domain types, JSON file I/O, and per-identity training statistics.
 
 All types are immutable after construction and safe to share. Every file the
 package reads or writes goes through the JSON helpers here. Observations are
@@ -103,21 +103,11 @@ class GridSpec:
         col, row = np.clip(steps, 0, (self.n_cells_x - 1, self.n_cells_y - 1)).astype(np.intp).T
         return row * self.n_cells_x + col
 
-    def cell_index(self, loc: Location) -> int:
-        """:meth:`cell_indices` of one location."""
-        return int(self.cell_indices([(loc.x, loc.y)])[0])
-
     def cell_centers(self, cells) -> np.ndarray:
         """(n, 2) centres of the cells indexed by ``cells``, which must be in range."""
         row, col = np.divmod(np.asarray(cells, dtype=np.intp), self.n_cells_x)
         return np.stack([self.origin.x + (col + 0.5) * self.cell_size_km,
                          self.origin.y + (row + 0.5) * self.cell_size_km], axis=-1)
-
-    def cell_center(self, index: int) -> Location:
-        """:meth:`cell_centers` of one cell index; ValueError when it is out of range."""
-        if not 0 <= index < self.n_cells:
-            raise ValueError(f"cell index {index} out of range [0, {self.n_cells})")
-        return Location(*self.cell_centers([index])[0].tolist())
 
 
 def _read_only_copy(values) -> np.ndarray:
@@ -194,13 +184,38 @@ class Dataset:
 
     @classmethod
     def from_observations(cls, observations: Iterable[Observation], grid: GridSpec) -> "Dataset":
+        """The dataset of ``observations`` on ``grid``.
+
+        Raises:
+            SchemaError: on no observations, duplicate obs_ids, dimension
+                mismatches, non-contiguous identity labels, missing split tags,
+                or out-of-bounds locations.
+        """
         obs = tuple(observations)
         if not obs:
             raise SchemaError("dataset must contain at least one observation")
         n_identities = max(o.identity for o in obs) + 1
-        feature_dims = (obs[0].fg_features.shape[0], obs[0].bg_features.shape[0])
-        ds = cls(obs, grid, n_identities, feature_dims)
-        return validate_dataset(ds)
+        d, d_bg = feature_dims = (obs[0].fg_features.shape[0], obs[0].bg_features.shape[0])
+        labels_seen: set[int] = set()
+        ids_seen: set[str] = set()
+        for o in obs:
+            if o.obs_id in ids_seen:
+                raise SchemaError(f"{o.obs_id}: obs_id appears more than once")
+            ids_seen.add(o.obs_id)
+            if o.fg_features.shape[0] != d or o.bg_features.shape[0] != d_bg:
+                raise SchemaError(
+                    f"{o.obs_id}: feature dims ({o.fg_features.shape[0]}, {o.bg_features.shape[0]})"
+                    f" differ from dataset dims ({d}, {d_bg})"
+                )
+            if o.split is None:
+                raise SchemaError(f"{o.obs_id}: observation has no split tag")
+            if not grid.contains(o.location):
+                raise SchemaError(f"{o.obs_id}: location {o.location} outside the grid bounds")
+            labels_seen.add(o.identity)
+        if labels_seen != set(range(n_identities)):
+            missing = sorted(set(range(n_identities)) - labels_seen)
+            raise SchemaError(f"identity labels are not contiguous; missing {missing}")
+        return cls(obs, grid, n_identities, feature_dims)
 
     # The splits and the new-location subset depend on the data alone, so each
     # is derived once per dataset, on first use.
@@ -222,39 +237,6 @@ class Dataset:
         train_pairs = frozenset(zip((o.identity for o in self.train), cells))
         return frozenset(o.obs_id for o, cell in zip(self.test, cells[len(self.train):])
                          if (o.identity, cell) not in train_pairs)
-
-
-def validate_dataset(dataset: Dataset) -> Dataset:
-    """Check dataset invariants, returning the dataset unchanged if they hold.
-
-    Raises:
-        SchemaError: on duplicate obs_ids, dimension mismatches,
-            non-contiguous identity labels, missing split tags, or
-            out-of-bounds locations.
-    """
-    d, d_bg = dataset.feature_dims
-    labels_seen: set[int] = set()
-    ids_seen: set[str] = set()
-    for o in dataset.observations:
-        if o.obs_id in ids_seen:
-            raise SchemaError(f"{o.obs_id}: obs_id appears more than once")
-        ids_seen.add(o.obs_id)
-        if o.fg_features.shape[0] != d or o.bg_features.shape[0] != d_bg:
-            raise SchemaError(
-                f"{o.obs_id}: feature dims ({o.fg_features.shape[0]}, {o.bg_features.shape[0]})"
-                f" differ from dataset dims ({d}, {d_bg})"
-            )
-        if o.split is None:
-            raise SchemaError(f"{o.obs_id}: observation has no split tag")
-        if not 0 <= o.identity < dataset.n_identities:
-            raise SchemaError(f"{o.obs_id}: identity {o.identity} outside [0, {dataset.n_identities})")
-        if not dataset.grid.contains(o.location):
-            raise SchemaError(f"{o.obs_id}: location {o.location} outside the grid bounds")
-        labels_seen.add(o.identity)
-    if labels_seen != set(range(dataset.n_identities)):
-        missing = sorted(set(range(dataset.n_identities)) - labels_seen)
-        raise SchemaError(f"identity labels are not contiguous; missing {missing}")
-    return dataset
 
 
 _OBSERVATION_FIELDS = tuple(f.name for f in fields(Observation))
@@ -305,21 +287,6 @@ def location_xy(observations: Sequence[Observation]) -> np.ndarray:
     """(n, 2) x and y of each observation's location, built from two lists of the
     floats the locations hold, with no tuple per sighting."""
     return np.array([[o.location.x for o in observations], [o.location.y for o in observations]]).T
-
-
-def _split_tags(timestamps: Iterable[float], cutoff: float) -> list[str]:
-    """TRAIN for each timestamp before ``cutoff``, TEST for the rest.
-
-    Raises:
-        SplitError: if either side of the cutoff is empty.
-    """
-    tags = [TRAIN if t < cutoff else TEST for t in timestamps]
-    n_train = tags.count(TRAIN)
-    if n_train == 0:
-        raise SplitError(f"no observations before cutoff {cutoff}")
-    if n_train == len(tags):
-        raise SplitError(f"no observations at or after cutoff {cutoff}")
-    return tags
 
 
 def target_temperature(n_k: float, n_max: float) -> float:

@@ -19,8 +19,7 @@ import numpy as np
 
 from .calibration import ece_from_top_predictions
 from .classifier import PitsModel, TrainConfig, train, train_background_model
-from .data import (Dataset, IdentityCatalog, JsonSpec, build_catalog, from_fields, read_json,
-                   write_json)
+from .data import Dataset, JsonSpec, build_catalog, from_fields, read_json, write_json
 from .errors import ConfigError, SchemaError
 from .fusion import (PREDICTIONS_FILENAME, PREDICTIONS_META_FILENAME, Prediction,
                      prediction_records, sequential_infer)
@@ -81,7 +80,6 @@ def infer(
     model: PitsModel,
     train_config: TrainConfig,
     prior_config: PriorConfig,
-    catalog: IdentityCatalog | None = None,
     background_model: PitsModel | None = None,
 ) -> tuple[list[Prediction], dict]:
     """Sequential fusion over the test split from a fresh prior state, and the
@@ -92,9 +90,7 @@ def infer(
     """
     if prior_config.cell_size_km != dataset.grid.cell_size_km:
         prior_config = replace(prior_config, cell_size_km=dataset.grid.cell_size_km)
-    if catalog is None:
-        catalog = build_catalog(dataset)
-    state = init_state(catalog, prior_config)
+    state = init_state(build_catalog(dataset), prior_config)
     predictions = sequential_infer(model, state, dataset.test, dataset.grid, background_model)
     meta = {"labels": list(model.labels), "seed": train_config.seed,
             "train_config": train_config.to_dict(), "prior_config": prior_config.to_dict()}
@@ -106,7 +102,6 @@ def run_experiment(
     train_config: TrainConfig,
     prior_config: PriorConfig,
     model: PitsModel | None = None,
-    catalog: IdentityCatalog | None = None,
 ) -> tuple[ExperimentReport, list[Prediction]]:
     """Train (or reuse) a model, run :func:`infer`, and score the predictions
     through the same records :func:`score_predictions` reads from disk.
@@ -115,17 +110,15 @@ def run_experiment(
     resolves locations through it, with a shifted seed so it never shares a
     random stream with the classifier.
     """
-    if catalog is None:
-        catalog = build_catalog(dataset)
     if model is None:
-        model = train(dataset, catalog, train_config)
+        model = train(dataset, build_catalog(dataset), train_config)
 
     background_model = None
     if prior_config.location_source == "background_model":
         bg_config = replace(train_config, seed=train_config.seed + 1)
         background_model = train_background_model(dataset, dataset.grid, bg_config)
 
-    predictions, meta = infer(dataset, model, train_config, prior_config, catalog, background_model)
+    predictions, meta = infer(dataset, model, train_config, prior_config, background_model)
     records = list(prediction_records(predictions, model.labels, prior_config.kind))
     return score_predictions(records, meta, dataset), predictions
 
@@ -233,16 +226,15 @@ def run_row_suite(
         base_train = TrainConfig()
     if base_prior is None:
         base_prior = PriorConfig()
-    catalog = build_catalog(dataset)
     models: dict[tuple[str, str], PitsModel] = {}
     reports: dict[str, ExperimentReport] = {}
     for name, input_kind, loss_kind, prior_kind, location_source in rows:
         key = (input_kind, loss_kind)
         tc = replace(base_train, input_kind=input_kind, loss_kind=loss_kind)
         if key not in models:
-            models[key] = train(dataset, catalog, tc)
+            models[key] = train(dataset, build_catalog(dataset), tc)
         pc = replace(base_prior, kind=prior_kind, location_source=location_source)
-        report, _ = run_experiment(dataset, tc, pc, model=models[key], catalog=catalog)
+        report, _ = run_experiment(dataset, tc, pc, model=models[key])
         reports[name] = report
         logger.info("row %-22s accuracy %.3f", name, report.overall_accuracy)
     return reports

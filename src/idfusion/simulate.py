@@ -25,9 +25,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .data import (
-    Dataset, GridSpec, Location, _observations_from_rows, _split_tags, check_finite, from_fields,
+    TEST, TRAIN, Dataset, GridSpec, Location, _observations_from_rows, check_finite, from_fields,
 )
-from .errors import ConfigError, SimulationError, SplitError
+from .errors import ConfigError, SimulationError
 
 logger = logging.getLogger(__name__)
 
@@ -254,14 +254,13 @@ def generate(config: SimConfig) -> Dataset:
     bg += (config.bg_cell_signal * cell_signatures)[grid.cell_indices(xy)]
 
     timestamps = times[order].tolist()
-    try:
-        splits = _split_tags(timestamps, cutoff)
-    except SplitError as exc:
+    # Every identity has a sighting before the cutoff, so only the test side can be empty.
+    if timestamps[-1] < cutoff:
         raise SimulationError(
-            f"{exc}: {len(timestamps)} sightings for n_identities {n_ids} at obs_rate"
-            f" {config.obs_rate} are too few to split once every identity has a train"
-            " sighting; raise obs_rate"
-        ) from exc
+            f"no observations at or after cutoff {cutoff}: {len(timestamps)} sightings for"
+            f" n_identities {n_ids} at obs_rate {config.obs_rate} are too few to split once"
+            " every identity has a train sighting; raise obs_rate"
+        )
     observations = _observations_from_rows(
         [f"o{i:06d}" for i in range(len(order))],
         owners[order].tolist(),
@@ -269,7 +268,7 @@ def generate(config: SimConfig) -> Dataset:
         bg,
         list(map(Location, *xy.T.tolist())),
         timestamps,
-        splits,
+        [TRAIN if t < cutoff else TEST for t in timestamps],
     )
     return Dataset.from_observations(observations, grid)
 

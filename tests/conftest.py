@@ -3,6 +3,8 @@ import pytest
 
 from idfusion.data import Dataset, GridSpec, Location, Observation
 
+from oracles import cell_center_ref
+
 
 @pytest.fixture
 def grid2x2() -> GridSpec:
@@ -38,8 +40,8 @@ def make_obs(
 
 def tiny_dataset(grid: GridSpec) -> Dataset:
     """Two identities, two cells, four train and two test sightings."""
-    c0 = grid.cell_center(0)
-    c1 = grid.cell_center(1)
+    c0 = cell_center_ref(grid, 0)
+    c1 = cell_center_ref(grid, 1)
     observations = [
         make_obs("a1", 0, 1.0, c0, split="train"),
         make_obs("a2", 0, 2.0, c0, split="train"),

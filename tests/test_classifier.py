@@ -2,6 +2,7 @@
 that is the same linear model over grid cells."""
 
 import hashlib
+import json
 import math
 from dataclasses import replace
 
@@ -18,13 +19,14 @@ from idfusion.classifier import (
     train,
     train_background_model,
 )
-from idfusion.data import Dataset, GridSpec, Location, build_catalog
+from idfusion.cli import main
+from idfusion.data import Dataset, GridSpec, Location, build_catalog, save_dataset
 from idfusion.errors import ConfigError, TrainingError
 from idfusion.priors import MIGRATING_LOCATION, PriorConfig, resolve_locations
 from idfusion.simulate import SimConfig, generate, lynx_like
 
 from conftest import make_obs
-from oracles import pits_loss_ref
+from oracles import cell_center_ref, cell_index_ref, pits_loss_ref
 
 
 def _two_identity_dataset(grid, per_id=(20, 20), d=4, noise=0.3, seed=0):
@@ -39,14 +41,14 @@ def _two_identity_dataset(grid, per_id=(20, 20), d=4, noise=0.3, seed=0):
             fg = center + rng.normal(0.0, noise, size=d)
             split = "train" if j < count - 2 else "test"
             obs.append(
-                make_obs(f"id{k}-{j}", k, t, grid.cell_center(k % grid.n_cells), fg=fg, split=split)
+                make_obs(f"id{k}-{j}", k, t, cell_center_ref(grid, k % grid.n_cells), fg=fg, split=split)
             )
             t += 1.0
     return Dataset.from_observations(obs, grid)
 
 
 def test_features_from_kinds(grid2x2):
-    o = make_obs("a", 0, 1.0, grid2x2.cell_center(0), fg=[1.0, 2.0, 3.0], bg=[4.0, 5.0])
+    o = make_obs("a", 0, 1.0, cell_center_ref(grid2x2, 0), fg=[1.0, 2.0, 3.0], bg=[4.0, 5.0])
     assert np.array_equal(features_from(o, "foreground"), [1.0, 2.0, 3.0])
     assert np.array_equal(features_from(o, "background"), [4.0, 5.0])
     assert np.array_equal(features_from(o, "whole"), [1.0, 2.0, 3.0, 4.0, 5.0])
@@ -181,9 +183,9 @@ def test_training_error_reports_divergence(grid2x2):
     # so an absurd step size overflows the logits instead of saturating.
     fg = [50.0, 50.0, 50.0, 50.0]
     obs = [
-        make_obs("a", 0, 1.0, grid2x2.cell_center(0), fg=fg, d=4, split="train"),
-        make_obs("b", 1, 2.0, grid2x2.cell_center(1), fg=fg, d=4, split="train"),
-        make_obs("c", 0, 3.0, grid2x2.cell_center(0), fg=fg, d=4, split="test"),
+        make_obs("a", 0, 1.0, cell_center_ref(grid2x2, 0), fg=fg, d=4, split="train"),
+        make_obs("b", 1, 2.0, cell_center_ref(grid2x2, 1), fg=fg, d=4, split="train"),
+        make_obs("c", 0, 3.0, cell_center_ref(grid2x2, 0), fg=fg, d=4, split="test"),
     ]
     ds = Dataset.from_observations(obs, grid2x2)
     config = TrainConfig(loss_kind="ce", epochs=8, learning_rate=1e305, batch_size=64)
@@ -248,6 +250,25 @@ def test_background_checkpoint_round_trip(tmp_path, grid2x2):
         assert getattr(loaded, name) == getattr(model, name), name
 
 
+def test_checkpoint_with_class_count_and_input_dim_loads_the_same_model(tmp_path, grid2x2):
+    # Checkpoints once also held "K" and "d"; both are read off W now, so such
+    # a file still loads, to the same model.
+    ds = _two_identity_dataset(grid2x2)
+    config = TrainConfig(epochs=5, learning_rate=0.05)
+    model = train(ds, build_catalog(ds), config)
+    path = tmp_path / "model.json"
+    save_model(model, path, config=config)
+    checkpoint = json.loads(path.read_text())
+    assert "K" not in checkpoint and "d" not in checkpoint
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps({**checkpoint, "K": model.n_classes, "d": model.input_dim}))
+    loaded = load_model(old)
+    for name in ("W", "b", "w_T"):
+        assert getattr(loaded, name).tobytes() == getattr(model, name).tobytes(), name
+    for name in ("b_T", "labels", "input_kind", "temperature_head_active", "loss_history"):
+        assert getattr(loaded, name) == getattr(model, name), name
+
+
 _FROM_BACKGROUND = PriorConfig(kind=MIGRATING_LOCATION, location_source="background_model")
 
 
@@ -285,7 +306,7 @@ def test_background_model_blind_without_signal():
     ds = generate(config)
     bg = train_background_model(ds, ds.grid, TrainConfig(epochs=60, learning_rate=0.1, seed=0))
     hits = [
-        ds.grid.cell_index(loc) == ds.grid.cell_index(o.location)
+        cell_index_ref(ds.grid, loc.x, loc.y) == cell_index_ref(ds.grid, o.location.x, o.location.y)
         for loc, o in zip(resolve_locations(ds.test, _FROM_BACKGROUND, bg, ds.grid), ds.test)
     ]
     # Nine cells: anything close to chance confirms there is nothing to learn.
@@ -336,6 +357,21 @@ def test_trained_weights_are_pinned(lynx0, name):
 
 def test_background_weights_are_pinned(lynx0):
     bg = train_background_model(lynx0, lynx0.grid, replace(_LYNX_RECIPE, seed=1))
+    assert _sha256_of(bg.W, bg.b) == BACKGROUND_DIGEST
+
+
+def test_background_checkpoint_records_the_run_it_was(tmp_path, lynx0):
+    # The CLI trains the pinned background model whatever loss and input it
+    # is given, and its checkpoint records that run: plain CE on background features.
+    data, out, cfg = tmp_path / "data", tmp_path / "bg.json", tmp_path / "config.json"
+    save_dataset(lynx0, data)
+    tc = replace(_LYNX_RECIPE, seed=1)
+    cfg.write_text(json.dumps({"train": tc.to_dict()}))
+    assert main(["train", "--data", str(data), "--config", str(cfg), "--model-kind", "background",
+                 "--loss", "pits", "--input", "foreground", "--out", str(out)]) == 0
+    checkpoint = json.loads(out.read_text())
+    assert checkpoint["train_config"] == replace(tc, loss_kind="ce", input_kind="background").to_dict()
+    bg = load_model(out)
     assert _sha256_of(bg.W, bg.b) == BACKGROUND_DIGEST
 
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from idfusion.calibration import ece_from_top_predictions, fit_global_temperature, tempered_softmax
 from idfusion.classifier import TrainConfig, load_model, load_model_and_config
+from idfusion import cli
 from idfusion.cli import main
 from idfusion.data import load_dataset
 from idfusion.errors import ConfigError
@@ -371,10 +372,11 @@ def test_error_paths_exit_one(tmp_path, config_path, capsys):
                                ("background", "--background-model", bg)):
         for case, edit, words in (
             ("missing", lambda c: c.pop("W"), ("checkpoint has no 'W'",)),
-            ("shape", lambda c: c.update(b=c["b"][:-1]), ("checkpoint 'b' has shape", "expected")),
+            ("b-shape", lambda c: c.update(b=c["b"][:-1]),
+             ("malformed checkpoint: b shape (", "inconsistent with")),
+            ("W-shape", lambda c: c["W"].pop(), ("malformed checkpoint: W shape (", "inconsistent with")),
+            ("W-ragged", lambda c: c["W"][0].pop(), ("malformed checkpoint: ", "inhomogeneous shape")),
             # Every entry is read by JSON type, as a config section's are.
-            ("K-str", lambda c: c.update(K=str(c["K"])), ("K must be int, got '",)),
-            ("d-float", lambda c: c.update(d=c["d"] + 0.5), ("d must be int, got ",)),
             ("labels-float", lambda c: c["labels"].__setitem__(0, 1.7),
              ("labels must be list[int], got [1.7, ",)),
             ("b_T-str", lambda c: c.update(b_T="0.5"), ("b_T must be float, got '0.5'",)),
@@ -410,7 +412,7 @@ def test_error_paths_exit_one(tmp_path, config_path, capsys):
                                "train_config": checkpoint["train_config"]}), encoding="utf-8")
     err = error_line(["infer", "--data", data, "--model", model, "--background-model", str(old),
                       "--out", str(tmp_path / "p8")])
-    assert f"{old}: checkpoint has no 'K'" in err, err
+    assert f"{old}: checkpoint has no 'w_T'" in err, err
 
     # The model checkpoint's train_config is the run's provenance: infer and
     # calibrate check it as a config section and name the file when it fails.
@@ -498,24 +500,41 @@ def test_malformed_dataset_record_names_file_line_and_field(tmp_path, config_pat
                           " 0xff") and err.count("\n") == 1, err
 
 
-def test_a_path_of_the_wrong_kind_names_itself(tmp_path, config_path, capsys):
+def test_a_path_of_the_wrong_kind_names_itself(tmp_path, config_path, capsys, monkeypatch):
     # A directory where a file goes, or a file where a directory goes, exits 1
-    # with one line naming the path, whether it is read or written.
+    # with one line naming the path, whether it is read or written. An output
+    # path fails before the command does any work.
     data, model, folder = str(tmp_path / "data"), str(tmp_path / "model.json"), tmp_path / "dir"
+    preds, missing = str(tmp_path / "preds"), tmp_path / "missing" / "out.json"
     assert main(["simulate", "--config", config_path, "--out", data]) == 0
     assert main(["train", "--data", data, "--config", config_path, "--out", model]) == 0
+    assert main(["infer", "--data", data, "--model", model, "--out", preds]) == 0
     folder.mkdir()
     capsys.readouterr()
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command ran before checking its output path")
+
+    for name in ("generate", "train", "train_background_model", "run_row_suite"):
+        monkeypatch.setattr(cli, name, no_work)
     for argv, path in (
         (["train", "--data", data, "--config", config_path, "--out", str(folder)], folder),
+        (["train", "--data", data, "--config", config_path, "--out", str(missing)], missing),
+        (["train", "--data", data, "--config", config_path, "--model-kind", "background",
+          "--out", str(folder)], folder),
         (["calibrate", "--data", data, "--model", str(folder)], folder),
+        (["calibrate", "--data", data, "--model", model, "--out", str(folder)], folder),
         (["infer", "--data", data, "--model", model, "--out", model], model),
+        (["evaluate", "--data", data, "--predictions", preds, "--out", str(folder)], folder),
         (["report", "--data", data, "--config", config_path, "--out", str(folder)], folder),
+        (["report", "--data", data, "--config", config_path, "--out", str(missing)], missing),
+        (["simulate", "--config", config_path, "--out", model], model),
     ):
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: [Errno ") and err.endswith(f": {str(path)!r}\n") and \
             err.count("\n") == 1, (argv, err)
+    assert not missing.parent.exists()
 
 
 @pytest.fixture(scope="module")

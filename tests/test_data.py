@@ -13,17 +13,16 @@ from idfusion.data import (
     Location,
     Observation,
     _observations_from_rows,
-    _split_tags,
     build_catalog,
     load_dataset,
     save_dataset,
     target_temperature,
-    validate_dataset,
 )
-from idfusion.errors import ParseError, SchemaError, SplitError
-from idfusion.simulate import SimConfig
+from idfusion.errors import ParseError, SchemaError
+from idfusion.simulate import SimConfig, generate
 
 from conftest import make_obs, tiny_dataset
+from oracles import cell_center_ref
 
 
 def test_location_rejects_non_finite():
@@ -35,20 +34,17 @@ def test_location_rejects_non_finite():
 
 def test_grid_cell_index_row_major(grid2x2):
     # Cells: 0 1 / 2 3 with row 0 at the origin edge.
-    assert grid2x2.cell_index(Location(2.5, 2.5)) == 0
-    assert grid2x2.cell_index(Location(7.5, 2.5)) == 1
-    assert grid2x2.cell_index(Location(2.5, 7.5)) == 2
-    assert grid2x2.cell_index(Location(7.5, 7.5)) == 3
+    points = [(2.5, 2.5), (7.5, 2.5), (2.5, 7.5), (7.5, 7.5)]
+    assert grid2x2.cell_indices(points).tolist() == [0, 1, 2, 3]
 
 
 def test_grid_far_boundary_belongs_to_last_cell(grid2x2):
-    assert grid2x2.cell_index(Location(10.0, 10.0)) == 3
-    assert grid2x2.cell_index(Location(0.0, 0.0)) == 0
+    assert grid2x2.cell_indices([(10.0, 10.0), (0.0, 0.0)]).tolist() == [3, 0]
 
 
 def test_grid_cell_center_round_trips(grid2x2):
-    for idx in range(grid2x2.n_cells):
-        assert grid2x2.cell_index(grid2x2.cell_center(idx)) == idx
+    cells = list(range(grid2x2.n_cells))
+    assert grid2x2.cell_indices(grid2x2.cell_centers(cells)).tolist() == cells
 
 
 def test_grid_contains(grid2x2):
@@ -59,27 +55,27 @@ def test_grid_contains(grid2x2):
 
 def test_observation_requires_positive_timestamp(grid2x2):
     with pytest.raises(ValueError):
-        make_obs("x", 0, 0.0, grid2x2.cell_center(0))
+        make_obs("x", 0, 0.0, cell_center_ref(grid2x2, 0))
     with pytest.raises(ValueError):
-        make_obs("x", 0, -1.0, grid2x2.cell_center(0))
+        make_obs("x", 0, -1.0, cell_center_ref(grid2x2, 0))
 
 
 def test_observation_rejects_bad_split(grid2x2):
     with pytest.raises(ValueError):
-        make_obs("x", 0, 1.0, grid2x2.cell_center(0), split="validation")
+        make_obs("x", 0, 1.0, cell_center_ref(grid2x2, 0), split="validation")
 
 
 def test_observation_rejects_non_finite_features(grid2x2):
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="finite"):
-            make_obs("x", 0, 1.0, grid2x2.cell_center(0), fg=[1.0, bad, 0.0])
+            make_obs("x", 0, 1.0, cell_center_ref(grid2x2, 0), fg=[1.0, bad, 0.0])
         with pytest.raises(ValueError, match="finite"):
-            make_obs("x", 0, 1.0, grid2x2.cell_center(0), bg=[bad, 0.0])
+            make_obs("x", 0, 1.0, cell_center_ref(grid2x2, 0), bg=[bad, 0.0])
 
 
 def test_observation_owns_read_only_copies_of_its_features(grid2x2):
     fg, bg = np.zeros(3), np.full(2, 0.5)
-    o = Observation("x", 0, fg, bg, grid2x2.cell_center(0), 1.0)
+    o = Observation("x", 0, fg, bg, cell_center_ref(grid2x2, 0), 1.0)
     fg[0] = math.nan
     bg[1] = math.inf
     assert np.array_equal(o.fg_features, [0.0, 0.0, 0.0])
@@ -103,7 +99,7 @@ def test_loaded_observations_have_read_only_features(tmp_path, grid2x2):
 def _rows_args(grid, **changes):
     args = dict(
         obs_ids=["a", "b"], identities=[0, 1], fg=np.zeros((2, 3)), bg=np.full((2, 2), 0.5),
-        locations=[grid.cell_center(0)] * 2, timestamps=[1.0, 2.0], splits=[TRAIN, TEST],
+        locations=[cell_center_ref(grid, 0)] * 2, timestamps=[1.0, 2.0], splits=[TRAIN, TEST],
     )
     return {**args, **changes}
 
@@ -111,7 +107,7 @@ def _rows_args(grid, **changes):
 def test_observations_from_rows_hold_read_only_rows(grid2x2):
     args = _rows_args(grid2x2)
     a, b = _observations_from_rows(**args)
-    assert a == make_obs("a", 0, 1.0, grid2x2.cell_center(0), fg=np.zeros(3), split=TRAIN,
+    assert a == make_obs("a", 0, 1.0, cell_center_ref(grid2x2, 0), fg=np.zeros(3), split=TRAIN,
                          bg=np.full(2, 0.5))
     assert b.identity == 1 and b.split == TEST
     for m in (args["fg"], args["bg"]):
@@ -145,13 +141,13 @@ def test_dataset_split_views(grid2x2):
 
 def test_validate_passes_on_well_formed(grid2x2):
     ds = tiny_dataset(grid2x2)
-    assert validate_dataset(ds) is ds
+    assert Dataset.from_observations(ds.observations, ds.grid) == ds
     assert {o.identity for o in ds.train} == set(range(ds.n_identities))
 
 
 def test_construction_rejects_out_of_grid(grid2x2):
     obs = [
-        make_obs("a", 0, 1.0, grid2x2.cell_center(0), split="train"),
+        make_obs("a", 0, 1.0, cell_center_ref(grid2x2, 0), split="train"),
         make_obs("b", 1, 2.0, Location(50.0, 50.0), split="test"),
     ]
     with pytest.raises(SchemaError):
@@ -160,8 +156,8 @@ def test_construction_rejects_out_of_grid(grid2x2):
 
 def test_construction_rejects_gapped_labels(grid2x2):
     obs = [
-        make_obs("a", 0, 1.0, grid2x2.cell_center(0), split="train"),
-        make_obs("b", 2, 2.0, grid2x2.cell_center(1), split="train"),
+        make_obs("a", 0, 1.0, cell_center_ref(grid2x2, 0), split="train"),
+        make_obs("b", 2, 2.0, cell_center_ref(grid2x2, 1), split="train"),
     ]
     with pytest.raises(SchemaError):
         Dataset.from_observations(obs, grid2x2)
@@ -169,24 +165,24 @@ def test_construction_rejects_gapped_labels(grid2x2):
 
 def test_construction_rejects_duplicate_obs_ids(grid2x2):
     obs = [
-        make_obs("a", 0, 1.0, grid2x2.cell_center(0), split="train"),
-        make_obs("b", 1, 2.0, grid2x2.cell_center(1), split="train"),
-        make_obs("a", 1, 3.0, grid2x2.cell_center(1), split="test"),
+        make_obs("a", 0, 1.0, cell_center_ref(grid2x2, 0), split="train"),
+        make_obs("b", 1, 2.0, cell_center_ref(grid2x2, 1), split="train"),
+        make_obs("a", 1, 3.0, cell_center_ref(grid2x2, 1), split="test"),
     ]
     with pytest.raises(SchemaError, match="a: obs_id appears more than once"):
         Dataset.from_observations(obs, grid2x2)
 
 
 def test_construction_rejects_missing_split(grid2x2):
-    obs = [make_obs("a", 0, 1.0, grid2x2.cell_center(0))]
+    obs = [make_obs("a", 0, 1.0, cell_center_ref(grid2x2, 0))]
     with pytest.raises(SchemaError):
         Dataset.from_observations(obs, grid2x2)
 
 
 def test_construction_keeps_test_only_identities(grid2x2):
     obs = [
-        make_obs("a", 0, 1.0, grid2x2.cell_center(0), split="train"),
-        make_obs("b", 1, 2.0, grid2x2.cell_center(1), split="test"),
+        make_obs("a", 0, 1.0, cell_center_ref(grid2x2, 0), split="train"),
+        make_obs("b", 1, 2.0, cell_center_ref(grid2x2, 1), split="test"),
     ]
     ds = Dataset.from_observations(obs, grid2x2)
     assert ds.n_identities == 2
@@ -194,14 +190,13 @@ def test_construction_keeps_test_only_identities(grid2x2):
 
 
 def test_temporal_split_is_strict_before_cutoff():
-    assert _split_tags([1.0, 2.0, 3.0, 4.0], 3.0) == [TRAIN, TRAIN, TEST, TEST]
-
-
-def test_temporal_split_rejects_empty_side():
-    with pytest.raises(SplitError, match="no observations before cutoff 0.5"):
-        _split_tags([1.0], 0.5)
-    with pytest.raises(SplitError, match="no observations at or after cutoff 5.0"):
-        _split_tags([1.0], 5.0)
+    # Eleven sightings: the median cutoff is the sixth one's time, so that
+    # sighting is the first test one.
+    ds = generate(SimConfig(n_identities=2, feature_dim=2, bg_feature_dim=2, obs_rate=5.5,
+                            cutoff_quantile=0.5))
+    times = [o.timestamp for o in ds.observations]
+    assert times[5] == float(np.quantile(times, 0.5))
+    assert [o.split for o in ds.observations] == [TRAIN] * 5 + [TEST] * 6
 
 
 def test_target_temperature_most_frequent_is_one():
@@ -228,7 +223,7 @@ def test_catalog_counts_and_clock(grid2x2):
 
 
 def test_catalog_home_is_modal_cell(grid2x2):
-    c0, c1 = grid2x2.cell_center(0), grid2x2.cell_center(1)
+    c0, c1 = cell_center_ref(grid2x2, 0), cell_center_ref(grid2x2, 1)
     obs = [
         make_obs("a", 0, 1.0, c1, split="train"),
         make_obs("b", 0, 2.0, c0, split="train"),
@@ -240,7 +235,7 @@ def test_catalog_home_is_modal_cell(grid2x2):
 
 
 def test_catalog_home_tie_breaks_to_lowest_cell(grid2x2):
-    c0, c3 = grid2x2.cell_center(0), grid2x2.cell_center(3)
+    c0, c3 = cell_center_ref(grid2x2, 0), cell_center_ref(grid2x2, 3)
     obs = [
         make_obs("a", 0, 1.0, c3, split="train"),
         make_obs("b", 0, 2.0, c0, split="train"),

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from idfusion.classifier import TrainConfig, train
-from idfusion.data import Dataset, GridSpec, Location, build_catalog
+from idfusion.data import Dataset, GridSpec, Location, build_catalog, location_xy
 from idfusion.evaluation import (
     ExperimentReport,
     infer,
@@ -26,6 +26,7 @@ from idfusion.priors import HOME_LOCATION, MIGRATING_LOCATION, TIME_DECAY, UNIFO
 from idfusion.simulate import SimConfig, generate
 
 from conftest import make_obs
+from oracles import cell_center_ref
 
 
 def _pred(obs_id, predicted, true, confidence=0.9, k=2):
@@ -83,21 +84,22 @@ def test_unknown_identity_never_matches():
 
 def _pair_fixture(grid):
     train = [
-        make_obs("t0", 0, 1.0, grid.cell_center(0), split="train"),
-        make_obs("t1", 1, 2.0, grid.cell_center(1), split="train"),
+        make_obs("t0", 0, 1.0, cell_center_ref(grid, 0), split="train"),
+        make_obs("t1", 1, 2.0, cell_center_ref(grid, 1), split="train"),
     ]
     test = [
-        make_obs("a", 0, 10.0, grid.cell_center(0), split="test"),
-        make_obs("b", 0, 11.0, grid.cell_center(1), split="test"),
-        make_obs("c", 1, 12.0, grid.cell_center(1), split="test"),
-        make_obs("d", 1, 13.0, grid.cell_center(0), split="test"),
+        make_obs("a", 0, 10.0, cell_center_ref(grid, 0), split="test"),
+        make_obs("b", 0, 11.0, cell_center_ref(grid, 1), split="test"),
+        make_obs("c", 1, 12.0, cell_center_ref(grid, 1), split="test"),
+        make_obs("d", 1, 13.0, cell_center_ref(grid, 0), split="test"),
     ]
     return Dataset.from_observations(train + test, grid)
 
 
 def test_new_location_subset_membership(grid2x2):
     ds = _pair_fixture(grid2x2)
-    assert {(o.identity, ds.grid.cell_index(o.location)) for o in ds.train} == {(0, 0), (1, 1)}
+    cells = ds.grid.cell_indices(location_xy(ds.train)).tolist()
+    assert {(o.identity, c) for o, c in zip(ds.train, cells)} == {(0, 0), (1, 1)}
     assert ds.new_location_ids == frozenset({"b", "d"})
 
 

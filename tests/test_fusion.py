@@ -27,7 +27,7 @@ from idfusion.priors import (
 )
 
 from conftest import make_obs
-from oracles import brute_force_sequential
+from oracles import brute_force_sequential, cell_center_ref
 
 
 def _plain_model(W, b_T=-40.0, labels=None):
@@ -127,7 +127,7 @@ def test_stream_order_sorts_and_breaks_ties():
 
 def _migration_fixture():
     grid = GridSpec(origin=Location(0.0, 0.0), cell_size_km=5.0, n_cells_x=2, n_cells_y=1)
-    west, east = grid.cell_center(0), grid.cell_center(1)
+    west, east = cell_center_ref(grid, 0), cell_center_ref(grid, 1)
     model = _plain_model([[4.0, 0.0], [0.0, 4.0]])
     config = PriorConfig(kind=MIGRATING_LOCATION, alpha=2.5, cell_size_km=5.0)
     state = PriorState(

@@ -1,6 +1,13 @@
-"""The package's public surface: every exported name exists, once."""
+"""The package's public surface: every exported name exists, once. And no dead
+code: every import is used, and every private top-level name is referenced."""
+
+import ast
+from pathlib import Path
 
 import idfusion
+
+_TREES = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+          for path in sorted(Path(idfusion.__file__).parent.glob("*.py"))}
 
 
 def test_all_has_no_duplicates_and_every_entry_resolves():
@@ -9,3 +16,51 @@ def test_all_has_no_duplicates_and_every_entry_resolves():
     # A name in __all__ that the package does not define fails here.
     exec("from idfusion import *", namespace)
     assert set(idfusion.__all__) <= namespace.keys()
+
+
+def _read_names(tree):
+    """The names a module reads: loaded names, attribute names, and the
+    entries of its ``__all__``, which re-exports what the module imports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "__all__" for t in node.targets):
+            names.update(ast.literal_eval(node.value))
+    return names
+
+
+def test_every_import_is_used():
+    unused = []
+    for name, tree in _TREES.items():
+        read = _read_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    bound = alias.asname or alias.name.partition(".")[0]
+                    if bound not in read:
+                        unused.append(f"{name}: {bound}")
+    assert not unused
+
+
+def test_every_private_top_level_name_is_referenced():
+    # A reference is a read anywhere in src/, or an import of the name by another module.
+    referenced = set()
+    for tree in _TREES.values():
+        referenced |= _read_names(tree)
+        referenced.update(alias.name for node in ast.walk(tree)
+                          if isinstance(node, ast.ImportFrom) for alias in node.names)
+    defined = []
+    for name, tree in _TREES.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((name, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(name, t.id) for t in targets if isinstance(t, ast.Name)]
+    unreferenced = [f"{module}: {top}" for module, top in defined
+                    if top.startswith("_") and not top.startswith("__") and top not in referenced]
+    assert not unreferenced

@@ -30,6 +30,7 @@ from idfusion.priors import (
 from idfusion.simulate import SimConfig, generate
 
 from conftest import make_obs, tiny_dataset
+from oracles import cell_center_ref
 
 
 def _random_state(rng, k=6, kind=UNIFORM, **cfg):
@@ -201,7 +202,7 @@ FROM_BACKGROUND = PriorConfig(kind=HOME_LOCATION, location_source="background_mo
 
 
 def test_resolve_location_modes(grid2x2):
-    obs = make_obs("a", 0, 1.0, grid2x2.cell_center(3), bg=[0.0, 1.0])
+    obs = make_obs("a", 0, 1.0, cell_center_ref(grid2x2, 3), bg=[0.0, 1.0])
     meta = PriorConfig(kind=HOME_LOCATION, location_source="metadata")
     assert resolve_location(obs, meta) == obs.location
 
@@ -211,26 +212,26 @@ def test_resolve_location_modes(grid2x2):
     with pytest.raises(ConfigError):
         resolve_location(obs, FROM_BACKGROUND, background_model=bg_model)
     got = resolve_location(obs, FROM_BACKGROUND, background_model=bg_model, grid=grid2x2)
-    assert got == grid2x2.cell_center(1)
+    assert got == cell_center_ref(grid2x2, 1)
 
 
 def test_background_location_one_hot_scores(grid2x2):
     model = _cell_model(4.0 * np.eye(4))
     for c in range(4):
-        obs = make_obs("a", 0, 1.0, grid2x2.cell_center(0), bg=np.eye(4)[c])
-        assert resolve_location(obs, FROM_BACKGROUND, model, grid2x2) == grid2x2.cell_center(c)
+        obs = make_obs("a", 0, 1.0, cell_center_ref(grid2x2, 0), bg=np.eye(4)[c])
+        assert resolve_location(obs, FROM_BACKGROUND, model, grid2x2) == cell_center_ref(grid2x2, c)
     # All-zero scores tie; the lowest cell index wins.
-    obs = make_obs("a", 0, 1.0, grid2x2.cell_center(3), bg=np.zeros(4))
-    assert resolve_location(obs, FROM_BACKGROUND, model, grid2x2) == grid2x2.cell_center(0)
+    obs = make_obs("a", 0, 1.0, cell_center_ref(grid2x2, 3), bg=np.zeros(4))
+    assert resolve_location(obs, FROM_BACKGROUND, model, grid2x2) == cell_center_ref(grid2x2, 0)
 
 
 def test_background_location_rejects_wrong_dims_and_grid(grid2x2):
     model = _cell_model(np.eye(4))
     with pytest.raises(ValueError, match=r"expected inputs of shape \(n, 4\)"):
-        resolve_location(make_obs("a", 0, 1.0, grid2x2.cell_center(0), bg=np.zeros(3)),
+        resolve_location(make_obs("a", 0, 1.0, cell_center_ref(grid2x2, 0), bg=np.zeros(3)),
                          FROM_BACKGROUND, model, grid2x2)
     wrong_grid = GridSpec(origin=Location(0.0, 0.0), cell_size_km=5.0, n_cells_x=3, n_cells_y=3)
-    obs = make_obs("a", 0, 1.0, wrong_grid.cell_center(0), bg=np.zeros(4))
+    obs = make_obs("a", 0, 1.0, cell_center_ref(wrong_grid, 0), bg=np.zeros(4))
     with pytest.raises(ConfigError, match="grid's 9 cells"):
         resolve_location(obs, FROM_BACKGROUND, model, wrong_grid)
 
@@ -242,7 +243,7 @@ def test_identity_model_is_no_background_model(grid2x2, input_kind, labels):
     # An identity model scores labels, not cells: used as the background
     # model it fails at once rather than reading labels as cell indices.
     model = _cell_model(np.eye(4), input_kind=input_kind, labels=labels)
-    obs = make_obs("a", 0, 1.0, grid2x2.cell_center(0), bg=np.ones(4), fg=np.ones(4))
+    obs = make_obs("a", 0, 1.0, cell_center_ref(grid2x2, 0), bg=np.ones(4), fg=np.ones(4))
     with pytest.raises(ConfigError, match="background model must score the grid's 4 cells"):
         resolve_location(obs, FROM_BACKGROUND, model, grid2x2)
     state = init_state(build_catalog(tiny_dataset(grid2x2)), FROM_BACKGROUND)

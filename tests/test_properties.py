@@ -7,6 +7,7 @@ derandomized so the suite gives the same verdict on every machine."""
 import logging
 import tempfile
 import warnings
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -242,11 +243,9 @@ def test_cell_indices_follow_the_scalar_rule(grid_and_points):
     grid, points = grid_and_points
     cells = grid.cell_indices(np.array(points)).tolist()
     assert cells == [cell_index_ref(grid, x, y) for x, y in points]
-    assert cells == [grid.cell_index(Location(x, y)) for x, y in points]
-    assert grid.cell_index(Location(*grid.far_corner)) == grid.n_cells - 1
+    assert grid.cell_indices([grid.far_corner]).tolist() == [grid.n_cells - 1]
     refs = [cell_center_ref(grid, i) for i in range(grid.n_cells)]
     assert grid.cell_centers(range(grid.n_cells)).tolist() == [[c.x, c.y] for c in refs]
-    assert [grid.cell_center(i) for i in range(grid.n_cells)] == refs
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +268,9 @@ class _Fallbacks(logging.Handler):
 def _streams(draw, kind, k):
     """A model, a starting state and a stream of up to three blocks of the
     inference loop. Sharp draws (large weights and decay constants) make
-    likelihood-times-prior products vanish, so fallbacks happen. The arrays
-    come from a drawn seed, so every entry varies, as in real data."""
+    likelihood-times-prior products vanish, so fallbacks happen; a collapsed
+    start makes priors constant. The arrays come from a drawn seed, so every
+    entry varies, as in real data."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     sharp = draw(st.booleans())
     d, n = 3, draw(st.integers(1, 2 * BLOCK_ROWS + 5))
@@ -280,8 +280,12 @@ def _streams(draw, kind, k):
         labels=tuple(range(k)), input_kind="foreground", temperature_head_active=True,
     )
     rate = 3000.0 if sharp else 2.5
-    start = (rng.uniform(0.0, 20.0, (k, 2)), rng.uniform(0.0, 50.0, k),
-             PriorConfig(kind=kind, alpha=rate, beta=rate))
+    homes, last_seen = rng.uniform(0.0, 20.0, (k, 2)), rng.uniform(0.0, 50.0, k)
+    if draw(st.booleans()):
+        # Every label at one point, last seen at one time: each prior is
+        # constant until a win moves an entry, so fuse short-circuits.
+        homes[:], last_seen[:] = homes[0], last_seen[0]
+    start = (homes, last_seen, PriorConfig(kind=kind, alpha=rate, beta=rate))
     # Whole days from day 51 on, so simultaneous sightings occur too.
     days = rng.integers(51, 81, n)
     obs = [make_obs(f"o{i:03d}", 0, float(t), Location(x, y), fg=f)
@@ -333,50 +337,87 @@ def _lost_mass(pred):
     return bool((l * p).sum() <= 0)
 
 
+def _fallback_rows(predictions):
+    """How many rows took each of fuse's two ways back to the likelihood: the
+    constant-prior short-circuit and the lost-mass fallback."""
+    return Counter(constant_prior=sum(bool(np.all(p.prior == p.prior[0])) for p in predictions),
+                   lost_mass=sum(map(_lost_mass, predictions)))
+
+
+def _assert_both_fallbacks_reached(reached, kind):
+    # A uniform prior is constant on every row, so it never loses its mass.
+    assert reached["constant_prior"] > 0, reached
+    assert kind == UNIFORM or reached["lost_mass"] > 0, reached
+
+
 # Every prior kind, on each side of LOG_SPACE_THRESHOLD.
 layer_cases = pytest.mark.parametrize("kind, k", [(kind, k) for kind in PRIOR_KINDS for k in (5, 80)])
 
 
+# The three bit-identity properties run their hypothesis examples inside the
+# test, so the fallback rows of all of them are counted and checked at the end.
 @layer_cases
-@settings(max_examples=20)
-@given(data=st.data())
-def test_caller_order_never_matters(kind, k, data):
-    model, start, obs = data.draw(_streams(kind, k))
-    rng = data.draw(st.randoms(use_true_random=False))
-    shuffled = list(obs)
-    rng.shuffle(shuffled)
-    _assert_same_bits(_infer_counting(model, start, [obs]),
-                      _infer_counting(model, start, [shuffled]))
+def test_caller_order_never_matters(kind, k):
+    reached = Counter()
 
+    @settings(max_examples=20)
+    @given(data=st.data())
+    def check(data):
+        model, start, obs = data.draw(_streams(kind, k))
+        rng = data.draw(st.randoms(use_true_random=False))
+        shuffled = list(obs)
+        rng.shuffle(shuffled)
+        whole = _infer_counting(model, start, [obs])
+        _assert_same_bits(whole, _infer_counting(model, start, [shuffled]))
+        reached.update(_fallback_rows(whole[0]))
 
-@layer_cases
-@settings(max_examples=20)
-@given(data=st.data())
-def test_whole_stream_per_sighting_and_chunks_agree(kind, k, data):
-    model, start, obs = data.draw(_streams(kind, k))
-    cuts = data.draw(st.lists(st.integers(1, 2 * BLOCK_ROWS + 4), unique=True))
-    order = sorted(obs, key=lambda o: (o.timestamp, o.obs_id))
-    whole = _infer_counting(model, start, [obs])
-    bounds = [0, *sorted(c for c in cuts if c < len(order)), len(order)]
-    chunks = [order[a:b] for a, b in zip(bounds, bounds[1:])]
-    _assert_same_bits(whole, _infer_counting(model, start, [[o] for o in order]))
-    _assert_same_bits(whole, _infer_counting(model, start, chunks))
-    # One warning per sighting whose fused product lost all its mass.
-    assert whole[2] == sum(_lost_mass(p) for p in whole[0])
+    check()
+    _assert_both_fallbacks_reached(reached, kind)
 
 
 @layer_cases
-@settings(max_examples=20)
-@given(data=st.data())
-def test_relabeling_in_order_moves_no_bit(kind, k, data):
+def test_whole_stream_per_sighting_and_chunks_agree(kind, k):
+    reached = Counter()
+
+    @settings(max_examples=20)
+    @given(data=st.data())
+    def check(data):
+        model, start, obs = data.draw(_streams(kind, k))
+        cuts = data.draw(st.lists(st.integers(1, 2 * BLOCK_ROWS + 4), unique=True))
+        order = sorted(obs, key=lambda o: (o.timestamp, o.obs_id))
+        whole = _infer_counting(model, start, [obs])
+        bounds = [0, *sorted(c for c in cuts if c < len(order)), len(order)]
+        chunks = [order[a:b] for a, b in zip(bounds, bounds[1:])]
+        _assert_same_bits(whole, _infer_counting(model, start, [[o] for o in order]))
+        _assert_same_bits(whole, _infer_counting(model, start, chunks))
+        # One warning per sighting whose fused product lost all its mass.
+        assert whole[2] == sum(_lost_mass(p) for p in whole[0])
+        reached.update(_fallback_rows(whole[0]))
+
+    check()
+    _assert_both_fallbacks_reached(reached, kind)
+
+
+@layer_cases
+def test_relabeling_in_order_moves_no_bit(kind, k):
     # Label values only name the rows: an increasing remap of the model's and
     # the state's labels keeps every bit, and each winner maps through it.
-    model, start, obs = data.draw(_streams(kind, k))
-    remap = {label: 3 * label + 7 for label in model.labels}
-    relabeled = replace(model, labels=tuple(remap[label] for label in model.labels))
-    preds, state, fallbacks = _infer_counting(model, start, [obs])
-    _assert_same_bits(([replace(p, predicted=remap[p.predicted]) for p in preds], state, fallbacks),
-                      _infer_counting(relabeled, start, [obs]))
+    reached = Counter()
+
+    @settings(max_examples=20)
+    @given(data=st.data())
+    def check(data):
+        model, start, obs = data.draw(_streams(kind, k))
+        remap = {label: 3 * label + 7 for label in model.labels}
+        relabeled = replace(model, labels=tuple(remap[label] for label in model.labels))
+        preds, state, fallbacks = _infer_counting(model, start, [obs])
+        _assert_same_bits(
+            ([replace(p, predicted=remap[p.predicted]) for p in preds], state, fallbacks),
+            _infer_counting(relabeled, start, [obs]))
+        reached.update(_fallback_rows(preds))
+
+    check()
+    _assert_both_fallbacks_reached(reached, kind)
 
 
 @layer_cases
@@ -726,7 +767,8 @@ def test_generate_matches_the_per_sighting_reference(config):
     try:
         expected = reference_generate(config)
     except SplitError:
-        with pytest.raises(SimulationError, match="obs_rate"):
+        with pytest.raises(SimulationError, match=r"^no observations at or after cutoff \S+: \d+"
+                                                  r" sightings .* too few to split .*; raise obs_rate$"):
             generate(config)
         return
     dataset = generate(config)

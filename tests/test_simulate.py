@@ -9,10 +9,10 @@ import pytest
 from idfusion.data import (
     OBSERVATIONS_FILENAME,
     SIDECAR_FILENAME,
+    Dataset,
     GridSpec,
     Location,
     save_dataset,
-    validate_dataset,
 )
 from idfusion.errors import ConfigError
 from idfusion.simulate import (
@@ -23,6 +23,8 @@ from idfusion.simulate import (
     turtle_like,
     zipf_weights,
 )
+
+from oracles import cell_center_ref, cell_index_ref
 
 
 def _grid(nx=3, ny=3):
@@ -73,7 +75,7 @@ def test_generate_respects_temporal_cutoff():
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_presets_generate_valid_datasets(name):
     ds = generate(PRESETS[name](seed=0))
-    assert validate_dataset(ds) is ds
+    assert Dataset.from_observations(ds.observations, ds.grid) == ds
     assert {o.identity for o in ds.train} == set(range(ds.n_identities))
     identities = {o.identity for o in ds.observations}
     assert identities == set(range(len(identities)))
@@ -107,7 +109,7 @@ def test_full_bg_signal_is_pure_cell_signature():
     ds = generate(SimConfig(**{**_BASE, "bg_cell_signal": 1.0}))
     by_cell = {}
     for o in ds.observations:
-        cell = ds.grid.cell_index(o.location)
+        cell = cell_index_ref(ds.grid, o.location.x, o.location.y)
         ref = by_cell.setdefault(cell, o.bg_features)
         assert np.array_equal(o.bg_features, ref)
 
@@ -119,18 +121,19 @@ def test_sedentary_identities_never_leave_their_cell():
         locs = {o.location for o in ds.observations if o.identity == k}
         assert len(locs) == 1
         (only,) = locs
-        assert only == ds.grid.cell_center(ds.grid.cell_index(only))
+        assert only == cell_center_ref(ds.grid, cell_index_ref(ds.grid, only.x, only.y))
 
 
 def test_drift_moves_homes_permanently():
     # With drift on and still no jitter, sightings stay on cell centers but
     # at least one identity occupies several cells over its lifetime.
     ds = generate(SimConfig(**{**_BASE, "home_range_cells": 0.0, "migration_prob": 0.5}))
-    centers = {ds.grid.cell_center(c) for c in range(ds.grid.n_cells)}
+    centers = {cell_center_ref(ds.grid, c) for c in range(ds.grid.n_cells)}
     assert {o.location for o in ds.observations} <= centers
     moved = 0
     for k in range(10):
-        cells = {ds.grid.cell_index(o.location) for o in ds.observations if o.identity == k}
+        cells = {cell_index_ref(ds.grid, o.location.x, o.location.y)
+                 for o in ds.observations if o.identity == k}
         moved += len(cells) > 1
     assert moved >= 5
 
