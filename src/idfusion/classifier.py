@@ -342,11 +342,17 @@ def _model_from(path: str | Path, payload: dict) -> PitsModel:
     _CHECKPOINT.check(payload, str(path), SchemaError)
     if (kind := payload["input_kind"]) not in INPUT_KINDS:
         raise SchemaError(f"{path}: input_kind must be one of {INPUT_KINDS}, got {kind!r}")
+    arrays = {}
+    for key in ("W", "b", "w_T", "b_T", "loss_history"):
+        try:
+            arrays[key] = np.array(payload.get(key, ()), dtype=np.float64)
+        except (OverflowError, ValueError) as exc:  # ragged rows, an int too large for a float
+            raise SchemaError(f"{path}: checkpoint {key!r} is malformed: {exc}") from exc
     try:
-        return PitsModel(W=payload["W"], b=payload["b"], w_T=payload["w_T"],
-                         b_T=float(payload["b_T"]), labels=tuple(payload["labels"]),
+        return PitsModel(W=arrays["W"], b=arrays["b"], w_T=arrays["w_T"],
+                         b_T=float(arrays["b_T"]), labels=tuple(payload["labels"]),
                          input_kind=payload["input_kind"],
                          temperature_head_active=payload["temperature_head_active"],
-                         loss_history=tuple(map(float, payload.get("loss_history", ()))))
-    except (OverflowError, ValueError) as exc:  # ragged rows, a huge int, a shape mismatch
+                         loss_history=tuple(arrays["loss_history"].tolist()))
+    except ValueError as exc:  # a shape mismatch
         raise SchemaError(f"{path}: malformed checkpoint: {exc}") from exc

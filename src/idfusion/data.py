@@ -14,12 +14,14 @@ import reprlib
 from collections import Counter
 from dataclasses import asdict, dataclass, fields
 from functools import cache, cached_property
+from itertools import islice
 from operator import itemgetter
 from pathlib import Path
 from types import NoneType, UnionType
 from typing import Any, Iterable, Iterator, Mapping, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
+import orjson
 
 from .errors import ConfigError, ParseError, SchemaError, SplitError
 
@@ -98,9 +100,11 @@ class GridSpec:
         runs on the floored floats, before the cast, so far-off points clamp
         too. numpy's float floor division rounds as Python's does.
         """
-        xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
-        steps = (xy - (self.origin.x, self.origin.y)) // self.cell_size_km
-        col, row = np.clip(steps, 0, (self.n_cells_x - 1, self.n_cells_y - 1)).astype(np.intp).T
+        steps = np.asarray(xy, dtype=np.float64).reshape(-1, 2) - (self.origin.x, self.origin.y)
+        np.floor_divide(steps, self.cell_size_km, out=steps)
+        np.clip(steps, 0, (self.n_cells_x - 1, self.n_cells_y - 1), out=steps)
+        col, row = steps.astype(np.intp).T
+        del steps  # freed before the index arithmetic, which reads only the cast
         return row * self.n_cells_x + col
 
     def cell_centers(self, cells) -> np.ndarray:
@@ -212,9 +216,11 @@ class Dataset:
             if not grid.contains(o.location):
                 raise SchemaError(f"{o.obs_id}: location {o.location} outside the grid bounds")
             labels_seen.add(o.identity)
-        if labels_seen != set(range(n_identities)):
-            missing = sorted(set(range(n_identities)) - labels_seen)
-            raise SchemaError(f"identity labels are not contiguous; missing {missing}")
+        if len(labels_seen) != n_identities:  # every label is in [0, n_identities)
+            n_missing = n_identities - len(labels_seen)
+            first = list(islice((k for k in range(n_identities) if k not in labels_seen), 5))
+            more = f" and {n_missing - len(first)} more" if n_missing > len(first) else ""
+            raise SchemaError(f"identity labels are not contiguous; missing {first}{more}")
         return cls(obs, grid, n_identities, feature_dims)
 
     # The splits and the new-location subset depend on the data alone, so each
@@ -355,11 +361,22 @@ def write_json(path: str | Path, obj: Any) -> None:
     Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
+def _decode(text: str) -> Any:
+    """``orjson.loads(text)``; for what orjson refuses (NaN, infinities, a number past a
+    double's range, a lone surrogate), json's value or json's error, a RecursionError on
+    nesting past its limit included. Both read every float to the same bits; orjson reads
+    an integer outside [-2**63, 2**64) as a float, and nesting of any depth."""
+    try:
+        return orjson.loads(text)
+    except orjson.JSONDecodeError:
+        return json.loads(text)
+
+
 def read_json(path: str | Path) -> dict:
     """The JSON object in ``path``; SchemaError naming the file on invalid JSON or a non-object."""
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # a JSONDecodeError, or an int past Python's digit limit
+        obj = _decode(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # also an int past Python's digit limit
         raise SchemaError(f"{path}: invalid JSON ({getattr(exc, 'msg', exc)})") from exc
     if not isinstance(obj, dict):
         raise SchemaError(f"{path}: file must hold a JSON object, not {type(obj).__name__}")
@@ -384,8 +401,8 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
                 line = raw.decode("utf-8")
                 if not line.strip():
                     continue
-                rec = json.loads(line)
-            except ValueError as exc:
+                rec = _decode(line)
+            except (ValueError, RecursionError) as exc:
                 raise ParseError(
                     f"{path}: line {lineno}: invalid JSON ({getattr(exc, 'msg', exc)})") from exc
             if not isinstance(rec, dict):

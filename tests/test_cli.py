@@ -375,7 +375,12 @@ def test_error_paths_exit_one(tmp_path, config_path, capsys):
             ("b-shape", lambda c: c.update(b=c["b"][:-1]),
              ("malformed checkpoint: b shape (", "inconsistent with")),
             ("W-shape", lambda c: c["W"].pop(), ("malformed checkpoint: W shape (", "inconsistent with")),
-            ("W-ragged", lambda c: c["W"][0].pop(), ("malformed checkpoint: ", "inhomogeneous shape")),
+            ("W-ragged", lambda c: c["W"][0].pop(), ("checkpoint 'W' is malformed: ", "inhomogeneous shape")),
+            # An integer too large for a float names the array that holds it.
+            ("W-huge-int", lambda c: c["W"][0].__setitem__(0, 10**400),
+             ("checkpoint 'W' is malformed: int too large to convert to float",)),
+            ("b_T-huge-int", lambda c: c.update(b_T=10**400),
+             ("checkpoint 'b_T' is malformed: int too large to convert to float",)),
             # Every entry is read by JSON type, as a config section's are.
             ("labels-float", lambda c: c["labels"].__setitem__(0, 1.7),
              ("labels must be list[int], got [1.7, ",)),
@@ -498,6 +503,38 @@ def test_malformed_dataset_record_names_file_line_and_field(tmp_path, config_pat
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: line 4: invalid JSON ('utf-8' codec can't decode byte"
                           " 0xff") and err.count("\n") == 1, err
+
+
+def test_json_nested_past_the_recursion_limit_is_one_error_line(tmp_path, config_path, capsys):
+    # orjson reads valid JSON of any depth, so the type check names the key; with
+    # a NaN too, orjson refuses the file and json, which reads NaN, runs out of
+    # recursion: that is an invalid file, named with its line.
+    deep = "[" * 100_000 + "]" * 100_000
+    too_deep = "invalid JSON (maximum recursion depth exceeded"
+    data = tmp_path / "data"
+    assert main(["simulate", "--config", config_path, "--out", str(data)]) == 0
+    capsys.readouterr()
+    cfg = tmp_path / "deep.json"
+    path = data / "observations.jsonl"
+    # A record's repeated "fg" key takes its last value, the deep one.
+    lines = path.read_text().splitlines()
+    for body, argv, words in (
+        ('{"sim": ' + deep + "}", ["simulate", "--config", str(cfg), "--out", str(tmp_path / "d")],
+         f"{cfg}: sim must be dict, got [[[[[[[...]]]]]]]\n"),
+        ('{"seed": NaN, "sim": ' + deep + "}",
+         ["simulate", "--config", str(cfg), "--out", str(tmp_path / "d")], f"{cfg}: {too_deep}"),
+        (lines[2][:-1] + ', "fg": ' + deep + "}", ["train", "--data", str(data), "--out", str(cfg)],
+         f"{path}: line 3: fg must be list[float], got [[[[[[[...]]]]]]]\n"),
+        (lines[2][:-1] + ', "fg": ' + deep + ', "x": NaN}',
+         ["train", "--data", str(data), "--out", str(cfg)], f"{path}: line 3: {too_deep}"),
+    ):
+        if argv[0] == "simulate":
+            cfg.write_text(body, encoding="utf-8")
+        else:
+            path.write_text("\n".join([*lines[:2], body, *lines[3:]]) + "\n", encoding="utf-8")
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {words}") and err.count("\n") == 1, err
 
 
 def test_a_path_of_the_wrong_kind_names_itself(tmp_path, config_path, capsys, monkeypatch):

@@ -1,5 +1,7 @@
 import json
 import math
+import resource
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,8 @@ from idfusion.data import (
     _observations_from_rows,
     build_catalog,
     load_dataset,
+    read_json,
+    read_jsonl,
     save_dataset,
     target_temperature,
 )
@@ -159,8 +163,30 @@ def test_construction_rejects_gapped_labels(grid2x2):
         make_obs("a", 0, 1.0, cell_center_ref(grid2x2, 0), split="train"),
         make_obs("b", 2, 2.0, cell_center_ref(grid2x2, 1), split="train"),
     ]
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError, match=r"^identity labels are not contiguous; missing \[1\]$"):
         Dataset.from_observations(obs, grid2x2)
+
+
+def test_a_huge_identity_label_fails_at_once(tmp_path, grid2x2):
+    # Labels 0, 1 and 2**40 leave 2**40 - 2 labels missing; the check counts them
+    # instead of building the set of all labels, and names only the first five.
+    save_dataset(tiny_dataset(grid2x2), tmp_path / "d")
+    path = tmp_path / "d" / "observations.jsonl"
+    lines = path.read_text().splitlines()
+    lines[2] = json.dumps({**json.loads(lines[2]), "identity": 2**40})
+    path.write_text("\n".join(lines) + "\n")
+    # Capped at 256 MB more address space, a check that builds the set fails
+    # with MemoryError here instead of taking the host's memory.
+    mapped = int(Path("/proc/self/statm").read_text().split()[0]) * resource.getpagesize()
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    resource.setrlimit(resource.RLIMIT_AS, (mapped + 2**28, hard))
+    try:
+        with pytest.raises(SchemaError) as exc:
+            load_dataset(tmp_path / "d")
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+    assert str(exc.value) == ("identity labels are not contiguous; missing [2, 3, 4, 5, 6]"
+                              f" and {2**40 - 2 - 5} more")
 
 
 def test_construction_rejects_duplicate_obs_ids(grid2x2):
@@ -318,3 +344,64 @@ def test_grid_from_sidecar_or_sim_config_checks_each_key(tmp_path, grid2x2, chan
     with pytest.raises(SchemaError) as exc:
         SimConfig.from_dict({"grid": {**grid2x2.to_dict(), **changes}})
     assert str(exc.value) == f"sim.grid: {words}"
+
+
+_DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("text", [
+    '{"a": NaN}', '{"a": Infinity}', '{"a": [-Infinity]}', '{"a": 1e400}', '{"a": -1e400}',
+    '{"a": 1' + "0" * 400 + "}", '{"a": "\\ud800"}', '{"\\udfff": 1}',
+    '{"a": ' + "9" * 5000 + "}", '{"a": NaN, "b": ' + _DEEP + "}",
+], ids=["nan", "inf", "-inf", "1e400", "-1e400", "int-10**400", "lone-high-surrogate",
+        "lone-low-surrogate-key", "int-5000-digits", "nan-and-deep"])
+def test_what_orjson_refuses_reads_as_json_reads_it(tmp_path, text):
+    # Each reader gives json's value or json's message, so NaN still reaches the
+    # config's finiteness check and a 5,000-digit integer still names the digit limit.
+    whole, lines = tmp_path / "x.json", tmp_path / "x.jsonl"
+    whole.write_text(text, encoding="utf-8")
+    lines.write_text("{}\n" + text + "\n", encoding="utf-8")
+    try:
+        expected, message = json.loads(text), None
+    except (ValueError, RecursionError) as exc:
+        expected, message = None, getattr(exc, "msg", str(exc))
+    if message is None:
+        for got in (read_json(whole), list(read_jsonl(lines))[1][1]):
+            assert repr(got) == repr(expected)
+            assert [type(v) for v in got.values()] == [type(v) for v in expected.values()]
+        return
+    with pytest.raises(SchemaError) as exc:
+        read_json(whole)
+    assert str(exc.value) == f"{whole}: invalid JSON ({message})"
+    with pytest.raises(ParseError) as exc:
+        list(read_jsonl(lines))
+    assert str(exc.value) == f"{lines}: line 2: invalid JSON ({message})"
+
+
+def test_valid_json_past_the_recursion_limit_decodes(tmp_path):
+    # json raises RecursionError here; orjson reads it, so the type check that
+    # follows names the file and the key instead.
+    path = tmp_path / "deep.json"
+    path.write_text('{"a": ' + _DEEP + "}", encoding="utf-8")
+    depth, value = 0, read_json(path)["a"]
+    while value:
+        depth, value = depth + 1, value[0]
+    assert depth == 99_999
+
+
+def test_an_integer_past_2_64_reads_as_a_float_and_fails_an_int_field(tmp_path, grid2x2):
+    # orjson reads an integer outside [-2**63, 2**64) as the nearest float: the
+    # same value in a float field, a type error in an int field.
+    path = tmp_path / "x.json"
+    for literal, value in (("18446744073709551615", 2**64 - 1), ("18446744073709551616", 2.0**64),
+                           ("-9223372036854775808", -2**63), ("-9223372036854775809", -2.0**63)):
+        path.write_text(f'{{"a": {literal}}}', encoding="utf-8")
+        got = read_json(path)["a"]
+        assert type(got) is type(value) and got == value
+    save_dataset(tiny_dataset(grid2x2), tmp_path / "d")
+    lines = (tmp_path / "d" / "observations.jsonl").read_text().splitlines()
+    lines[2] = lines[2].replace('"identity": 1', '"identity": 18446744073709551616')
+    (tmp_path / "d" / "observations.jsonl").write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as exc:
+        load_dataset(tmp_path / "d")
+    assert str(exc.value).endswith(": line 3: identity must be int, got 1.8446744073709552e+19")

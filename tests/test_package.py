@@ -1,8 +1,13 @@
 """The package's public surface: every exported name exists, once. And no dead
-code: every import is used, and every private top-level name is referenced."""
+code: every import is used, and every private top-level name is referenced.
+And every third-party module the package imports is a declared dependency."""
 
 import ast
+import re
+import sys
 from pathlib import Path
+
+import pytest
 
 import idfusion
 
@@ -64,3 +69,20 @@ def test_every_private_top_level_name_is_referenced():
     unreferenced = [f"{module}: {top}" for module, top in defined
                     if top.startswith("_") and not top.startswith("__") and top not in referenced]
     assert not unreferenced
+
+
+def test_every_third_party_import_is_a_declared_dependency():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and newer
+    pyproject = Path(idfusion.__file__).parents[2] / "pyproject.toml"
+    declared = {re.match(r"[\w.-]+", spec)[0].lower().replace("-", "_")
+                for spec in tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["dependencies"]}
+    imported = set()
+    for tree in _TREES.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.partition(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"__future__", "idfusion"}
+    assert {"numpy", "orjson"} <= third_party  # the scan sees the imports it checks
+    assert third_party <= declared, sorted(third_party - declared)

@@ -4,6 +4,7 @@ and distances included; sequential inference gives the same bits however a
 stream reaches it; and every file kind round-trips byte for byte. Runs are
 derandomized so the suite gives the same verdict on every machine."""
 
+import json
 import logging
 import tempfile
 import warnings
@@ -35,6 +36,7 @@ from idfusion.data import (
     from_fields,
     load_dataset,
     read_json,
+    read_jsonl,
     save_dataset,
     write_json,
     write_jsonl,
@@ -546,6 +548,53 @@ def test_config_dicts_round_trip(config_and_reader):
         write_json(second / "config.json", from_dict(read_json(first / "config.json")).to_dict())
 
     _rewrite_is_stable(lambda d: write_json(d / "config.json", config.to_dict()), rewrite)
+
+
+# Every finite double, drawn as a bit pattern (subnormals and -0.0 included) or by
+# hypothesis' float strategy, which favours edge values.
+_any_finite = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(0, 2**64 - 1).map(lambda bits: float(np.uint64(bits).view(np.float64)))
+    .filter(np.isfinite),
+)
+_json_values = st.recursive(
+    st.one_of(_any_finite, st.integers(-2**63, 2**64 - 1), st.text(), st.booleans(), st.none()),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=24,
+)
+_json_objects = st.dictionaries(st.text(max_size=6), _json_values, max_size=4)
+
+
+def _assert_same_json(got, expected):
+    """Same types all the way down, floats with the same bits, keys in the same order."""
+    assert type(got) is type(expected), (got, expected)
+    if type(got) is float:
+        assert np.float64(got).view(np.uint64) == np.float64(expected).view(np.uint64)
+    elif type(got) is dict:
+        assert list(got) == list(expected)
+        for key in got:
+            _assert_same_json(got[key], expected[key])
+    elif type(got) is list:
+        assert len(got) == len(expected)
+        for g, e in zip(got, expected):
+            _assert_same_json(g, e)
+    else:
+        assert got == expected
+
+
+@given(_json_objects, st.lists(_json_objects, max_size=4))
+def test_readers_decode_what_the_writers_wrote_as_json_does(obj, records):
+    # orjson decodes every file; json takes over only for what orjson refuses.
+    # On what the writers write, the two agree bit for bit and key for key.
+    with tempfile.TemporaryDirectory() as tmp:
+        whole, lines = Path(tmp, "x.json"), Path(tmp, "x.jsonl")
+        write_json(whole, obj)
+        write_jsonl(lines, records)
+        _assert_same_json(read_json(whole), json.loads(whole.read_text(encoding="utf-8")))
+        expected = [json.loads(line) for line in lines.read_text(encoding="utf-8").splitlines()]
+        got = list(read_jsonl(lines))
+        assert [n for n, _ in got] == list(range(1, len(records) + 1))
+        _assert_same_json([rec for _, rec in got], expected)
 
 
 @st.composite
