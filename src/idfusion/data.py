@@ -480,7 +480,7 @@ class JsonSpec:
 
 _GRID = JsonSpec({"origin": tuple[float, float], "cell_size_km": float, "n_cells_x": int,
                   "n_cells_y": int})
-_SIDECAR = JsonSpec({**_GRID.hints, "n_identities": int})
+_SIDECAR = JsonSpec({"n_identities": int})  # its other keys are the grid's, for GridSpec.from_dict
 
 
 def check_finite(config: Any, positive: Sequence[str] = (), non_negative: Sequence[str] = ()) -> None:
@@ -558,8 +558,8 @@ def load_dataset(directory: str | Path) -> Dataset:
     if not sidecar.is_file():
         raise SchemaError(f"missing sidecar file {sidecar}")
     meta = read_json(sidecar)
-    _SIDECAR.check({**dict.fromkeys(_SIDECAR.tests), **meta}, str(sidecar), SchemaError)
     grid = GridSpec.from_dict(meta, str(sidecar))
+    _SIDECAR.check({"n_identities": meta.get("n_identities")}, str(sidecar), SchemaError)
     path = directory / OBSERVATIONS_FILENAME
     observations = [_observation_from(rec, n, path) for n, rec in read_jsonl(path)]
     if not observations:

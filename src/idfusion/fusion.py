@@ -9,8 +9,8 @@ so the argmax is preserved exactly, not just up to floating-point error.
 Inference is one loop over blocks of up to ``BLOCK_ROWS`` sightings. The
 likelihood never depends on prior state, so each block computes it once.
 The prior, its fusion and the argmax then run a step at a time: the whole
-block when no configured kind reads state, one row when the migrating or
-time prior does, since those read the entry that the previous row's fused
+block when the run's prior kind reads no state, one row when the migrating
+or time prior does, since those read the entry that the previous row's fused
 argmax wrote. After each row of a stateful prior the winner's entry is
 written by index, before the next row.
 
@@ -181,9 +181,8 @@ def sequential_infer(
         raise ValueError("model and prior state disagree on the label space")
     state._matched_labels = model.labels if isinstance(model.labels, tuple) else None
 
-    kinds = (state.config.kind, *state.config.combine_with)
-    track_location = MIGRATING_LOCATION in kinds
-    track_time = TIME_DECAY in kinds
+    track_location = state.config.kind == MIGRATING_LOCATION
+    track_time = state.config.kind == TIME_DECAY
 
     stream = observations
     if len(observations) > 1:

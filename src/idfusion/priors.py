@@ -38,8 +38,9 @@ class PriorConfig:
     """Which prior runs and with what decay constants.
 
     A zero decay constant is legal and makes the corresponding prior uniform.
-    combine_with lists extra prior kinds multiplied in on top of ``kind``; it
-    exists for experiments and is empty in every standard configuration.
+    A run fuses one prior kind, with distances in grid cells: ``distance_unit``
+    and ``combine_with`` accept only ``"cells"`` and empty, and stay fields
+    only so that run records keep their keys.
     """
 
     kind: str = UNIFORM
@@ -59,15 +60,12 @@ class PriorConfig:
             raise ConfigError(
                 f"location_source must be one of {LOCATION_SOURCES}, got {self.location_source!r}"
             )
-        if self.distance_unit not in ("cells", "km"):
-            raise ConfigError(f"distance_unit must be 'cells' or 'km', got {self.distance_unit!r}")
+        if self.distance_unit != "cells":
+            raise ConfigError(f"distance_unit must be 'cells', got {self.distance_unit!r}")
+        if self.combine_with:
+            raise ConfigError(f"combine_with must be empty, got {list(self.combine_with)!r}")
         check_finite(self, positive=("time_unit_days", "cell_size_km"),
                      non_negative=("alpha", "beta"))
-        for extra in self.combine_with:
-            if extra not in PRIOR_KINDS or extra == UNIFORM:
-                raise ConfigError(f"cannot combine with prior kind {extra!r}")
-        if self.kind in self.combine_with:
-            raise ConfigError(f"prior kind {self.kind!r} listed twice")
 
     def to_dict(self) -> dict:
         return {**asdict(self), "combine_with": list(self.combine_with)}
@@ -99,6 +97,9 @@ class PriorState:
             raise ValueError("location arrays must be (n_labels, 2)")
         if self.last_seen.shape != (k,):
             raise ValueError("last_seen must have one entry per label")
+        for name in ("home_xy", "last_loc_xy", "last_seen"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
         self._index = {label: i for i, label in enumerate(self.labels)}
 
     def index_of(self, label: int) -> int:
@@ -143,8 +144,7 @@ def _distance_decay(
 ) -> np.ndarray:
     dx = anchors_xy[:, 0] - xy[..., :1]
     dist = np.hypot(dx, anchors_xy[:, 1] - xy[..., 1:], out=dx)
-    if config.distance_unit == "cells":
-        dist /= config.cell_size_km
+    dist /= config.cell_size_km
     return _decay(dist, config.alpha, out)
 
 
@@ -156,41 +156,29 @@ def _time_decay(
     return _decay(gaps, config.beta, out)
 
 
-def _kind_rows(
-    kind: str, state: PriorState, xy: np.ndarray, timestamps, out: np.ndarray | None = None
-) -> np.ndarray:
-    if kind == UNIFORM:
-        k = len(state.labels)
-        if out is None:
-            return np.full(np.shape(xy)[:-1] + (k,), 1.0 / k)
-        out.fill(1.0 / k)
-        return out
-    if kind == HOME_LOCATION:
-        return _distance_decay(state.home_xy, xy, state.config, out)
-    if kind == MIGRATING_LOCATION:
-        return _distance_decay(state.last_loc_xy, xy, state.config, out)
-    if kind == TIME_DECAY:
-        return _time_decay(state.last_seen, timestamps, state.config, out)
-    raise ConfigError(f"unknown prior kind {kind!r}")
-
-
 def prior_rows(
     state: PriorState, xy: np.ndarray, timestamps, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """The configured prior (times any combine_with extras) from the current
-    state, at sightings given by ``xy`` (n, 2) and a ``timestamps`` column
-    (n, 1): one normalized (n, K) row each, written to ``out`` when it is
-    given. A single sighting may come as ``xy`` (2,) and a timestamp of
-    shape () or (1,), giving one (K,) row.
+    """The configured prior from the current state, at sightings given by
+    ``xy`` (n, 2) and a ``timestamps`` column (n, 1): one normalized (n, K)
+    row each, written to ``out`` when it is given. A single sighting may come
+    as ``xy`` (2,) and a timestamp of shape () or (1,), giving one (K,) row.
 
     Every step works along the label axis alone, so a row has the same bits
     whichever block it is evaluated in.
     """
-    p = _kind_rows(state.config.kind, state, xy, timestamps, out)
-    for extra in state.config.combine_with:
-        p *= _kind_rows(extra, state, xy, timestamps)
-        p /= p.sum(axis=-1, keepdims=True)
-    return p
+    config = state.config
+    if config.kind == HOME_LOCATION:
+        return _distance_decay(state.home_xy, xy, config, out)
+    if config.kind == MIGRATING_LOCATION:
+        return _distance_decay(state.last_loc_xy, xy, config, out)
+    if config.kind == TIME_DECAY:
+        return _time_decay(state.last_seen, timestamps, config, out)
+    k = len(state.labels)
+    if out is None:
+        return np.full(np.shape(xy)[:-1] + (k,), 1.0 / k)
+    out.fill(1.0 / k)
+    return out
 
 
 def _xy(loc: Location) -> np.ndarray:
@@ -245,7 +233,7 @@ def prior_vector(
     background_model: PitsModel | None = None,
     grid: GridSpec | None = None,
 ) -> tuple[np.ndarray, Location]:
-    """Evaluate the configured prior (times any combine_with extras) at one
-    observation. Returns the normalized prior and the location it used."""
+    """Evaluate the configured prior at one observation. Returns the
+    normalized prior and the location it used."""
     loc = resolve_location(obs, state.config, background_model, grid)
     return prior_rows(state, _xy(loc), obs.timestamp), loc

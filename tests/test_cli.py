@@ -303,6 +303,8 @@ def test_error_paths_exit_one(tmp_path, config_path, capsys):
         ("train", {"epoch": 3}, ("train:", "'epoch'")),
         ("sim", {"n_identity": 3}, ("sim:", "'n_identity'")),
         ("prior", {"alpha": "x"}, ("prior:", "alpha")),
+        # A run uses one prior kind, with distances in grid cells.
+        ("prior", {"distance_unit": "km"}, ("prior: distance_unit must be 'cells', got 'km'",)),
     ):
         cfg = tmp_path / f"{section}.json"
         cfg.write_text(json.dumps({section: body}), encoding="utf-8")
@@ -454,7 +456,9 @@ def test_error_paths_exit_one(tmp_path, config_path, capsys):
     assert f"{report}: per_identity key is not an identity label: " in err and "'x'" in err, err
     # The run configs a report copies load as config sections do.
     for key, value, words in (("train_config", {"lam": True}, "lam must be float, got True"),
-                              ("prior_config", {"alpha": "2.5"}, "alpha must be float, got '2.5'")):
+                              ("prior_config", {"alpha": "2.5"}, "alpha must be float, got '2.5'"),
+                              ("prior_config", {"distance_unit": "km"},
+                               "distance_unit must be 'cells', got 'km'")):
         report.write_text(json.dumps({**json.loads(text), key: value}), encoding="utf-8")
         assert error_line(["report", str(report)]) == f"error: {report}: {key}: {words}\n"
 
@@ -656,8 +660,10 @@ def test_evaluate_rejects_another_seeds_dataset(tmp_path, predictions, capsys):
     ("prior_config", {"alpha": "2.5"}, "prior_config: alpha must be float, got '2.5'"),
     ("prior_config", {"kind": "xyz"},
      f"prior_config: prior kind must be one of {PRIOR_KINDS}, got 'xyz'"),
+    ("prior_config", {"combine_with": ["time_decay"]},
+     "prior_config: combine_with must be empty, got ['time_decay']"),
 ], ids=["labels-int", "labels-str", "seed-str", "seed-bool", "train-config-int",
-        "prior-config-null", "no-seed", "lam-bool", "alpha-str", "prior-kind"])
+        "prior-config-null", "no-seed", "lam-bool", "alpha-str", "prior-kind", "combine-with"])
 def test_malformed_predictions_meta_names_file_and_key(tmp_path, predictions, capsys,
                                                        key, value, words):
     data, source = predictions

@@ -23,7 +23,6 @@ from idfusion.priors import (
     UNIFORM,
     PriorConfig,
     PriorState,
-    prior_rows,
 )
 
 from conftest import make_obs
@@ -312,47 +311,6 @@ def test_sequential_infer_streams_in_chunks_through_one_state(kind, grid2x2):
     # The whole-stream call advanced exactly the state its prior reads.
     assert np.array_equal(whole_state.last_loc_xy, homes) != (kind == MIGRATING_LOCATION)
     assert np.array_equal(whole_state.last_seen, last_seen) != (kind == TIME_DECAY)
-
-
-def test_a_stateful_extra_steps_a_state_free_kind_row_by_row(grid2x2):
-    # The home prior alone reads no state, but times the time prior each row
-    # must read the clock the previous row's winner set: the whole stream in
-    # one call gives the bits of one call per sighting, and its priors are
-    # not the ones the starting clock gives.
-    rng = np.random.default_rng(23)
-    k, d = 5, 3
-    model = PitsModel(
-        W=rng.normal(size=(k, d)) * 3.0, b=np.zeros(k), w_T=np.zeros(d), b_T=0.0,
-        labels=tuple(range(k)), input_kind="foreground", temperature_head_active=True,
-    )
-    homes = rng.uniform(0.0, 10.0, size=(k, 2))
-    config = PriorConfig(kind=HOME_LOCATION, combine_with=(TIME_DECAY,), beta=3.0)
-
-    def fresh_state():
-        return PriorState(labels=tuple(range(k)), home_xy=homes, last_loc_xy=homes.copy(),
-                          last_seen=np.full(k, 50.0), config=config)
-
-    obs = [make_obs(f"o{j:02d}", 0, 60.0 + 3.0 * j,
-                    Location(float(rng.uniform(0, 10)), float(rng.uniform(0, 10))),
-                    fg=rng.normal(size=d))
-           for j in range(20)]
-    whole_state, single_state = fresh_state(), fresh_state()
-    whole = sequential_infer(model, whole_state, obs, grid=grid2x2)
-    single = [sequential_infer(model, single_state, [o], grid=grid2x2)[0] for o in obs]
-    for a, b in zip(whole, single):
-        assert a.predicted == b.predicted
-        for field in ("posterior", "likelihood", "prior"):
-            assert np.array_equal(getattr(a, field), getattr(b, field))
-    assert np.array_equal(whole_state.last_seen, single_state.last_seen)
-    # Each winner's clock reads its last win; the home anchors never move.
-    for label in range(k):
-        wins = [o.timestamp for o, p in zip(obs, whole) if p.predicted == label]
-        assert whole_state.last_seen[label] == (wins[-1] if wins else 50.0)
-    assert np.array_equal(whole_state.last_loc_xy, homes)
-    xy = np.array([(o.location.x, o.location.y) for o in obs])
-    stale = prior_rows(fresh_state(), xy, np.array([[o.timestamp] for o in obs]))
-    assert np.array_equal(stale[0], whole[0].prior)
-    assert not np.array_equal(stale, np.array([p.prior for p in whole]))
 
 
 @pytest.mark.parametrize("kind", [UNIFORM, MIGRATING_LOCATION])

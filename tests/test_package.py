@@ -1,6 +1,7 @@
 """The package's public surface: every exported name exists, once. And no dead
 code: every import is used, and every private top-level name is referenced.
-And every third-party module the package imports is a declared dependency."""
+And every third-party module the package imports is a declared dependency, and
+every development dependency is imported by a test."""
 
 import ast
 import re
@@ -71,18 +72,39 @@ def test_every_private_top_level_name_is_referenced():
     assert not unreferenced
 
 
-def test_every_third_party_import_is_a_declared_dependency():
+def _pyproject():
     tomllib = pytest.importorskip("tomllib")  # Python 3.11 and newer
     pyproject = Path(idfusion.__file__).parents[2] / "pyproject.toml"
-    declared = {re.match(r"[\w.-]+", spec)[0].lower().replace("-", "_")
-                for spec in tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["dependencies"]}
+    return tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
+
+
+def _names(specs):
+    return {re.match(r"[\w.-]+", spec)[0].lower().replace("-", "_") for spec in specs}
+
+
+def _third_party_imports(trees, local=frozenset()):
     imported = set()
-    for tree in _TREES.values():
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 imported.update(alias.name.partition(".")[0] for alias in node.names)
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add(node.module.partition(".")[0])
-    third_party = imported - set(sys.stdlib_module_names) - {"__future__", "idfusion"}
+    return imported - set(sys.stdlib_module_names) - {"__future__", "idfusion"} - local
+
+
+def test_every_third_party_import_is_a_declared_dependency():
+    declared = _names(_pyproject()["dependencies"])
+    third_party = _third_party_imports(_TREES.values())
     assert {"numpy", "orjson"} <= third_party  # the scan sees the imports it checks
     assert third_party <= declared, sorted(third_party - declared)
+
+
+def test_every_dev_dependency_is_imported_by_a_test():
+    # A [dev] entry that no test module imports is an install nobody needs.
+    paths = sorted(Path(__file__).parent.glob("*.py"))
+    imported = _third_party_imports((ast.parse(p.read_text(encoding="utf-8")) for p in paths),
+                                    local={p.stem for p in paths})
+    dev = _names(_pyproject()["optional-dependencies"]["dev"])
+    assert {"pytest", "hypothesis"} <= imported  # the scan sees the imports it checks
+    assert dev <= imported, sorted(dev - imported)

@@ -21,7 +21,6 @@ from idfusion.priors import (
     PriorState,
     init_state,
     prior_rows,
-    prior_vector,
     resolve_location,
     resolve_locations,
     update_last_seen,
@@ -47,7 +46,7 @@ def _random_state(rng, k=6, kind=UNIFORM, **cfg):
 
 def _prior(state, kind, loc=Location(0.0, 0.0), t=1.0):
     # The prior of one kind alone, from ``state`` at one sighting.
-    alone = replace(state, config=replace(state.config, kind=kind, combine_with=()))
+    alone = replace(state, config=replace(state.config, kind=kind))
     return prior_rows(alone, np.array([loc.x, loc.y]), t)
 
 
@@ -57,24 +56,39 @@ def test_prior_config_validation():
     with pytest.raises(ConfigError):
         PriorConfig(location_source="oracle")
     with pytest.raises(ConfigError):
-        PriorConfig(distance_unit="miles")
-    with pytest.raises(ConfigError):
         PriorConfig(alpha=-1.0)
     with pytest.raises(ConfigError):
         PriorConfig(beta=math.inf)
-    with pytest.raises(ConfigError):
-        PriorConfig(combine_with=(UNIFORM,))
-    with pytest.raises(ConfigError):
-        PriorConfig(kind=TIME_DECAY, combine_with=(TIME_DECAY,))
+    # A run fuses one prior kind, with distances in grid cells.
+    for unit in ("km", "miles"):
+        with pytest.raises(ConfigError) as exc:
+            PriorConfig(distance_unit=unit)
+        assert str(exc.value) == f"distance_unit must be 'cells', got {unit!r}"
+    for extras in ((TIME_DECAY,), (UNIFORM,)):
+        with pytest.raises(ConfigError) as exc:
+            PriorConfig(kind=HOME_LOCATION, combine_with=extras)
+        assert str(exc.value) == f"combine_with must be empty, got {list(extras)!r}"
 
 
 def test_prior_config_replace_round_trip():
     base = PriorConfig(kind=HOME_LOCATION, alpha=1.0)
-    changed = replace(base, alpha=4.0, combine_with=[TIME_DECAY])
+    changed = replace(base, alpha=4.0)
     assert changed.alpha == 4.0
-    assert changed.combine_with == (TIME_DECAY,)
     assert changed.kind == HOME_LOCATION
-    assert PriorConfig(**{**base.to_dict(), "combine_with": ()}) == base
+    assert PriorConfig(**base.to_dict()) == base
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name, kind", [("home_xy", HOME_LOCATION),
+                                        ("last_loc_xy", MIGRATING_LOCATION),
+                                        ("last_seen", TIME_DECAY)])
+def test_prior_state_rejects_a_non_finite_entry(name, kind, value):
+    # A NaN anchor or clock would make every fused posterior NaN, and each
+    # argmax label 0, without a word.
+    arrays = dict(home_xy=np.zeros((3, 2)), last_loc_xy=np.zeros((3, 2)), last_seen=np.zeros(3))
+    arrays[name].flat[1] = value
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        PriorState(labels=(0, 1, 2), config=PriorConfig(kind=kind), **arrays)
 
 
 @pytest.mark.parametrize("kind", PRIOR_KINDS)
@@ -111,19 +125,6 @@ def test_zero_decay_constants_flatten_priors():
     loc = Location(10.0, 10.0)
     assert np.allclose(_prior(state, HOME_LOCATION, loc), 1.0 / 6.0, atol=1e-15)
     assert np.allclose(_prior(state, TIME_DECAY, t=100.0), 1.0 / 6.0, atol=1e-15)
-
-
-def test_distance_units_are_interchangeable():
-    # alpha per cell with 5 km cells must equal alpha/5 per km.
-    rng = np.random.default_rng(41)
-    in_cells = PriorConfig(kind=HOME_LOCATION, alpha=2.5, cell_size_km=5.0, distance_unit="cells")
-    in_km = PriorConfig(kind=HOME_LOCATION, alpha=0.5, cell_size_km=5.0, distance_unit="km")
-    homes = rng.uniform(0.0, 30.0, size=(8, 2))
-    loc = Location(12.0, 7.0)
-    args = dict(labels=tuple(range(8)), home_xy=homes, last_loc_xy=homes, last_seen=np.zeros(8))
-    a = _prior(PriorState(config=in_cells, **args), HOME_LOCATION, loc)
-    b = _prior(PriorState(config=in_km, **args), HOME_LOCATION, loc)
-    assert np.allclose(a, b, atol=1e-12)
 
 
 def test_init_state_anchors_at_homes_and_last_train_times(grid2x2):
@@ -274,21 +275,3 @@ def test_a_block_resolves_as_one_call_per_sighting():
         [(p.obs_id, p.predicted, p.resolved_location) for p in apart]
     by_id = dict(zip((o.obs_id for o in ds.test), single))
     assert [p.resolved_location for p in whole] == [by_id[p.obs_id] for p in whole]
-
-
-def test_prior_vector_combines_by_product():
-    rng = np.random.default_rng(13)
-    combined_cfg = PriorConfig(kind=HOME_LOCATION, combine_with=(TIME_DECAY,))
-    state = _random_state(rng, kind=HOME_LOCATION)
-    state.config = combined_cfg
-    obs = make_obs("a", 0, 150.0, Location(10.0, 10.0))
-
-    p, used_loc = prior_vector(state, obs)
-    assert used_loc == obs.location
-    hl = _prior(state, HOME_LOCATION, obs.location)
-    td = _prior(state, TIME_DECAY, t=obs.timestamp)
-    want = hl * td
-    want /= want.sum()
-    assert np.allclose(p, want, atol=1e-12)
-    assert abs(p.sum() - 1.0) < 1e-12
-

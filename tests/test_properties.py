@@ -159,8 +159,7 @@ def _states(draw):
     homes = draw(_arrays(np.float64, (k, 2), elements=coordinate))
     anchors = draw(_arrays(np.float64, (k, 2), elements=coordinate))
     last_seen = draw(_arrays(np.float64, k, elements=coordinate))
-    config = PriorConfig(alpha=draw(huge), beta=draw(huge),
-                         distance_unit=draw(st.sampled_from(("cells", "km"))))
+    config = PriorConfig(alpha=draw(huge), beta=draw(huge))
     return PriorState(labels=tuple(range(k)), home_xy=homes, last_loc_xy=anchors,
                       last_seen=last_seen, config=config)
 
@@ -494,20 +493,15 @@ train_configs = st.builds(
 )
 
 
-@st.composite
-def _prior_configs(draw):
-    kind = draw(st.sampled_from(PRIOR_KINDS))
-    extras = [k for k in PRIOR_KINDS if k not in (UNIFORM, kind)]
-    return PriorConfig(
-        kind=kind,
-        location_source=draw(st.sampled_from(LOCATION_SOURCES)),
-        alpha=draw(non_negative),
-        beta=draw(non_negative),
-        time_unit_days=draw(positive),
-        cell_size_km=draw(positive),
-        distance_unit=draw(st.sampled_from(("cells", "km"))),
-        combine_with=draw(st.lists(st.sampled_from(extras), unique=True)),
-    )
+prior_configs = st.builds(
+    PriorConfig,
+    kind=st.sampled_from(PRIOR_KINDS),
+    location_source=st.sampled_from(LOCATION_SOURCES),
+    alpha=non_negative,
+    beta=non_negative,
+    time_unit_days=positive,
+    cell_size_km=positive,
+)
 
 
 unit = st.floats(0.0, 1.0)
@@ -536,7 +530,7 @@ sim_configs = st.builds(
 
 @given(st.one_of(
     train_configs.map(lambda c: (c, lambda d: from_fields(TrainConfig, d, "train"))),
-    _prior_configs().map(lambda c: (c, lambda d: from_fields(PriorConfig, d, "prior"))),
+    prior_configs.map(lambda c: (c, lambda d: from_fields(PriorConfig, d, "prior"))),
     sim_configs.map(lambda c: (c, SimConfig.from_dict)),
     grids.map(lambda c: (c, GridSpec.from_dict)),
 ))
@@ -723,7 +717,7 @@ def test_block_top5_is_a_stable_sort(block):
         assert repr(record["likelihood_top5"]) == repr(top_entries(pred.likelihood, labels, 5))
 
 
-@given(_predictions(), _prior_configs(), train_configs)
+@given(_predictions(), prior_configs, train_configs)
 def test_prediction_directory_rewrites_byte_identically(predictions_and_labels, pc, tc):
     predictions, labels = predictions_and_labels
     meta = {"prior_config": pc.to_dict(), "train_config": tc.to_dict(), "seed": tc.seed}
@@ -749,7 +743,7 @@ def test_prediction_directory_rewrites_byte_identically(predictions_and_labels, 
         n_unknown_identity=st.integers(0, 10**9),
         seed=seeds,
         train_config=train_configs.map(TrainConfig.to_dict),
-        prior_config=_prior_configs().map(PriorConfig.to_dict),
+        prior_config=prior_configs.map(PriorConfig.to_dict),
         # Keys like 2 and 10 sort differently as numbers and as strings.
         per_identity=st.dictionaries(st.integers(0, 10**6), any_float, max_size=12),
     )
