@@ -246,10 +246,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
         reports = {}
         for path in args.reports:
             rep = load_report(path)
-            name = _row_name(rep)
-            if name in reports:
-                name = f"{name}_{Path(path).stem}"
-            reports[name] = rep
+            name, stem = _row_name(rep), Path(path).stem  # one candidate more than names taken
+            names = [name, f"{name}_{stem}", *(f"{name}_{stem}_{n}" for n in range(2, len(reports) + 2))]
+            reports[next(c for c in names if c not in reports)] = rep
     elif args.data:
         cfg = _load_config_file(args.config)
         dataset = load_dataset(args.data)

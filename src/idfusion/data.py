@@ -361,7 +361,7 @@ def write_json(path: str | Path, obj: Any) -> None:
     Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def _decode(text: str) -> Any:
+def decode_json(text: str) -> Any:
     """``orjson.loads(text)``; for what orjson refuses (NaN, infinities, a number past a
     double's range, a lone surrogate), json's value or json's error, a RecursionError on
     nesting past its limit included. Both read every float to the same bits; orjson reads
@@ -375,7 +375,7 @@ def _decode(text: str) -> Any:
 def read_json(path: str | Path) -> dict:
     """The JSON object in ``path``; SchemaError naming the file on invalid JSON or a non-object."""
     try:
-        obj = _decode(Path(path).read_text(encoding="utf-8"))
+        obj = decode_json(Path(path).read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as exc:  # also an int past Python's digit limit
         raise SchemaError(f"{path}: invalid JSON ({getattr(exc, 'msg', exc)})") from exc
     if not isinstance(obj, dict):
@@ -401,7 +401,7 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
                 line = raw.decode("utf-8")
                 if not line.strip():
                     continue
-                rec = _decode(line)
+                rec = decode_json(line)
             except (ValueError, RecursionError) as exc:
                 raise ParseError(
                     f"{path}: line {lineno}: invalid JSON ({getattr(exc, 'msg', exc)})") from exc

@@ -19,10 +19,10 @@ import numpy as np
 
 from .calibration import ece_from_top_predictions
 from .classifier import PitsModel, TrainConfig, train, train_background_model
-from .data import Dataset, JsonSpec, build_catalog, from_fields, read_json, write_json
+from .data import Dataset, JsonSpec, build_catalog, decode_json, from_fields, read_json, write_json
 from .errors import ConfigError, SchemaError
 from .fusion import (PREDICTIONS_FILENAME, PREDICTIONS_META_FILENAME, Prediction,
-                     prediction_records, sequential_infer)
+                     prediction_lines, sequential_infer)
 from .priors import (HOME_LOCATION, MIGRATING_LOCATION, TIME_DECAY, UNIFORM, PriorConfig,
                      init_state)
 
@@ -104,7 +104,7 @@ def run_experiment(
     model: PitsModel | None = None,
 ) -> tuple[ExperimentReport, list[Prediction]]:
     """Train (or reuse) a model, run :func:`infer`, and score the predictions
-    through the same records :func:`score_predictions` reads from disk.
+    through the lines ``write_predictions`` writes, decoded as from disk.
 
     The background location model only trains when the prior actually
     resolves locations through it, with a shifted seed so it never shares a
@@ -119,8 +119,8 @@ def run_experiment(
         background_model = train_background_model(dataset, dataset.grid, bg_config)
 
     predictions, meta = infer(dataset, model, train_config, prior_config, background_model)
-    records = list(prediction_records(predictions, model.labels, prior_config.kind))
-    return score_predictions(records, meta, dataset), predictions
+    lines = prediction_lines(predictions, model.labels, prior_config.kind)
+    return score_predictions(list(map(decode_json, lines)), meta, dataset), predictions
 
 
 _META = JsonSpec({"labels": list[int], "seed": int, "train_config": dict, "prior_config": dict})
@@ -241,13 +241,14 @@ def run_row_suite(
 
 
 def render_report_table(reports: Mapping[str, ExperimentReport]) -> str:
-    """Fixed-width text table, one row per experiment."""
-    header = f"{'row':<24} {'acc':>7} {'new-loc':>8} {'ece':>7} {'n':>6}"
+    """Fixed-width text table, one row per experiment; the name column fits the longest name."""
+    width = max([24, *map(len, reports)])
+    header = f"{'row':<{width}} {'acc':>7} {'new-loc':>8} {'ece':>7} {'n':>6}"
     lines = [header, "-" * len(header)]
     for name, rep in reports.items():
         nl = f"{rep.new_location_accuracy:.3f}" if rep.new_location_accuracy is not None else "n/a"
         lines.append(
-            f"{name:<24} {rep.overall_accuracy:>7.3f} {nl:>8} {rep.ece_fused:>7.3f} {rep.n_test:>6d}"
+            f"{name:<{width}} {rep.overall_accuracy:>7.3f} {nl:>8} {rep.ece_fused:>7.3f} {rep.n_test:>6d}"
         )
     return "\n".join(lines) + "\n"
 

@@ -24,13 +24,15 @@ logits. ``fuse_rows`` is the one fusion kernel, for a block, a row and
 block, and the error state that lets a lost row take log(0) is set once per
 call, not once per row.
 
-Records are built afterwards, ``BLOCK_ROWS`` at a time, each top 5 exact down
-to ties, so ``sequential_infer``'s single-sighting callers never pay for them.
+Records are written afterwards as json's text, straight from ``BLOCK_ROWS``-row
+arrays with each top 5 exact down to ties, so single-sighting callers never pay.
 """
 
 from __future__ import annotations
 
+import json
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -39,7 +41,7 @@ import numpy as np
 
 from .calibration import softmax, tempered_softmax
 from .classifier import PitsModel, features_from
-from .data import GridSpec, Location, Observation, read_json, read_jsonl, write_json, write_jsonl
+from .data import GridSpec, Location, Observation, read_json, read_jsonl, write_json
 from .priors import (
     MIGRATING_LOCATION,
     TIME_DECAY,
@@ -229,56 +231,64 @@ def sequential_infer(
 # ---------------------------------------------------------------------------
 
 
-def prediction_records(predictions: Sequence[Prediction], labels: tuple[int, ...],
-                       prior_kind: str) -> Iterator[dict]:
-    """The JSON-ready record of each prediction, as stored and as scored; likelihood_top5
-    rides along so a scorer can compute calibration without rerunning inference."""
+def _number(value: float, pred: Prediction, field: str) -> str:
+    """json's text for a finite int or float: float.__repr__ for a float, np.float64
+    included, whose own repr is not JSON."""
+    if not math.isfinite(value):
+        raise ValueError(f"prediction {pred.obs_id!r}: {field} is not finite: {value!r}")
+    return float.__repr__(value) if isinstance(value, float) else json.dumps(value)
+
+
+def prediction_lines(predictions: Sequence[Prediction], labels: tuple[int, ...],
+                     prior_kind: str) -> Iterator[str]:
+    """Each prediction's record as the line json writes, as stored and as scored; likelihood_top5
+    rides along so a scorer can compute calibration without rerunning inference. ValueError
+    naming the obs_id and the field on a NaN or an infinity, which JSON cannot hold."""
+    # json's separators, keys in sorted order.
+    record = ('{"T_i": %s, "likelihood_top5": [%s], "obs_id": %s, "posterior_top5": [%s], '
+              '"predicted": %d, "prior_kind": %s, "resolved_loc": %s, "true": %s}\n')
+    label_of, quote = np.array(labels, dtype=object), json.encoder.encode_basestring_ascii
+    pairs = ", ".join(["[%d, %r]"] * min(len(labels), 5))
     for start in range(0, len(predictions), BLOCK_ROWS):
         chunk = predictions[start : start + BLOCK_ROWS]
-        tops = []
-        for attr in ("posterior", "likelihood"):
-            rows = np.array([getattr(p, attr) for p in chunk], dtype=np.float64)
-            if rows.shape[1] <= 5:
-                order = np.argsort(-rows, axis=1, kind="stable")
-            else:
-                # Columns 1-5 hold the top 5 in any order, column 0 the 6th largest.
-                part = np.argpartition(rows, -6, axis=1)[:, -6:]
-                top = np.take_along_axis(rows, part, axis=1)
-                order = np.take_along_axis(part[:, 1:], np.lexsort((part[:, 1:], -top[:, 1:])), axis=1)
-                # A tie at the cut, or a NaN, leaves the partition's choice open.
-                redo = (top[:, 1:].min(axis=1) == top[:, 0]) | ~np.isfinite(rows).all(axis=1)
-                order[redo] = np.argsort(-rows[redo], axis=1, kind="stable")[:, :5]
-            values = np.take_along_axis(rows, order, axis=1).tolist()
-            tops += [[[labels[i], v] for i, v in zip(*pair)] for pair in zip(order.tolist(), values)]
+        rows = np.array([p.posterior for p in chunk] + [p.likelihood for p in chunk], dtype=np.float64)
+        finite = np.isfinite(rows).all(axis=1)
+        if not finite.all():
+            half, i = divmod(int(finite.argmin()), len(chunk))  # posteriors, then likelihoods
+            field = ("posterior", "likelihood")[half]
+            raise ValueError(f"prediction {chunk[i].obs_id!r}: {field} is not finite")
+        if rows.shape[1] <= 5:
+            order = np.argsort(-rows, axis=1, kind="stable")
+        else:
+            # Columns 1-5 hold the top 5 in any order, column 0 the 6th largest.
+            part = np.argpartition(rows, -6, axis=1)[:, -6:]
+            top = np.take_along_axis(rows, part, axis=1)
+            order = np.take_along_axis(part[:, 1:], np.lexsort((part[:, 1:], -top[:, 1:])), axis=1)
+            # A tie at the cut leaves the partition's choice open.
+            redo = top[:, 1:].min(axis=1) == top[:, 0]
+            order[redo] = np.argsort(-rows[redo], axis=1, kind="stable")[:, :5]
+        flat = np.stack((label_of[order], np.take_along_axis(rows, order, axis=1)), axis=2)
+        tops = [pairs % tuple(row) for row in flat.reshape(len(rows), -1).tolist()]
         for pred, posterior_top5, likelihood_top5 in zip(chunk, tops, tops[len(chunk):]):
-            loc = pred.resolved_location
-            yield {
-                "obs_id": pred.obs_id,
-                "predicted": int(pred.predicted),
-                "true": None if pred.true_identity is None else int(pred.true_identity),
-                "posterior_top5": posterior_top5,
-                "likelihood_top5": likelihood_top5,
-                "prior_kind": prior_kind,
-                "resolved_loc": None if loc is None else [loc.x, loc.y],
-                "T_i": pred.temperature_used,
-            }
+            loc, true = pred.resolved_location, pred.true_identity
+            where = "null" if loc is None else "[%s, %s]" % (
+                _number(loc.x, pred, "resolved_loc"), _number(loc.y, pred, "resolved_loc"))
+            yield record % (_number(pred.temperature_used, pred, "T_i"), likelihood_top5,
+                            quote(pred.obs_id), posterior_top5, pred.predicted, quote(prior_kind),
+                            where, "null" if true is None else "%d" % true)
 
 
-def write_predictions(
-    predictions: Sequence[Prediction],
-    directory: str | Path,
-    labels: tuple[int, ...],
-    prior_kind: str,
-    meta: dict | None = None,
-) -> None:
+def write_predictions(predictions: Sequence[Prediction], directory: str | Path,
+                      labels: tuple[int, ...], prior_kind: str, meta: dict | None = None) -> None:
     """Write one JSON line per prediction plus a metadata sidecar.
 
-    Output is byte-stable: keys are sorted and floats use exact reprs, so the
-    same inputs always produce the same file.
+    Output is byte-stable: keys are sorted and floats use exact reprs, so the same inputs
+    always produce the same file. A NaN or an infinity raises ValueError, before the sidecar.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    write_jsonl(directory / PREDICTIONS_FILENAME, prediction_records(predictions, labels, prior_kind))
+    with (directory / PREDICTIONS_FILENAME).open("w", encoding="utf-8") as fh:
+        fh.writelines(prediction_lines(predictions, labels, prior_kind))
     write_json(directory / PREDICTIONS_META_FILENAME,
                {"labels": list(labels), "prior_kind": prior_kind, **(meta or {})})
 

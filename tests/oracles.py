@@ -4,8 +4,10 @@
 # no shared code with the package, no numpy vectorization, no numerical
 # stabilization tricks beyond what the formulas themselves require. If the
 # package and these disagree, the package is wrong until proven otherwise.
-# The one exception is the reference simulator at the end, which must draw
-# from numpy's generator because the bytes it pins come from that stream.
+# Two exceptions: the reference simulator, which must draw from numpy's
+# generator because the bytes it pins come from that stream, and the
+# prediction record builder at the end, kept as the dicts whose json text
+# every prediction line must equal byte for byte.
 
 import cmath
 import math
@@ -288,3 +290,42 @@ def reference_generate(config):
     if all(o.split == TRAIN for o in observations):
         raise SplitError(f"no observations at or after cutoff {cutoff}")
     return Dataset.from_observations(observations, grid)
+
+
+# ---------------------------------------------------------------------------
+# Prediction records as dicts, 32 predictions at a time, each top 5 a stable
+# sort of its row. ``json.JSONEncoder(sort_keys=True).encode`` of each is the
+# line ``fusion.prediction_lines`` writes.
+# ---------------------------------------------------------------------------
+
+
+def prediction_records_ref(predictions, labels, prior_kind):
+    for start in range(0, len(predictions), 32):
+        chunk = predictions[start : start + 32]
+        tops = []
+        for attr in ("posterior", "likelihood"):
+            rows = np.array([getattr(p, attr) for p in chunk], dtype=np.float64)
+            if rows.shape[1] <= 5:
+                order = np.argsort(-rows, axis=1, kind="stable")
+            else:
+                # Columns 1-5 hold the top 5 in any order, column 0 the 6th largest.
+                part = np.argpartition(rows, -6, axis=1)[:, -6:]
+                top = np.take_along_axis(rows, part, axis=1)
+                order = np.take_along_axis(part[:, 1:], np.lexsort((part[:, 1:], -top[:, 1:])), axis=1)
+                # A tie at the cut, or a NaN, leaves the partition's choice open.
+                redo = (top[:, 1:].min(axis=1) == top[:, 0]) | ~np.isfinite(rows).all(axis=1)
+                order[redo] = np.argsort(-rows[redo], axis=1, kind="stable")[:, :5]
+            values = np.take_along_axis(rows, order, axis=1).tolist()
+            tops += [[[labels[i], v] for i, v in zip(*pair)] for pair in zip(order.tolist(), values)]
+        for pred, posterior_top5, likelihood_top5 in zip(chunk, tops, tops[len(chunk):]):
+            loc = pred.resolved_location
+            yield {
+                "obs_id": pred.obs_id,
+                "predicted": int(pred.predicted),
+                "true": None if pred.true_identity is None else int(pred.true_identity),
+                "posterior_top5": posterior_top5,
+                "likelihood_top5": likelihood_top5,
+                "prior_kind": prior_kind,
+                "resolved_loc": None if loc is None else [loc.x, loc.y],
+                "T_i": pred.temperature_used,
+            }

@@ -20,7 +20,7 @@ from idfusion import cli
 from idfusion.cli import main
 from idfusion.data import load_dataset
 from idfusion.errors import ConfigError
-from idfusion.evaluation import infer, load_report, run_experiment
+from idfusion.evaluation import ExperimentReport, infer, load_report, run_experiment, save_report
 from idfusion.fusion import write_predictions
 from idfusion.priors import MIGRATING_LOCATION, PRIOR_KINDS, PriorConfig
 from idfusion.simulate import SimConfig
@@ -268,6 +268,28 @@ def test_report_runs_standard_grid_from_data(tmp_path, config_path, capsys):
     out = capsys.readouterr().out
     assert "fg_pits_time" in out
     assert "bg_ce_uniform" in out
+
+
+def test_report_keeps_every_row_when_names_collide(tmp_path, capsys):
+    # Three files, one row name and one file stem: each row keeps a name of
+    # its own, and the name column widens to fit the longest.
+    base = ExperimentReport(
+        overall_accuracy=0.0, new_location_accuracy=None, ece_fused=0.0, ece_likelihood=0.0,
+        n_test=4, n_new_location=0, n_unknown_identity=0, seed=0,
+        train_config=TrainConfig().to_dict(), prior_config=PriorConfig().to_dict())
+    paths = []
+    for folder, accuracy in zip("abc", (0.25, 0.5, 0.75)):
+        (tmp_path / folder).mkdir()
+        paths.append(str(tmp_path / folder / "r.json"))
+        save_report(ExperimentReport(**{**vars(base), "overall_accuracy": accuracy}), paths[-1])
+    csv_out = tmp_path / "rows.csv"
+    assert main(["report", *paths, "--out", str(csv_out)]) == 0
+    table = capsys.readouterr().out.splitlines()[:5]
+    assert [line.split()[:2] for line in table[2:]] == [
+        ["foreground_pits_uniform", "0.250"], ["foreground_pits_uniform_r", "0.500"],
+        ["foreground_pits_uniform_r_2", "0.750"]]
+    assert {len(line) for line in table} == {len(table[0])}
+    assert len(csv_out.read_text().splitlines()) == 4
 
 
 def test_error_paths_exit_one(tmp_path, config_path, capsys):

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -21,7 +22,7 @@ from idfusion.evaluation import (
     score_predictions,
     write_report_csv,
 )
-from idfusion.fusion import Prediction, prediction_records, read_predictions, write_predictions
+from idfusion.fusion import Prediction, prediction_lines, read_predictions, write_predictions
 from idfusion.priors import HOME_LOCATION, MIGRATING_LOCATION, TIME_DECAY, UNIFORM, PriorConfig
 from idfusion.simulate import SimConfig, generate
 
@@ -103,8 +104,12 @@ def test_new_location_subset_membership(grid2x2):
     assert ds.new_location_ids == frozenset({"b", "d"})
 
 
+def _records(preds, labels, kind=UNIFORM):
+    return [json.loads(line) for line in prediction_lines(preds, labels, kind)]
+
+
 def _score(preds, ds, labels=(0, 1)):
-    records = list(prediction_records(preds, labels, UNIFORM))
+    records = _records(preds, labels)
     meta = {"labels": list(labels), "seed": 0, "train_config": {}, "prior_config": {}}
     return score_predictions(records, meta, ds)
 
@@ -252,7 +257,7 @@ def test_report_bytes_are_pinned(tmp_path, loss):
     digest = hashlib.sha256()
     for kind in _PIN_PRIORS:
         preds, meta = infer(ds, model, config, PriorConfig(kind=kind))
-        report = score_predictions(list(prediction_records(preds, model.labels, kind)), meta, ds)
+        report = score_predictions(_records(preds, model.labels, kind), meta, ds)
         digest.update(_report_bytes(report, tmp_path / f"{kind}.json"))
     assert digest.hexdigest() == REPORT_DIGESTS[loss]
 
@@ -265,7 +270,7 @@ def test_scoring_many_record_sets_finds_new_locations_once(tmp_path, monkeypatch
     record_sets = []
     for kind in (UNIFORM, HOME_LOCATION, MIGRATING_LOCATION, TIME_DECAY):
         preds, meta = infer(ds, model, _FAST_TRAIN, PriorConfig(kind=kind))
-        record_sets.append((list(prediction_records(preds, model.labels, kind)), meta))
+        record_sets.append((_records(preds, model.labels, kind), meta))
     fresh = [score_predictions(r, meta, Dataset.from_observations(ds.observations, ds.grid))
              for r, meta in record_sets]
 

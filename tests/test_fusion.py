@@ -2,6 +2,7 @@
 
 import hashlib
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -385,6 +386,26 @@ def test_read_predictions_names_the_bad_line(tmp_path, bad, why):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(ParseError, match=f"predictions.jsonl: line 3: {why}"):
         read_predictions(tmp_path)
+
+
+@pytest.mark.parametrize("field", ["posterior", "likelihood", "T_i", "resolved_loc"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_write_predictions_rejects_a_non_finite_value(tmp_path, field, value):
+    # JSON holds no NaN or infinity; json would write NaN or Infinity, which
+    # no JSON reader need accept. The error names the sighting and the field,
+    # and comes before the sidecar is written.
+    grid, model, state, obs, _ = _migration_fixture()
+    preds = sequential_infer(model, state, obs, grid=grid)
+    row = preds[2].posterior.copy()
+    row[1] = value
+    loc = Location(0.0, 0.0)
+    object.__setattr__(loc, "y", value)  # Location itself rejects a non-finite coordinate
+    changes = {"posterior": {"posterior": row}, "likelihood": {"likelihood": row},
+               "T_i": {"temperature_used": value}, "resolved_loc": {"resolved_location": loc}}
+    preds[2] = replace(preds[2], **changes[field])
+    with pytest.raises(ValueError, match=f"^prediction 'c': {field} is not finite"):
+        write_predictions(preds, tmp_path / "p", labels=model.labels, prior_kind=MIGRATING_LOCATION)
+    assert not (tmp_path / "p" / "predictions_meta.json").exists()
 
 
 def _k80_run(kind, per_sighting, grid):

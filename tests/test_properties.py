@@ -47,7 +47,7 @@ from idfusion.fusion import (
     LOG_SPACE_THRESHOLD,
     Prediction,
     fuse,
-    prediction_records,
+    prediction_lines,
     read_predictions,
     sequential_infer,
     write_predictions,
@@ -64,7 +64,8 @@ from idfusion.errors import SimulationError, SplitError
 from idfusion.simulate import SimConfig, generate
 
 from conftest import make_obs
-from oracles import cell_center_ref, cell_index_ref, numeric_pits_grad, reference_generate, top_entries
+from oracles import (cell_center_ref, cell_index_ref, numeric_pits_grad, prediction_records_ref,
+                     reference_generate, top_entries)
 
 settings.register_profile("properties", deadline=None, derandomize=True, database=None)
 settings.load_profile("properties")
@@ -675,6 +676,15 @@ def _predictions(draw):
     return predictions, labels
 
 
+# Floats on both sides of repr's switches to exponent form (below 1e-4 and
+# from 1e16 on), subnormals, and any other finite float.
+_repr_floats = st.one_of(
+    st.floats(1e-5, 1e-4), st.floats(-1e-4, -1e-5),
+    st.floats(min_value=1e16, allow_infinity=False), st.floats(max_value=-1e16, allow_infinity=False),
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308), any_float,
+)
+
+
 @st.composite
 def _top5_blocks(draw):
     # Small K with few distinct values puts ties at the 5th/6th rank, K <= 5
@@ -682,13 +692,13 @@ def _top5_blocks(draw):
     # two blocks of BLOCK_ROWS.
     k = draw(st.integers(1, 12))
     labels = tuple(draw(st.lists(st.integers(0, 10**6), min_size=k, max_size=k, unique=True)))
-    levels = st.sampled_from(draw(st.lists(any_float, min_size=3, max_size=3)))
+    levels = st.sampled_from(draw(st.lists(_repr_floats, min_size=3, max_size=3)))
     rows = st.one_of(
         _arrays(np.float64, k, elements=levels),
-        any_float.map(lambda v: np.full(k, v)),
+        _repr_floats.map(lambda v: np.full(k, v)),
         st.just(np.zeros(k)),
         _arrays(np.float64, k, elements=st.sampled_from([-0.0, 0.0])),
-        _vectors(k),
+        _arrays(np.float64, k, elements=_repr_floats),
     )
     n = draw(st.integers(1, 40))
     return draw(st.lists(rows, min_size=2 * n, max_size=2 * n)), labels
@@ -709,12 +719,41 @@ def test_block_top5_is_a_stable_sort(block):
                    prior=posterior, resolved_location=None, temperature_used=1.0)
         for i, (posterior, likelihood) in enumerate(zip(rows[::2], rows[1::2]))
     ]
-    records = list(prediction_records(predictions, labels, UNIFORM))
+    records = [json.loads(line) for line in prediction_lines(predictions, labels, UNIFORM)]
     assert len(records) == len(predictions)
     for pred, record in zip(predictions, records):
         # repr tells -0.0 from 0.0, which == does not.
         assert repr(record["posterior_top5"]) == repr(top_entries(pred.posterior, labels, 5))
         assert repr(record["likelihood_top5"]) == repr(top_entries(pred.likelihood, labels, 5))
+
+
+# A coordinate or a temperature may be an int, which json writes as one, or a
+# np.float64, whose own repr is not JSON.
+_numbers = st.one_of(_repr_floats, _repr_floats.map(np.float64), st.integers(-10**20, 10**20))
+
+
+@st.composite
+def _prediction_sets(draw):
+    rows, labels = draw(_top5_blocks())
+    # Quotes, backslashes, control characters, non-ASCII and lone surrogates.
+    obs_ids = st.text(st.characters(exclude_categories=()))
+    predictions = [
+        Prediction(obs_id=draw(obs_ids), predicted=draw(st.sampled_from(labels)),
+                   posterior=posterior, likelihood=likelihood, prior=posterior,
+                   resolved_location=draw(st.none() | st.builds(Location, _numbers, _numbers)),
+                   temperature_used=draw(_numbers),
+                   true_identity=draw(st.none() | st.integers(0, 10**6)))
+        for posterior, likelihood in zip(rows[::2], rows[1::2])
+    ]
+    return predictions, labels, draw(st.sampled_from(PRIOR_KINDS) | st.text())
+
+
+@given(_prediction_sets())
+def test_prediction_lines_are_the_json_text_of_the_reference_records(case):
+    predictions, labels, kind = case
+    encode = json.JSONEncoder(sort_keys=True).encode
+    expected = [encode(rec) + "\n" for rec in prediction_records_ref(predictions, labels, kind)]
+    assert list(prediction_lines(predictions, labels, kind)) == expected
 
 
 @given(_predictions(), prior_configs, train_configs)
@@ -724,7 +763,7 @@ def test_prediction_directory_rewrites_byte_identically(predictions_and_labels, 
 
     def rewrite(first, second):
         records, read_meta = read_predictions(first)
-        assert records == list(prediction_records(predictions, labels, pc.kind))
+        assert records == [json.loads(line) for line in prediction_lines(predictions, labels, pc.kind)]
         write_jsonl(second / "predictions.jsonl", records)
         write_json(second / "predictions_meta.json", read_meta)
 
