@@ -41,7 +41,7 @@ import numpy as np
 
 from .calibration import softmax, tempered_softmax
 from .classifier import PitsModel, features_from
-from .data import GridSpec, Location, Observation, read_json, read_jsonl, write_json
+from .data import GridSpec, Location, Observation, json_rows, read_json, read_jsonl, write_json
 from .priors import (
     MIGRATING_LOCATION,
     TIME_DECAY,
@@ -245,10 +245,9 @@ def prediction_lines(predictions: Sequence[Prediction], labels: tuple[int, ...],
     rides along so a scorer can compute calibration without rerunning inference. ValueError
     naming the obs_id and the field on a NaN or an infinity, which JSON cannot hold."""
     # json's separators, keys in sorted order.
-    record = ('{"T_i": %s, "likelihood_top5": [%s], "obs_id": %s, "posterior_top5": [%s], '
+    record = ('{"T_i": %s, "likelihood_top5": %s, "obs_id": %s, "posterior_top5": %s, '
               '"predicted": %d, "prior_kind": %s, "resolved_loc": %s, "true": %s}\n')
     label_of, quote = np.array(labels, dtype=object), json.encoder.encode_basestring_ascii
-    pairs = ", ".join(["[%d, %r]"] * min(len(labels), 5))
     for start in range(0, len(predictions), BLOCK_ROWS):
         chunk = predictions[start : start + BLOCK_ROWS]
         rows = np.array([p.posterior for p in chunk] + [p.likelihood for p in chunk], dtype=np.float64)
@@ -267,8 +266,7 @@ def prediction_lines(predictions: Sequence[Prediction], labels: tuple[int, ...],
             # A tie at the cut leaves the partition's choice open.
             redo = top[:, 1:].min(axis=1) == top[:, 0]
             order[redo] = np.argsort(-rows[redo], axis=1, kind="stable")[:, :5]
-        flat = np.stack((label_of[order], np.take_along_axis(rows, order, axis=1)), axis=2)
-        tops = [pairs % tuple(row) for row in flat.reshape(len(rows), -1).tolist()]
+        tops = json_rows(np.take_along_axis(rows, order, axis=1), label_of[order])
         for pred, posterior_top5, likelihood_top5 in zip(chunk, tops, tops[len(chunk):]):
             loc, true = pred.resolved_location, pred.true_identity
             where = "null" if loc is None else "[%s, %s]" % (

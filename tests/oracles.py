@@ -6,10 +6,11 @@
 # package and these disagree, the package is wrong until proven otherwise.
 # Two exceptions: the reference simulator, which must draw from numpy's
 # generator because the bytes it pins come from that stream, and the
-# prediction record builder at the end, kept as the dicts whose json text
-# every prediction line must equal byte for byte.
+# dataset and prediction record builders at the end, kept as the dicts whose
+# json text every written line must equal byte for byte.
 
 import cmath
+import json
 import math
 
 import numpy as np
@@ -293,9 +294,36 @@ def reference_generate(config):
 
 
 # ---------------------------------------------------------------------------
+# json's text of records: what every JSONL file the package writes must hold.
+# ---------------------------------------------------------------------------
+
+json_text_ref = json.JSONEncoder(sort_keys=True).encode
+
+
+def jsonl_ref(records):
+    """json's text of each record, keys sorted, one record per line."""
+    return "".join(json_text_ref(rec) + "\n" for rec in records)
+
+
+def observation_record_ref(obs):
+    """An observation's record in ``observations.jsonl``, with no split key when it has none."""
+    rec = {
+        "obs_id": obs.obs_id,
+        "identity": int(obs.identity),
+        "fg": obs.fg_features.tolist(),
+        "bg": obs.bg_features.tolist(),
+        "loc": [float(obs.location.x), float(obs.location.y)],
+        "t": float(obs.timestamp),
+    }
+    if obs.split is not None:
+        rec["split"] = obs.split
+    return rec
+
+
+# ---------------------------------------------------------------------------
 # Prediction records as dicts, 32 predictions at a time, each top 5 a stable
-# sort of its row. ``json.JSONEncoder(sort_keys=True).encode`` of each is the
-# line ``fusion.prediction_lines`` writes.
+# sort of its row. ``json_text_ref`` of each is the line
+# ``fusion.prediction_lines`` writes.
 # ---------------------------------------------------------------------------
 
 

@@ -9,6 +9,7 @@ import pytest
 from idfusion.data import (
     TEST,
     TRAIN,
+    WRITE_ROWS,
     Dataset,
     GridSpec,
     IdentityCatalog,
@@ -26,7 +27,7 @@ from idfusion.errors import ParseError, SchemaError
 from idfusion.simulate import SimConfig, generate
 
 from conftest import make_obs, tiny_dataset
-from oracles import cell_center_ref
+from oracles import cell_center_ref, jsonl_ref, observation_record_ref
 
 
 def test_location_rejects_non_finite():
@@ -283,6 +284,28 @@ def test_observations_jsonl_round_trip(tmp_path, grid2x2):
     lines = (tmp_path / "d" / "observations.jsonl").read_text().splitlines()
     assert [json.loads(line)["obs_id"] for line in lines] == [o.obs_id for o in ds.observations]
     assert list(load_dataset(tmp_path / "d").observations) == list(ds.observations)
+
+
+# orjson writes repr's digits for 0 and magnitudes in [1e-4, 1e16); these sit on both
+# sides of that range's edges, so some rows take orjson's text and some json's.
+_EDGE_FEATURES = [1e-4, float(np.nextafter(1e-4, 0)), 1e16, float(np.nextafter(1e16, 0)), 5e-324,
+                  2.2250738585072014e-308, -0.0, 0.0, 3.0, 0.1]
+
+
+@pytest.mark.parametrize("n", [WRITE_ROWS - 1, WRITE_ROWS, WRITE_ROWS + 1])
+def test_save_dataset_writes_the_json_text_of_each_record(tmp_path, grid2x2, n):
+    edges = np.array(_EDGE_FEATURES + [-v for v in _EDGE_FEATURES])
+    obs_ids = ["o{}", "\u00f8{}", "\ud800{}", 'q"\\\n{}']  # non-ASCII, a lone surrogate, escapes
+    observations = [
+        make_obs(obs_ids[i % 4].format(i), i % 3, i + 1 if i % 5 else i + 0.5, Location(i % 10, 2.5),
+                 fg=np.roll(edges, i)[:4] if i % 2 else np.full(4, 0.5 + i),
+                 bg=np.roll(edges, -i)[:3], split=(TRAIN, TEST, None)[i % 3])
+        for i in range(n)
+    ]
+    # Built directly, so the observations without a split are written as they are.
+    save_dataset(Dataset(tuple(observations), grid2x2, 3, (4, 3)), tmp_path)
+    expected = jsonl_ref(map(observation_record_ref, observations))
+    assert (tmp_path / "observations.jsonl").read_bytes() == expected.encode("ascii")
 
 
 def test_load_observations_reports_line_number(tmp_path, grid2x2):

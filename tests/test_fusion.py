@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from idfusion import fusion
 from idfusion.classifier import PitsModel
 from idfusion.data import GridSpec, Location
 from idfusion.errors import ParseError
@@ -27,7 +28,7 @@ from idfusion.priors import (
 )
 
 from conftest import make_obs
-from oracles import brute_force_sequential, cell_center_ref
+from oracles import brute_force_sequential, cell_center_ref, jsonl_ref, prediction_records_ref
 
 
 def _plain_model(W, b_T=-40.0, labels=None):
@@ -390,10 +391,18 @@ def test_read_predictions_names_the_bad_line(tmp_path, bad, why):
 
 @pytest.mark.parametrize("field", ["posterior", "likelihood", "T_i", "resolved_loc"])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-def test_write_predictions_rejects_a_non_finite_value(tmp_path, field, value):
+def test_write_predictions_rejects_a_non_finite_value(tmp_path, monkeypatch, field, value):
     # JSON holds no NaN or infinity; json would write NaN or Infinity, which
-    # no JSON reader need accept. The error names the sighting and the field,
-    # and comes before the sidecar is written.
+    # no JSON reader need accept, and orjson null. The error names the sighting
+    # and the field, and comes before the sidecar is written and before any
+    # non-finite value reaches the number formatter.
+    kernel = fusion.json_rows
+
+    def finite_only(values, labels=None):
+        assert np.isfinite(values).all()
+        return kernel(values, labels)
+
+    monkeypatch.setattr(fusion, "json_rows", finite_only)
     grid, model, state, obs, _ = _migration_fixture()
     preds = sequential_infer(model, state, obs, grid=grid)
     row = preds[2].posterior.copy()
@@ -406,6 +415,21 @@ def test_write_predictions_rejects_a_non_finite_value(tmp_path, field, value):
     with pytest.raises(ValueError, match=f"^prediction 'c': {field} is not finite"):
         write_predictions(preds, tmp_path / "p", labels=model.labels, prior_kind=MIGRATING_LOCATION)
     assert not (tmp_path / "p" / "predictions_meta.json").exists()
+
+
+def test_a_label_orjson_refuses_is_written_as_json_writes_it(tmp_path):
+    # orjson raises on an int outside [-2**63, 2**64); those rows are formatted as json does.
+    labels = (2**64, 3, -2**63 - 1)
+    model = _plain_model([[2.0, 0.0], [0.0, 2.0], [1.5, 1.5]], labels=labels)
+    state = PriorState(labels=labels, home_xy=np.zeros((3, 2)), last_loc_xy=np.zeros((3, 2)),
+                       last_seen=np.zeros(3), config=PriorConfig(kind=UNIFORM))
+    obs = [make_obs(f"o{i}", 0, i + 1.0, Location(1.0, 1.0), fg=([3, 0], [0, 3], [1, 1])[i % 3])
+           for i in range(40)]
+    preds = sequential_infer(model, state, obs)
+    assert {p.predicted for p in preds} == set(labels)
+    write_predictions(preds, tmp_path, labels=labels, prior_kind=UNIFORM)
+    expected = jsonl_ref(prediction_records_ref(preds, labels, UNIFORM))
+    assert (tmp_path / "predictions.jsonl").read_text(encoding="utf-8") == expected
 
 
 def _k80_run(kind, per_sighting, grid):

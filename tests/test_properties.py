@@ -34,12 +34,12 @@ from idfusion.data import (
     GridSpec,
     Location,
     from_fields,
+    json_rows,
     load_dataset,
     read_json,
     read_jsonl,
     save_dataset,
     write_json,
-    write_jsonl,
 )
 from idfusion.evaluation import ExperimentReport, load_report, save_report
 from idfusion.fusion import (
@@ -64,8 +64,8 @@ from idfusion.errors import SimulationError, SplitError
 from idfusion.simulate import SimConfig, generate
 
 from conftest import make_obs
-from oracles import (cell_center_ref, cell_index_ref, numeric_pits_grad, prediction_records_ref,
-                     reference_generate, top_entries)
+from oracles import (cell_center_ref, cell_index_ref, json_text_ref, jsonl_ref, numeric_pits_grad,
+                     prediction_records_ref, reference_generate, top_entries)
 
 settings.register_profile("properties", deadline=None, derandomize=True, database=None)
 settings.load_profile("properties")
@@ -580,16 +580,70 @@ def _assert_same_json(got, expected):
 @given(_json_objects, st.lists(_json_objects, max_size=4))
 def test_readers_decode_what_the_writers_wrote_as_json_does(obj, records):
     # orjson decodes every file; json takes over only for what orjson refuses.
-    # On what the writers write, the two agree bit for bit and key for key.
+    # On what the writers write, json's text (the JSONL writers' bytes are checked
+    # against jsonl_ref), the two agree bit for bit and key for key.
     with tempfile.TemporaryDirectory() as tmp:
         whole, lines = Path(tmp, "x.json"), Path(tmp, "x.jsonl")
         write_json(whole, obj)
-        write_jsonl(lines, records)
+        lines.write_text(jsonl_ref(records), encoding="utf-8")
         _assert_same_json(read_json(whole), json.loads(whole.read_text(encoding="utf-8")))
         expected = [json.loads(line) for line in lines.read_text(encoding="utf-8").splitlines()]
         got = list(read_jsonl(lines))
         assert [n for n, _ in got] == list(range(1, len(records) + 1))
         _assert_same_json([rec for _, rec in got], expected)
+
+
+def _float_of(bits):
+    return float(np.uint64(bits).view(np.float64))
+
+
+_bits_of = {v: int(np.float64(v).view(np.uint64)) for v in (1e-4, 1e16)}
+# The edges of the magnitudes [1e-4, 1e16) where orjson writes repr's digits, the
+# smallest subnormal and normal doubles, and both zeros.
+_EDGE_FLOATS = (1e-4, _float_of(_bits_of[1e-4] - 1), 1e16, _float_of(_bits_of[1e16] - 1),
+                5e-324, 2.2250738585072014e-308, -0.0, 0.0)
+# Doubles of that range drawn by bit pattern, of either sign, and zeros: rows of
+# these go through orjson.
+_plain_floats = st.one_of(
+    st.builds(lambda bits, sign: sign * _float_of(bits),
+              st.integers(_bits_of[1e-4], _bits_of[1e16] - 1), st.sampled_from([1.0, -1.0])),
+    st.sampled_from([0.0, -0.0]),
+)
+_row_floats = st.one_of(
+    _any_finite, _plain_floats, st.sampled_from(_EDGE_FLOATS),
+    st.sampled_from(_EDGE_FLOATS).map(lambda v: -v),
+    st.integers(-10**17, 10**17).map(float),  # integer-valued, on both sides of 1e16
+)
+
+
+@st.composite
+def _json_row_cases(draw):
+    n, m = draw(st.one_of(st.tuples(st.just(1), st.integers(1, 40)),
+                          st.tuples(st.integers(1, 40), st.just(1)),
+                          st.tuples(st.integers(1, 8), st.integers(1, 8))))
+    # Each row all orjson's, or drawn from every finite double.
+    rows = [draw(st.lists(draw(st.sampled_from([_plain_floats, _row_floats])), min_size=m, max_size=m))
+            for _ in range(n)]
+    # Ints orjson writes, or, in some cases, also ones outside [-2**63, 2**64) that it refuses.
+    ints = st.integers(-2**63, 2**64 - 1)
+    ints = draw(st.sampled_from([ints, ints | st.sampled_from([2**64, -2**63 - 1, 10**30])]))
+    labels = draw(st.none() | st.lists(st.lists(ints, min_size=m, max_size=m), min_size=n, max_size=n))
+    return rows, labels
+
+
+@example(([list(_EDGE_FLOATS) + [-v for v in _EDGE_FLOATS]], None))
+@example(([[v] for v in _EDGE_FLOATS + tuple(-v for v in _EDGE_FLOATS)], None))
+@example(([[1.5, 1e-05]], [[2**64, 3]]))
+@given(_json_row_cases())
+def test_json_rows_are_json_text(case):
+    rows, labels = case
+    values = np.array(rows, dtype=np.float64)
+    if labels is None:
+        expected = [json_text_ref(row) for row in rows]
+        assert json_rows(values) == expected
+    else:
+        expected = [json_text_ref([[k, v] for k, v in zip(*pair)]) for pair in zip(labels, rows)]
+        assert json_rows(values, np.array(labels, dtype=object)) == expected
 
 
 @st.composite
@@ -751,8 +805,7 @@ def _prediction_sets(draw):
 @given(_prediction_sets())
 def test_prediction_lines_are_the_json_text_of_the_reference_records(case):
     predictions, labels, kind = case
-    encode = json.JSONEncoder(sort_keys=True).encode
-    expected = [encode(rec) + "\n" for rec in prediction_records_ref(predictions, labels, kind)]
+    expected = [json_text_ref(rec) + "\n" for rec in prediction_records_ref(predictions, labels, kind)]
     assert list(prediction_lines(predictions, labels, kind)) == expected
 
 
@@ -764,7 +817,7 @@ def test_prediction_directory_rewrites_byte_identically(predictions_and_labels, 
     def rewrite(first, second):
         records, read_meta = read_predictions(first)
         assert records == [json.loads(line) for line in prediction_lines(predictions, labels, pc.kind)]
-        write_jsonl(second / "predictions.jsonl", records)
+        (second / "predictions.jsonl").write_text(jsonl_ref(records), encoding="utf-8")
         write_json(second / "predictions_meta.json", read_meta)
 
     _rewrite_is_stable(lambda d: write_predictions(predictions, d, labels, pc.kind, meta), rewrite)
