@@ -24,8 +24,8 @@ logits. ``fuse_rows`` is the one fusion kernel, for a block, a row and
 block, and the error state that lets a lost row take log(0) is set once per
 call, not once per row.
 
-Records are written afterwards as json's text, straight from ``BLOCK_ROWS``-row
-arrays with each top 5 exact down to ties, so single-sighting callers never pay.
+Records are written afterwards as json's text, ``BLOCK_ROWS`` predictions at a time, so
+single-sighting callers never pay; :func:`prediction_lines` tells how.
 """
 
 from __future__ import annotations
@@ -231,23 +231,31 @@ def sequential_infer(
 # ---------------------------------------------------------------------------
 
 
-def _number(value: float, pred: Prediction, field: str) -> str:
-    """json's text for a finite int or float: float.__repr__ for a float, np.float64
-    included, whose own repr is not JSON."""
-    if not math.isfinite(value):
-        raise ValueError(f"prediction {pred.obs_id!r}: {field} is not finite: {value!r}")
-    return float.__repr__(value) if isinstance(value, float) else json.dumps(value)
+def _numbers(pred: Prediction) -> tuple[str, str]:
+    """json's text of ``T_i`` and of ``resolved_loc``, a value at a time and the location first:
+    float.__repr__ for a float, np.float64 included, whose own repr is not JSON."""
+    loc, text = pred.resolved_location, []
+    fields = [] if loc is None else [("resolved_loc", loc.x), ("resolved_loc", loc.y)]
+    for field, value in fields + [("T_i", pred.temperature_used)]:
+        if not math.isfinite(value):
+            raise ValueError(f"prediction {pred.obs_id!r}: {field} is not finite: {value!r}")
+        text.append(float.__repr__(value) if isinstance(value, float) else json.dumps(value))
+    return text[-1], "null" if loc is None else "[%s, %s]" % tuple(text[:2])
 
 
 def prediction_lines(predictions: Sequence[Prediction], labels: tuple[int, ...],
                      prior_kind: str) -> Iterator[str]:
     """Each prediction's record as the line json writes, as stored and as scored; likelihood_top5
     rides along so a scorer can compute calibration without rerunning inference. ValueError
-    naming the obs_id and the field on a NaN or an infinity, which JSON cannot hold."""
+    naming the obs_id and the field on a NaN or an infinity, which JSON cannot hold, after the
+    lines before it. The top 5 are ``min(K, 5)`` argmax rounds over a stacked copy, each pick then
+    set to -inf: argmax takes the first maximum, so ties go to the lower label as a stable sort
+    puts them, -0.0 included. A chunk's numbers, when all are finite ``float``s, take one call."""
     # json's separators, keys in sorted order.
     record = ('{"T_i": %s, "likelihood_top5": %s, "obs_id": %s, "posterior_top5": %s, '
               '"predicted": %d, "prior_kind": %s, "resolved_loc": %s, "true": %s}\n')
     label_of, quote = np.array(labels, dtype=object), json.encoder.encode_basestring_ascii
+    kind = quote(prior_kind)
     for start in range(0, len(predictions), BLOCK_ROWS):
         chunk = predictions[start : start + BLOCK_ROWS]
         rows = np.array([p.posterior for p in chunk] + [p.likelihood for p in chunk], dtype=np.float64)
@@ -256,23 +264,25 @@ def prediction_lines(predictions: Sequence[Prediction], labels: tuple[int, ...],
             half, i = divmod(int(finite.argmin()), len(chunk))  # posteriors, then likelihoods
             field = ("posterior", "likelihood")[half]
             raise ValueError(f"prediction {chunk[i].obs_id!r}: {field} is not finite")
-        if rows.shape[1] <= 5:
-            order = np.argsort(-rows, axis=1, kind="stable")
+        every = np.arange(len(rows))
+        order = np.empty((len(rows), min(rows.shape[1], 5)), dtype=np.intp)
+        top = np.empty(order.shape)
+        for j in range(order.shape[1]):
+            picked = order[:, j] = rows.argmax(axis=1)
+            top[:, j] = rows[every, picked]
+            rows[every, picked] = -np.inf
+        tops = json_rows(top, label_of[order])
+        values = [v for p in chunk if (loc := p.resolved_location) is not None
+                  for v in (p.temperature_used, loc.x, loc.y)]
+        if len(values) == 3 * len(chunk) and set(map(type, values)) == {float} \
+                and math.isfinite(sum(values)):  # inf or NaN if any term is, or on overflow
+            text = json_rows(np.array(values)[None])[0][1:-1].split(", ")
+            numbers = zip(text[::3], map("[%s, %s]".__mod__, zip(text[1::3], text[2::3])))
         else:
-            # Columns 1-5 hold the top 5 in any order, column 0 the 6th largest.
-            part = np.argpartition(rows, -6, axis=1)[:, -6:]
-            top = np.take_along_axis(rows, part, axis=1)
-            order = np.take_along_axis(part[:, 1:], np.lexsort((part[:, 1:], -top[:, 1:])), axis=1)
-            # A tie at the cut leaves the partition's choice open.
-            redo = top[:, 1:].min(axis=1) == top[:, 0]
-            order[redo] = np.argsort(-rows[redo], axis=1, kind="stable")[:, :5]
-        tops = json_rows(np.take_along_axis(rows, order, axis=1), label_of[order])
-        for pred, posterior_top5, likelihood_top5 in zip(chunk, tops, tops[len(chunk):]):
-            loc, true = pred.resolved_location, pred.true_identity
-            where = "null" if loc is None else "[%s, %s]" % (
-                _number(loc.x, pred, "resolved_loc"), _number(loc.y, pred, "resolved_loc"))
-            yield record % (_number(pred.temperature_used, pred, "T_i"), likelihood_top5,
-                            quote(pred.obs_id), posterior_top5, pred.predicted, quote(prior_kind),
+            numbers = map(_numbers, chunk)
+        for pred, posterior, likelihood, (t_i, where) in zip(chunk, tops, tops[len(chunk):], numbers):
+            true = pred.true_identity
+            yield record % (t_i, likelihood, quote(pred.obs_id), posterior, pred.predicted, kind,
                             where, "null" if true is None else "%d" % true)
 
 

@@ -317,6 +317,26 @@ def test_load_observations_reports_line_number(tmp_path, grid2x2):
     assert "observations.jsonl: line 7" in str(err.value)
 
 
+@pytest.mark.parametrize("key, value, words", [
+    # orjson refuses NaN, so this line is read through json's fallback.
+    ("fg", [0.25, float("nan"), 0.25], "feature vectors must contain only finite values"),
+    ("identity", -1, "identity label must be non-negative"),
+    ("t", 0.0, "timestamp must be strictly positive, got 0.0"),
+    ("split", "val", "split must be 'train', 'test', or absent"),
+])
+def test_load_dataset_names_the_file_the_line_and_the_sighting(tmp_path, grid2x2, key, value, words):
+    save_dataset(tiny_dataset(grid2x2), tmp_path / "d")
+    path = tmp_path / "d" / "observations.jsonl"
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[2])
+    rec[key] = value
+    lines[2] = json.dumps(rec, sort_keys=True)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as err:
+        load_dataset(tmp_path / "d")
+    assert str(err.value) == f"{path}: line 3: {rec['obs_id']}: {words}"
+
+
 def test_load_observations_rejects_dim_drift(tmp_path, grid2x2):
     ds = tiny_dataset(grid2x2)
     save_dataset(ds, tmp_path / "d")

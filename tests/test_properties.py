@@ -42,6 +42,7 @@ from idfusion.data import (
     write_json,
 )
 from idfusion.evaluation import ExperimentReport, load_report, save_report
+from idfusion import fusion
 from idfusion.fusion import (
     BLOCK_ROWS,
     LOG_SPACE_THRESHOLD,
@@ -53,7 +54,9 @@ from idfusion.fusion import (
     write_predictions,
 )
 from idfusion.priors import (
+    HOME_LOCATION,
     LOCATION_SOURCES,
+    MIGRATING_LOCATION,
     PRIOR_KINDS,
     UNIFORM,
     PriorConfig,
@@ -445,6 +448,38 @@ def test_permuting_the_label_order_keeps_winners_and_posteriors(kind, k, data):
         assert np.max(np.abs(q.posterior - p.posterior[perm])) <= 1e-12
 
 
+def _moved(start, obs, move):
+    """The start and the stream with ``move`` applied to every home, anchor and capture."""
+    homes, last_seen, config = start
+    moved = [replace(o, location=Location(*move(np.array([o.location.x, o.location.y])).tolist()))
+             for o in obs]
+    return (move(homes), last_seen, config), moved
+
+
+def _swap_axes(xy):
+    return xy[..., ::-1].copy()
+
+
+@pytest.mark.parametrize("kind, k", [(kind, k) for kind in (HOME_LOCATION, MIGRATING_LOCATION)
+                                     for k in (5, 80)])
+@settings(max_examples=25)
+@given(data=st.data())
+def test_swapping_the_axes_or_shifting_by_a_power_of_two_moves_no_bit(kind, k, data):
+    # The spatial priors read only distances. Swapping x and y keeps each one,
+    # since hypot is symmetric; so does adding a power of two to every
+    # coordinate when all are multiples of 2**-6, since each sum and each
+    # difference is then exact. The anchors a run leaves move by the same map.
+    model, start, obs = data.draw(_streams(kind, k))
+    start, obs = _moved(start, obs, lambda xy: np.round(xy * 64.0) / 64.0)
+    shift = data.draw(st.sampled_from([-1.0, 1.0])) * 2.0 ** data.draw(st.integers(-6, 30))
+    whole = _infer_counting(model, start, [obs])
+    for move, back in ((_swap_axes, _swap_axes), (lambda xy: xy + shift, lambda xy: xy - shift)):
+        moved_start, moved_obs = _moved(start, obs, move)
+        preds, state, fallbacks = _infer_counting(model, moved_start, [moved_obs])
+        state.last_loc_xy = back(state.last_loc_xy)
+        _assert_same_bits(whole, (preds, state, fallbacks))
+
+
 # ---------------------------------------------------------------------------
 # Byte-stable JSON round trips: write, read, write again, same bytes.
 # ---------------------------------------------------------------------------
@@ -754,7 +789,7 @@ def _top5_blocks(draw):
         _arrays(np.float64, k, elements=st.sampled_from([-0.0, 0.0])),
         _arrays(np.float64, k, elements=_repr_floats),
     )
-    n = draw(st.integers(1, 40))
+    n = draw(st.integers(1, 40) | st.integers(BLOCK_ROWS - 1, BLOCK_ROWS + 2))
     return draw(st.lists(rows, min_size=2 * n, max_size=2 * n)), labels
 
 
@@ -784,29 +819,75 @@ def test_block_top5_is_a_stable_sort(block):
 # A coordinate or a temperature may be an int, which json writes as one, or a
 # np.float64, whose own repr is not JSON.
 _numbers = st.one_of(_repr_floats, _repr_floats.map(np.float64), st.integers(-10**20, 10**20))
+_not_floats = st.one_of(_repr_floats.map(np.float64), st.integers(-10**20, 10**20))
 
 
 @st.composite
 def _prediction_sets(draw):
+    """Predictions with any obs_id and any numbers. Numbers drawn one by one are
+    rarely all floats across a chunk, the case that ``prediction_lines``
+    formats in one call, so some draws make every number a float (exponent
+    forms included or not), and others then break that rule in one record:
+    an int, a np.float64 or a missing location."""
     rows, labels = draw(_top5_blocks())
+    n = len(rows) // 2
+    shape = draw(st.sampled_from(["any", "floats", "one breaks"]))
+    odd = draw(st.integers(0, n - 1)) if shape == "one breaks" else None
+    # Floats that orjson writes as repr does, alone or mixed with exponent forms.
+    plain = st.floats(1e-4, 1e16, exclude_max=True) | st.floats(-1e16, -1e-4, exclude_min=True)
+    some_floats = draw(st.sampled_from([plain, plain | _repr_floats]))
+    floats = st.builds(Location, some_floats, some_floats)
+    breaking = st.sampled_from(["T_i", "x", "y", "missing"])
     # Quotes, backslashes, control characters, non-ASCII and lone surrogates.
     obs_ids = st.text(st.characters(exclude_categories=()))
-    predictions = [
-        Prediction(obs_id=draw(obs_ids), predicted=draw(st.sampled_from(labels)),
-                   posterior=posterior, likelihood=likelihood, prior=posterior,
-                   resolved_location=draw(st.none() | st.builds(Location, _numbers, _numbers)),
-                   temperature_used=draw(_numbers),
-                   true_identity=draw(st.none() | st.integers(0, 10**6)))
-        for posterior, likelihood in zip(rows[::2], rows[1::2])
-    ]
+    predictions = []
+    for i, (posterior, likelihood) in enumerate(zip(rows[::2], rows[1::2])):
+        if shape == "any":
+            location = draw(st.none() | st.builds(Location, _numbers, _numbers))
+            temperature = draw(_numbers)
+        else:
+            location, temperature = draw(floats), draw(some_floats)
+        if i == odd:
+            part = draw(breaking)
+            if part == "T_i":
+                temperature = draw(_not_floats)
+            elif part == "missing":
+                location = None
+            else:
+                location = replace(location, **{part: draw(_not_floats)})
+        predictions.append(
+            Prediction(obs_id=draw(obs_ids), predicted=draw(st.sampled_from(labels)),
+                       posterior=posterior, likelihood=likelihood, prior=posterior,
+                       resolved_location=location, temperature_used=temperature,
+                       true_identity=draw(st.none() | st.integers(0, 10**6))))
     return predictions, labels, draw(st.sampled_from(PRIOR_KINDS) | st.text())
 
 
-@given(_prediction_sets())
-def test_prediction_lines_are_the_json_text_of_the_reference_records(case):
-    predictions, labels, kind = case
-    expected = [json_text_ref(rec) + "\n" for rec in prediction_records_ref(predictions, labels, kind)]
-    assert list(prediction_lines(predictions, labels, kind)) == expected
+def test_prediction_lines_are_the_json_text_of_the_reference_records(monkeypatch):
+    # Also counts the chunks whose numbers took one json_rows call, by whether
+    # they held a float that repr writes in exponent form.
+    kernel, reached = fusion.json_rows, Counter()
+
+    def counting(values, labels=None):
+        if labels is None:
+            magnitude = np.abs(values)
+            exponent = ((magnitude < 1e-4) & (magnitude > 0) | (magnitude >= 1e16)).any()
+            reached["exponent form" if exponent else "plain"] += 1
+        return kernel(values, labels)
+
+    monkeypatch.setattr(fusion, "json_rows", counting)
+
+    @given(_prediction_sets())
+    def check(case):
+        predictions, labels, kind = case
+        before = [(p.posterior.tobytes(), p.likelihood.tobytes()) for p in predictions]
+        expected = [json_text_ref(rec) + "\n" for rec in prediction_records_ref(predictions, labels, kind)]
+        assert list(prediction_lines(predictions, labels, kind)) == expected
+        # The top-5 rounds mask a stacked copy, never a prediction's own rows.
+        assert [(p.posterior.tobytes(), p.likelihood.tobytes()) for p in predictions] == before
+
+    check()
+    assert reached["plain"] > 0 and reached["exponent form"] > 0, reached
 
 
 @given(_predictions(), prior_configs, train_configs)
