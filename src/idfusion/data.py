@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import reprlib
 from collections import Counter
 from dataclasses import asdict, dataclass, fields
@@ -38,7 +39,7 @@ WRITE_ROWS = 256
 
 @dataclass(frozen=True)
 class Location:
-    """Point in kilometers east (x) and north (y) of the grid origin."""
+    """Point in kilometers east (x) and north (y) of the grid origin, each stored as a finite float."""
 
     x: float
     y: float
@@ -46,14 +47,17 @@ class Location:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError(f"location coordinates must be finite, got ({self.x}, {self.y})")
+        object.__setattr__(self, "x", float(self.x))
+        object.__setattr__(self, "y", float(self.y))
 
 
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform geospatial grid covering the whole monitored region.
 
-    Cells are indexed row-major: index = row * n_cells_x + col, with col
-    counting eastwards from the origin and row counting northwards.
+    Cells are indexed row-major: index = row * n_cells_x + col, with col counting
+    eastwards from the origin and row counting northwards. The cell size is stored
+    as a float and the cell counts as ints, the JSON types the grid reads back.
     """
 
     origin: Location
@@ -63,6 +67,9 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         check_finite(self, positive=("cell_size_km",))
+        object.__setattr__(self, "cell_size_km", float(self.cell_size_km))
+        for name in ("n_cells_x", "n_cells_y"):
+            object.__setattr__(self, name, _index(getattr(self, name), "grid", name))
         if self.n_cells_x < 1 or self.n_cells_y < 1:
             raise ValueError("grid must have at least one cell per axis")
 
@@ -76,8 +83,7 @@ class GridSpec:
         null), mistyped or out-of-range key."""
         _GRID.check({**dict.fromkeys(_GRID.tests), **d}, what, SchemaError)
         try:
-            return cls(Location(*map(float, d["origin"])), float(d["cell_size_km"]),
-                       d["n_cells_x"], d["n_cells_y"])
+            return cls(Location(*d["origin"]), d["cell_size_km"], d["n_cells_x"], d["n_cells_y"])
         except (OverflowError, ValueError) as exc:
             raise SchemaError(f"{what}: {exc}") from exc
 
@@ -117,6 +123,14 @@ class GridSpec:
                          self.origin.y + (row + 0.5) * self.cell_size_km], axis=-1)
 
 
+def _index(value: Any, where: str, what: str) -> int:
+    """``value`` as an int, np.int64 included; ValueError naming ``where`` and ``what`` if not."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{where}: {what} must be an integer, got {value!r}") from None
+
+
 def _read_only_copy(values) -> np.ndarray:
     # The observation owns its features: a caller's later write to the array
     # it passed in, or a write through the attribute, cannot reach them.
@@ -129,6 +143,7 @@ def _read_only_copy(values) -> np.ndarray:
 class Observation:
     """One sighting: features, capture location, capture time, identity label.
 
+    The identity is stored as an ``int`` and the timestamp as a ``float``.
     The feature vectors are read-only float64 copies of what was passed in.
     A simulated observation instead holds read-only rows of its dataset's
     private feature matrices, which nothing else can write.
@@ -154,10 +169,13 @@ class Observation:
         self._check_scalars()
 
     def _check_scalars(self) -> None:
-        if self.identity < 0:
+        identity = _index(self.identity, self.obs_id, "identity label")
+        if identity < 0:
             raise ValueError(f"{self.obs_id}: identity label must be non-negative")
         if not (self.timestamp > 0 and math.isfinite(self.timestamp)):
             raise ValueError(f"{self.obs_id}: timestamp must be strictly positive, got {self.timestamp}")
+        object.__setattr__(self, "identity", identity)
+        object.__setattr__(self, "timestamp", float(self.timestamp))
         if self.split not in (None, TRAIN, TEST):
             raise ValueError(f"{self.obs_id}: split must be 'train', 'test', or absent")
 
@@ -550,7 +568,7 @@ def _observation_from(rec: dict, lineno: int, path: Path) -> Observation:
         values = (*_required_fields(rec), rec.get("split"))
         _RECORD.check_values(values)
         obs_id, identity, fg, bg, (x, y), t, split = values
-        return Observation(obs_id, identity, fg, bg, Location(float(x), float(y)), float(t), split)
+        return Observation(obs_id, identity, fg, bg, Location(x, y), t, split)
     except KeyError as exc:
         raise ParseError(f"{path}: line {lineno}: record has no {exc.args[0]!r}") from exc
     except (OverflowError, ValueError) as exc:
@@ -569,9 +587,8 @@ def save_dataset(dataset: Dataset, directory: str | Path, extra_meta: Mapping | 
             chunk = observations[start : start + WRITE_ROWS]
             # The feature text is held by the generator alone, so it is freed before the next chunk's.
             fh.writelines(
-                record % (b, f, o.identity, float(o.location.x), float(o.location.y),
-                          quote(o.obs_id), "" if o.split is None else '"split": %s, ' % quote(o.split),
-                          float(o.timestamp))
+                record % (b, f, o.identity, o.location.x, o.location.y, quote(o.obs_id),
+                          "" if o.split is None else '"split": %s, ' % quote(o.split), o.timestamp)
                 for o, f, b in zip(chunk, json_rows(np.array([o.fg_features for o in chunk])),
                                    json_rows(np.array([o.bg_features for o in chunk])))
             )

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -71,6 +70,8 @@ class Prediction:
 
     ``posterior``, ``likelihood`` and ``prior`` are rows of three arrays
     shared by the predictions of one block of ``sequential_infer``.
+    ``resolved_location`` is the capture location the spatial priors read,
+    ``temperature_used`` the sighting's T_i and ``true_identity`` its label.
     """
 
     obs_id: str
@@ -78,14 +79,12 @@ class Prediction:
     posterior: np.ndarray
     likelihood: np.ndarray
     prior: np.ndarray
-    resolved_location: Location | None
+    resolved_location: Location
     temperature_used: float
-    true_identity: int | None = None
+    true_identity: int
 
     @property
-    def correct(self) -> bool | None:
-        if self.true_identity is None:
-            return None
+    def correct(self) -> bool:
         return self.predicted == self.true_identity
 
 
@@ -231,38 +230,30 @@ def sequential_infer(
 # ---------------------------------------------------------------------------
 
 
-def _numbers(pred: Prediction) -> tuple[str, str]:
-    """json's text of ``T_i`` and of ``resolved_loc``, a value at a time and the location first:
-    float.__repr__ for a float, np.float64 included, whose own repr is not JSON."""
-    loc, text = pred.resolved_location, []
-    fields = [] if loc is None else [("resolved_loc", loc.x), ("resolved_loc", loc.y)]
-    for field, value in fields + [("T_i", pred.temperature_used)]:
-        if not math.isfinite(value):
-            raise ValueError(f"prediction {pred.obs_id!r}: {field} is not finite: {value!r}")
-        text.append(float.__repr__(value) if isinstance(value, float) else json.dumps(value))
-    return text[-1], "null" if loc is None else "[%s, %s]" % tuple(text[:2])
-
-
 def prediction_lines(predictions: Sequence[Prediction], labels: tuple[int, ...],
                      prior_kind: str) -> Iterator[str]:
     """Each prediction's record as the line json writes, as stored and as scored; likelihood_top5
     rides along so a scorer can compute calibration without rerunning inference. ValueError
     naming the obs_id and the field on a NaN or an infinity, which JSON cannot hold, after the
-    lines before it. The top 5 are ``min(K, 5)`` argmax rounds over a stacked copy, each pick then
-    set to -inf: argmax takes the first maximum, so ties go to the lower label as a stable sort
-    puts them, -0.0 included. A chunk's numbers, when all are finite ``float``s, take one call."""
+    lines of the chunks before it. The top 5 are ``min(K, 5)`` argmax rounds over a stacked copy,
+    each pick then set to -inf: argmax takes the first maximum, so ties go to the lower label as
+    a stable sort puts them, -0.0 included. A chunk's ``T_i`` and coordinates are one float64
+    array, written in one call, so each is a JSON float whatever number type it was given as."""
     # json's separators, keys in sorted order.
     record = ('{"T_i": %s, "likelihood_top5": %s, "obs_id": %s, "posterior_top5": %s, '
-              '"predicted": %d, "prior_kind": %s, "resolved_loc": %s, "true": %s}\n')
+              '"predicted": %d, "prior_kind": %s, "resolved_loc": [%s, %s], "true": %d}\n')
     label_of, quote = np.array(labels, dtype=object), json.encoder.encode_basestring_ascii
     kind = quote(prior_kind)
     for start in range(0, len(predictions), BLOCK_ROWS):
         chunk = predictions[start : start + BLOCK_ROWS]
         rows = np.array([p.posterior for p in chunk] + [p.likelihood for p in chunk], dtype=np.float64)
-        finite = np.isfinite(rows).all(axis=1)
+        numbers = np.array([(p.temperature_used, p.resolved_location.x, p.resolved_location.y)
+                            for p in chunk], dtype=np.float64)
+        # A row per prediction: its posterior, its likelihood, T_i, x and y.
+        finite = np.hstack([np.isfinite(rows).all(axis=1).reshape(2, -1).T, np.isfinite(numbers)])
         if not finite.all():
-            half, i = divmod(int(finite.argmin()), len(chunk))  # posteriors, then likelihoods
-            field = ("posterior", "likelihood")[half]
+            i, column = divmod(int(finite.argmin()), 5)
+            field = ("posterior", "likelihood", "T_i", "resolved_loc", "resolved_loc")[column]
             raise ValueError(f"prediction {chunk[i].obs_id!r}: {field} is not finite")
         every = np.arange(len(rows))
         order = np.empty((len(rows), min(rows.shape[1], 5)), dtype=np.intp)
@@ -272,18 +263,11 @@ def prediction_lines(predictions: Sequence[Prediction], labels: tuple[int, ...],
             top[:, j] = rows[every, picked]
             rows[every, picked] = -np.inf
         tops = json_rows(top, label_of[order])
-        values = [v for p in chunk if (loc := p.resolved_location) is not None
-                  for v in (p.temperature_used, loc.x, loc.y)]
-        if len(values) == 3 * len(chunk) and set(map(type, values)) == {float} \
-                and math.isfinite(sum(values)):  # inf or NaN if any term is, or on overflow
-            text = json_rows(np.array(values)[None])[0][1:-1].split(", ")
-            numbers = zip(text[::3], map("[%s, %s]".__mod__, zip(text[1::3], text[2::3])))
-        else:
-            numbers = map(_numbers, chunk)
-        for pred, posterior, likelihood, (t_i, where) in zip(chunk, tops, tops[len(chunk):], numbers):
-            true = pred.true_identity
+        text = json_rows(numbers.reshape(1, -1))[0][1:-1].split(", ")
+        for pred, posterior, likelihood, t_i, x, y in zip(chunk, tops, tops[len(chunk):], text[::3],
+                                                          text[1::3], text[2::3]):
             yield record % (t_i, likelihood, quote(pred.obs_id), posterior, pred.predicted, kind,
-                            where, "null" if true is None else "%d" % true)
+                            x, y, pred.true_identity)
 
 
 def write_predictions(predictions: Sequence[Prediction], directory: str | Path,

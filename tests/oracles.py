@@ -350,10 +350,10 @@ def prediction_records_ref(predictions, labels, prior_kind):
             yield {
                 "obs_id": pred.obs_id,
                 "predicted": int(pred.predicted),
-                "true": None if pred.true_identity is None else int(pred.true_identity),
+                "true": int(pred.true_identity),
                 "posterior_top5": posterior_top5,
                 "likelihood_top5": likelihood_top5,
                 "prior_kind": prior_kind,
-                "resolved_loc": None if loc is None else [loc.x, loc.y],
-                "T_i": pred.temperature_used,
+                "resolved_loc": [float(loc.x), float(loc.y)],
+                "T_i": float(pred.temperature_used),
             }

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import resource
 from pathlib import Path
 
@@ -37,6 +38,29 @@ def test_location_rejects_non_finite():
         Location(0.0, float("inf"))
 
 
+@pytest.mark.parametrize("cell_size", [5, True])
+def test_a_grid_of_ints_or_bools_round_trips_as_floats(tmp_path, cell_size):
+    # The grid holds each number as the type its sidecar reads back: an int
+    # or a bool cell size, or an int origin, is a float, and a cell count an int.
+    grid = GridSpec(origin=Location(0, 0), cell_size_km=cell_size, n_cells_x=np.int64(2), n_cells_y=2)
+    as_floats = GridSpec(Location(0.0, 0.0), float(cell_size), 2, 2)
+    assert list(map(type, (grid.origin.x, grid.cell_size_km, grid.n_cells_x))) == [float, float, int]
+    ds = tiny_dataset(grid)
+    save_dataset(ds, tmp_path / "given")
+    save_dataset(tiny_dataset(as_floats), tmp_path / "floats")
+    for name in ("dataset.json", "observations.jsonl"):
+        assert (tmp_path / "given" / name).read_bytes() == (tmp_path / "floats" / name).read_bytes()
+    back = load_dataset(tmp_path / "given")
+    assert back.grid == grid and list(back.observations) == list(ds.observations)
+    assert SimConfig.from_dict(SimConfig(grid=grid).to_dict()).grid == grid
+
+
+@pytest.mark.parametrize("count", [2.5, 2.0, "2", None])
+def test_grid_cell_counts_must_be_integers(count):
+    with pytest.raises(ValueError, match=re.escape(f"grid: n_cells_y must be an integer, got {count!r}")):
+        GridSpec(Location(0.0, 0.0), 5.0, 2, count)
+
+
 def test_grid_cell_index_row_major(grid2x2):
     # Cells: 0 1 / 2 3 with row 0 at the origin edge.
     points = [(2.5, 2.5), (7.5, 2.5), (2.5, 7.5), (7.5, 7.5)]
@@ -63,6 +87,15 @@ def test_observation_requires_positive_timestamp(grid2x2):
         make_obs("x", 0, 0.0, cell_center_ref(grid2x2, 0))
     with pytest.raises(ValueError):
         make_obs("x", 0, -1.0, cell_center_ref(grid2x2, 0))
+
+
+def test_observation_stores_an_int_identity_and_a_float_timestamp(grid2x2):
+    o = make_obs("x", np.int64(1), 3, cell_center_ref(grid2x2, 0))
+    assert (type(o.identity), type(o.timestamp)) == (int, float)
+    a, b = _observations_from_rows(**_rows_args(grid2x2, identities=np.array([0, 1]), timestamps=[1, 2]))
+    assert [(type(o.identity), type(o.timestamp)) for o in (a, b)] == [(int, float)] * 2
+    with pytest.raises(ValueError, match=r"^x: identity label must be an integer, got 1\.5$"):
+        make_obs("x", 1.5, 1.0, cell_center_ref(grid2x2, 0))
 
 
 def test_observation_rejects_bad_split(grid2x2):
@@ -130,6 +163,7 @@ def test_observations_from_rows_hold_read_only_rows(grid2x2):
     (dict(identities=[0, -1]), "b: identity label must be non-negative"),
     (dict(timestamps=[1.0, 0.0]), "b: timestamp must be strictly positive"),
     (dict(splits=[TRAIN, "dev"]), "b: split must be"),
+    (dict(identities=[0, 1.5]), "b: identity label must be an integer, got 1.5"),
 ])
 def test_observations_from_rows_checks_like_the_constructor(grid2x2, changes, words):
     with pytest.raises(ValueError, match=words):

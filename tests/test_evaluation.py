@@ -39,7 +39,7 @@ def _pred(obs_id, predicted, true, confidence=0.9, k=2):
         posterior=post,
         likelihood=post.copy(),
         prior=np.full(k, 1.0 / k),
-        resolved_location=None,
+        resolved_location=Location(0.0, 0.0),
         temperature_used=1.0,
         true_identity=true,
     )
@@ -71,8 +71,9 @@ def test_overall_accuracy_counts_hits():
 
 
 def test_overall_accuracy_needs_ground_truth():
-    with pytest.raises(ValueError):
-        overall_accuracy([_pred("a", 0, None), _pred("b", 1, None)])
+    # A prediction cannot be built without its truth, and an empty list has no accuracy.
+    with pytest.raises(TypeError, match="true_identity"):
+        Prediction("a", 0, np.ones(2) / 2, np.ones(2) / 2, np.ones(2) / 2, Location(0.0, 0.0), 1.0)
     with pytest.raises(ValueError):
         overall_accuracy([])
 

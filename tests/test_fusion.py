@@ -417,6 +417,20 @@ def test_write_predictions_rejects_a_non_finite_value(tmp_path, monkeypatch, fie
     assert not (tmp_path / "p" / "predictions_meta.json").exists()
 
 
+def test_int_and_bool_coordinates_are_written_as_json_floats(tmp_path):
+    # A location holds floats, so a hand-built sighting's record reads as its dataset line does.
+    model = _plain_model([[2.0, 0.0], [0.0, 2.0]])
+    state = PriorState(labels=(0, 1), home_xy=np.zeros((2, 2)), last_loc_xy=np.zeros((2, 2)),
+                       last_seen=np.zeros(2), config=PriorConfig(kind=MIGRATING_LOCATION))
+    obs = [make_obs("a", 0, 1, Location(True, False), fg=[3, 0]),
+           make_obs("b", 1, 2, Location(3, 4), fg=[0, 3])]
+    write_predictions(sequential_infer(model, state, obs), tmp_path, labels=(0, 1),
+                      prior_kind=MIGRATING_LOCATION)
+    lines = (tmp_path / "predictions.jsonl").read_text().splitlines()
+    assert [line[line.index('"resolved_loc"'):] for line in lines] == [
+        '"resolved_loc": [1.0, 0.0], "true": 0}', '"resolved_loc": [3.0, 4.0], "true": 1}']
+
+
 def test_a_label_orjson_refuses_is_written_as_json_writes_it(tmp_path):
     # orjson raises on an int outside [-2**63, 2**64); those rows are formatted as json does.
     labels = (2**64, 3, -2**63 - 1)

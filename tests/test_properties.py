@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -305,14 +305,15 @@ def _fresh(model, start):
                       last_seen=last_seen.copy(), config=config)
 
 
-def _infer_counting(model, start, calls):
-    """Runs ``calls`` (lists of observations) in turn through one fresh state;
-    returns the predictions, the final state and the fallback warnings."""
+def _infer_counting(model, start, calls, *where):
+    """Runs ``calls`` (lists of observations) in turn through one fresh state,
+    with ``where`` the grid and the background model, if any; returns the
+    predictions, the final state and the fallback warnings."""
     state, counter = _fresh(model, start), _Fallbacks()
     log = logging.getLogger("idfusion.fusion")
     log.addHandler(counter)
     try:
-        preds = [p for call in calls for p in sequential_infer(model, state, call)]
+        preds = [p for call in calls for p in sequential_infer(model, state, call, *where)]
     finally:
         log.removeHandler(counter)
     return preds, state, counter.count
@@ -478,6 +479,42 @@ def test_swapping_the_axes_or_shifting_by_a_power_of_two_moves_no_bit(kind, k, d
         preds, state, fallbacks = _infer_counting(model, moved_start, [moved_obs])
         state.last_loc_xy = back(state.last_loc_xy)
         _assert_same_bits(whole, (preds, state, fallbacks))
+
+
+@pytest.mark.parametrize("kind, k", [(kind, k) for kind in (HOME_LOCATION, MIGRATING_LOCATION)
+                                     for k in (5, 80)])
+@settings(max_examples=25)
+@given(data=st.data())
+def test_swapping_the_axes_with_background_model_locations_moves_no_bit(kind, k, data):
+    # A capture is the centre of the cell the background model scores highest.
+    # On a square grid whose origin has x equal to y, swapping the axes maps
+    # cell (row, col) to cell (col, row) and its centre to the swapped centre.
+    # So a model whose rows are permuted by that transpose resolves each
+    # sighting to the swapped capture, and the run is the swapped run. Its
+    # argmax takes the first of tied logits, which no permutation keeps, so
+    # ties are assumed away.
+    model, (homes, last_seen, config), obs = data.draw(_streams(kind, k))
+    n, d_bg = data.draw(st.integers(1, 4)), 3
+    corner = data.draw(st.floats(-20.0, 20.0))
+    grid = GridSpec(Location(corner, corner), data.draw(st.sampled_from([0.5, 2.5, 5.0])), n, n)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    cells = PitsModel(W=rng.uniform(-1.0, 1.0, (n * n, d_bg)), b=rng.uniform(-1.0, 1.0, n * n),
+                      w_T=np.zeros(d_bg), b_T=0.0, labels=tuple(range(n * n)),
+                      input_kind="background", temperature_head_active=False)
+    obs = [replace(o, bg_features=f) for o, f in zip(obs, rng.uniform(-1.0, 1.0, (len(obs), d_bg)))]
+    logits, _ = cells.forward_rows(np.array([o.bg_features for o in obs]))
+    top_two = np.sort(logits, axis=1)[:, -2:]
+    assume(n == 1 or (top_two[:, 1] > top_two[:, 0]).all())
+    transpose = np.arange(n * n).reshape(n, n).T.ravel()
+    transposed = replace(cells, W=cells.W[transpose], b=cells.b[transpose])
+    start = (homes, last_seen, replace(config, location_source="background_model"))
+    whole = _infer_counting(model, start, [obs], grid, cells)
+    moved_start, moved_obs = _moved(start, obs, _swap_axes)
+    preds, state, fallbacks = _infer_counting(model, moved_start, [moved_obs], grid, transposed)
+    assert [p.resolved_location for p in preds] == \
+        [Location(p.resolved_location.y, p.resolved_location.x) for p in whole[0]]
+    state.last_loc_xy = _swap_axes(state.last_loc_xy)
+    _assert_same_bits(whole, (preds, state, fallbacks))
 
 
 # ---------------------------------------------------------------------------
@@ -756,9 +793,9 @@ def _predictions(draw):
         Prediction(
             obs_id=f"o{i}", predicted=draw(st.sampled_from(labels)),
             posterior=draw(_vectors(k)), likelihood=draw(_vectors(k)), prior=draw(_vectors(k)),
-            resolved_location=draw(st.none() | st.builds(Location, any_float, any_float)),
+            resolved_location=draw(st.builds(Location, any_float, any_float)),
             temperature_used=draw(any_float),
-            true_identity=draw(st.none() | st.integers(0, 10**6)),
+            true_identity=draw(st.integers(0, 10**6)),
         )
         for i in range(draw(st.integers(0, 5)))
     ]
@@ -805,7 +842,8 @@ def test_block_top5_is_a_stable_sort(block):
     rows, labels = block
     predictions = [
         Prediction(obs_id=f"o{i}", predicted=labels[0], posterior=posterior, likelihood=likelihood,
-                   prior=posterior, resolved_location=None, temperature_used=1.0)
+                   prior=posterior, resolved_location=Location(0.0, 0.0), temperature_used=1.0,
+                   true_identity=labels[0])
         for i, (posterior, likelihood) in enumerate(zip(rows[::2], rows[1::2]))
     ]
     records = [json.loads(line) for line in prediction_lines(predictions, labels, UNIFORM)]
@@ -816,8 +854,8 @@ def test_block_top5_is_a_stable_sort(block):
         assert repr(record["likelihood_top5"]) == repr(top_entries(pred.likelihood, labels, 5))
 
 
-# A coordinate or a temperature may be an int, which json writes as one, or a
-# np.float64, whose own repr is not JSON.
+# A coordinate or a temperature may be given as an int or a np.float64; the
+# record holds it as a JSON float either way.
 _numbers = st.one_of(_repr_floats, _repr_floats.map(np.float64), st.integers(-10**20, 10**20))
 _not_floats = st.one_of(_repr_floats.map(np.float64), st.integers(-10**20, 10**20))
 
@@ -825,10 +863,9 @@ _not_floats = st.one_of(_repr_floats.map(np.float64), st.integers(-10**20, 10**2
 @st.composite
 def _prediction_sets(draw):
     """Predictions with any obs_id and any numbers. Numbers drawn one by one are
-    rarely all floats across a chunk, the case that ``prediction_lines``
-    formats in one call, so some draws make every number a float (exponent
-    forms included or not), and others then break that rule in one record:
-    an int, a np.float64 or a missing location."""
+    rarely all floats across a chunk, so some draws make every number a float
+    (exponent forms included or not), and others then break that rule in one
+    record with an int or a np.float64."""
     rows, labels = draw(_top5_blocks())
     n = len(rows) // 2
     shape = draw(st.sampled_from(["any", "floats", "one breaks"]))
@@ -837,13 +874,13 @@ def _prediction_sets(draw):
     plain = st.floats(1e-4, 1e16, exclude_max=True) | st.floats(-1e16, -1e-4, exclude_min=True)
     some_floats = draw(st.sampled_from([plain, plain | _repr_floats]))
     floats = st.builds(Location, some_floats, some_floats)
-    breaking = st.sampled_from(["T_i", "x", "y", "missing"])
+    breaking = st.sampled_from(["T_i", "x", "y"])
     # Quotes, backslashes, control characters, non-ASCII and lone surrogates.
     obs_ids = st.text(st.characters(exclude_categories=()))
     predictions = []
     for i, (posterior, likelihood) in enumerate(zip(rows[::2], rows[1::2])):
         if shape == "any":
-            location = draw(st.none() | st.builds(Location, _numbers, _numbers))
+            location = draw(st.builds(Location, _numbers, _numbers))
             temperature = draw(_numbers)
         else:
             location, temperature = draw(floats), draw(some_floats)
@@ -851,21 +888,19 @@ def _prediction_sets(draw):
             part = draw(breaking)
             if part == "T_i":
                 temperature = draw(_not_floats)
-            elif part == "missing":
-                location = None
             else:
                 location = replace(location, **{part: draw(_not_floats)})
         predictions.append(
             Prediction(obs_id=draw(obs_ids), predicted=draw(st.sampled_from(labels)),
                        posterior=posterior, likelihood=likelihood, prior=posterior,
                        resolved_location=location, temperature_used=temperature,
-                       true_identity=draw(st.none() | st.integers(0, 10**6))))
+                       true_identity=draw(st.integers(0, 10**6))))
     return predictions, labels, draw(st.sampled_from(PRIOR_KINDS) | st.text())
 
 
 def test_prediction_lines_are_the_json_text_of_the_reference_records(monkeypatch):
-    # Also counts the chunks whose numbers took one json_rows call, by whether
-    # they held a float that repr writes in exponent form.
+    # Also counts the chunks whose numbers took their one json_rows call, by
+    # whether they held a float that repr writes in exponent form.
     kernel, reached = fusion.json_rows, Counter()
 
     def counting(values, labels=None):
@@ -882,7 +917,9 @@ def test_prediction_lines_are_the_json_text_of_the_reference_records(monkeypatch
         predictions, labels, kind = case
         before = [(p.posterior.tobytes(), p.likelihood.tobytes()) for p in predictions]
         expected = [json_text_ref(rec) + "\n" for rec in prediction_records_ref(predictions, labels, kind)]
+        calls = sum(reached.values())
         assert list(prediction_lines(predictions, labels, kind)) == expected
+        assert sum(reached.values()) - calls == -(-len(predictions) // BLOCK_ROWS)
         # The top-5 rounds mask a stacked copy, never a prediction's own rows.
         assert [(p.posterior.tobytes(), p.likelihood.tobytes()) for p in predictions] == before
 
