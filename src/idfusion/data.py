@@ -45,7 +45,7 @@ class Location:
     y: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+        if not (is_finite(self.x, "location x") and is_finite(self.y, "location y")):
             raise ValueError(f"location coordinates must be finite, got ({self.x}, {self.y})")
         object.__setattr__(self, "x", float(self.x))
         object.__setattr__(self, "y", float(self.y))
@@ -172,7 +172,7 @@ class Observation:
         identity = _index(self.identity, self.obs_id, "identity label")
         if identity < 0:
             raise ValueError(f"{self.obs_id}: identity label must be non-negative")
-        if not (self.timestamp > 0 and math.isfinite(self.timestamp)):
+        if not (is_finite(self.timestamp, self.obs_id, "timestamp") and self.timestamp > 0):
             raise ValueError(f"{self.obs_id}: timestamp must be strictly positive, got {self.timestamp}")
         object.__setattr__(self, "identity", identity)
         object.__setattr__(self, "timestamp", float(self.timestamp))
@@ -532,12 +532,20 @@ _GRID = JsonSpec({"origin": tuple[float, float], "cell_size_km": float, "n_cells
 _SIDECAR = JsonSpec({"n_identities": int})  # its other keys are the grid's, for GridSpec.from_dict
 
 
+def is_finite(value: Any, *what: str, error: type[Exception] = ValueError) -> bool:
+    """``math.isfinite(value)``, but ``error`` naming ``what`` for an int past a double's range."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        raise error(f"{': '.join(what)} is an int too large for a float") from None
+
+
 def check_finite(config: Any, positive: Sequence[str] = (), non_negative: Sequence[str] = ()) -> None:
     """ConfigError naming the first field of ``config`` that is NaN, infinite or out of
     range: not positive for a name in ``positive``, negative for one in ``non_negative``."""
     for name in (*positive, *non_negative):
         value, kind = getattr(config, name), "positive" if name in positive else "non-negative"
-        if not ((value > 0 if name in positive else value >= 0) and math.isfinite(value)):
+        if not (is_finite(value, name, error=ConfigError) and (value > 0 if name in positive else value >= 0)):
             raise ConfigError(f"{name} must be finite and {kind}, got {value}")
 
 

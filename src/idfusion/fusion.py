@@ -8,11 +8,12 @@ so the argmax is preserved exactly, not just up to floating-point error.
 
 Inference is one loop over blocks of up to ``BLOCK_ROWS`` sightings. The
 likelihood never depends on prior state, so each block computes it once.
-The prior, its fusion and the argmax then run a step at a time: the whole
-block when the run's prior kind reads no state, one row when the migrating
-or time prior does, since those read the entry that the previous row's fused
-argmax wrote. After each row of a stateful prior the winner's entry is
-written by index, before the next row.
+A stateless prior, its fusion and the argmax run once over the block. The
+migrating and time priors read what each earlier row's winner wrote: a serial
+draft picks each row's winner as the argmax of ``log L - rate * offset`` and
+rewrites its offsets for later rows, and one block pass over those offsets
+verifies it. Rows up to the first wrong draft are final and write the state
+in row order; the rest are drafted again. A lone last row takes no draft.
 
 Every kernel works along the label axis alone, so a sighting's posterior
 has the same bits whether it comes alone or in a block, in one call or in
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import json
 import logging
+from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -40,18 +42,15 @@ import numpy as np
 
 from .calibration import softmax, tempered_softmax
 from .classifier import PitsModel, features_from
-from .data import GridSpec, Location, Observation, json_rows, read_json, read_jsonl, write_json
-from .priors import (
-    MIGRATING_LOCATION,
-    TIME_DECAY,
-    PriorState,
-    prior_rows,
-    resolve_locations,
-)
+from .data import (GridSpec, Location, Observation, is_finite, json_rows, read_json, read_jsonl,
+                   write_json)
+from .priors import (MIGRATING_LOCATION, TIME_DECAY, PriorConfig, PriorState, decay, decay_offsets,
+                     decay_terms, prior_rows, resolve_locations)
 
 logger = logging.getLogger(__name__)
 
 LOG_SPACE_THRESHOLD = 64
+_LOST_MASS = "fused posterior lost all mass; falling back to the likelihood"
 # Sightings per block of the inference loop. Each block computes into a few
 # (BLOCK_ROWS, K) temporaries and stores its rows in three (BLOCK_ROWS, K)
 # arrays of its own. Blocks this small reuse memory the process already
@@ -96,8 +95,8 @@ def fuse_rows(likelihood: np.ndarray, log_likelihood: np.ndarray, prior: np.ndar
     log space (K > ``LOG_SPACE_THRESHOLD``) reads it.
 
     Inputs are not checked: each row must be a valid likelihood and prior.
-    The caller ignores divide and invalid errors, since a row that loses all
-    its mass takes log(0) or 0/0; each such row logs one warning.
+    The caller ignores divide and invalid errors, since a row that loses all its
+    mass takes log(0) or 0/0; returns those rows' indices, in order, to warn for.
     """
     constant = (prior == prior[..., :1]).all(axis=-1)
     if likelihood.shape[-1] > LOG_SPACE_THRESHOLD:
@@ -111,12 +110,11 @@ def fuse_rows(likelihood: np.ndarray, log_likelihood: np.ndarray, prior: np.ndar
         lost = total[..., 0] <= 0
         out /= total
     fallback = constant | lost
-    if np.count_nonzero(fallback):
-        for _ in range(int((lost & ~constant).sum())):
-            logger.warning("fused posterior lost all mass; falling back to the likelihood")
-        kept = likelihood[fallback]
-        out[fallback] = kept / kept.sum(axis=-1, keepdims=True)
-    return out
+    if not np.count_nonzero(fallback):
+        return []
+    kept = likelihood[fallback]
+    out[fallback] = kept / kept.sum(axis=-1, keepdims=True)
+    return np.flatnonzero(lost & ~constant).tolist()
 
 
 @np.errstate(divide="ignore", invalid="ignore")
@@ -138,7 +136,26 @@ def fuse(likelihood: np.ndarray, prior: np.ndarray) -> np.ndarray:
         raise ValueError("likelihood and prior entries must be non-negative")
     if l.sum() <= 0:
         raise ValueError("likelihood must have positive mass")
-    return fuse_rows(l, np.log(l), p, np.empty_like(l))
+    posterior = np.empty_like(l)
+    if fuse_rows(l, np.log(l), p, posterior):
+        logger.warning(_LOST_MASS)
+    return posterior
+
+
+@np.errstate(over="ignore")
+def _draft(offsets: np.ndarray, log_likelihood: np.ndarray, points: np.ndarray,
+           config: PriorConfig, rate: float) -> np.ndarray:
+    """Winners drafted row by row as the argmax of ``log_likelihood - rate * offsets``;
+    after each, the winner's column of ``offsets`` is rewritten in place for the later
+    rows with their offsets from this row's point, the bits its state write gives. The
+    fused argmax may still differ, so the caller verifies. Overflowing scores rank last."""
+    # from_row[j, i]: the offset of row j's point from row i's, as an anchor.
+    from_row = decay_offsets(config, points, points)
+    winners = np.empty(len(points), dtype=np.intp)
+    for i in range(len(points)):
+        w = winners[i] = (log_likelihood[i] - rate * offsets[i]).argmax()
+        offsets[i + 1 :, w] = from_row[i + 1 :, i]
+    return winners
 
 
 def _stream_order(observations: Sequence[Observation]) -> list[int]:
@@ -162,10 +179,10 @@ def sequential_infer(
 
     ``observations`` is any iterable; it is read once. The stream is sorted
     by timestamp internally, so caller order within one call never matters.
-    After each prediction the state learns from the *fused* argmax, never the
-    ground truth: a migrating prior moves that identity to the resolved
-    capture location, a time-decay prior stamps it as just seen, and
-    stateless priors leave the state untouched.
+    The state learns from each *fused* argmax, never the ground truth, in row
+    order (drafted, then verified, a block at a time: see the module docstring):
+    a migrating prior moves that identity to the resolved capture location, a
+    time-decay prior stamps it as just seen; stateless priors leave it untouched.
 
     Streaming contract: ``state`` is advanced in place and is not copied.
     Feeding a stream as consecutive time-ordered chunks that share one state
@@ -182,8 +199,7 @@ def sequential_infer(
         raise ValueError("model and prior state disagree on the label space")
     state._matched_labels = model.labels if isinstance(model.labels, tuple) else None
 
-    track_location = state.config.kind == MIGRATING_LOCATION
-    track_time = state.config.kind == TIME_DECAY
+    stateful = state.config.kind in (MIGRATING_LOCATION, TIME_DECAY)
 
     stream = observations
     if len(observations) > 1:
@@ -194,7 +210,7 @@ def sequential_infer(
         block = stream[start : start + BLOCK_ROWS]
         locations = resolve_locations(block, state.config, background_model, grid)
         where = np.array([(loc.x, loc.y, o.timestamp) for loc, o in zip(locations, block)])
-        xy, times = where[:, :2], where[:, 2:]
+        xy, times = where[:, :2], where[:, 2]
         logits, temperatures = model.forward_rows(
             np.array([features_from(o, model.input_kind) for o in block])
         )
@@ -202,23 +218,34 @@ def sequential_infer(
         likelihood, prior, posterior = np.empty(shape), np.empty(shape), np.empty(shape)
         tempered_softmax(logits, temperatures[:, None], out=likelihood)
         log_likelihood = np.log(likelihood)
-        # A step is the whole block, or one row when a stateful prior must
-        # read what the previous row's winner wrote. A row is indexed, not
-        # sliced: the kernels run on its (K,) view, and the winner's state
-        # entry is written by a scalar index.
-        winners = np.empty(len(block), dtype=np.intp)
-        for rows in range(len(block)) if track_location or track_time else (slice(None),):
-            prior_rows(state, xy[rows], times[rows], out=prior[rows])
-            won = winners[rows] = fuse_rows(likelihood[rows], log_likelihood[rows], prior[rows],
-                                            posterior[rows]).argmax(axis=-1)
-            if track_location:
-                state.last_loc_xy[won] = xy[rows]
-            if track_time:
-                state.last_seen[won] = times[rows, 0]
+        winners: list[int] = []
+        if stateful:
+            anchors, points, rate = decay_terms(state, xy, times)
+        while len(winners) < len(block):
+            # A lone last row is indexed, not sliced: the kernels run faster on a (K,) row.
+            done, drafted = len(winners), None
+            rows = done if done + 1 == len(block) else slice(done, None)
+            if stateful:
+                offsets = decay_offsets(state.config, anchors, points[rows])
+                if offsets.ndim > 1:
+                    drafted = _draft(offsets, log_likelihood[rows], points[rows], state.config, rate)
+                decay(offsets, rate, out=prior[rows])
+            else:
+                prior_rows(state, xy, times, out=prior)
+            lost = fuse_rows(likelihood[rows], log_likelihood[rows], prior[rows], posterior[rows])
+            won = posterior[done:].argmax(axis=-1)
+            misses = () if drafted is None else np.flatnonzero(won != drafted)
+            kept = won[: misses[0] + 1].tolist() if len(misses) else won.tolist()
+            if stateful:
+                for row, w in enumerate(kept, done):
+                    anchors[w] = points[row]
+            for _ in range(bisect_left(lost, len(kept))):
+                logger.warning(_LOST_MASS)
+            winners += kept
         predictions += [
             Prediction(obs.obs_id, labels[w], post, l, p, loc, temperature, obs.identity)
             for obs, w, l, p, post, loc, temperature in zip(
-                block, winners.tolist(), likelihood, prior, posterior, locations,
+                block, winners, likelihood, prior, posterior, locations,
                 temperatures.tolist()
             )
         ]
@@ -247,8 +274,13 @@ def prediction_lines(predictions: Sequence[Prediction], labels: tuple[int, ...],
     for start in range(0, len(predictions), BLOCK_ROWS):
         chunk = predictions[start : start + BLOCK_ROWS]
         rows = np.array([p.posterior for p in chunk] + [p.likelihood for p in chunk], dtype=np.float64)
-        numbers = np.array([(p.temperature_used, p.resolved_location.x, p.resolved_location.y)
-                            for p in chunk], dtype=np.float64)
+        try:
+            numbers = np.array([(p.temperature_used, p.resolved_location.x, p.resolved_location.y)
+                                for p in chunk], dtype=np.float64)
+        except OverflowError:  # a Location holds floats, so only T_i can be a huge int
+            for p in chunk:
+                is_finite(p.temperature_used, f"prediction {p.obs_id!r}", "T_i")
+            raise
         # A row per prediction: its posterior, its likelihood, T_i, x and y.
         finite = np.hstack([np.isfinite(rows).all(axis=1).reshape(2, -1).T, np.isfinite(numbers)])
         if not finite.all():

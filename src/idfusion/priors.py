@@ -123,7 +123,7 @@ def init_state(catalog: IdentityCatalog, config: PriorConfig) -> PriorState:
     )
 
 
-def _decay(offsets: np.ndarray, rate: float, out: np.ndarray | None = None) -> np.ndarray:
+def decay(offsets: np.ndarray, rate: float, out: np.ndarray | None = None) -> np.ndarray:
     """Normalized exp(-rate * offset) along the last axis, overwriting
     ``offsets``; rate 0 gives the uniform prior."""
     # Subtracting the min before exponentiating changes nothing after the
@@ -139,50 +139,50 @@ def _decay(offsets: np.ndarray, rate: float, out: np.ndarray | None = None) -> n
     return weights
 
 
-def _distance_decay(
-    anchors_xy: np.ndarray, xy: np.ndarray, config: PriorConfig, out: np.ndarray | None = None
-) -> np.ndarray:
-    dx = anchors_xy[:, 0] - xy[..., :1]
-    dist = np.hypot(dx, anchors_xy[:, 1] - xy[..., 1:], out=dx)
+def decay_offsets(config: PriorConfig, anchors: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """(n, K) offsets of ``points`` from ``anchors``: for the time prior the gaps in time
+    units between (n,) and (K,) times, else the distances in cells between (n, 2) and
+    (K, 2) locations; one point gives one (K,) row. Each entry is ``anchor - point``,
+    then abs or hypot, then the unit, so its bits hold in any shape, a point as anchor too."""
+    if config.kind == TIME_DECAY:
+        gaps = np.abs(anchors - points[..., None])
+        gaps /= config.time_unit_days
+        return gaps
+    dx = anchors[:, 0] - points[..., :1]
+    dist = np.hypot(dx, anchors[:, 1] - points[..., 1:], out=dx)
     dist /= config.cell_size_km
-    return _decay(dist, config.alpha, out)
+    return dist
 
 
-def _time_decay(
-    last_seen: np.ndarray, timestamps, config: PriorConfig, out: np.ndarray | None = None
-) -> np.ndarray:
-    gaps = np.abs(last_seen - timestamps)
-    gaps /= config.time_unit_days
-    return _decay(gaps, config.beta, out)
+def decay_terms(state: PriorState, xy: np.ndarray, timestamps: np.ndarray) -> tuple:
+    """The anchors, the points of sightings ``xy`` (n, 2) at ``timestamps`` (n,), and the
+    rate of the state's decaying prior; writing a point to an anchor writes the state."""
+    config = state.config
+    if config.kind == TIME_DECAY:
+        return state.last_seen, timestamps, config.beta
+    anchors = state.home_xy if config.kind == HOME_LOCATION else state.last_loc_xy
+    return anchors, xy, config.alpha
 
 
 def prior_rows(
     state: PriorState, xy: np.ndarray, timestamps, out: np.ndarray | None = None
 ) -> np.ndarray:
     """The configured prior from the current state, at sightings given by
-    ``xy`` (n, 2) and a ``timestamps`` column (n, 1): one normalized (n, K)
-    row each, written to ``out`` when it is given. A single sighting may come
-    as ``xy`` (2,) and a timestamp of shape () or (1,), giving one (K,) row.
+    ``xy`` (n, 2) and ``timestamps`` (n,) or an (n, 1) column: one normalized
+    (n, K) row each, written to ``out`` when it is given. A single sighting may
+    come as ``xy`` (2,) and a timestamp of shape () or (1,), giving one (K,) row.
 
     Every step works along the label axis alone, so a row has the same bits
     whichever block it is evaluated in.
     """
-    config = state.config
-    if config.kind == HOME_LOCATION:
-        return _distance_decay(state.home_xy, xy, config, out)
-    if config.kind == MIGRATING_LOCATION:
-        return _distance_decay(state.last_loc_xy, xy, config, out)
-    if config.kind == TIME_DECAY:
-        return _time_decay(state.last_seen, timestamps, config, out)
+    if state.config.kind != UNIFORM:
+        anchors, points, rate = decay_terms(state, xy, np.reshape(timestamps, np.shape(xy)[:-1]))
+        return decay(decay_offsets(state.config, anchors, points), rate, out)
     k = len(state.labels)
     if out is None:
         return np.full(np.shape(xy)[:-1] + (k,), 1.0 / k)
     out.fill(1.0 / k)
     return out
-
-
-def _xy(loc: Location) -> np.ndarray:
-    return np.array([loc.x, loc.y])
 
 
 def update_location(state: PriorState, label: int, loc: Location) -> None:
@@ -236,4 +236,4 @@ def prior_vector(
     """Evaluate the configured prior at one observation. Returns the
     normalized prior and the location it used."""
     loc = resolve_location(obs, state.config, background_model, grid)
-    return prior_rows(state, _xy(loc), obs.timestamp), loc
+    return prior_rows(state, np.array([loc.x, loc.y]), obs.timestamp), loc

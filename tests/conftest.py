@@ -1,6 +1,11 @@
+from collections import Counter
+from contextlib import contextmanager
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from idfusion import fusion
 from idfusion.data import Dataset, GridSpec, Location, Observation
 
 from oracles import cell_center_ref
@@ -51,3 +56,37 @@ def tiny_dataset(grid: GridSpec) -> Dataset:
         make_obs("b3", 1, 6.0, c1, split="test"),
     ]
     return Dataset.from_observations(observations, grid)
+
+
+@contextmanager
+def draft_spy(forced_rows=()):
+    """Counts what ``sequential_infer`` does in a block: its verify passes (one
+    fuse_rows call over rows each), its drafts, and the drafted rows forced wrong.
+
+    The draft picks another label than it would at each row whose position
+    within its block is in ``forced_rows``, each time a draft covers that row:
+    an infinite log-likelihood entry ranks that label first in the draft alone,
+    so the draft rewrites that label's offsets for the rows after it, as a real
+    miss does. The verify pass never sees the forced entry. Yields the Counter.
+    """
+    draft, fuse_rows, seen = fusion._draft, fusion.fuse_rows, Counter()
+
+    def forcing_draft(offsets, log_likelihood, points, config, rate):
+        # The draft gets views of the block's rows from ``start`` on.
+        start = len(log_likelihood.base) - len(log_likelihood)
+        forced = [row - start for row in forced_rows if 0 <= row - start < len(points)]
+        seen["drafts"] += 1
+        if forced:
+            seen["forced"] += len(forced)
+            honest = draft(offsets.copy(), log_likelihood, points, config, rate)
+            log_likelihood = log_likelihood.copy()
+            log_likelihood[forced, (honest[forced] + 1) % log_likelihood.shape[1]] = np.inf
+        return draft(offsets, log_likelihood, points, config, rate)
+
+    def counting_fuse_rows(likelihood, *args):
+        seen["passes"] += 1
+        return fuse_rows(likelihood, *args)
+
+    with mock.patch.object(fusion, "_draft", forcing_draft), \
+            mock.patch.object(fusion, "fuse_rows", counting_fuse_rows):
+        yield seen

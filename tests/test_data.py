@@ -164,10 +164,23 @@ def test_observations_from_rows_hold_read_only_rows(grid2x2):
     (dict(timestamps=[1.0, 0.0]), "b: timestamp must be strictly positive"),
     (dict(splits=[TRAIN, "dev"]), "b: split must be"),
     (dict(identities=[0, 1.5]), "b: identity label must be an integer, got 1.5"),
+    (dict(timestamps=[1.0, 10**400]), "b: timestamp is an int too large for a float"),
 ])
 def test_observations_from_rows_checks_like_the_constructor(grid2x2, changes, words):
     with pytest.raises(ValueError, match=words):
         _observations_from_rows(**_rows_args(grid2x2, **changes))
+
+
+@pytest.mark.parametrize("build, words", [
+    (lambda: Location(10**400, 0.0), "location x"),
+    (lambda: Location(0.0, -10**400), "location y"),
+    (lambda: make_obs("o7", 0, 10**400, Location(0.0, 0.0)), "o7: timestamp"),
+    (lambda: GridSpec(Location(0.0, 0.0), cell_size_km=10**400), "cell_size_km"),
+    (lambda: GridSpec(Location(0.0, 0.0), cell_size_km=-10**400), "cell_size_km"),
+])
+def test_an_int_past_a_doubles_range_is_a_value_error_naming_its_field(build, words):
+    with pytest.raises(ValueError, match=f"^{words} is an int too large for a float$"):
+        build()
 
 
 def test_dataset_split_views(grid2x2):

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from idfusion import fusion
-from idfusion.classifier import PitsModel
-from idfusion.data import GridSpec, Location
+from idfusion.classifier import PitsModel, TrainConfig, train
+from idfusion.data import GridSpec, Location, build_catalog
 from idfusion.errors import ParseError
 from idfusion.fusion import (
+    BLOCK_ROWS,
     _stream_order,
     fuse,
     read_predictions,
@@ -25,9 +26,11 @@ from idfusion.priors import (
     UNIFORM,
     PriorConfig,
     PriorState,
+    init_state,
 )
+from idfusion.simulate import generate, lynx_like
 
-from conftest import make_obs
+from conftest import draft_spy, make_obs
 from oracles import brute_force_sequential, cell_center_ref, jsonl_ref, prediction_records_ref
 
 
@@ -417,6 +420,15 @@ def test_write_predictions_rejects_a_non_finite_value(tmp_path, monkeypatch, fie
     assert not (tmp_path / "p" / "predictions_meta.json").exists()
 
 
+def test_write_predictions_names_a_temperature_past_a_doubles_range(tmp_path):
+    grid, model, state, obs, _ = _migration_fixture()
+    preds = sequential_infer(model, state, obs, grid=grid)
+    preds[2] = replace(preds[2], temperature_used=10**400)
+    with pytest.raises(ValueError, match="^prediction 'c': T_i is an int too large for a float$"):
+        write_predictions(preds, tmp_path / "p", labels=model.labels, prior_kind=MIGRATING_LOCATION)
+    assert not (tmp_path / "p" / "predictions_meta.json").exists()
+
+
 def test_int_and_bool_coordinates_are_written_as_json_floats(tmp_path):
     # A location holds floats, so a hand-built sighting's record reads as its dataset line does.
     model = _plain_model([[2.0, 0.0], [0.0, 2.0]])
@@ -568,3 +580,96 @@ def test_sequential_infer_restores_the_callers_error_state(k, grid2x2):
             sequential_infer(huge, state, [make_obs("h", 0, 9.0, obs[0].location,
                                                     fg=np.full(k, 1e10))], grid=grid2x2)
         assert np.geterr() == caller
+
+
+def _drafted_and_per_sighting(model, state_of, obs, forced_rows, grid, caplog):
+    """One whole-stream call whose drafts are forced wrong at ``forced_rows`` of
+    each block, and one call per sighting, which never drafts: each gives the
+    predictions, the final state and the fallback warnings; the first also
+    what the draft spy counted."""
+    with caplog.at_level(logging.WARNING, logger="idfusion.fusion"):
+        state = state_of()
+        with draft_spy(forced_rows) as seen:
+            drafted = (sequential_infer(model, state, obs, grid=grid), state, len(caplog.records))
+        caplog.clear()
+        state = state_of()
+        single = [p for o in (obs[i] for i in _stream_order(obs))
+                  for p in sequential_infer(model, state, [o], grid=grid)]
+        return drafted, (single, state, len(caplog.records)), seen
+
+
+def _assert_same_run(a, b):
+    (preds_a, state_a, warnings_a), (preds_b, state_b, warnings_b) = a, b
+    assert [(p.obs_id, p.predicted) for p in preds_a] == [(p.obs_id, p.predicted) for p in preds_b]
+    for x, y in zip(preds_a, preds_b):
+        for field in ("posterior", "likelihood", "prior"):
+            assert np.array_equal(getattr(x, field), getattr(y, field)), (x.obs_id, field)
+    assert np.array_equal(state_a.last_loc_xy, state_b.last_loc_xy)
+    assert np.array_equal(state_a.last_seen, state_b.last_seen)
+    assert warnings_a == warnings_b
+
+
+@pytest.mark.parametrize("forced_rows", [(0,), (13,), (BLOCK_ROWS - 1,), (5, 20)],
+                         ids=["first", "middle", "last", "two-in-a-block"])
+@pytest.mark.parametrize("kind", [MIGRATING_LOCATION, TIME_DECAY])
+@pytest.mark.parametrize("k", [5, 80])
+def test_a_wrong_draft_is_fused_again_from_the_row_after_the_miss(k, kind, forced_rows, grid2x2,
+                                                                  caplog):
+    # Two full blocks and a short one. A miss makes the rows up to it final and
+    # drafts the rest of the block again, so each forced row before a block's
+    # last takes one more verify pass; every bit stays that of one call per sighting.
+    rng = np.random.default_rng(k)
+    d, n = 4, 2 * BLOCK_ROWS + 6
+    model = PitsModel(W=rng.normal(size=(k, d)) * 2.0, b=rng.normal(size=k) * 0.1,
+                      w_T=rng.normal(size=d) * 0.2, b_T=0.1, labels=tuple(range(k)),
+                      input_kind="foreground", temperature_head_active=True)
+    homes, last_seen = rng.uniform(0.0, 10.0, (k, 2)), rng.uniform(0.0, 60.0, k)
+    obs = [make_obs(f"o{j:03d}", 0, 61.0 + j, Location(*rng.uniform(0.0, 10.0, 2).tolist()),
+                    fg=rng.normal(size=d))
+           for j in range(n)]
+
+    def state_of():
+        return PriorState(labels=model.labels, home_xy=homes, last_loc_xy=homes.copy(),
+                          last_seen=last_seen.copy(), config=PriorConfig(kind=kind))
+
+    drafted, single, seen = _drafted_and_per_sighting(model, state_of, obs, forced_rows, grid2x2,
+                                                      caplog)
+    _assert_same_run(drafted, single)
+    blocks = [min(BLOCK_ROWS, n - start) for start in range(0, n, BLOCK_ROWS)]
+    redrafts = sum(row < size - 1 for size in blocks for row in forced_rows)
+    assert seen["passes"] == len(blocks) + redrafts
+
+
+@pytest.mark.parametrize("forced_rows", [(0,), (0, 2)])
+@pytest.mark.parametrize("k", [5, 80])
+def test_rows_fused_after_a_draft_miss_warn_only_once_final(k, forced_rows, grid2x2, caplog):
+    # _sharp_stream's sightings 0, 1 and 3 lose all their mass. After a miss
+    # at sighting 0, sightings 1 and 3 are fused on a wrong state first, then
+    # again; only the fusion that keeps a row may warn, so the stream still
+    # warns 3 times.
+    model = _one_hot_model(k)
+    drafted, single, seen = _drafted_and_per_sighting(
+        model, lambda: _sharp_stream(k)[0], _sharp_stream(k)[1], forced_rows, grid2x2, caplog)
+    _assert_same_run(drafted, single)
+    assert single[2] == 3
+    assert seen["passes"] == 1 + len(forced_rows)
+
+
+@pytest.fixture(scope="module")
+def lynx_run():
+    ds = generate(lynx_like(0))
+    catalog = build_catalog(ds)
+    return ds, catalog, train(ds, catalog, TrainConfig(learning_rate=1e-2, batch_size=8))
+
+
+@pytest.mark.parametrize("kind", [MIGRATING_LOCATION, TIME_DECAY])
+def test_every_block_of_a_lynx_stream_takes_one_verify_pass(kind, lynx_run):
+    # A draft that missed every row would keep every bit but fuse up to
+    # n(n+1)/2 rows per block of n. On the paper-scale preset, trained as the
+    # benchmark trains it, no draft misses.
+    ds, catalog, model = lynx_run
+    state = init_state(catalog, PriorConfig(kind=kind, cell_size_km=ds.grid.cell_size_km))
+    with draft_spy() as seen:
+        sequential_infer(model, state, ds.test, ds.grid)
+    blocks = -(-len(ds.test) // BLOCK_ROWS)
+    assert seen["passes"] == blocks and seen["drafts"] == blocks - (len(ds.test) % BLOCK_ROWS == 1)

@@ -58,6 +58,7 @@ from idfusion.priors import (
     LOCATION_SOURCES,
     MIGRATING_LOCATION,
     PRIOR_KINDS,
+    TIME_DECAY,
     UNIFORM,
     PriorConfig,
     PriorState,
@@ -66,7 +67,7 @@ from idfusion.priors import (
 from idfusion.errors import SimulationError, SplitError
 from idfusion.simulate import SimConfig, generate
 
-from conftest import make_obs
+from conftest import draft_spy, make_obs
 from oracles import (cell_center_ref, cell_index_ref, json_text_ref, jsonl_ref, numeric_pits_grad,
                      prediction_records_ref, reference_generate, top_entries)
 
@@ -275,7 +276,9 @@ def _streams(draw, kind, k):
     inference loop. Sharp draws (large weights and decay constants) make
     likelihood-times-prior products vanish, so fallbacks happen; a collapsed
     start makes priors constant. The arrays come from a drawn seed, so every
-    entry varies, as in real data."""
+    entry varies, as in real data. The start also holds the rows of each
+    block whose draft is forced wrong; one lies before the first block's last
+    row, so every whole stream of two or more sightings drafts again."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     sharp = draw(st.booleans())
     d, n = 3, draw(st.integers(1, 2 * BLOCK_ROWS + 5))
@@ -290,7 +293,9 @@ def _streams(draw, kind, k):
         # Every label at one point, last seen at one time: each prior is
         # constant until a win moves an entry, so fuse short-circuits.
         homes[:], last_seen[:] = homes[0], last_seen[0]
-    start = (homes, last_seen, PriorConfig(kind=kind, alpha=rate, beta=rate))
+    forced_rows = draw(st.sets(st.integers(0, max(0, min(n, BLOCK_ROWS) - 2)), min_size=1,
+                               max_size=3))
+    start = (homes, last_seen, PriorConfig(kind=kind, alpha=rate, beta=rate), forced_rows)
     # Whole days from day 51 on, so simultaneous sightings occur too.
     days = rng.integers(51, 81, n)
     obs = [make_obs(f"o{i:03d}", 0, float(t), Location(x, y), fg=f)
@@ -300,22 +305,26 @@ def _streams(draw, kind, k):
 
 
 def _fresh(model, start):
-    homes, last_seen, config = start
+    homes, last_seen, config, _ = start
     return PriorState(labels=model.labels, home_xy=homes, last_loc_xy=homes.copy(),
                       last_seen=last_seen.copy(), config=config)
 
 
 def _infer_counting(model, start, calls, *where):
     """Runs ``calls`` (lists of observations) in turn through one fresh state,
-    with ``where`` the grid and the background model, if any; returns the
-    predictions, the final state and the fallback warnings."""
+    with ``where`` the grid and the background model, if any, and the drafts
+    forced wrong at the start's rows; returns the predictions, the final state
+    and the fallback warnings."""
     state, counter = _fresh(model, start), _Fallbacks()
     log = logging.getLogger("idfusion.fusion")
     log.addHandler(counter)
     try:
-        preds = [p for call in calls for p in sequential_infer(model, state, call, *where)]
+        with draft_spy(start[3]) as seen:
+            preds = [p for call in calls for p in sequential_infer(model, state, call, *where)]
     finally:
         log.removeHandler(counter)
+    if start[2].kind in (MIGRATING_LOCATION, TIME_DECAY) and len(calls) == 1 and len(calls[0]) > 1:
+        assert seen["forced"] > 0, seen
     return preds, state, counter.count
 
 
@@ -435,12 +444,13 @@ def test_permuting_the_label_order_keeps_winners_and_posteriors(kind, k, data):
     # posterior to 1e-12. Sums then run in another order and may move bits,
     # so a near-tie may pick another label and move the state: compare up to
     # the first sighting whose top two fused entries are within 1e-9.
-    model, (homes, last_seen, config), obs = data.draw(_streams(kind, k))
+    model, (homes, last_seen, config, forced_rows), obs = data.draw(_streams(kind, k))
     perm = np.array(data.draw(st.permutations(range(k))))
     permuted = replace(model, W=model.W[perm], b=model.b[perm],
                        labels=tuple(model.labels[i] for i in perm))
-    preds, _, _ = _infer_counting(model, (homes, last_seen, config), [obs])
-    again, _, _ = _infer_counting(permuted, (homes[perm], last_seen[perm], config), [obs])
+    preds, _, _ = _infer_counting(model, (homes, last_seen, config, forced_rows), [obs])
+    again, _, _ = _infer_counting(permuted, (homes[perm], last_seen[perm], config, forced_rows),
+                                  [obs])
     for p, q in zip(preds, again):
         top = np.sort(p.posterior)[-2:]
         if top[1] - top[0] <= 1e-9:
@@ -451,10 +461,10 @@ def test_permuting_the_label_order_keeps_winners_and_posteriors(kind, k, data):
 
 def _moved(start, obs, move):
     """The start and the stream with ``move`` applied to every home, anchor and capture."""
-    homes, last_seen, config = start
+    homes, last_seen, config, forced_rows = start
     moved = [replace(o, location=Location(*move(np.array([o.location.x, o.location.y])).tolist()))
              for o in obs]
-    return (move(homes), last_seen, config), moved
+    return (move(homes), last_seen, config, forced_rows), moved
 
 
 def _swap_axes(xy):
@@ -493,7 +503,7 @@ def test_swapping_the_axes_with_background_model_locations_moves_no_bit(kind, k,
     # sighting to the swapped capture, and the run is the swapped run. Its
     # argmax takes the first of tied logits, which no permutation keeps, so
     # ties are assumed away.
-    model, (homes, last_seen, config), obs = data.draw(_streams(kind, k))
+    model, (homes, last_seen, config, forced_rows), obs = data.draw(_streams(kind, k))
     n, d_bg = data.draw(st.integers(1, 4)), 3
     corner = data.draw(st.floats(-20.0, 20.0))
     grid = GridSpec(Location(corner, corner), data.draw(st.sampled_from([0.5, 2.5, 5.0])), n, n)
@@ -507,7 +517,7 @@ def test_swapping_the_axes_with_background_model_locations_moves_no_bit(kind, k,
     assume(n == 1 or (top_two[:, 1] > top_two[:, 0]).all())
     transpose = np.arange(n * n).reshape(n, n).T.ravel()
     transposed = replace(cells, W=cells.W[transpose], b=cells.b[transpose])
-    start = (homes, last_seen, replace(config, location_source="background_model"))
+    start = (homes, last_seen, replace(config, location_source="background_model"), forced_rows)
     whole = _infer_counting(model, start, [obs], grid, cells)
     moved_start, moved_obs = _moved(start, obs, _swap_axes)
     preds, state, fallbacks = _infer_counting(model, moved_start, [moved_obs], grid, transposed)
