@@ -35,25 +35,25 @@ class LogitsOutput:
             raise ValueError(f"per-instance temperature must be >= 1, got {self.temperature}")
 
 
-def softmax(scaled: np.ndarray, with_log: bool = False, out: np.ndarray | None = None):
-    """Softmax over the last axis of already-scaled logits.
+def softmax(scaled: np.ndarray, out: np.ndarray | None = None, pick: tuple | None = None):
+    """Softmax over the last axis of already-scaled logits, written to ``out``
+    when it is given (``scaled`` itself included).
 
-    Each row is shifted by its max before ``exp`` so nothing overflows. With
-    ``with_log`` the log-probabilities come back too, as ``(p, log_p)``;
-    callers that only need ``p`` never pay for them. The probabilities go to
-    ``out`` when it is given. Every step works along the last axis alone, so a
-    row comes out with the same bits on its own as inside a block of rows.
-    The reductions are the ufuncs ``ndarray.max`` and ``ndarray.sum`` call,
-    without their Python wrappers.
+    Each row is shifted by its max before ``exp`` so nothing overflows. For an
+    (m, k) block, ``pick = (positions, picked, total)`` names a flat position
+    in each row: its shifted entry, taken before ``exp``, goes to ``picked``
+    (m,) and the row's sum of exponentials to the column ``total`` (m, 1), so
+    its log-probability is ``picked - log(total)``. Every step works along the
+    last axis alone, so a row has the same bits on its own as inside a block.
+    The reductions are the ufuncs that ``ndarray.max`` and ``ndarray.sum`` wrap.
     """
     row_max = np.maximum.reduce(scaled, axis=-1, keepdims=True)
-    shifted = np.subtract(scaled, row_max, out=None if with_log else out)
-    p = np.exp(shifted, out=out if with_log else shifted)
-    total = np.add.reduce(p, axis=-1, keepdims=True)
-    p /= total
-    if not with_log:
-        return p
-    return p, shifted - np.log(total)
+    p = np.subtract(scaled, row_max, out=out)
+    if pick is not None:
+        np.take(p, pick[0], out=pick[1])
+    np.exp(p, out=p)
+    p /= np.add.reduce(p, axis=-1, keepdims=True, out=None if pick is None else pick[2])
+    return p
 
 
 def tempered_softmax(
@@ -93,31 +93,50 @@ def pits_objective(
         dL/dT   = (z_y - z . p) / T^2 + 2 lam (T - target)
 
     ``temperatures=None`` is plain cross-entropy: T is 1, there is no
-    regularizer and dL/dT is None. Training calls this once per mini-batch,
-    so nothing is validated: ``labels`` must be (m,) integers in [0, k), and
-    ``temperatures`` and ``targets`` (m,) positive finite values.
+    regularizer and dL/dT is None. Training runs this objective's two
+    kernels, the gradients once per mini-batch and the losses once per
+    epoch, so nothing is validated: ``labels`` must be (m,) integers in
+    [0, k), and ``temperatures`` and ``targets`` (m,) positive finite values.
     """
     m, k = logits.shape
     picks = np.arange(0, m * k, k)  # flat position of each row's label
     picks += labels
+    picked, total = np.empty(m), np.empty(m)
+    gap = None if temperatures is None else temperatures - targets
+    grad_z, grad_t = _gradients(logits, np.empty((m, k)), (picks, picked, total[:, None]),
+                                temperatures, gap, lam)
+    return _losses(picked, total, gap, lam), grad_z, grad_t
+
+
+def _gradients(logits: np.ndarray, out: np.ndarray, pick: tuple, temperatures=None, gap=None,
+               lam: float = 0.0) -> tuple[np.ndarray, np.ndarray | None]:
+    """:func:`pits_objective`'s dL/dz, into the C-ordered ``out``, and dL/dT, given ``gap`` =
+    T - target; ``pick`` is :func:`softmax`'s at the labels, keeping what :func:`_losses` needs."""
     if temperatures is None:
-        p, log_p = softmax(logits, with_log=True)
-        p.flat[picks] -= 1.0
-        return np.negative(log_p.take(picks)), p, None
+        p = softmax(logits, out, pick)
+        np.subtract.at(p.reshape(-1), pick[0], 1.0)
+        return p, None
     t_col = temperatures[:, None]
-    p, log_p = softmax(logits / t_col, with_log=True)
-    gap = temperatures - targets
-    loss = np.square(gap)
-    loss *= lam
-    loss -= log_p.take(picks)  # the same bits as -log_p_y + lam * gap**2
-    grad_t = logits.take(picks)
+    p = softmax(np.divide(logits, t_col, out=out), out, pick)
+    grad_t = logits.take(pick[0])
     grad_t -= np.einsum("ij,ij->i", logits, p)
     grad_t /= np.square(temperatures)
-    gap *= 2.0 * lam
-    grad_t += gap
-    p.flat[picks] -= 1.0
+    grad_t += gap * (2.0 * lam)
+    np.subtract.at(p.reshape(-1), pick[0], 1.0)
     p /= t_col
-    return loss, p, grad_t
+    return p, grad_t
+
+
+def _losses(picked: np.ndarray, total: np.ndarray, gap=None, lam: float = 0.0) -> np.ndarray:
+    """Each row's :func:`pits_objective` loss from the label's ``picked`` logit and the
+    softmax ``total`` that :func:`softmax` kept: -log p_y, plus lam * gap^2 with a ``gap``."""
+    log_p = picked - np.log(total)
+    if gap is None:
+        return np.negative(log_p, out=log_p)
+    loss = np.square(gap)
+    loss *= lam
+    loss -= log_p
+    return loss
 
 
 def fit_global_temperature(logits: np.ndarray, labels: np.ndarray) -> float:

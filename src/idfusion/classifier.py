@@ -17,9 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibration import TEMPERATURE_REGULARIZER, LogitsOutput, pits_objective
-from .data import (Dataset, GridSpec, IdentityCatalog, JsonSpec, Observation, check_finite,
-                   from_fields, location_xy, read_json, write_json)
+from .calibration import TEMPERATURE_REGULARIZER, LogitsOutput, _gradients, _losses
+from .data import (Dataset, GridSpec, IdentityCatalog, JsonSpec, Observation, _index,
+                   check_finite, from_fields, location_xy, read_json, write_json)
 from .errors import ConfigError, SchemaError, TrainingError
 
 logger = logging.getLogger(__name__)
@@ -41,6 +41,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("epochs", "batch_size", "seed"):
+            object.__setattr__(self, name, _index(getattr(self, name), "train", name, ConfigError))
         if self.loss_kind not in LOSS_KINDS:
             raise ConfigError(f"loss_kind must be one of {LOSS_KINDS}, got {self.loss_kind!r}")
         if self.input_kind not in INPUT_KINDS:
@@ -155,23 +157,33 @@ def _descend(
     is plain cross-entropy. Returns the per-epoch mean losses and the final
     ``b_T``.
 
-    Once per epoch: draw the seeded shuffle, copy ``X``, ``y`` and
-    ``targets`` into that order (into buffers reused across epochs), record
-    the mean loss and check that the loss and every weight are finite. Per
-    batch: take the next contiguous slice of the shuffled copies, run the
-    forward pass and :func:`pits_objective`, and step each weight by its
-    batch-mean gradient. Each step is written in place with the same float
-    operations in the same order as ``W -= lr * (G.T @ Xb) / m``, so the
-    weights carry the same bits as that plain expression gives.
+    Once per call: each batch's views of the shuffle and per-row buffers, and
+    one pair of logit and gradient buffers per batch size (at most two). Once
+    per epoch: refill the buffers in the seeded shuffle order, each label as
+    its flat position in its batch's buffers; after the last batch, every
+    row's loss from what the steps kept, summed batch by batch, and a check
+    that the loss and every weight are finite. Per batch: the forward pass,
+    :func:`pits_objective`'s gradients and each weight's in-place step, with
+    the float operations and order of ``W -= lr * (G.T @ Xb) / m``. No step
+    reads the loss, so every bit is that of the plain step with
+    :func:`pits_objective` per batch.
 
     Raises:
         TrainingError: if the loss or any weight goes non-finite, reporting
             the epoch and the learning rate in effect.
     """
-    n = X.shape[0]
+    n, k = X.shape[0], W.shape[0]
     batch = config.batch_size
-    Xs, ys = np.empty_like(X), np.empty_like(y)
-    ts = None if targets is None else np.empty_like(targets)
+    whole = n // batch * batch  # the rows in full batches
+    Xs, picks, ts = np.empty_like(X), np.empty(n, dtype=np.intp), np.empty(n)
+    # Per row, what its loss needs: the label's shifted logit, the softmax sum, T - target.
+    picked, total, gaps = np.empty(n), np.empty(n), np.empty(n)
+    row_picks = np.arange(n) % batch * k  # where each row starts in its batch's flat buffers
+    work = {m: (np.empty((m, k)), np.empty((m, k))) for m in {min(batch, n), n - whole} if m}
+    batches = [(Xs[i : i + batch], Xs[i : i + batch].T, ts[i : i + batch], gaps[i : i + batch],
+                (picks[i : i + batch], picked[i : i + batch], total[i : i + batch, None]),
+                *work[min(batch, n - i)]) for i in range(0, n, batch)]
+    W_t, step_W = W.T, np.empty_like(W)
     history: list[float] = []
     for epoch in range(config.epochs):
         lr = config.learning_rate * 0.5 * (1.0 + math.cos(math.pi * epoch / config.epochs))
@@ -179,43 +191,48 @@ def _descend(
         # "clip" never fires on a permutation; "raise" would copy through a
         # temporary as large as X.
         np.take(X, order, axis=0, out=Xs, mode="clip")
-        np.take(y, order, out=ys, mode="clip")
-        if ts is not None:
+        np.take(y, order, out=picks, mode="clip")
+        picks += row_picks
+        if targets is not None:
             np.take(targets, order, out=ts, mode="clip")
-        epoch_loss = 0.0
-        for start in range(0, n, batch):
-            stop = start + batch
-            Xb = Xs[start:stop]
+        for Xb, Xb_t, tb, gap, pick, Z, G in batches:
             m = Xb.shape[0]
-            Z = Xb @ W.T
+            np.matmul(Xb, W_t, out=Z)
             Z += b
-            if ts is None:
-                loss, G, _ = pits_objective(Z, ys[start:stop])
+            if targets is None:
+                _gradients(Z, G, pick)
             else:
                 U = Xb @ w_T
                 U += b_T
                 T = _softplus(U)
                 T += 1.0
-                loss, G, dU = pits_objective(Z, ys[start:stop], T, ts[start:stop], config.lam)
+                _, dU = _gradients(Z, G, pick, T, np.subtract(T, tb, out=gap), config.lam)
                 # dL/dU = dL/dT / (1 + exp(-U)), the softplus derivative.
                 denom = np.exp(np.negative(U, out=U), out=U)
                 denom += 1.0
                 dU /= denom
-                step = Xb.T @ dU
+                step = Xb_t @ dU
                 step *= lr
                 step /= m
                 w_T -= step
                 b_T -= lr * (float(np.add.reduce(dU)) / m)
-            epoch_loss += float(np.add.reduce(loss)) / m * m
-            step = G.T @ Xb
-            step *= lr
-            step /= m
-            W -= step
+            np.matmul(G.T, Xb, out=step_W)
+            step_W *= lr
+            step_W /= m
+            W -= step_W
             step = np.add.reduce(G, axis=0)
             step /= m
             step *= lr
             b -= step
 
+        losses = _losses(picked, total, None if targets is None else gaps, config.lam)
+        # A row of a block sums with the bits it has alone, so each full batch's
+        # sum is one row's.
+        epoch_loss = 0.0
+        for part in np.add.reduce(losses[:whole].reshape(-1, batch), axis=1).tolist():
+            epoch_loss += part / batch * batch
+        if whole < n:
+            epoch_loss += float(np.add.reduce(losses[whole:])) / (n - whole) * (n - whole)
         history.append(epoch_loss / n)
         weights = (W, b) if targets is None else (W, b, w_T, b_T)
         if not all(np.isfinite(v).all() for v in (history[-1], *weights)):

@@ -123,12 +123,12 @@ class GridSpec:
                          self.origin.y + (row + 0.5) * self.cell_size_km], axis=-1)
 
 
-def _index(value: Any, where: str, what: str) -> int:
-    """``value`` as an int, np.int64 included; ValueError naming ``where`` and ``what`` if not."""
+def _index(value: Any, where: str, what: str, error: type[Exception] = ValueError) -> int:
+    """``value`` as an int (np.int64 and bool too); else ``error`` naming ``where`` and ``what``."""
     try:
         return operator.index(value)
     except TypeError:
-        raise ValueError(f"{where}: {what} must be an integer, got {value!r}") from None
+        raise error(f"{where}: {what} must be an integer, got {value!r}") from None
 
 
 def _read_only_copy(values) -> np.ndarray:

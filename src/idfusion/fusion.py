@@ -226,10 +226,10 @@ def sequential_infer(
             done, drafted = len(winners), None
             rows = done if done + 1 == len(block) else slice(done, None)
             if stateful:
-                offsets = decay_offsets(state.config, anchors, points[rows])
+                offsets = decay_offsets(state.config, anchors, points[rows], out=prior[rows])
                 if offsets.ndim > 1:
                     drafted = _draft(offsets, log_likelihood[rows], points[rows], state.config, rate)
-                decay(offsets, rate, out=prior[rows])
+                decay(offsets, rate)
             else:
                 prior_rows(state, xy, times, out=prior)
             lost = fuse_rows(likelihood[rows], log_likelihood[rows], prior[rows], posterior[rows])

@@ -123,8 +123,8 @@ def init_state(catalog: IdentityCatalog, config: PriorConfig) -> PriorState:
     )
 
 
-def decay(offsets: np.ndarray, rate: float, out: np.ndarray | None = None) -> np.ndarray:
-    """Normalized exp(-rate * offset) along the last axis, overwriting
+def decay(offsets: np.ndarray, rate: float) -> np.ndarray:
+    """Normalized exp(-rate * offset) along the last axis, written over
     ``offsets``; rate 0 gives the uniform prior."""
     # Subtracting the min before exponentiating changes nothing after the
     # normalization but keeps exp() away from underflow at large rates.
@@ -134,21 +134,23 @@ def decay(offsets: np.ndarray, rate: float, out: np.ndarray | None = None) -> np
     if rate > 0:
         np.minimum(offsets, 746.0 / rate, out=offsets)
     offsets *= -rate
-    weights = np.exp(offsets, out=out)
+    weights = np.exp(offsets, out=offsets)
     weights /= weights.sum(axis=-1, keepdims=True)
     return weights
 
 
-def decay_offsets(config: PriorConfig, anchors: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """(n, K) offsets of ``points`` from ``anchors``: for the time prior the gaps in time
-    units between (n,) and (K,) times, else the distances in cells between (n, 2) and
-    (K, 2) locations; one point gives one (K,) row. Each entry is ``anchor - point``,
-    then abs or hypot, then the unit, so its bits hold in any shape, a point as anchor too."""
+def decay_offsets(config: PriorConfig, anchors: np.ndarray, points: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """(n, K) offsets of ``points`` from ``anchors``, into ``out`` if given: for the time
+    prior the gaps in time units between (n,) and (K,) times, else the distances in cells
+    between (n, 2) and (K, 2) locations; one point gives one (K,) row. Each entry is
+    ``anchor - point``, then abs or hypot, then the unit, so its bits hold in any shape,
+    a point as anchor too."""
     if config.kind == TIME_DECAY:
-        gaps = np.abs(anchors - points[..., None])
+        gaps = np.abs(np.subtract(anchors, points[..., None], out=out), out=out)
         gaps /= config.time_unit_days
         return gaps
-    dx = anchors[:, 0] - points[..., :1]
+    dx = np.subtract(anchors[:, 0], points[..., :1], out=out)
     dist = np.hypot(dx, anchors[:, 1] - points[..., 1:], out=dx)
     dist /= config.cell_size_km
     return dist
@@ -177,7 +179,7 @@ def prior_rows(
     """
     if state.config.kind != UNIFORM:
         anchors, points, rate = decay_terms(state, xy, np.reshape(timestamps, np.shape(xy)[:-1]))
-        return decay(decay_offsets(state.config, anchors, points), rate, out)
+        return decay(decay_offsets(state.config, anchors, points, out), rate)
     k = len(state.labels)
     if out is None:
         return np.full(np.shape(xy)[:-1] + (k,), 1.0 / k)

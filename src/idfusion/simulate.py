@@ -24,9 +24,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import (
-    TEST, TRAIN, Dataset, GridSpec, Location, _observations_from_rows, check_finite, from_fields,
-)
+from .data import (TEST, TRAIN, Dataset, GridSpec, Location, _index, _observations_from_rows,
+                   check_finite, from_fields)
 from .errors import ConfigError, SimulationError
 
 logger = logging.getLogger(__name__)
@@ -60,6 +59,8 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("n_identities", "feature_dim", "bg_feature_dim", "seasonal_bursts", "seed"):
+            object.__setattr__(self, name, _index(getattr(self, name), "sim", name, ConfigError))
         if self.n_identities < 2:
             raise ConfigError("need at least two identities")
         if self.feature_dim < 1 or self.bg_feature_dim < 1:

@@ -4,16 +4,20 @@
 # no shared code with the package, no numpy vectorization, no numerical
 # stabilization tricks beyond what the formulas themselves require. If the
 # package and these disagree, the package is wrong until proven otherwise.
-# Two exceptions: the reference simulator, which must draw from numpy's
-# generator because the bytes it pins come from that stream, and the
-# dataset and prediction record builders at the end, kept as the dicts whose
-# json text every written line must equal byte for byte.
+# Three exceptions: the reference simulator, which must draw from numpy's
+# generator because the bytes it pins come from that stream; the plain
+# training step, which runs the package's pits_objective with numpy so that
+# training must equal it bit for bit; and the dataset and prediction record
+# builders at the end, kept as the dicts whose json text every written line
+# must equal byte for byte.
 
 import cmath
 import json
 import math
 
 import numpy as np
+
+from idfusion.calibration import pits_objective
 
 
 def softmax_t(z, t):
@@ -187,6 +191,42 @@ def brute_force_sequential(
         posteriors.append(post)
         predictions.append(best)
     return posteriors, predictions
+
+
+# ---------------------------------------------------------------------------
+# The plain training step, the loop classifier training must equal bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def descend_ref(X, y, targets, W, b, w_t, b_t, epochs, learning_rate, batch_size, lam, rng):
+    """Mini-batch gradient descent as plain expressions: per batch, the logits,
+    pits_objective, each weight's step and the batch's loss sum, in the order
+    training has always run them. ``targets=None`` is cross-entropy and leaves
+    the temperature head alone. Returns new (W, b, w_t, b_t, loss history)."""
+    n = X.shape[0]
+    history = []
+    for epoch in range(epochs):
+        lr = learning_rate * 0.5 * (1.0 + math.cos(math.pi * epoch / epochs))
+        order = rng.permutation(n)
+        epoch_loss = 0.0
+        for start in range(0, n, batch_size):
+            rows = order[start : start + batch_size]
+            Xb, m = X[rows], len(rows)
+            Z = Xb @ W.T + b
+            if targets is None:
+                loss, G, _ = pits_objective(Z, y[rows])
+            else:
+                U = Xb @ w_t + b_t
+                T = np.logaddexp(0.0, U) + 1.0
+                loss, G, dT = pits_objective(Z, y[rows], T, targets[rows], lam)
+                dU = dT / (np.exp(-U) + 1.0)
+                w_t = w_t - lr * (Xb.T @ dU) / m
+                b_t = b_t - lr * (float(dU.sum()) / m)
+            epoch_loss += float(loss.sum()) / m * m
+            W = W - lr * (G.T @ Xb) / m
+            b = b - G.sum(axis=0) / m * lr
+        history.append(epoch_loss / n)
+    return W, b, w_t, b_t, history
 
 
 # ---------------------------------------------------------------------------

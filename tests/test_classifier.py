@@ -4,6 +4,7 @@ that is the same linear model over grid cells."""
 import hashlib
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,10 +12,12 @@ import pytest
 
 from idfusion.calibration import fit_global_temperature, per_instance_softmax, pits_objective
 from idfusion.classifier import (
+    LOSS_KINDS,
     PitsModel,
     TrainConfig,
     features_from,
     load_model,
+    load_model_and_config,
     save_model,
     train,
     train_background_model,
@@ -67,6 +70,25 @@ def test_train_config_validation():
         TrainConfig(learning_rate=0.0)
     with pytest.raises(ConfigError):
         TrainConfig(lam=-0.1)
+
+
+@pytest.mark.parametrize("name", ["epochs", "batch_size", "seed"])
+def test_train_config_integer_fields_are_ints(name):
+    with pytest.raises(ConfigError, match=f"train: {name} must be an integer, got 2.5"):
+        TrainConfig(**{name: 2.5})
+    with pytest.raises(ConfigError, match=f"train: {name} must be an integer, got 8.0"):
+        TrainConfig(**{name: 8.0})
+    config = TrainConfig(**{name: np.int64(3)})
+    assert type(getattr(config, name)) is int and getattr(config, name) == 3
+
+
+def test_a_bool_epoch_count_saves_a_checkpoint_that_reloads(tmp_path, grid2x2):
+    ds = _two_identity_dataset(grid2x2)
+    config = TrainConfig(epochs=True, learning_rate=0.05)
+    assert config.epochs == 1 and type(config.epochs) is int
+    path = tmp_path / "model.json"
+    save_model(train(ds, build_catalog(ds), config), path, config)
+    assert load_model_and_config(path)[1] == config
 
 
 def test_forward_zero_weights_gives_softplus_floor():
@@ -201,6 +223,28 @@ def test_training_error_when_the_last_update_overflows_the_weights(grid2x2, loss
     config = TrainConfig(loss_kind=loss_kind, epochs=1, learning_rate=1e308, batch_size=1000)
     with np.errstate(all="ignore"), pytest.raises(TrainingError, match="epoch 0"):
         train(ds, build_catalog(ds), config)
+
+
+@pytest.mark.parametrize("loss_kind", LOSS_KINDS)
+def test_training_memory_does_not_grow_with_the_batch_count(loss_kind):
+    # numpy reports its data buffers to tracemalloc. Training holds the features,
+    # their shuffled copy, the weights and a few per-row and per-batch-size
+    # buffers; a pair of (8, K) buffers per batch would be 50 times the features.
+    k, n, d = 200, 400, 8
+    rng = np.random.default_rng(0)
+    grid = GridSpec(origin=Location(0.0, 0.0), cell_size_km=1.0, n_cells_x=1, n_cells_y=1)
+    ds = Dataset.from_observations(
+        [make_obs(f"o{i}", i % k, float(i + 1), Location(0.5, 0.5), fg=rng.normal(size=d),
+                  split="train") for i in range(n)], grid)
+    catalog = build_catalog(ds)
+    config = TrainConfig(loss_kind=loss_kind, epochs=2, learning_rate=1e-2, batch_size=8)
+    tracemalloc.start()
+    try:
+        train(ds, catalog, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (n * d + k * d) * 8
 
 
 @pytest.mark.parametrize("config", [

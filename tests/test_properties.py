@@ -26,6 +26,8 @@ from idfusion.classifier import (
     TrainConfig,
     load_model,
     save_model,
+    train,
+    train_background_model,
 )
 from idfusion.data import (
     TEST,
@@ -33,9 +35,11 @@ from idfusion.data import (
     Dataset,
     GridSpec,
     Location,
+    build_catalog,
     from_fields,
     json_rows,
     load_dataset,
+    location_xy,
     read_json,
     read_jsonl,
     save_dataset,
@@ -68,8 +72,8 @@ from idfusion.errors import SimulationError, SplitError
 from idfusion.simulate import SimConfig, generate
 
 from conftest import draft_spy, make_obs
-from oracles import (cell_center_ref, cell_index_ref, json_text_ref, jsonl_ref, numeric_pits_grad,
-                     prediction_records_ref, reference_generate, top_entries)
+from oracles import (cell_center_ref, cell_index_ref, descend_ref, json_text_ref, jsonl_ref,
+                     numeric_pits_grad, prediction_records_ref, reference_generate, top_entries)
 
 settings.register_profile("properties", deadline=None, derandomize=True, database=None)
 settings.load_profile("properties")
@@ -93,11 +97,16 @@ def _assert_distribution(p):
 @given(_arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=40),
                elements=finite))
 def test_kernel_rows_are_distributions_with_matching_logs(scaled):
-    p, log_p = softmax(scaled, with_log=True)
+    p = softmax(scaled)
     assert np.all(p >= 0.0)
     assert np.all(np.abs(p.sum(axis=1) - 1.0) <= 1e-12)
-    assert np.allclose(np.exp(log_p), p, rtol=1e-12, atol=1e-15)
-    assert np.array_equal(softmax(scaled), p)
+    m, k = scaled.shape
+    picked, total = np.empty(m), np.empty((m, 1))
+    for j in range(k):  # each column in turn is every row's pick
+        positions = np.arange(j, m * k, k)
+        assert np.array_equal(softmax(scaled, pick=(positions, picked, total)), p)
+        log_p = picked - np.log(total[:, 0])
+        assert np.allclose(np.exp(log_p), p[:, j], rtol=1e-12, atol=1e-15)
 
 
 @given(
@@ -156,6 +165,61 @@ def test_objective_leaves_its_inputs_alone(batch, with_temperature):
     assert [a.tobytes() for a in inputs] == before
     assert len(outputs) == (3 if with_temperature else 2)
     assert not any(np.shares_memory(out, a) for out in outputs for a in inputs)
+
+
+@st.composite
+def _training_runs(draw):
+    """A small dataset on a 1 x K grid with identities 0 .. K-1 (fewer when n < K)
+    and a config: batches of 1, of a size that does not divide n, of n and of
+    more than n."""
+    n, k, d = draw(st.integers(1, 40)), draw(st.integers(2, 6)), draw(st.integers(1, 4))
+    k_ids = min(k, n)
+    identities = list(range(k_ids)) + draw(st.lists(st.integers(0, k_ids - 1),
+                                                    min_size=n - k_ids, max_size=n - k_ids))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fg, bg = rng.normal(size=(n, d)), rng.normal(size=(n, d))
+    cells = rng.integers(0, k, size=n)
+    grid = GridSpec(origin=Location(0.0, 0.0), cell_size_km=1.0, n_cells_x=k, n_cells_y=1)
+    dataset = Dataset.from_observations(
+        [make_obs(f"o{i}", identity, float(i + 1), Location(cells[i] + 0.5, 0.5), fg=fg[i], bg=bg[i],
+                  split=TRAIN) for i, identity in enumerate(identities)], grid)
+    batch = draw(st.sampled_from([1, n, n + 3, *(b for b in range(2, n) if n % b)]))
+    config = TrainConfig(loss_kind=draw(st.sampled_from(LOSS_KINDS)), epochs=draw(st.integers(1, 3)),
+                         learning_rate=draw(st.floats(1e-3, 1.0)), batch_size=batch,
+                         lam=draw(st.floats(0.0, 1.0)), seed=draw(st.integers(0, 2**16)))
+    return dataset, config
+
+
+def _bits(*values):
+    return [np.asarray(v, dtype=np.float64).tobytes() for v in values]
+
+
+@given(_training_runs())
+def test_training_is_the_plain_step_bit_for_bit(run):
+    dataset, config = run
+    catalog = build_catalog(dataset)
+    X = np.stack([o.fg_features for o in dataset.train])
+    y = np.array([catalog.identities.index(o.identity) for o in dataset.train])
+    targets = np.array([catalog.target_temperatures[o.identity] for o in dataset.train])
+    rng = np.random.default_rng(config.seed)
+    bound = 1.0 / np.sqrt(X.shape[1])
+    W = rng.uniform(-bound, bound, size=(len(catalog.identities), X.shape[1]))
+    w_t = rng.uniform(-bound, bound, size=X.shape[1])
+    want = descend_ref(X, y, targets if config.loss_kind == "pits" else None, W,
+                       np.zeros(W.shape[0]), w_t, 0.0, config.epochs, config.learning_rate,
+                       config.batch_size, config.lam, rng)
+    model = train(dataset, catalog, config)
+    assert _bits(model.W, model.b, model.w_T, model.b_T, model.loss_history) == _bits(*want)
+
+    grid, rng = dataset.grid, np.random.default_rng(config.seed)
+    X = np.stack([o.bg_features for o in dataset.train])
+    W = rng.uniform(-bound, bound, size=(grid.n_cells, X.shape[1]))
+    y = grid.cell_indices(location_xy(dataset.train))
+    W, b, _, _, history = descend_ref(X, y, None, W, np.zeros(grid.n_cells), None, 0.0,
+                                      config.epochs, config.learning_rate, config.batch_size,
+                                      config.lam, rng)
+    model = train_background_model(dataset, grid, config)
+    assert _bits(model.W, model.b, model.loss_history) == _bits(W, b, history)
 
 
 @st.composite

@@ -203,6 +203,15 @@ def test_sim_config_validation():
         SimConfig(**{**_BASE, "obs_rate": 0.0})
 
 
+@pytest.mark.parametrize("name", ["n_identities", "feature_dim", "bg_feature_dim",
+                                  "seasonal_bursts", "seed"])
+def test_sim_config_integer_fields_are_ints(name):
+    with pytest.raises(ConfigError, match=f"sim: {name} must be an integer, got 2.5"):
+        SimConfig(**{**_BASE, name: 2.5})
+    config = SimConfig(**{**_BASE, name: np.int64(3)})
+    assert type(getattr(config, name)) is int and getattr(config, name) == 3
+
+
 @pytest.mark.parametrize("obs_rate", [0.2, 0.5, 0.9])
 def test_too_few_sightings_for_the_identities_is_a_config_error(obs_rate):
     # round(obs_rate * 5) < 5 would leave an identity with no sighting at all.
