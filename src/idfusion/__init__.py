@@ -9,7 +9,6 @@ instead of being baked invisibly into a single end-to-end score.
 
 from .calibration import (
     CalibrationReport,
-    LogitsOutput,
     fit_global_temperature,
     per_instance_softmax,
     pits_objective,
@@ -75,7 +74,6 @@ __all__ = [
     "GridSpec",
     "IdentityCatalog",
     "Location",
-    "LogitsOutput",
     "Observation",
     "ParseError",
     "PitsModel",

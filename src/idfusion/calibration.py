@@ -20,21 +20,6 @@ TEMPERATURE_REGULARIZER = 0.1
 T_MIN, T_MAX, T_TOL = 0.05, 50.0, 1e-4
 
 
-@dataclass(frozen=True)
-class LogitsOutput:
-    """Raw scores plus the scalar temperature predicted for one input."""
-
-    logits: np.ndarray
-    temperature: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "logits", np.asarray(self.logits, dtype=np.float64))
-        if self.logits.ndim != 1:
-            raise ValueError("logits must be a one-dimensional vector")
-        if not self.temperature >= 1.0:
-            raise ValueError(f"per-instance temperature must be >= 1, got {self.temperature}")
-
-
 def softmax(scaled: np.ndarray, out: np.ndarray | None = None, pick: tuple | None = None):
     """Softmax over the last axis of already-scaled logits, written to ``out``
     when it is given (``scaled`` itself included).
@@ -66,7 +51,8 @@ def tempered_softmax(
     """
     t = np.asarray(temperature, dtype=np.float64)
     if not (t.min() > 0 and t.max() < np.inf):
-        raise ValueError(f"temperature must be positive and finite, got {temperature}")
+        bad = t.flat[np.argmin((t > 0) & (t < np.inf))]  # the first one; NaN fails both
+        raise ValueError(f"temperature must be positive and finite, got {bad}")
     # Checking the quotient covers non-finite logits and overflow alike.
     scaled = np.divide(np.asarray(logits, dtype=np.float64), t, out=out)
     if not np.isfinite(scaled).all():
@@ -74,8 +60,8 @@ def tempered_softmax(
     return softmax(scaled, out=out)
 
 
-def per_instance_softmax(output: LogitsOutput) -> np.ndarray:
-    return tempered_softmax(output.logits, output.temperature)
+def per_instance_softmax(output: tuple[np.ndarray, float]) -> np.ndarray:
+    return tempered_softmax(*output)
 
 
 def pits_objective(
@@ -186,7 +172,6 @@ class CalibrationReport:
     bin_confidences: tuple[float, ...]
     bin_accuracies: tuple[float, ...]
     bin_counts: tuple[int, ...]
-    n_samples: int
 
 
 def ece_from_top_predictions(
@@ -226,5 +211,4 @@ def ece_from_top_predictions(
         bin_confidences=tuple(float(v) for v in bin_conf),
         bin_accuracies=tuple(float(v) for v in bin_acc),
         bin_counts=tuple(int(v) for v in bin_n),
-        n_samples=n,
     )

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibration import TEMPERATURE_REGULARIZER, LogitsOutput, _gradients, _losses
+from .calibration import TEMPERATURE_REGULARIZER, _gradients, _losses
 from .data import (Dataset, GridSpec, IdentityCatalog, JsonSpec, Observation, _index,
                    check_finite, from_fields, location_xy, read_json, write_json)
 from .errors import ConfigError, SchemaError, TrainingError
@@ -49,6 +49,8 @@ class TrainConfig:
             raise ConfigError(f"input_kind must be one of {INPUT_KINDS}, got {self.input_kind!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         check_finite(self, positive=("learning_rate",), non_negative=("lam",))
 
     def to_dict(self) -> dict:
@@ -110,13 +112,11 @@ class PitsModel:
     def input_dim(self) -> int:
         return self.w_T.shape[0]
 
-    def forward(self, x: np.ndarray) -> LogitsOutput:
-        """Logits z = Wx + b and temperature T = 1 + softplus(w_T . x + b_T)."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.input_dim,):
-            raise ValueError(f"expected input of shape ({self.input_dim},), got {x.shape}")
-        logits, temperatures = self.forward_rows(x[None])
-        return LogitsOutput(logits=logits[0], temperature=float(temperatures[0]))
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, float]:
+        """The pair of logits z = Wx + b and temperature T = 1 + softplus(w_T . x + b_T):
+        row 0 of :meth:`forward_rows` on ``x[None]``."""
+        logits, temperatures = self.forward_rows(np.asarray(x, dtype=np.float64)[None])
+        return logits[0], float(temperatures[0])
 
     def forward_rows(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`forward` for each row of an (n, d) block: (n, K) logits and
@@ -365,6 +365,8 @@ def _model_from(path: str | Path, payload: dict) -> PitsModel:
             arrays[key] = np.array(payload.get(key, ()), dtype=np.float64)
         except (OverflowError, ValueError) as exc:  # ragged rows, an int too large for a float
             raise SchemaError(f"{path}: checkpoint {key!r} is malformed: {exc}") from exc
+        if not np.isfinite(arrays[key]).all():
+            raise SchemaError(f"{path}: checkpoint {key!r} must be finite")
     try:
         return PitsModel(W=arrays["W"], b=arrays["b"], w_T=arrays["w_T"],
                          b_T=float(arrays["b_T"]), labels=tuple(payload["labels"]),

@@ -205,7 +205,6 @@ class Dataset:
     observations: tuple[Observation, ...]
     grid: GridSpec
     n_identities: int
-    feature_dims: tuple[int, int]
 
     @classmethod
     def from_observations(cls, observations: Iterable[Observation], grid: GridSpec) -> "Dataset":
@@ -220,7 +219,7 @@ class Dataset:
         if not obs:
             raise SchemaError("dataset must contain at least one observation")
         n_identities = max(o.identity for o in obs) + 1
-        d, d_bg = feature_dims = (obs[0].fg_features.shape[0], obs[0].bg_features.shape[0])
+        d, d_bg = obs[0].fg_features.shape[0], obs[0].bg_features.shape[0]
         labels_seen: set[int] = set()
         ids_seen: set[str] = set()
         for o in obs:
@@ -242,7 +241,7 @@ class Dataset:
             first = list(islice((k for k in range(n_identities) if k not in labels_seen), 5))
             more = f" and {n_missing - len(first)} more" if n_missing > len(first) else ""
             raise SchemaError(f"identity labels are not contiguous; missing {first}{more}")
-        return cls(obs, grid, n_identities, feature_dims)
+        return cls(obs, grid, n_identities)
 
     # The splits and the new-location subset depend on the data alone, so each
     # is derived once per dataset, on first use.

@@ -308,13 +308,18 @@ def write_predictions(predictions: Sequence[Prediction], directory: str | Path,
 
     Output is byte-stable: keys are sorted and floats use exact reprs, so the same inputs
     always produce the same file. A NaN or an infinity raises ValueError, before the sidecar.
+    ``meta`` adds keys to the sidecar; a ``labels`` (a list) or ``prior_kind`` in it that
+    differs from the arguments the records are formatted with raises ValueError, before any file.
     """
+    meta, sidecar = meta or {}, {"labels": list(labels), "prior_kind": prior_kind}
+    for key, value in sidecar.items():
+        if key in meta and meta[key] != value:
+            raise ValueError(f"meta {key!r} differs from the {key} the records are written with")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     with (directory / PREDICTIONS_FILENAME).open("w", encoding="utf-8") as fh:
         fh.writelines(prediction_lines(predictions, labels, prior_kind))
-    write_json(directory / PREDICTIONS_META_FILENAME,
-               {"labels": list(labels), "prior_kind": prior_kind, **(meta or {})})
+    write_json(directory / PREDICTIONS_META_FILENAME, {**sidecar, **meta})
 
 
 def read_predictions(directory: str | Path) -> tuple[list[dict], dict]:

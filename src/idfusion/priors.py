@@ -84,7 +84,6 @@ class PriorState:
     last_loc_xy: np.ndarray
     last_seen: np.ndarray
     config: PriorConfig
-    _index: dict[int, int] = field(init=False, repr=False)
     # A labels tuple sequential_infer found equal to ``labels``; tuples never change.
     _matched_labels: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -100,10 +99,6 @@ class PriorState:
         for name in ("home_xy", "last_loc_xy", "last_seen"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} must be finite")
-        self._index = {label: i for i, label in enumerate(self.labels)}
-
-    def index_of(self, label: int) -> int:
-        return self._index[label]
 
 
 def init_state(catalog: IdentityCatalog, config: PriorConfig) -> PriorState:
@@ -188,11 +183,11 @@ def prior_rows(
 
 
 def update_location(state: PriorState, label: int, loc: Location) -> None:
-    state.last_loc_xy[state.index_of(label)] = (loc.x, loc.y)
+    state.last_loc_xy[state.labels.index(label)] = (loc.x, loc.y)
 
 
 def update_last_seen(state: PriorState, label: int, timestamp: float) -> None:
-    state.last_seen[state.index_of(label)] = timestamp
+    state.last_seen[state.labels.index(label)] = timestamp
 
 
 def check_background_model(model: PitsModel, grid: GridSpec, what: str = "background model") -> None:

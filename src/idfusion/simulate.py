@@ -78,8 +78,9 @@ class SimConfig:
                 f"obs_rate {self.obs_rate} gives {round(self.obs_rate * self.n_identities)}"
                 f" sightings for {self.n_identities} identities; every identity needs one"
             )
-        if self.seasonal_bursts < 0:
-            raise ConfigError("seasonal_bursts must be non-negative")
+        for name in ("seasonal_bursts", "seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be non-negative")
         if not 0 < self.season_duty <= 1:
             raise ConfigError("season_duty must lie in (0, 1]")
         if not 0 < self.season_attendance <= 1:

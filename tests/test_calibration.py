@@ -14,7 +14,6 @@ from idfusion.calibration import (
     T_MAX,
     T_MIN,
     T_TOL,
-    LogitsOutput,
     ece_from_top_predictions,
     fit_global_temperature,
     pits_objective,
@@ -70,17 +69,19 @@ def test_tempered_softmax_rejects_bad_inputs():
         tempered_softmax(np.array([1.0, 0.0]), math.inf)
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+def test_a_bad_temperature_column_quotes_its_first_bad_value(bad):
+    # Weights past float range overflow T to inf; the message names the value, not the column.
+    t = np.ones((40, 1))
+    t[7, 0], t[30, 0] = bad, 0.0
+    with pytest.raises(ValueError, match=f"^temperature must be positive and finite, got {bad}$"):
+        tempered_softmax(np.zeros((40, 3)), t)
+
+
 def test_tempered_softmax_rejects_an_overflowing_quotient():
     # Finite logits over a tiny finite temperature overflow to inf.
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
         tempered_softmax(np.array([1e300, 0.0]), 1e-10)
-
-
-def test_logits_output_enforces_floor_and_shape():
-    with pytest.raises(ValueError):
-        LogitsOutput(np.zeros(3), 0.99)
-    with pytest.raises(ValueError):
-        LogitsOutput(np.zeros((2, 3)), 1.5)
 
 
 def _one_row(z, t, y, target, lam=0.1):
@@ -247,7 +248,7 @@ def test_ece_matches_reference():
         correct = (rng.uniform(size=n) < conf).astype(float)
         got = ece_from_top_predictions(conf, correct, n_bins=15)
         assert got.ece == pytest.approx(ece_ref(list(conf), list(correct), 15), abs=1e-12)
-        assert sum(got.bin_counts) == got.n_samples == n
+        assert sum(got.bin_counts) == n
 
 
 def test_ece_input_validation():

@@ -70,6 +70,9 @@ def test_train_config_validation():
         TrainConfig(learning_rate=0.0)
     with pytest.raises(ConfigError):
         TrainConfig(lam=-0.1)
+    # numpy would reject it only at training time, naming no field.
+    with pytest.raises(ConfigError, match="^seed must be non-negative$"):
+        TrainConfig(seed=-1)
 
 
 @pytest.mark.parametrize("name", ["epochs", "batch_size", "seed"])
@@ -101,9 +104,13 @@ def test_forward_zero_weights_gives_softplus_floor():
         input_kind="foreground",
         temperature_head_active=True,
     )
-    out = model.forward(np.array([1.0, -1.0]))
-    assert np.allclose(out.logits, 0.0)
-    assert out.temperature == pytest.approx(1.0 + math.log(2.0), abs=1e-12)
+    logits, temperature = model.forward(np.array([1.0, -1.0]))
+    assert np.allclose(logits, 0.0)
+    assert temperature == pytest.approx(1.0 + math.log(2.0), abs=1e-12)
+    # forward is row 0 of forward_rows, whose shape check covers it.
+    for x in (np.ones(3), np.ones((1, 2)), np.float64(1.0)):
+        with pytest.raises(ValueError, match=r"expected inputs of shape \(n, 2\)"):
+            model.forward(x)
 
 
 def test_forward_inactive_head_pins_unit_temperature():
@@ -116,7 +123,7 @@ def test_forward_inactive_head_pins_unit_temperature():
         input_kind="foreground",
         temperature_head_active=False,
     )
-    assert model.forward(np.ones(2)).temperature == 1.0
+    assert model.forward(np.ones(2))[1] == 1.0
 
 
 def test_training_is_bit_deterministic(grid2x2):
@@ -136,7 +143,7 @@ def test_trained_temperatures_never_dip_below_one(grid2x2):
     ds = _two_identity_dataset(grid2x2, noise=1.0)
     model = train(ds, build_catalog(ds), TrainConfig(epochs=30, learning_rate=0.1))
     for o in ds.observations:
-        assert model.forward(o.fg_features).temperature >= 1.0
+        assert model.forward(o.fg_features)[1] >= 1.0
 
 
 def test_ce_batch_loss_matches_textbook_cross_entropy(grid2x2):
@@ -171,11 +178,11 @@ def test_pits_batch_loss_matches_reference(grid2x2):
     y = rng.integers(0, 3, size=16)
     targets = 1.0 + rng.uniform(0.0, 2.0, size=16)
     outs = [model.forward(x) for x in X]
-    loss, _, _ = pits_objective(np.stack([o.logits for o in outs]), y,
-                                np.array([o.temperature for o in outs]), targets, lam=0.1)
+    loss, _, _ = pits_objective(np.stack([z for z, _ in outs]), y,
+                                np.array([t for _, t in outs]), targets, lam=0.1)
     got = float(np.mean(loss))
-    per_row = [pits_loss_ref(list(out.logits), out.temperature, int(label), float(tgt), 0.1)
-               for out, label, tgt in zip(outs, y, targets)]
+    per_row = [pits_loss_ref(list(z), t, int(label), float(tgt), 0.1)
+               for (z, t), label, tgt in zip(outs, y, targets)]
     assert got == pytest.approx(float(np.mean(per_row)), abs=1e-12)
 
 
@@ -196,7 +203,7 @@ def test_rare_identity_runs_hotter_than_frequent(grid2x2):
     model = train(ds, catalog, TrainConfig(epochs=150, learning_rate=0.1, batch_size=16))
     temps = {0: [], 1: []}
     for o in ds.train:
-        temps[o.identity].append(model.forward(o.fg_features).temperature)
+        temps[o.identity].append(model.forward(o.fg_features)[1])
     assert np.mean(temps[1]) > np.mean(temps[0])
 
 

@@ -131,14 +131,14 @@ def test_calibrate_fits_on_train_and_scores_test(tmp_path, config_path, capsys):
 
     ds = load_dataset(data)
     model = load_model(model_path)
-    logits = np.stack([model.forward(o.fg_features).logits for o in ds.train])
+    logits = np.stack([model.forward(o.fg_features)[0] for o in ds.train])
     labels = np.array([model.labels.index(o.identity) for o in ds.train])
     stored = json.loads(out.read_text())
     t_star = fit_global_temperature(logits, labels)
     assert stored["temperature"] == t_star
     assert stored["n_evaluated"] == len(ds.test)
     # Scored out of sample, from logits computed one observation at a time.
-    logits = np.stack([model.forward(o.fg_features).logits for o in ds.test])
+    logits = np.stack([model.forward(o.fg_features)[0] for o in ds.test])
     labels = np.array([model.labels.index(o.identity) if o.identity in model.labels else -1
                        for o in ds.test])
     assert (labels == -1).any()
@@ -405,6 +405,11 @@ def test_error_paths_exit_one(tmp_path, config_path, capsys):
              ("checkpoint 'W' is malformed: int too large to convert to float",)),
             ("b_T-huge-int", lambda c: c.update(b_T=10**400),
              ("checkpoint 'b_T' is malformed: int too large to convert to float",)),
+            # json reads NaN and Infinity; such a weight would fail only in the softmax.
+            ("b-inf", lambda c: c["b"].__setitem__(1, -math.inf), ("checkpoint 'b' must be finite",)),
+            ("w_T-inf", lambda c: c["w_T"].__setitem__(0, math.inf),
+             ("checkpoint 'w_T' must be finite",)),
+            ("b_T-nan", lambda c: c.update(b_T=math.nan), ("checkpoint 'b_T' must be finite",)),
             # Every entry is read by JSON type, as a config section's are.
             ("labels-float", lambda c: c["labels"].__setitem__(0, 1.7),
              ("labels must be list[int], got [1.7, ",)),
@@ -749,6 +754,34 @@ def test_cli_names_a_non_finite_config_value(tmp_path, predictions, capsys):
         assert capsys.readouterr().err == (
             f"error: {section}: {key} must be finite and positive, got nan\n")
     assert not (tmp_path / "p").exists()
+
+
+_NON_FINITE = {"W": lambda c: c["W"][0].__setitem__(0, math.nan),
+               "b_T": lambda c: c.update(b_T=math.inf)}
+
+
+@pytest.mark.parametrize("case, command", [("seed", "simulate"), ("W", "infer"), ("W", "calibrate"),
+                                           ("b_T", "infer"), ("b_T", "calibrate")])
+def test_a_failure_exits_one_with_one_line_naming_its_cause(tmp_path, predictions, capsys, case,
+                                                            command):
+    # Each of these once failed later, in numpy or in the softmax, naming no
+    # field and, for an infinite b_T, printing a column of temperatures.
+    data, _ = predictions
+    if case == "seed":
+        argv = ["simulate", "--preset", "lynx", "--seed", "-1", "--out", str(tmp_path / "d")]
+        named = "seed must be non-negative"
+    else:
+        checkpoint = json.loads((data.parent / "model.json").read_text())
+        _NON_FINITE[case](checkpoint)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(checkpoint), encoding="utf-8")
+        argv = [command, "--data", str(data), "--model", str(path)]
+        argv += ["--out", str(tmp_path / "p")] if command == "infer" else []
+        named = f"{path}: checkpoint {case!r} must be finite"
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err, err
+    assert not (tmp_path / "d").exists() and not (tmp_path / "p").exists()
 
 
 def _numeric_leaves(value, path=()):

@@ -188,7 +188,6 @@ def test_dataset_split_views(grid2x2):
     assert len(ds.train) == 4
     assert len(ds.test) == 2
     assert ds.n_identities == 2
-    assert ds.feature_dims == (3, 2)
 
 
 def test_validate_passes_on_well_formed(grid2x2):
@@ -350,7 +349,7 @@ def test_save_dataset_writes_the_json_text_of_each_record(tmp_path, grid2x2, n):
         for i in range(n)
     ]
     # Built directly, so the observations without a split are written as they are.
-    save_dataset(Dataset(tuple(observations), grid2x2, 3, (4, 3)), tmp_path)
+    save_dataset(Dataset(tuple(observations), grid2x2, 3), tmp_path)
     expected = jsonl_ref(map(observation_record_ref, observations))
     assert (tmp_path / "observations.jsonl").read_bytes() == expected.encode("ascii")
 

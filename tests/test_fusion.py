@@ -346,10 +346,10 @@ def test_block_logits_are_the_per_row_bits():
     X = rng.normal(size=(200, d))
     logits, temperatures = model.forward_rows(X)
     for x, z, t in zip(X, logits, temperatures):
-        out = model.forward(x)
-        assert np.array_equal(z, out.logits)
+        z_one, t_one = model.forward(x)
+        assert np.array_equal(z, z_one)
         assert np.array_equal(z, model.W @ x + model.b)
-        assert t == out.temperature == 1.0 + float(np.logaddexp(0.0, float(model.w_T @ x) + 0.3))
+        assert t == t_one == 1.0 + float(np.logaddexp(0.0, float(model.w_T @ x) + 0.3))
 
 
 def test_predictions_round_trip_and_are_byte_stable(tmp_path):
@@ -427,6 +427,26 @@ def test_write_predictions_names_a_temperature_past_a_doubles_range(tmp_path):
     with pytest.raises(ValueError, match="^prediction 'c': T_i is an int too large for a float$"):
         write_predictions(preds, tmp_path / "p", labels=model.labels, prior_kind=MIGRATING_LOCATION)
     assert not (tmp_path / "p" / "predictions_meta.json").exists()
+
+
+@pytest.mark.parametrize("meta, key", [({"labels": [5, 6, 7], "seed": 1}, "labels"),
+                                       ({"prior_kind": UNIFORM}, "prior_kind")])
+def test_write_predictions_rejects_a_meta_that_contradicts_the_records(tmp_path, meta, key):
+    # The records name their labels and prior kind; a sidecar that disagreed
+    # would score every sighting against other labels.
+    grid, model, state, obs, _ = _migration_fixture()
+    preds = sequential_infer(model, state, obs, grid=grid)
+    with pytest.raises(ValueError, match=f"^meta '{key}' differs from the {key} the records"):
+        write_predictions(preds, tmp_path / "p", labels=model.labels, prior_kind=MIGRATING_LOCATION,
+                          meta=meta)
+    assert not (tmp_path / "p").exists()
+    # Repeating the arguments writes what leaving them out writes.
+    write_predictions(preds, tmp_path / "a", labels=model.labels, prior_kind=MIGRATING_LOCATION,
+                      meta={"labels": list(model.labels), "prior_kind": MIGRATING_LOCATION, "seed": 1})
+    write_predictions(preds, tmp_path / "b", labels=model.labels, prior_kind=MIGRATING_LOCATION,
+                      meta={"seed": 1})
+    for name in ("predictions.jsonl", "predictions_meta.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def test_int_and_bool_coordinates_are_written_as_json_floats(tmp_path):

@@ -132,9 +132,9 @@ def test_init_state_anchors_at_homes_and_last_train_times(grid2x2):
     state = init_state(catalog, PriorConfig(kind=MIGRATING_LOCATION))
     assert np.array_equal(state.last_loc_xy, state.home_xy)
     for k in catalog.identities:
-        assert state.last_seen[state.index_of(k)] == catalog.last_train_time[k]
+        assert state.last_seen[state.labels.index(k)] == catalog.last_train_time[k]
         home = catalog.home_locations[k]
-        assert tuple(state.home_xy[state.index_of(k)]) == (home.x, home.y)
+        assert tuple(state.home_xy[state.labels.index(k)]) == (home.x, home.y)
 
 
 def test_updates_touch_only_their_row():

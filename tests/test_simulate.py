@@ -201,6 +201,9 @@ def test_sim_config_validation():
         SimConfig(**{**_BASE, "season_attendance": 0.0})
     with pytest.raises(ConfigError):
         SimConfig(**{**_BASE, "obs_rate": 0.0})
+    # numpy would reject it only in generate, naming no field.
+    with pytest.raises(ConfigError, match="^seed must be non-negative$"):
+        SimConfig(**{**_BASE, "seed": -1})
 
 
 @pytest.mark.parametrize("name", ["n_identities", "feature_dim", "bg_feature_dim",
