@@ -50,12 +50,13 @@ def tempered_softmax(
     an ``(n, K)`` block its own temperature; ``out`` receives the result.
     """
     t = np.asarray(temperature, dtype=np.float64)
-    if not (t.min() > 0 and t.max() < np.inf):
+    # ndarray.min, .max and .all without their Python wrappers: this runs once per block.
+    if not (np.minimum.reduce(t, axis=None) > 0 and np.maximum.reduce(t, axis=None) < np.inf):
         bad = t.flat[np.argmin((t > 0) & (t < np.inf))]  # the first one; NaN fails both
         raise ValueError(f"temperature must be positive and finite, got {bad}")
     # Checking the quotient covers non-finite logits and overflow alike.
     scaled = np.divide(np.asarray(logits, dtype=np.float64), t, out=out)
-    if not np.isfinite(scaled).all():
+    if not np.logical_and.reduce(np.isfinite(scaled), axis=None):
         raise ValueError("logits / temperature must be finite")
     return softmax(scaled, out=out)
 

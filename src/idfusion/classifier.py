@@ -19,7 +19,7 @@ import numpy as np
 
 from .calibration import TEMPERATURE_REGULARIZER, _gradients, _losses
 from .data import (Dataset, GridSpec, IdentityCatalog, JsonSpec, Observation, _index,
-                   check_finite, from_fields, location_xy, read_json, write_json)
+                   _read_only_copy, check_finite, from_fields, location_xy, read_json, write_json)
 from .errors import ConfigError, SchemaError, TrainingError
 
 logger = logging.getLogger(__name__)
@@ -81,6 +81,10 @@ class PitsModel:
     head, so exposing the head's untrained output would smear random
     temperatures over the baseline; instead the inactive head reports T = 1
     and the baseline stays an ordinary softmax classifier.
+
+    It owns read-only float64 copies of ``W``, ``b`` and ``w_T``, so no write
+    can change its scores, and ``sequential_infer`` may keep in ``_scored`` the
+    likelihood blocks of the last tuple of observations it scored.
     """
 
     W: np.ndarray
@@ -91,11 +95,12 @@ class PitsModel:
     input_kind: str
     temperature_head_active: bool
     loss_history: tuple[float, ...] = field(default=())
+    # (observations tuple, [(block, likelihood, temperatures) for each block of its stream])
+    _scored: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "W", np.asarray(self.W, dtype=np.float64))
-        object.__setattr__(self, "b", np.asarray(self.b, dtype=np.float64))
-        object.__setattr__(self, "w_T", np.asarray(self.w_T, dtype=np.float64))
+        for name in ("W", "b", "w_T"):
+            object.__setattr__(self, name, _read_only_copy(getattr(self, name)))
         if self.W.shape != (len(self.labels), self.w_T.shape[0]):
             raise ValueError(
                 f"W shape {self.W.shape} inconsistent with {len(self.labels)} labels"

@@ -218,20 +218,23 @@ def run_row_suite(
     base_prior: PriorConfig | None = None,
 ) -> dict[str, ExperimentReport]:
     """Run each named row, training each distinct (input, loss) model once
-    with ``base_train``'s settings, its seed included."""
+    with ``base_train``'s settings, its seed included. A model, and the
+    likelihood blocks it keeps for the test split, is dropped after its last row."""
     if base_train is None:
         base_train = TrainConfig()
     if base_prior is None:
         base_prior = PriorConfig()
     models: dict[tuple[str, str], PitsModel] = {}
     reports: dict[str, ExperimentReport] = {}
-    for name, input_kind, loss_kind, prior_kind, location_source in rows:
+    last_row = {(row[1], row[2]): i for i, row in enumerate(rows)}
+    for i, (name, input_kind, loss_kind, prior_kind, location_source) in enumerate(rows):
         key = (input_kind, loss_kind)
         tc = replace(base_train, input_kind=input_kind, loss_kind=loss_kind)
         if key not in models:
             models[key] = train(dataset, build_catalog(dataset), tc)
         pc = replace(base_prior, kind=prior_kind, location_source=location_source)
-        report, _ = run_experiment(dataset, tc, pc, model=models[key])
+        model = models[key] if last_row[key] > i else models.pop(key)
+        report, _ = run_experiment(dataset, tc, pc, model=model)
         reports[name] = report
         logger.info("row %-22s accuracy %.3f", name, report.overall_accuracy)
     return reports

@@ -7,7 +7,13 @@ underflow; an exactly uniform prior short-circuits to the likelihood itself,
 so the argmax is preserved exactly, not just up to floating-point error.
 
 Inference is one loop over blocks of up to ``BLOCK_ROWS`` sightings. The
-likelihood never depends on prior state, so each block computes it once.
+likelihood never depends on prior state, so every block's is computed once,
+before the first state write. A model keeps the blocks of the last tuple of
+observations it scored, with its stream order, and a later call over that same
+tuple object, under any prior, reads them. Only a tuple (immutable, and held so
+its id cannot be reused) is kept: a list or an iterator is scored on every call.
+The memo lives and dies with its model. Its likelihood rows are shared by the
+predictions of every call, so they are read-only; each call takes its own ``np.log``.
 A stateless prior, its fusion and the argmax run once over the block. The
 migrating and time priors read what each earlier row's winner wrote: a serial
 draft picks each row's winner as the argmax of ``log L - rate * offset`` and
@@ -68,7 +74,8 @@ class Prediction:
     """Outcome of fusing one observation, with everything needed to audit it.
 
     ``posterior``, ``likelihood`` and ``prior`` are rows of three arrays
-    shared by the predictions of one block of ``sequential_infer``.
+    shared by the predictions of one block of ``sequential_infer``; the
+    read-only likelihood's also by every call over a memoized tuple.
     ``resolved_location`` is the capture location the spatial priors read,
     ``temperature_used`` the sighting's T_i and ``true_identity`` its label.
     """
@@ -98,11 +105,15 @@ def fuse_rows(likelihood: np.ndarray, log_likelihood: np.ndarray, prior: np.ndar
     The caller ignores divide and invalid errors, since a row that loses all its
     mass takes log(0) or 0/0; returns those rows' indices, in order, to warn for.
     """
-    constant = (prior == prior[..., :1]).all(axis=-1)
+    constant = np.logical_and.reduce(prior == prior[..., :1], axis=-1)  # ndarray.all, unwrapped
+    if constant.ndim and np.count_nonzero(constant) == len(constant):
+        # A block of constant rows (the uniform prior's) keeps only the fallback's quotient.
+        np.divide(likelihood, likelihood.sum(axis=-1, keepdims=True), out=out)
+        return []
     if likelihood.shape[-1] > LOG_SPACE_THRESHOLD:
         np.log(prior, out=out)
         out += log_likelihood
-        lost = np.isinf(out).all(axis=-1)
+        lost = np.logical_and.reduce(np.isinf(out), axis=-1)
         softmax(out, out=out)
     else:
         np.multiply(likelihood, prior, out=out)
@@ -183,6 +194,9 @@ def sequential_infer(
     order (drafted, then verified, a block at a time: see the module docstring):
     a migrating prior moves that identity to the resolved capture location, a
     time-decay prior stamps it as just seen; stateless priors leave it untouched.
+    Every block's likelihood is computed (or read from ``model``'s memo: see the
+    module docstring) before the first state write, so a bad temperature anywhere
+    in the stream raises with ``state`` untouched.
 
     Streaming contract: ``state`` is advanced in place and is not copied.
     Feeding a stream as consecutive time-ordered chunks that share one state
@@ -190,33 +204,39 @@ def sequential_infer(
     stream, or as one call per sighting; a caller that wants to keep the
     starting state passes a fresh one from ``init_state``.
     """
-    observations = list(observations)
+    scored = model._scored
+    blocks = scored[1] if scored is not None and scored[0] is observations else None
+    stream = observations if blocks else list(observations)
     if state is None:
         raise ValueError("sequential inference needs an initialized prior state")
-    if not observations:
+    if not stream:
         raise ValueError("cannot run inference over an empty observation stream")
     if model.labels is not state._matched_labels and tuple(model.labels) != tuple(state.labels):
         raise ValueError("model and prior state disagree on the label space")
+    if blocks is None:
+        if len(stream) > 1:
+            stream = [stream[i] for i in _stream_order(stream)]
+        blocks = []
+        for start in range(0, len(stream), BLOCK_ROWS):
+            block = stream[start : start + BLOCK_ROWS]
+            logits, temperatures = model.forward_rows(
+                np.array([features_from(o, model.input_kind) for o in block])
+            )
+            likelihood = tempered_softmax(logits, temperatures[:, None], out=np.empty(logits.shape))
+            likelihood.setflags(write=False)
+            blocks.append((block, likelihood, temperatures.tolist()))
+        if isinstance(observations, tuple):
+            object.__setattr__(model, "_scored", (observations, blocks))
     state._matched_labels = model.labels if isinstance(model.labels, tuple) else None
 
     stateful = state.config.kind in (MIGRATING_LOCATION, TIME_DECAY)
-
-    stream = observations
-    if len(observations) > 1:
-        stream = [observations[i] for i in _stream_order(observations)]
     labels = state.labels
     predictions: list[Prediction] = []
-    for start in range(0, len(stream), BLOCK_ROWS):
-        block = stream[start : start + BLOCK_ROWS]
+    for block, likelihood, temperatures in blocks:
         locations = resolve_locations(block, state.config, background_model, grid)
         where = np.array([(loc.x, loc.y, o.timestamp) for loc, o in zip(locations, block)])
         xy, times = where[:, :2], where[:, 2]
-        logits, temperatures = model.forward_rows(
-            np.array([features_from(o, model.input_kind) for o in block])
-        )
-        shape = (len(block), len(labels))
-        likelihood, prior, posterior = np.empty(shape), np.empty(shape), np.empty(shape)
-        tempered_softmax(logits, temperatures[:, None], out=likelihood)
+        prior, posterior = np.empty(likelihood.shape), np.empty(likelihood.shape)
         log_likelihood = np.log(likelihood)
         winners: list[int] = []
         if stateful:
@@ -245,8 +265,7 @@ def sequential_infer(
         predictions += [
             Prediction(obs.obs_id, labels[w], post, l, p, loc, temperature, obs.identity)
             for obs, w, l, p, post, loc, temperature in zip(
-                block, winners, likelihood, prior, posterior, locations,
-                temperatures.tolist()
+                block, winners, likelihood, prior, posterior, locations, temperatures
             )
         ]
     return predictions

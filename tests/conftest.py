@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from idfusion import fusion
+from idfusion.classifier import PitsModel
 from idfusion.data import Dataset, GridSpec, Location, Observation
 
 from oracles import cell_center_ref
@@ -60,7 +61,8 @@ def tiny_dataset(grid: GridSpec) -> Dataset:
 
 @contextmanager
 def draft_spy(forced_rows=()):
-    """Counts what ``sequential_infer`` does in a block: its verify passes (one
+    """Counts what ``sequential_infer`` does in a block: its likelihood passes
+    (one ``PitsModel.forward_rows`` call each), its verify passes (one
     fuse_rows call over rows each), its drafts, and the drafted rows forced wrong.
 
     The draft picks another label than it would at each row whose position
@@ -70,6 +72,7 @@ def draft_spy(forced_rows=()):
     miss does. The verify pass never sees the forced entry. Yields the Counter.
     """
     draft, fuse_rows, seen = fusion._draft, fusion.fuse_rows, Counter()
+    forward_rows = PitsModel.forward_rows
 
     def forcing_draft(offsets, log_likelihood, points, config, rate):
         # The draft gets views of the block's rows from ``start`` on.
@@ -87,6 +90,11 @@ def draft_spy(forced_rows=()):
         seen["passes"] += 1
         return fuse_rows(likelihood, *args)
 
+    def counting_forward_rows(model, X):
+        seen["forwards"] += 1
+        return forward_rows(model, X)
+
     with mock.patch.object(fusion, "_draft", forcing_draft), \
-            mock.patch.object(fusion, "fuse_rows", counting_fuse_rows):
+            mock.patch.object(fusion, "fuse_rows", counting_fuse_rows), \
+            mock.patch.object(PitsModel, "forward_rows", counting_forward_rows):
         yield seen

@@ -113,6 +113,25 @@ def test_forward_zero_weights_gives_softplus_floor():
             model.forward(x)
 
 
+def test_a_model_owns_read_only_copies_of_its_weights():
+    # A later write to the caller's arrays cannot reach the model's scores, and a
+    # write through the attribute raises, as for an Observation's features.
+    rng = np.random.default_rng(5)
+    W, b, w_T = rng.normal(size=(3, 2)), rng.normal(size=3), rng.normal(size=2)
+    model = PitsModel(W=W, b=b, w_T=w_T, b_T=0.5, labels=(0, 1, 2), input_kind="foreground",
+                      temperature_head_active=True)
+    X = rng.normal(size=(4, 2))
+    logits, temperatures = model.forward_rows(X)
+    W[0, 0], b[1], w_T[0] = 100.0, 5.0, -7.0
+    again = model.forward_rows(X)
+    assert np.array_equal(again[0], logits) and np.array_equal(again[1], temperatures)
+    for name in ("W", "b", "w_T"):
+        array = getattr(model, name)
+        assert array.dtype == np.float64 and not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 5.0
+
+
 def test_forward_inactive_head_pins_unit_temperature():
     model = PitsModel(
         W=np.ones((2, 2)),

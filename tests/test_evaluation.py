@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 from idfusion.classifier import TrainConfig, train
 from idfusion.data import Dataset, GridSpec, Location, build_catalog, location_xy
+from idfusion import evaluation
 from idfusion.evaluation import (
     ExperimentReport,
     infer,
@@ -302,6 +304,28 @@ def test_row_suite_runs_named_rows():
         assert rep.seed == 4 and rep.train_config["seed"] == 4
     assert reports["fg_ce_uniform"].train_config["loss_kind"] == "ce"
     assert reports["fg_pits_migrating"].prior_config["kind"] == MIGRATING_LOCATION
+
+
+def test_row_suite_drops_each_model_after_its_last_row(monkeypatch):
+    # A model keeps its test split's likelihood blocks, so one no later row
+    # needs must not outlive its row; one a later row needs is trained once.
+    ds, trained, alive = _small_sim(), [], []
+
+    def training(*args):
+        trained.append(weakref.ref(model := train(*args)))
+        return model
+
+    def running(*args, model):
+        alive.append(sum(ref() is not None for ref in trained))
+        return run_experiment(*args, model=model)
+
+    monkeypatch.setattr(evaluation, "train", training)
+    monkeypatch.setattr(evaluation, "run_experiment", running)
+    rows = (("pits_uniform", "foreground", "pits", UNIFORM, "metadata"),
+            ("ce_uniform", "foreground", "ce", UNIFORM, "metadata"),
+            ("pits_time", "foreground", "pits", TIME_DECAY, "metadata"))
+    run_row_suite(ds, rows=rows, base_train=_FAST_TRAIN)
+    assert len(trained) == 2 and alive == [1, 2, 1]
 
 
 def test_render_table_and_csv(tmp_path):

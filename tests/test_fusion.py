@@ -2,13 +2,14 @@
 
 import hashlib
 import logging
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from idfusion import fusion
-from idfusion.classifier import PitsModel, TrainConfig, train
+from idfusion.classifier import PitsModel, TrainConfig, train, train_background_model
 from idfusion.data import GridSpec, Location, build_catalog
 from idfusion.errors import ParseError
 from idfusion.fusion import (
@@ -64,6 +65,22 @@ def test_fuse_constant_prior_short_circuits_bitwise():
         got = fuse(l, p)
         assert np.array_equal(got, l / l.sum())
         assert int(np.argmax(got)) == int(np.argmax(l))
+
+
+@pytest.mark.parametrize("k", [5, 80])
+def test_a_constant_block_fuses_to_each_rows_quotient(k):
+    # A block whose every row is constant returns each row's quotient as fused
+    # alone; one varying row sends the whole block through the product.
+    rng = np.random.default_rng(k)
+    l = rng.uniform(0.1, 2.0, size=(6, k))
+    p = np.repeat(rng.uniform(0.1, 1.0, size=(6, 1)), k, axis=1)
+    for prior in (p, np.vstack([p[:5], rng.uniform(0.1, 1.0, size=(1, k))])):
+        out = np.empty_like(l)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert fusion.fuse_rows(l, np.log(l), prior, out) == []
+        for row, l_row, p_row in zip(out, l, prior):
+            assert np.array_equal(row, fuse(l_row, p_row))
+    assert np.array_equal(out[:5], l[:5] / l[:5].sum(axis=1, keepdims=True))
 
 
 def test_fuse_large_label_space_matches_direct_product():
@@ -622,6 +639,8 @@ def _assert_same_run(a, b):
     (preds_a, state_a, warnings_a), (preds_b, state_b, warnings_b) = a, b
     assert [(p.obs_id, p.predicted) for p in preds_a] == [(p.obs_id, p.predicted) for p in preds_b]
     for x, y in zip(preds_a, preds_b):
+        assert x.temperature_used == y.temperature_used
+        assert x.resolved_location == y.resolved_location
         for field in ("posterior", "likelihood", "prior"):
             assert np.array_equal(getattr(x, field), getattr(y, field)), (x.obs_id, field)
     assert np.array_equal(state_a.last_loc_xy, state_b.last_loc_xy)
@@ -693,3 +712,123 @@ def test_every_block_of_a_lynx_stream_takes_one_verify_pass(kind, lynx_run):
         sequential_infer(model, state, ds.test, ds.grid)
     blocks = -(-len(ds.test) // BLOCK_ROWS)
     assert seen["passes"] == blocks and seen["drafts"] == blocks - (len(ds.test) % BLOCK_ROWS == 1)
+
+
+@pytest.fixture(scope="module")
+def lynx_background(lynx_run):
+    ds = lynx_run[0]
+    return train_background_model(ds, ds.grid, TrainConfig(learning_rate=1e-2, batch_size=8, seed=1))
+
+
+PRIOR_KINDS = (UNIFORM, HOME_LOCATION, MIGRATING_LOCATION, TIME_DECAY)
+
+
+def test_priors_over_one_test_tuple_share_one_likelihood_pass(lynx_run):
+    # The likelihood never reads the prior, so every prior over one tuple of
+    # observations reads the blocks its first call scored; a list, or a model
+    # made anew with replace, scores its own.
+    ds, catalog, trained = lynx_run
+    model = replace(trained)
+    blocks = -(-len(ds.test) // BLOCK_ROWS)
+
+    def run(model, observations, kind=MIGRATING_LOCATION):
+        state = init_state(catalog, PriorConfig(kind=kind, cell_size_km=ds.grid.cell_size_km))
+        return sequential_infer(model, state, observations, ds.grid)
+
+    with draft_spy() as seen:
+        runs = [run(model, ds.test, kind) for kind in PRIOR_KINDS]
+    assert seen["forwards"] == blocks
+    for preds in runs[1:]:
+        assert all(p.likelihood.base is q.likelihood.base for p, q in zip(runs[0], preds))
+    listed = list(ds.test)
+    with draft_spy() as seen:
+        run(model, listed)
+        run(model, listed)
+        run(replace(model), ds.test)
+    assert seen["forwards"] == 3 * blocks
+    with draft_spy() as seen:
+        run(model, ds.test)
+    assert seen["forwards"] == 0
+
+
+@pytest.mark.parametrize("source", ["metadata", "background_model"])
+@pytest.mark.parametrize("kind", PRIOR_KINDS)
+def test_interleaved_tuples_give_the_bits_of_a_fresh_model_per_call(kind, source, lynx_run,
+                                                                    lynx_background, caplog):
+    ds, catalog, trained = lynx_run
+    model = replace(trained)
+    config = PriorConfig(kind=kind, location_source=source, cell_size_km=ds.grid.cell_size_km)
+    background = lynx_background if source == "background_model" else None
+
+    def run(model, observations):
+        state = init_state(catalog, config)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="idfusion.fusion"):
+            preds = sequential_infer(model, state, observations, ds.grid, background)
+        return preds, state, len(caplog.records)
+
+    a, b = ds.test, tuple(ds.test[1::3])
+    for observations in (a, a, b, a):
+        _assert_same_run(run(model, observations), run(replace(model), observations))
+
+
+def test_a_memoized_likelihood_is_read_only(lynx_run):
+    ds, catalog, trained = lynx_run
+    model = replace(trained)
+    for _ in range(2):
+        state = init_state(catalog, PriorConfig(kind=UNIFORM))
+        pred = sequential_infer(model, state, ds.test, ds.grid)[-1]
+        with pytest.raises(ValueError, match="read-only"):
+            pred.likelihood[0] = 1.0
+
+
+@pytest.mark.parametrize("wrap", [list, tuple])
+def test_a_bad_temperature_anywhere_raises_before_any_state_write(wrap, grid2x2):
+    # The stream's last block holds a sighting whose temperature overflows:
+    # the call raises before the blocks ahead of it write their winners.
+    rng = np.random.default_rng(7)
+    k, d, n = 5, 3, 2 * BLOCK_ROWS + 5
+    model = PitsModel(W=rng.normal(size=(k, d)), b=np.zeros(k), w_T=np.array([1e300, 0.0, 0.0]),
+                      b_T=0.0, labels=tuple(range(k)), input_kind="foreground",
+                      temperature_head_active=True)
+    homes = rng.uniform(0.0, 10.0, size=(k, 2))
+    fg = np.hstack([np.zeros((n, 1)), rng.normal(size=(n, d - 1))])
+    fg[-1, 0] = 1e10
+    obs = wrap(make_obs(f"o{j:03d}", 0, 61.0 + j, Location(*rng.uniform(0.0, 10.0, 2).tolist()),
+                        fg=fg[j])
+               for j in range(n))
+    for kind in (MIGRATING_LOCATION, TIME_DECAY):
+        state = PriorState(labels=model.labels, home_xy=homes, last_loc_xy=homes.copy(),
+                           last_seen=np.zeros(k), config=PriorConfig(kind=kind))
+        with np.errstate(over="ignore"), \
+                pytest.raises(ValueError, match="temperature must be positive and finite"):
+            sequential_infer(model, state, obs, grid=grid2x2)
+        assert np.array_equal(state.last_loc_xy, homes) and not state.last_seen.any()
+    assert model._scored is None
+
+
+def test_a_memoized_replay_stores_two_arrays_per_block_not_three(grid2x2):
+    # A call over a memoized tuple keeps only its posteriors and priors: the
+    # likelihood rows are the memo's. tracemalloc sees numpy's data buffers.
+    rng = np.random.default_rng(3)
+    k, d, n = 500, 3, 4 * BLOCK_ROWS
+    model = _plain_model(rng.normal(size=(k, d)))
+    obs = tuple(make_obs(f"o{j:03d}", 0, 61.0 + j, Location(*rng.uniform(0.0, 10.0, 2).tolist()),
+                         fg=rng.normal(size=d))
+                for j in range(n))
+    store = n * k * 8
+
+    def held():
+        state = PriorState(labels=model.labels, home_xy=np.zeros((k, 2)),
+                           last_loc_xy=np.zeros((k, 2)), last_seen=np.zeros(k),
+                           config=PriorConfig(kind=TIME_DECAY))
+        tracemalloc.start()
+        try:
+            preds = sequential_infer(model, state, obs, grid=grid2x2)
+            return tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    first, memoized = held(), held()
+    assert first > 3 * store
+    assert 2 * store < memoized < 2.5 * store

@@ -448,6 +448,14 @@ def test_caller_order_never_matters(kind, k):
         rng.shuffle(shuffled)
         whole = _infer_counting(model, start, [obs])
         _assert_same_bits(whole, _infer_counting(model, start, [shuffled]))
+        # A tuple's likelihood blocks are kept by the model that scored it, for
+        # its next call; interleaved with another tuple's, every call keeps the
+        # bits of a fresh model.
+        other = tuple(replace(o, fg_features=o.fg_features[::-1]) for o in obs)
+        for call in (tuple(shuffled), tuple(shuffled), other, tuple(shuffled)):
+            ran = _infer_counting(model, start, [call])
+            _assert_same_bits(ran, _infer_counting(replace(model), start, [call]))
+        _assert_same_bits(whole, ran)
         reached.update(_fallback_rows(whole[0]))
 
     check()
