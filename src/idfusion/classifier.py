@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .calibration import TEMPERATURE_REGULARIZER, _gradients, _losses
-from .data import (Dataset, GridSpec, IdentityCatalog, JsonSpec, Observation, _index,
+from .data import (Dataset, GridSpec, IdentityCatalog, JsonSpec, Observation, _index, _labels,
                    _read_only_copy, check_finite, from_fields, location_xy, read_json, write_json)
 from .errors import ConfigError, SchemaError, TrainingError
 
@@ -82,9 +82,10 @@ class PitsModel:
     temperatures over the baseline; instead the inactive head reports T = 1
     and the baseline stays an ordinary softmax classifier.
 
-    It owns read-only float64 copies of ``W``, ``b`` and ``w_T``, so no write
-    can change its scores, and ``sequential_infer`` may keep in ``_scored`` the
-    likelihood blocks of the last tuple of observations it scored.
+    Its labels are a tuple of distinct non-negative ints. It owns read-only
+    float64 copies of ``W``, ``b`` and ``w_T``, so no write can change its
+    scores, and ``sequential_infer`` may keep in ``_scored`` the likelihood
+    blocks of the last tuple of observations it scored.
     """
 
     W: np.ndarray
@@ -99,6 +100,7 @@ class PitsModel:
     _scored: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "labels", _labels(self.labels, "model"))
         for name in ("W", "b", "w_T"):
             object.__setattr__(self, name, _read_only_copy(getattr(self, name)))
         if self.W.shape != (len(self.labels), self.w_T.shape[0]):
@@ -374,9 +376,9 @@ def _model_from(path: str | Path, payload: dict) -> PitsModel:
             raise SchemaError(f"{path}: checkpoint {key!r} must be finite")
     try:
         return PitsModel(W=arrays["W"], b=arrays["b"], w_T=arrays["w_T"],
-                         b_T=float(arrays["b_T"]), labels=tuple(payload["labels"]),
+                         b_T=float(arrays["b_T"]), labels=payload["labels"],
                          input_kind=payload["input_kind"],
                          temperature_head_active=payload["temperature_head_active"],
                          loss_history=tuple(arrays["loss_history"].tolist()))
-    except ValueError as exc:  # a shape mismatch
+    except ValueError as exc:  # a shape mismatch, a negative or repeated label
         raise SchemaError(f"{path}: malformed checkpoint: {exc}") from exc

@@ -131,6 +131,17 @@ def _index(value: Any, where: str, what: str, error: type[Exception] = ValueErro
         raise error(f"{where}: {what} must be an integer, got {value!r}") from None
 
 
+def _labels(values: Iterable, where: str) -> tuple[int, ...]:
+    """``values`` as a tuple of ints; ValueError naming ``where`` and the first label that is
+    not an integer, is negative or repeats."""
+    labels: dict[int, None] = {}
+    for label in (_index(value, where, "label") for value in values):
+        if label < 0 or label in labels:
+            raise ValueError(f"{where}: label {label} is {'negative' if label < 0 else 'repeated'}")
+        labels[label] = None
+    return tuple(labels)
+
+
 def _read_only_copy(values) -> np.ndarray:
     # The observation owns its features: a caller's later write to the array
     # it passed in, or a write through the attribute, cannot reach them.

@@ -85,8 +85,7 @@ def infer(
     grid so distances always come out in this dataset's cell units. The
     library and the CLI both infer and record runs through here.
     """
-    if prior_config.cell_size_km != dataset.grid.cell_size_km:
-        prior_config = replace(prior_config, cell_size_km=dataset.grid.cell_size_km)
+    prior_config = replace(prior_config, cell_size_km=dataset.grid.cell_size_km)
     state = init_state(build_catalog(dataset), prior_config)
     predictions = sequential_infer(model, state, dataset.test, dataset.grid, background_model)
     meta = {"labels": list(model.labels), "seed": train_config.seed,

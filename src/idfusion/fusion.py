@@ -14,12 +14,14 @@ tuple object, under any prior, reads them. Only a tuple (immutable, and held so
 its id cannot be reused) is kept: a list or an iterator is scored on every call.
 The memo lives and dies with its model. Its likelihood rows are shared by the
 predictions of every call, so they are read-only; each call takes its own ``np.log``.
-A stateless prior, its fusion and the argmax run once over the block. The
-migrating and time priors read what each earlier row's winner wrote: a serial
-draft picks each row's winner as the argmax of ``log L - rate * offset`` and
-rewrites its offsets for later rows, and one block pass over those offsets
-verifies it. Rows up to the first wrong draft are final and write the state
-in row order; the rest are drafted again. A lone last row takes no draft.
+A decaying prior decays the block's offsets from the state's anchors in its
+prior rows; the uniform prior fills them with 1/K. A stateless prior, its
+fusion and the argmax run once over the block. The migrating and time priors
+read the anchors each earlier row's winner moved: a serial draft picks each
+row's winner as the argmax of ``log L - rate * offset`` and rewrites its
+offsets for later rows, and one block pass over those offsets verifies it.
+Rows up to the first wrong draft are final and move anchors in row order; the
+rest are drafted again. A lone last row takes no draft.
 
 Every kernel works along the label axis alone, so a sighting's posterior
 has the same bits whether it comes alone or in a block, in one call or in
@@ -50,8 +52,9 @@ from .calibration import softmax, tempered_softmax
 from .classifier import PitsModel, features_from
 from .data import (GridSpec, Location, Observation, is_finite, json_rows, read_json, read_jsonl,
                    write_json)
-from .priors import (MIGRATING_LOCATION, TIME_DECAY, PriorConfig, PriorState, decay, decay_offsets,
-                     decay_terms, prior_rows, resolve_locations)
+from .errors import ConfigError
+from .priors import (MIGRATING_LOCATION, TIME_DECAY, UNIFORM, PriorConfig, PriorState, decay,
+                     decay_offsets, decay_terms, resolve_locations)
 
 logger = logging.getLogger(__name__)
 
@@ -198,6 +201,9 @@ def sequential_infer(
     module docstring) before the first state write, so a bad temperature anywhere
     in the stream raises with ``state`` untouched.
 
+    ValueError unless ``model`` and ``state`` have equal labels (the state then takes
+    the model's tuple), ConfigError unless ``grid`` has the config's cell size.
+
     Streaming contract: ``state`` is advanced in place and is not copied.
     Feeding a stream as consecutive time-ordered chunks that share one state
     gives the same predictions, bit for bit, as one call over the whole
@@ -211,63 +217,61 @@ def sequential_infer(
         raise ValueError("sequential inference needs an initialized prior state")
     if not stream:
         raise ValueError("cannot run inference over an empty observation stream")
-    if model.labels is not state._matched_labels and tuple(model.labels) != tuple(state.labels):
+    if model.labels is not state.labels and model.labels != state.labels:
         raise ValueError("model and prior state disagree on the label space")
+    state.labels = model.labels
+    config = state.config
+    if grid is not None and grid.cell_size_km != config.cell_size_km:
+        raise ConfigError(f"the grid's cells are {grid.cell_size_km} km but the prior measures"
+                          f" distance in {config.cell_size_km} km cells")
     if blocks is None:
         if len(stream) > 1:
             stream = [stream[i] for i in _stream_order(stream)]
         blocks = []
         for start in range(0, len(stream), BLOCK_ROWS):
             block = stream[start : start + BLOCK_ROWS]
-            logits, temperatures = model.forward_rows(
-                np.array([features_from(o, model.input_kind) for o in block])
-            )
+            X = np.array([features_from(o, model.input_kind) for o in block])
+            logits, temperatures = model.forward_rows(X)
             likelihood = tempered_softmax(logits, temperatures[:, None], out=np.empty(logits.shape))
             likelihood.setflags(write=False)
             blocks.append((block, likelihood, temperatures.tolist()))
         if isinstance(observations, tuple):
             object.__setattr__(model, "_scored", (observations, blocks))
-    state._matched_labels = model.labels if isinstance(model.labels, tuple) else None
 
-    stateful = state.config.kind in (MIGRATING_LOCATION, TIME_DECAY)
-    labels = state.labels
+    decaying, moving = config.kind != UNIFORM, config.kind in (MIGRATING_LOCATION, TIME_DECAY)
     predictions: list[Prediction] = []
     for block, likelihood, temperatures in blocks:
-        locations = resolve_locations(block, state.config, background_model, grid)
+        locations = resolve_locations(block, config, background_model, grid)
         where = np.array([(loc.x, loc.y, o.timestamp) for loc, o in zip(locations, block)])
-        xy, times = where[:, :2], where[:, 2]
         prior, posterior = np.empty(likelihood.shape), np.empty(likelihood.shape)
         log_likelihood = np.log(likelihood)
         winners: list[int] = []
-        if stateful:
-            anchors, points, rate = decay_terms(state, xy, times)
+        if decaying:
+            anchors, points, rate = decay_terms(state, where[:, :2], where[:, 2])
+        else:
+            prior.fill(1.0 / len(state.labels))
         while len(winners) < len(block):
             # A lone last row is indexed, not sliced: the kernels run faster on a (K,) row.
             done, drafted = len(winners), None
             rows = done if done + 1 == len(block) else slice(done, None)
-            if stateful:
-                offsets = decay_offsets(state.config, anchors, points[rows], out=prior[rows])
-                if offsets.ndim > 1:
-                    drafted = _draft(offsets, log_likelihood[rows], points[rows], state.config, rate)
+            if decaying:
+                offsets = decay_offsets(config, anchors, points[rows], out=prior[rows])
+                if moving and offsets.ndim > 1:
+                    drafted = _draft(offsets, log_likelihood[rows], points[rows], config, rate)
                 decay(offsets, rate)
-            else:
-                prior_rows(state, xy, times, out=prior)
             lost = fuse_rows(likelihood[rows], log_likelihood[rows], prior[rows], posterior[rows])
             won = posterior[done:].argmax(axis=-1)
             misses = () if drafted is None else np.flatnonzero(won != drafted)
             kept = won[: misses[0] + 1].tolist() if len(misses) else won.tolist()
-            if stateful:
+            if moving:
                 for row, w in enumerate(kept, done):
                     anchors[w] = points[row]
             for _ in range(bisect_left(lost, len(kept))):
                 logger.warning(_LOST_MASS)
             winners += kept
-        predictions += [
-            Prediction(obs.obs_id, labels[w], post, l, p, loc, temperature, obs.identity)
-            for obs, w, l, p, post, loc, temperature in zip(
-                block, winners, likelihood, prior, posterior, locations, temperatures
-            )
-        ]
+        predictions += [Prediction(o.obs_id, state.labels[w], post, l, p, loc, t, o.identity)
+                        for o, w, l, p, post, loc, t in zip(
+                            block, winners, likelihood, prior, posterior, locations, temperatures)]
     return predictions
 
 

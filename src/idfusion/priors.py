@@ -10,18 +10,19 @@ Three prior families share one exponential-decay shape:
 
 Distances are measured in grid cells (km divided by the cell size) and time
 gaps in configurable units, 30-day months by default, so alpha and beta keep
-the same meaning across datasets.
+the same meaning across datasets. The state holds the one anchor per identity
+that the prior decays from; only the migrating and time priors move it.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .classifier import PitsModel
-from .data import GridSpec, IdentityCatalog, Location, Observation, check_finite
+from .data import GridSpec, IdentityCatalog, Location, Observation, _labels, check_finite
 from .errors import ConfigError
 
 HOME_LOCATION = "home_location"
@@ -75,47 +76,35 @@ class PriorConfig:
 class PriorState:
     """Mutable per-identity state threaded through sequential inference.
 
-    Arrays are ordered like ``labels``. The migrating prior mutates
-    ``last_loc_xy``; the time-decay prior mutates ``last_seen``.
+    ``labels`` are distinct non-negative ints, stored as a tuple. ``anchors``
+    holds, ordered like ``labels``, what ``config``'s prior decays from: (K,)
+    last-seen times for the time prior, else (K, 2) locations, the homes for the
+    home and uniform priors and the last capture locations for the migrating
+    prior. The migrating and time priors move a winner's row.
     """
 
     labels: tuple[int, ...]
-    home_xy: np.ndarray
-    last_loc_xy: np.ndarray
-    last_seen: np.ndarray
+    anchors: np.ndarray
     config: PriorConfig
-    # A labels tuple sequential_infer found equal to ``labels``; tuples never change.
-    _matched_labels: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.home_xy = np.asarray(self.home_xy, dtype=np.float64)
-        self.last_loc_xy = np.asarray(self.last_loc_xy, dtype=np.float64)
-        self.last_seen = np.asarray(self.last_seen, dtype=np.float64)
-        k = len(self.labels)
-        if self.home_xy.shape != (k, 2) or self.last_loc_xy.shape != (k, 2):
-            raise ValueError("location arrays must be (n_labels, 2)")
-        if self.last_seen.shape != (k,):
-            raise ValueError("last_seen must have one entry per label")
-        for name in ("home_xy", "last_loc_xy", "last_seen"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise ValueError(f"{name} must be finite")
+        self.labels = _labels(self.labels, "prior state")
+        self.anchors = np.asarray(self.anchors, dtype=np.float64)
+        shape = (len(self.labels),) + (() if self.config.kind == TIME_DECAY else (2,))
+        if self.anchors.shape != shape or not np.isfinite(self.anchors).all():
+            raise ValueError(f"the {self.config.kind} prior's anchors must be finite and of shape"
+                             f" {shape}, got shape {self.anchors.shape}")
 
 
 def init_state(catalog: IdentityCatalog, config: PriorConfig) -> PriorState:
-    """Fresh state: last-known locations start at the homes, times at the
-    final training sighting of each identity."""
+    """Fresh state: each identity's final training sighting for the time prior,
+    else its home."""
     labels = catalog.identities
-    home_xy = np.array(
-        [[catalog.home_locations[k].x, catalog.home_locations[k].y] for k in labels]
-    )
-    last_seen = np.array([catalog.last_train_time[k] for k in labels])
-    return PriorState(
-        labels=labels,
-        home_xy=home_xy,
-        last_loc_xy=home_xy.copy(),
-        last_seen=last_seen,
-        config=config,
-    )
+    if config.kind == TIME_DECAY:
+        anchors = [catalog.last_train_time[k] for k in labels]
+    else:
+        anchors = [(catalog.home_locations[k].x, catalog.home_locations[k].y) for k in labels]
+    return PriorState(labels=labels, anchors=np.array(anchors), config=config)
 
 
 def decay(offsets: np.ndarray, rate: float) -> np.ndarray:
@@ -152,42 +141,36 @@ def decay_offsets(config: PriorConfig, anchors: np.ndarray, points: np.ndarray,
 
 
 def decay_terms(state: PriorState, xy: np.ndarray, timestamps: np.ndarray) -> tuple:
-    """The anchors, the points of sightings ``xy`` (n, 2) at ``timestamps`` (n,), and the
-    rate of the state's decaying prior; writing a point to an anchor writes the state."""
-    config = state.config
-    if config.kind == TIME_DECAY:
-        return state.last_seen, timestamps, config.beta
-    anchors = state.home_xy if config.kind == HOME_LOCATION else state.last_loc_xy
-    return anchors, xy, config.alpha
+    """The state's anchors, the points of sightings ``xy`` (n, 2) at ``timestamps`` (n,),
+    and the rate of the state's decaying prior; writing a point to an anchor writes the state."""
+    if state.config.kind == TIME_DECAY:
+        return state.anchors, timestamps, state.config.beta
+    return state.anchors, xy, state.config.alpha
 
 
-def prior_rows(
-    state: PriorState, xy: np.ndarray, timestamps, out: np.ndarray | None = None
-) -> np.ndarray:
+def prior_rows(state: PriorState, xy: np.ndarray, timestamps) -> np.ndarray:
     """The configured prior from the current state, at sightings given by
     ``xy`` (n, 2) and ``timestamps`` (n,) or an (n, 1) column: one normalized
-    (n, K) row each, written to ``out`` when it is given. A single sighting may
-    come as ``xy`` (2,) and a timestamp of shape () or (1,), giving one (K,) row.
+    (n, K) row each. A single sighting may come as ``xy`` (2,) and a timestamp
+    of shape () or (1,), giving one (K,) row.
 
     Every step works along the label axis alone, so a row has the same bits
-    whichever block it is evaluated in.
+    whichever block it is evaluated in, ``sequential_infer``'s included.
     """
-    if state.config.kind != UNIFORM:
-        anchors, points, rate = decay_terms(state, xy, np.reshape(timestamps, np.shape(xy)[:-1]))
-        return decay(decay_offsets(state.config, anchors, points, out), rate)
-    k = len(state.labels)
-    if out is None:
-        return np.full(np.shape(xy)[:-1] + (k,), 1.0 / k)
-    out.fill(1.0 / k)
-    return out
+    if state.config.kind == UNIFORM:
+        return np.full(np.shape(xy)[:-1] + (len(state.labels),), 1.0 / len(state.labels))
+    anchors, points, rate = decay_terms(state, xy, np.reshape(timestamps, np.shape(xy)[:-1]))
+    return decay(decay_offsets(state.config, anchors, points), rate)
 
 
 def update_location(state: PriorState, label: int, loc: Location) -> None:
-    state.last_loc_xy[state.labels.index(label)] = (loc.x, loc.y)
+    """Move ``label``'s anchor in a migrating prior's state to ``loc``."""
+    state.anchors[state.labels.index(label)] = (loc.x, loc.y)
 
 
 def update_last_seen(state: PriorState, label: int, timestamp: float) -> None:
-    state.last_seen[state.labels.index(label)] = timestamp
+    """Stamp ``label`` as seen at ``timestamp`` in a time prior's state."""
+    state.anchors[state.labels.index(label)] = timestamp
 
 
 def check_background_model(model: PitsModel, grid: GridSpec, what: str = "background model") -> None:

@@ -8,6 +8,7 @@ import pytest
 from idfusion import fusion
 from idfusion.classifier import PitsModel
 from idfusion.data import Dataset, GridSpec, Location, Observation
+from idfusion.priors import TIME_DECAY, PriorConfig, PriorState
 
 from oracles import cell_center_ref
 
@@ -42,6 +43,16 @@ def make_obs(
         timestamp=t,
         split=split,
     )
+
+
+def make_state(labels, config: PriorConfig, homes=None, last_seen=None) -> PriorState:
+    """A state over ``labels`` anchored at a copy of what ``config``'s prior decays
+    from: ``last_seen`` for the time prior, else ``homes``; either defaults to zeros."""
+    if config.kind == TIME_DECAY:
+        anchors = np.zeros(len(labels)) if last_seen is None else last_seen
+    else:
+        anchors = np.zeros((len(labels), 2)) if homes is None else homes
+    return PriorState(labels=labels, anchors=np.array(anchors, dtype=np.float64), config=config)
 
 
 def tiny_dataset(grid: GridSpec) -> Dataset:

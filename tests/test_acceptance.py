@@ -34,13 +34,12 @@ from idfusion.priors import (
     TIME_DECAY,
     UNIFORM,
     PriorConfig,
-    PriorState,
     prior_rows,
     prior_vector,
 )
 from idfusion.simulate import generate, lynx_like, turtle_like
 
-from conftest import make_obs
+from conftest import make_obs, make_state
 from oracles import brute_force_sequential, numeric_pits_grad
 
 ALL_PRIOR_KINDS = (UNIFORM, HOME_LOCATION, MIGRATING_LOCATION, TIME_DECAY)
@@ -199,13 +198,9 @@ def test_04_sequential_fusion_matches_brute_force(capsys):
             homes = rng.uniform(0.0, 10.0, size=(k, 2))
             last_seen = rng.uniform(0.0, 60.0, size=k)
             # The state mutates during inference; hand the oracle copies.
-            state = PriorState(
-                labels=tuple(range(k)),
-                home_xy=homes.copy(),
-                last_loc_xy=homes.copy(),
-                last_seen=last_seen.copy(),
-                config=PriorConfig(kind=kind, alpha=2.5, beta=3.0, cell_size_km=5.0),
-            )
+            state = make_state(tuple(range(k)),
+                               PriorConfig(kind=kind, alpha=2.5, beta=3.0, cell_size_km=5.0),
+                               homes, last_seen)
             obs = [
                 make_obs(
                     f"o{j:03d}",
@@ -248,13 +243,11 @@ def test_05_priors_normalize_and_match_hand_values(capsys):
     for kind in ALL_PRIOR_KINDS:
         for _ in range(50):
             k = int(rng.integers(2, 9))
-            state = PriorState(
-                labels=tuple(range(k)),
-                home_xy=rng.uniform(0.0, 40.0, size=(k, 2)),
-                last_loc_xy=rng.uniform(0.0, 40.0, size=(k, 2)),
-                last_seen=rng.uniform(0.0, 400.0, size=k),
-                config=PriorConfig(kind=kind, alpha=2.5, beta=3.0, cell_size_km=5.0),
-            )
+            homes, moved = rng.uniform(0.0, 40.0, size=(2, k, 2))
+            state = make_state(tuple(range(k)),
+                               PriorConfig(kind=kind, alpha=2.5, beta=3.0, cell_size_km=5.0),
+                               moved if kind == MIGRATING_LOCATION else homes,
+                               rng.uniform(0.0, 400.0, size=k))
             obs = make_obs(
                 "q", 0, float(rng.uniform(0.0, 500.0)),
                 Location(float(rng.uniform(0, 40)), float(rng.uniform(0, 40))),
@@ -264,13 +257,8 @@ def test_05_priors_normalize_and_match_hand_values(capsys):
             worst = max(worst, abs(float(p.sum()) - 1.0))
     assert worst < 1e-12
 
-    state = PriorState(
-        labels=(0, 1),
-        home_xy=np.array([[0.0, 0.0], [3.0, 4.0]]),
-        last_loc_xy=np.array([[0.0, 0.0], [3.0, 4.0]]),
-        last_seen=np.zeros(2),
-        config=PriorConfig(kind=HOME_LOCATION, alpha=2.5, cell_size_km=5.0),
-    )
+    state = make_state((0, 1), PriorConfig(kind=HOME_LOCATION, alpha=2.5, cell_size_km=5.0),
+                       homes=[[0.0, 0.0], [3.0, 4.0]])
     p = prior_rows(state, np.array([0.0, 0.0]), 0.0)
     assert p[0] == pytest.approx(0.9241, abs=1e-4)
     assert p[1] == pytest.approx(0.0759, abs=1e-4)

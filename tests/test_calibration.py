@@ -222,6 +222,11 @@ def test_fit_agrees_with_brute_force(problem):
     assert abs(math.log(got) - math.log(want)) <= T_TOL
 
 
+def test_ece_refuses_confidences_and_flags_of_unequal_lengths():
+    with pytest.raises(ValueError, match="^confidences and correctness flags must be equal-length"):
+        ece_from_top_predictions(np.ones(3), np.ones(2))
+
+
 def test_ece_perfectly_calibrated_certainty():
     report = ece_from_top_predictions(np.ones(3), np.ones(3), n_bins=10)
     assert report.ece == 0.0

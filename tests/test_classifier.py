@@ -24,7 +24,7 @@ from idfusion.classifier import (
 )
 from idfusion.cli import main
 from idfusion.data import Dataset, GridSpec, Location, build_catalog, save_dataset
-from idfusion.errors import ConfigError, TrainingError
+from idfusion.errors import ConfigError, SchemaError, TrainingError
 from idfusion.priors import MIGRATING_LOCATION, PriorConfig, resolve_locations
 from idfusion.simulate import SimConfig, generate, lynx_like
 
@@ -130,6 +130,40 @@ def test_a_model_owns_read_only_copies_of_its_weights():
         assert array.dtype == np.float64 and not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             array[(0,) * array.ndim] = 5.0
+
+
+@pytest.mark.parametrize("labels, message", [
+    ((0.5, 1.5), "model: label must be an integer, got 0.5"),
+    ((1, 1), "model: label 1 is repeated"),
+    ((0, -2), "model: label -2 is negative"),
+])
+def test_a_model_names_its_first_bad_label(labels, message):
+    # A float label would be written as "predicted": 0 beside a top-5 of 0.5s,
+    # and a repeated one makes two rows one identity.
+    with pytest.raises(ValueError) as exc:
+        PitsModel(W=np.zeros((2, 2)), b=np.zeros(2), w_T=np.zeros(2), b_T=0.0, labels=labels,
+                  input_kind="foreground", temperature_head_active=True)
+    assert str(exc.value) == message
+
+
+def test_a_model_stores_its_labels_as_a_tuple_of_ints():
+    model = PitsModel(W=np.zeros((3, 2)), b=np.zeros(3), w_T=np.zeros(2), b_T=0.0,
+                      labels=[np.int64(4), 0, True], input_kind="foreground",
+                      temperature_head_active=True)
+    assert model.labels == (4, 0, 1) and all(type(k) is int for k in model.labels)
+
+
+@pytest.mark.parametrize("labels, words", [([0, 0], "label 0 is repeated"),
+                                           ([-1, 0], "label -1 is negative")])
+def test_a_checkpoint_with_a_bad_label_names_the_file(tmp_path, labels, words):
+    model = PitsModel(W=np.eye(2), b=np.zeros(2), w_T=np.zeros(2), b_T=0.0, labels=(0, 1),
+                      input_kind="foreground", temperature_head_active=True)
+    path = tmp_path / "model.json"
+    save_model(model, path, config=TrainConfig())
+    path.write_text(json.dumps({**json.loads(path.read_text()), "labels": labels}))
+    with pytest.raises(SchemaError) as exc:
+        load_model(path)
+    assert str(exc.value) == f"{path}: malformed checkpoint: model: {words}"
 
 
 def test_forward_inactive_head_pins_unit_temperature():

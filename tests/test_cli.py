@@ -152,6 +152,21 @@ def test_calibrate_fits_on_train_and_scores_test(tmp_path, config_path, capsys):
     assert stored["seed"] == 5
 
 
+def test_calibrate_refuses_a_model_that_knows_no_train_identity(tmp_path, config_path, capsys):
+    data, model = str(tmp_path / "data"), tmp_path / "model.json"
+    assert main(["simulate", "--config", config_path, "--out", data]) == 0
+    assert main(["train", "--data", data, "--config", config_path, "--out", str(model)]) == 0
+    checkpoint = json.loads(model.read_text())
+    checkpoint["labels"] = [100 + k for k in checkpoint["labels"]]
+    model.write_text(json.dumps(checkpoint), encoding="utf-8")
+    capsys.readouterr()
+    out = tmp_path / "calibration.json"
+    assert main(["calibrate", "--data", data, "--model", str(model), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: no train observation has an identity the model was trained on\n"
+    assert not out.exists()
+
+
 def test_infer_with_background_model_matches_library(tmp_path, config_path, capsys):
     cfg = json.loads(Path(config_path).read_text())
     cfg["prior"] = {"kind": MIGRATING_LOCATION, "location_source": "background_model"}

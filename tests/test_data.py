@@ -18,13 +18,14 @@ from idfusion.data import (
     Observation,
     _observations_from_rows,
     build_catalog,
+    from_fields,
     load_dataset,
     read_json,
     read_jsonl,
     save_dataset,
     target_temperature,
 )
-from idfusion.errors import ParseError, SchemaError
+from idfusion.errors import ConfigError, ParseError, SchemaError, SplitError
 from idfusion.simulate import SimConfig, generate
 
 from conftest import make_obs, tiny_dataset
@@ -403,6 +404,49 @@ def test_dataset_directory_round_trip(tmp_path, grid2x2):
     assert back.grid == ds.grid
     assert back.n_identities == ds.n_identities
     assert list(back.observations) == list(ds.observations)
+
+
+def test_load_dataset_skips_blank_lines(tmp_path, grid2x2):
+    ds = tiny_dataset(grid2x2)
+    save_dataset(ds, tmp_path / "d")
+    path = tmp_path / "d" / "observations.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("\n" + "  \n".join(lines) + "\t\n", encoding="utf-8")
+    assert list(load_dataset(tmp_path / "d").observations) == list(ds.observations)
+
+
+def test_load_dataset_checks_the_sidecars_identity_count(tmp_path, grid2x2):
+    save_dataset(tiny_dataset(grid2x2), tmp_path / "d")
+    sidecar = tmp_path / "d" / "dataset.json"
+    sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "n_identities": 3}))
+    with pytest.raises(SchemaError) as exc:
+        load_dataset(tmp_path / "d")
+    assert str(exc.value) == f"{sidecar}: declares 3 identities but observations imply 2"
+
+
+def test_a_dataset_needs_an_observation(grid2x2):
+    with pytest.raises(SchemaError, match="^dataset must contain at least one observation$"):
+        Dataset.from_observations([], grid2x2)
+
+
+def test_a_catalog_needs_a_train_sighting(grid2x2):
+    ds = Dataset.from_observations([make_obs("a", 0, 1.0, cell_center_ref(grid2x2, 0), split=TEST)],
+                                   grid2x2)
+    with pytest.raises(SplitError, match="^cannot build a catalog from an empty train split$"):
+        build_catalog(ds)
+
+
+@pytest.mark.parametrize("fg, bg", [(np.zeros((1, 3)), np.zeros(2)), (np.zeros(3), np.zeros((2, 1)))])
+def test_observation_features_are_one_dimensional(grid2x2, fg, bg):
+    with pytest.raises(ValueError, match="^a: feature vectors must be one-dimensional$"):
+        make_obs("a", 0, 1.0, cell_center_ref(grid2x2, 0), fg=fg, bg=bg)
+
+
+@pytest.mark.parametrize("value, name", [([], "list"), ("x", "str"), (None, "NoneType")])
+def test_from_fields_names_a_value_that_is_no_object(value, name):
+    with pytest.raises(ConfigError) as exc:
+        from_fields(GridSpec, value, "grid section")
+    assert str(exc.value) == f"grid section: expected a JSON object, got {name}"
 
 
 def test_dataset_sidecar_mentions_grid(tmp_path, grid2x2):

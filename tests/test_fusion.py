@@ -11,7 +11,7 @@ import pytest
 from idfusion import fusion
 from idfusion.classifier import PitsModel, TrainConfig, train, train_background_model
 from idfusion.data import GridSpec, Location, build_catalog
-from idfusion.errors import ParseError
+from idfusion.errors import ConfigError, ParseError
 from idfusion.fusion import (
     BLOCK_ROWS,
     _stream_order,
@@ -26,12 +26,11 @@ from idfusion.priors import (
     TIME_DECAY,
     UNIFORM,
     PriorConfig,
-    PriorState,
     init_state,
 )
 from idfusion.simulate import generate, lynx_like
 
-from conftest import draft_spy, make_obs
+from conftest import draft_spy, make_obs, make_state
 from oracles import brute_force_sequential, cell_center_ref, jsonl_ref, prediction_records_ref
 
 
@@ -151,13 +150,7 @@ def _migration_fixture():
     west, east = cell_center_ref(grid, 0), cell_center_ref(grid, 1)
     model = _plain_model([[4.0, 0.0], [0.0, 4.0]])
     config = PriorConfig(kind=MIGRATING_LOCATION, alpha=2.5, cell_size_km=5.0)
-    state = PriorState(
-        labels=(0, 1),
-        home_xy=np.array([[west.x, west.y], [east.x, east.y]]),
-        last_loc_xy=np.array([[west.x, west.y], [east.x, east.y]]),
-        last_seen=np.zeros(2),
-        config=config,
-    )
+    state = make_state((0, 1), config, homes=[[west.x, west.y], [east.x, east.y]])
     obs = [
         make_obs("a", 0, 1.0, west, fg=[1.0, 0.0]),
         make_obs("b", 0, 2.0, east, fg=[1.0, 0.0]),
@@ -186,8 +179,8 @@ def test_migrating_prior_four_step_trace():
     assert preds[3].prior[0] == pytest.approx(0.0759, abs=1e-4)
     assert preds[3].prior[1] == pytest.approx(0.9241, abs=1e-4)
 
-    assert tuple(state.last_loc_xy[0]) == (west.x, west.y)
-    assert tuple(state.last_loc_xy[1]) == (east.x, east.y)
+    assert tuple(state.anchors[0]) == (west.x, west.y)
+    assert tuple(state.anchors[1]) == (east.x, east.y)
     for p in preds:
         assert p.temperature_used == 1.0
 
@@ -202,35 +195,43 @@ def test_sequential_infer_ignores_caller_order():
 
 def test_sequential_infer_validates_inputs():
     grid, model, state, obs, _ = _migration_fixture()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^cannot run inference over an empty observation stream$"):
         sequential_infer(model, state, [], grid=grid)
-    bad_state = PriorState(
-        labels=(0, 1, 2),
-        home_xy=np.zeros((3, 2)),
-        last_loc_xy=np.zeros((3, 2)),
-        last_seen=np.zeros(3),
-        config=PriorConfig(kind=UNIFORM),
-    )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^sequential inference needs an initialized prior state$"):
+        sequential_infer(model, None, obs, grid=grid)
+    bad_state = make_state((0, 1, 2), PriorConfig(kind=UNIFORM))
+    with pytest.raises(ValueError, match="^model and prior state disagree on the label space$"):
         sequential_infer(model, bad_state, obs, grid=grid)
 
 
 def test_label_check_still_runs_after_a_matching_call():
-    # The state remembers the labels tuple it last matched, so a model with
+    # A state takes the labels tuple of the model it matched, so a model with
     # other labels must still be refused on a later call, leaving the state as it was.
     grid, model, state, obs, _ = _migration_fixture()
     sequential_infer(model, state, obs[:1], grid=grid)
-    anchors = state.last_loc_xy.copy()
+    assert state.labels is model.labels
+    anchors = state.anchors.copy()
     swapped = _plain_model([[4.0, 0.0], [0.0, 4.0]], labels=(1, 0))
     with pytest.raises(ValueError, match="label space"):
         sequential_infer(swapped, state, obs[1:], grid=grid)
-    assert np.array_equal(state.last_loc_xy, anchors)
-    # A list can change after it matched, so it is compared on every call.
+    assert np.array_equal(state.anchors, anchors)
+    # A model built from a list holds an equal tuple, which the state takes in turn.
     listed = _plain_model([[4.0, 0.0], [0.0, 4.0]], labels=[0, 1])
     sequential_infer(listed, state, obs[1:2], grid=grid)
-    listed.labels.reverse()
-    with pytest.raises(ValueError, match="label space"):
-        sequential_infer(listed, state, obs[2:], grid=grid)
+    assert listed.labels == (0, 1) and state.labels is listed.labels
+
+
+@pytest.mark.parametrize("cell_size_km", [2.5, 10.0])
+def test_sequential_infer_refuses_a_grid_of_another_cell_size(cell_size_km):
+    # Distances are in the config's cells; a grid of other cells would silently rescale them.
+    grid, model, state, obs, _ = _migration_fixture()
+    other = replace(grid, cell_size_km=cell_size_km)
+    anchors = state.anchors.copy()
+    with pytest.raises(ConfigError) as exc:
+        sequential_infer(model, state, obs, grid=other)
+    assert str(exc.value) == (f"the grid's cells are {cell_size_km} km but the prior measures"
+                              " distance in 5.0 km cells")
+    assert np.array_equal(state.anchors, anchors)
 
 
 @pytest.mark.parametrize("kind", [UNIFORM, HOME_LOCATION, MIGRATING_LOCATION, TIME_DECAY])
@@ -255,13 +256,9 @@ def test_sequential_infer_matches_brute_force(kind, grid2x2):
         last_seen = rng.uniform(0.0, 60.0, size=k)
         # The state mutates its clock and anchor arrays during inference, so
         # the oracle must be fed copies taken before the run.
-        state = PriorState(
-            labels=tuple(range(k)),
-            home_xy=homes.copy(),
-            last_loc_xy=homes.copy(),
-            last_seen=last_seen.copy(),
-            config=PriorConfig(kind=kind, alpha=2.5, beta=3.0, cell_size_km=5.0),
-        )
+        state = make_state(tuple(range(k)),
+                           PriorConfig(kind=kind, alpha=2.5, beta=3.0, cell_size_km=5.0),
+                           homes, last_seen)
         obs = [
             make_obs(
                 f"o{j}",
@@ -304,8 +301,7 @@ def test_sequential_infer_streams_in_chunks_through_one_state(kind, grid2x2):
     last_seen = rng.uniform(0.0, 60.0, size=k)
 
     def fresh_state():
-        return PriorState(labels=tuple(range(k)), home_xy=homes, last_loc_xy=homes.copy(),
-                          last_seen=last_seen.copy(), config=PriorConfig(kind=kind))
+        return make_state(tuple(range(k)), PriorConfig(kind=kind), homes, last_seen)
 
     obs = [
         make_obs(f"o{j:02d}", int(rng.integers(0, k)), float(rng.uniform(61.0, 400.0)),
@@ -328,11 +324,10 @@ def test_sequential_infer_streams_in_chunks_through_one_state(kind, grid2x2):
         assert a.temperature_used == b.temperature_used
         for field in ("posterior", "likelihood", "prior"):
             assert np.array_equal(getattr(a, field), getattr(b, field))
-    assert np.array_equal(chunk_state.last_loc_xy, whole_state.last_loc_xy)
-    assert np.array_equal(chunk_state.last_seen, whole_state.last_seen)
-    # The whole-stream call advanced exactly the state its prior reads.
-    assert np.array_equal(whole_state.last_loc_xy, homes) != (kind == MIGRATING_LOCATION)
-    assert np.array_equal(whole_state.last_seen, last_seen) != (kind == TIME_DECAY)
+    assert np.array_equal(chunk_state.anchors, whole_state.anchors)
+    # The whole-stream call moved the anchors of a moving prior only.
+    start = last_seen if kind == TIME_DECAY else homes
+    assert np.array_equal(whole_state.anchors, start) != (kind in (MIGRATING_LOCATION, TIME_DECAY))
 
 
 @pytest.mark.parametrize("kind", [UNIFORM, MIGRATING_LOCATION])
@@ -348,7 +343,7 @@ def test_sequential_infer_reads_a_generator_once(kind):
     for x, y in zip(a, b):
         for field in ("posterior", "likelihood", "prior"):
             assert np.array_equal(getattr(x, field), getattr(y, field))
-    assert np.array_equal(state_a.last_loc_xy, state_b.last_loc_xy)
+    assert np.array_equal(state_a.anchors, state_b.anchors)
 
 
 def test_block_logits_are_the_per_row_bits():
@@ -469,8 +464,7 @@ def test_write_predictions_rejects_a_meta_that_contradicts_the_records(tmp_path,
 def test_int_and_bool_coordinates_are_written_as_json_floats(tmp_path):
     # A location holds floats, so a hand-built sighting's record reads as its dataset line does.
     model = _plain_model([[2.0, 0.0], [0.0, 2.0]])
-    state = PriorState(labels=(0, 1), home_xy=np.zeros((2, 2)), last_loc_xy=np.zeros((2, 2)),
-                       last_seen=np.zeros(2), config=PriorConfig(kind=MIGRATING_LOCATION))
+    state = make_state((0, 1), PriorConfig(kind=MIGRATING_LOCATION))
     obs = [make_obs("a", 0, 1, Location(True, False), fg=[3, 0]),
            make_obs("b", 1, 2, Location(3, 4), fg=[0, 3])]
     write_predictions(sequential_infer(model, state, obs), tmp_path, labels=(0, 1),
@@ -482,10 +476,10 @@ def test_int_and_bool_coordinates_are_written_as_json_floats(tmp_path):
 
 def test_a_label_orjson_refuses_is_written_as_json_writes_it(tmp_path):
     # orjson raises on an int outside [-2**63, 2**64); those rows are formatted as json does.
-    labels = (2**64, 3, -2**63 - 1)
+    # Labels are non-negative, so only the upper bound can be crossed.
+    labels = (2**64, 3, 2**70)
     model = _plain_model([[2.0, 0.0], [0.0, 2.0], [1.5, 1.5]], labels=labels)
-    state = PriorState(labels=labels, home_xy=np.zeros((3, 2)), last_loc_xy=np.zeros((3, 2)),
-                       last_seen=np.zeros(3), config=PriorConfig(kind=UNIFORM))
+    state = make_state(labels, PriorConfig(kind=UNIFORM))
     obs = [make_obs(f"o{i}", 0, i + 1.0, Location(1.0, 1.0), fg=([3, 0], [0, 3], [1, 1])[i % 3])
            for i in range(40)]
     preds = sequential_infer(model, state, obs)
@@ -503,8 +497,8 @@ def _k80_run(kind, per_sighting, grid):
                       w_T=rng.normal(size=d) * 0.2, b_T=0.1, labels=tuple(range(k)),
                       input_kind="foreground", temperature_head_active=True)
     homes = rng.uniform(0.0, 10.0, size=(k, 2))
-    state = PriorState(labels=tuple(range(k)), home_xy=homes, last_loc_xy=homes.copy(),
-                       last_seen=rng.uniform(0.0, 60.0, size=k), config=PriorConfig(kind=kind))
+    state = make_state(tuple(range(k)), PriorConfig(kind=kind), homes,
+                       rng.uniform(0.0, 60.0, size=k))
     obs = [make_obs(f"o{j:03d}", int(rng.integers(0, k)), float(rng.uniform(61.0, 400.0)),
                     Location(float(rng.uniform(0, 10)), float(rng.uniform(0, 10))),
                     fg=rng.normal(size=d))
@@ -536,8 +530,7 @@ def test_log_space_bits_are_pinned_whole_stream_and_per_sighting(kind, grid2x2):
     whole, whole_state = _k80_run(kind, False, grid2x2)
     single, single_state = _k80_run(kind, True, grid2x2)
     assert whole == single == K80_DIGESTS[kind]
-    assert np.array_equal(whole_state.last_loc_xy, single_state.last_loc_xy)
-    assert np.array_equal(whole_state.last_seen, single_state.last_seen)
+    assert np.array_equal(whole_state.anchors, single_state.anchors)
 
 
 def _one_hot_model(k):
@@ -552,9 +545,7 @@ def _sharp_stream(k):
     P, Q = Location(0.0, 0.0), Location(50.0, 0.0)
     anchors = np.array([[500.0, 500.0], [P.x, P.y], [Q.x, Q.y]]
                        + [[1000.0 + 10.0 * i, 1000.0] for i in range(k - 3)])
-    state = PriorState(labels=tuple(range(k)), home_xy=anchors, last_loc_xy=anchors.copy(),
-                       last_seen=np.zeros(k),
-                       config=PriorConfig(kind=MIGRATING_LOCATION, alpha=100.0))
+    state = make_state(tuple(range(k)), PriorConfig(kind=MIGRATING_LOCATION, alpha=100.0), anchors)
     fg = [np.eye(k)[i] for i in (0, 0, 1, 0, 0)]
     obs = [make_obs(f"s{j}", 0, float(j + 1), loc, fg=x)
            for j, (loc, x) in enumerate(zip((P, Q, P, P, P), fg))]
@@ -575,7 +566,7 @@ def test_per_sighting_lost_rows_fall_back_with_one_warning_each(k, grid2x2, capl
             assert np.array_equal(p.posterior, p.likelihood / p.likelihood.sum())
     assert [p.predicted for p in preds] == [0, 0, 1, 0, 0]
     # The fallback winner still moves its anchor: identity 0 ends at P.
-    assert tuple(state.last_loc_xy[0]) == (0.0, 0.0)
+    assert tuple(state.anchors[0]) == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("k", [5, 80])
@@ -585,9 +576,7 @@ def test_per_sighting_zero_rate_prior_returns_the_likelihood(k, grid2x2, caplog)
                       b_T=0.2, labels=tuple(range(k)), input_kind="foreground",
                       temperature_head_active=True)
     homes = rng.uniform(0.0, 10.0, size=(k, 2))
-    state = PriorState(labels=tuple(range(k)), home_xy=homes, last_loc_xy=homes.copy(),
-                       last_seen=np.zeros(k),
-                       config=PriorConfig(kind=MIGRATING_LOCATION, alpha=0.0))
+    state = make_state(tuple(range(k)), PriorConfig(kind=MIGRATING_LOCATION, alpha=0.0), homes)
     obs = [make_obs(f"z{j}", 0, float(j + 1),
                     Location(float(rng.uniform(0, 10)), float(rng.uniform(0, 10))),
                     fg=rng.normal(size=3))
@@ -643,8 +632,7 @@ def _assert_same_run(a, b):
         assert x.resolved_location == y.resolved_location
         for field in ("posterior", "likelihood", "prior"):
             assert np.array_equal(getattr(x, field), getattr(y, field)), (x.obs_id, field)
-    assert np.array_equal(state_a.last_loc_xy, state_b.last_loc_xy)
-    assert np.array_equal(state_a.last_seen, state_b.last_seen)
+    assert np.array_equal(state_a.anchors, state_b.anchors)
     assert warnings_a == warnings_b
 
 
@@ -668,8 +656,7 @@ def test_a_wrong_draft_is_fused_again_from_the_row_after_the_miss(k, kind, force
            for j in range(n)]
 
     def state_of():
-        return PriorState(labels=model.labels, home_xy=homes, last_loc_xy=homes.copy(),
-                          last_seen=last_seen.copy(), config=PriorConfig(kind=kind))
+        return make_state(model.labels, PriorConfig(kind=kind), homes, last_seen)
 
     drafted, single, seen = _drafted_and_per_sighting(model, state_of, obs, forced_rows, grid2x2,
                                                       caplog)
@@ -798,12 +785,12 @@ def test_a_bad_temperature_anywhere_raises_before_any_state_write(wrap, grid2x2)
                         fg=fg[j])
                for j in range(n))
     for kind in (MIGRATING_LOCATION, TIME_DECAY):
-        state = PriorState(labels=model.labels, home_xy=homes, last_loc_xy=homes.copy(),
-                           last_seen=np.zeros(k), config=PriorConfig(kind=kind))
+        state = make_state(model.labels, PriorConfig(kind=kind), homes)
+        start = state.anchors.copy()
         with np.errstate(over="ignore"), \
                 pytest.raises(ValueError, match="temperature must be positive and finite"):
             sequential_infer(model, state, obs, grid=grid2x2)
-        assert np.array_equal(state.last_loc_xy, homes) and not state.last_seen.any()
+        assert np.array_equal(state.anchors, start)
     assert model._scored is None
 
 
@@ -819,9 +806,7 @@ def test_a_memoized_replay_stores_two_arrays_per_block_not_three(grid2x2):
     store = n * k * 8
 
     def held():
-        state = PriorState(labels=model.labels, home_xy=np.zeros((k, 2)),
-                           last_loc_xy=np.zeros((k, 2)), last_seen=np.zeros(k),
-                           config=PriorConfig(kind=TIME_DECAY))
+        state = make_state(model.labels, PriorConfig(kind=TIME_DECAY))
         tracemalloc.start()
         try:
             preds = sequential_infer(model, state, obs, grid=grid2x2)

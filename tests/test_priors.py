@@ -28,26 +28,21 @@ from idfusion.priors import (
 )
 from idfusion.simulate import SimConfig, generate
 
-from conftest import make_obs, tiny_dataset
+from conftest import make_obs, make_state, tiny_dataset
 from oracles import cell_center_ref
 
 
 def _random_state(rng, k=6, kind=UNIFORM, **cfg):
-    config = PriorConfig(kind=kind, **cfg)
     homes = rng.uniform(0.0, 30.0, size=(k, 2))
-    return PriorState(
-        labels=tuple(range(k)),
-        home_xy=homes,
-        last_loc_xy=homes + rng.normal(0.0, 3.0, size=(k, 2)),
-        last_seen=rng.uniform(0.0, 400.0, size=k),
-        config=config,
-    )
+    moved = homes + rng.normal(0.0, 3.0, size=(k, 2))
+    last_seen = rng.uniform(0.0, 400.0, size=k)
+    return make_state(tuple(range(k)), PriorConfig(kind=kind, **cfg),
+                      moved if kind == MIGRATING_LOCATION else homes, last_seen)
 
 
-def _prior(state, kind, loc=Location(0.0, 0.0), t=1.0):
-    # The prior of one kind alone, from ``state`` at one sighting.
-    alone = replace(state, config=replace(state.config, kind=kind))
-    return prior_rows(alone, np.array([loc.x, loc.y]), t)
+def _prior(state, loc=Location(0.0, 0.0), t=1.0):
+    # The state's prior at one sighting.
+    return prior_rows(state, np.array([loc.x, loc.y]), t)
 
 
 def test_prior_config_validation():
@@ -79,16 +74,42 @@ def test_prior_config_replace_round_trip():
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
-@pytest.mark.parametrize("name, kind", [("home_xy", HOME_LOCATION),
-                                        ("last_loc_xy", MIGRATING_LOCATION),
-                                        ("last_seen", TIME_DECAY)])
-def test_prior_state_rejects_a_non_finite_entry(name, kind, value):
+@pytest.mark.parametrize("kind, shape", [(HOME_LOCATION, (3, 2)), (MIGRATING_LOCATION, (3, 2)),
+                                         (TIME_DECAY, (3,))])
+def test_prior_state_rejects_a_non_finite_entry(kind, shape, value):
     # A NaN anchor or clock would make every fused posterior NaN, and each
     # argmax label 0, without a word.
-    arrays = dict(home_xy=np.zeros((3, 2)), last_loc_xy=np.zeros((3, 2)), last_seen=np.zeros(3))
-    arrays[name].flat[1] = value
-    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
-        PriorState(labels=(0, 1, 2), config=PriorConfig(kind=kind), **arrays)
+    anchors = np.zeros(shape)
+    anchors.flat[1] = value
+    with pytest.raises(ValueError, match=f"^the {kind} prior's anchors must be finite"):
+        PriorState(labels=(0, 1, 2), anchors=anchors, config=PriorConfig(kind=kind))
+
+
+@pytest.mark.parametrize("kind, shape", [(UNIFORM, (3,)), (HOME_LOCATION, (2, 2)),
+                                         (MIGRATING_LOCATION, (3, 3)), (TIME_DECAY, (3, 2))])
+def test_prior_state_names_the_anchor_shape_its_prior_reads(kind, shape):
+    # Times for the time prior, locations for the others, one per label.
+    want = (3,) if kind == TIME_DECAY else (3, 2)
+    with pytest.raises(ValueError) as exc:
+        PriorState(labels=(0, 1, 2), anchors=np.zeros(shape), config=PriorConfig(kind=kind))
+    assert str(exc.value) == (f"the {kind} prior's anchors must be finite and of shape {want},"
+                              f" got shape {shape}")
+
+
+@pytest.mark.parametrize("labels, message", [
+    ((0, 1.0, -1), "prior state: label must be an integer, got 1.0"),
+    ((0, -1, 1.5), "prior state: label -1 is negative"),
+    ((2, 0, 2, -1), "prior state: label 2 is repeated"),
+])
+def test_prior_state_names_the_first_bad_label(labels, message):
+    with pytest.raises(ValueError) as exc:
+        make_state(labels, PriorConfig())
+    assert str(exc.value) == message
+
+
+def test_prior_state_stores_its_labels_as_a_tuple_of_ints():
+    state = make_state([np.int64(3), True, 0], PriorConfig())
+    assert state.labels == (3, 1, 0) and all(type(k) is int for k in state.labels)
 
 
 @pytest.mark.parametrize("kind", PRIOR_KINDS)
@@ -107,13 +128,8 @@ def test_every_prior_normalizes(kind):
 def test_home_prior_two_identity_worked_values():
     # Homes at the origin and 5 km away; with 5 km cells that is exactly one
     # cell of separation, so the far identity carries weight e^-2.5.
-    state = PriorState(
-        labels=(0, 1),
-        home_xy=np.array([[0.0, 0.0], [3.0, 4.0]]),
-        last_loc_xy=np.array([[0.0, 0.0], [3.0, 4.0]]),
-        last_seen=np.zeros(2),
-        config=PriorConfig(kind=HOME_LOCATION, alpha=2.5, cell_size_km=5.0),
-    )
+    state = make_state((0, 1), PriorConfig(kind=HOME_LOCATION, alpha=2.5, cell_size_km=5.0),
+                       homes=[[0.0, 0.0], [3.0, 4.0]])
     p = prior_rows(state, np.array([0.0, 0.0]), 0.0)
     assert p[0] == pytest.approx(0.9241, abs=1e-4)
     assert p[1] == pytest.approx(0.0759, abs=1e-4)
@@ -121,73 +137,55 @@ def test_home_prior_two_identity_worked_values():
 
 def test_zero_decay_constants_flatten_priors():
     rng = np.random.default_rng(31)
-    state = _random_state(rng, kind=HOME_LOCATION, alpha=0.0, beta=0.0)
-    loc = Location(10.0, 10.0)
-    assert np.allclose(_prior(state, HOME_LOCATION, loc), 1.0 / 6.0, atol=1e-15)
-    assert np.allclose(_prior(state, TIME_DECAY, t=100.0), 1.0 / 6.0, atol=1e-15)
+    home = _random_state(rng, kind=HOME_LOCATION, alpha=0.0)
+    assert np.allclose(_prior(home, Location(10.0, 10.0)), 1.0 / 6.0, atol=1e-15)
+    time = _random_state(rng, kind=TIME_DECAY, beta=0.0)
+    assert np.allclose(_prior(time, t=100.0), 1.0 / 6.0, atol=1e-15)
 
 
-def test_init_state_anchors_at_homes_and_last_train_times(grid2x2):
+@pytest.mark.parametrize("kind", PRIOR_KINDS)
+def test_init_state_anchors_at_homes_and_last_train_times(grid2x2, kind):
     catalog = build_catalog(tiny_dataset(grid2x2))
-    state = init_state(catalog, PriorConfig(kind=MIGRATING_LOCATION))
-    assert np.array_equal(state.last_loc_xy, state.home_xy)
-    for k in catalog.identities:
-        assert state.last_seen[state.labels.index(k)] == catalog.last_train_time[k]
+    state = init_state(catalog, PriorConfig(kind=kind))
+    assert state.labels == catalog.identities
+    for k, anchor in zip(state.labels, state.anchors.tolist()):
         home = catalog.home_locations[k]
-        assert tuple(state.home_xy[state.labels.index(k)]) == (home.x, home.y)
+        assert anchor == (catalog.last_train_time[k] if kind == TIME_DECAY else [home.x, home.y])
 
 
 def test_updates_touch_only_their_row():
     rng = np.random.default_rng(5)
     state = _random_state(rng, kind=MIGRATING_LOCATION)
-    loc_before = state.last_loc_xy.copy()
-    seen_before = state.last_seen.copy()
-    homes_before = state.home_xy.copy()
-
+    before = state.anchors.copy()
     update_location(state, 3, Location(99.0, -1.0))
-    assert tuple(state.last_loc_xy[3]) == (99.0, -1.0)
+    assert tuple(state.anchors[3]) == (99.0, -1.0)
     others = [i for i in range(6) if i != 3]
-    assert np.array_equal(state.last_loc_xy[others], loc_before[others])
-    assert np.array_equal(state.last_seen, seen_before)
-    # Homes are immutable reference points; only the moving anchor shifts.
-    assert np.array_equal(state.home_xy, homes_before)
+    assert np.array_equal(state.anchors[others], before[others])
 
+    state = _random_state(rng, kind=TIME_DECAY)
+    before = state.anchors.copy()
     update_last_seen(state, 2, 777.0)
-    assert state.last_seen[2] == 777.0
-    assert np.array_equal(state.last_seen[[0, 1, 3, 4, 5]], seen_before[[0, 1, 3, 4, 5]])
-    assert np.array_equal(state.last_loc_xy[others], loc_before[others])
+    assert state.anchors[2] == 777.0
+    assert np.array_equal(state.anchors[[0, 1, 3, 4, 5]], before[[0, 1, 3, 4, 5]])
 
 
 def test_migrating_prior_follows_updates():
     config = PriorConfig(kind=MIGRATING_LOCATION, alpha=2.5, cell_size_km=5.0)
-    state = PriorState(
-        labels=(0, 1),
-        home_xy=np.array([[0.0, 0.0], [20.0, 20.0]]),
-        last_loc_xy=np.array([[0.0, 0.0], [20.0, 20.0]]),
-        last_seen=np.zeros(2),
-        config=config,
-    )
+    state = make_state((0, 1), config, homes=[[0.0, 0.0], [20.0, 20.0]])
     query = Location(20.0, 20.0)
-    assert _prior(state, MIGRATING_LOCATION, query)[1] > 0.99
+    assert _prior(state, query)[1] > 0.99
     update_location(state, 0, query)
-    p = _prior(state, MIGRATING_LOCATION, query)
+    p = _prior(state, query)
     assert np.allclose(p, 0.5, atol=1e-15)
-    # The static home prior is oblivious to the move.
-    assert _prior(state, HOME_LOCATION, query)[1] > 0.99
 
 
 def test_time_decay_orders_by_recency():
-    state = PriorState(
-        labels=(0, 1, 2, 3),
-        home_xy=np.zeros((4, 2)),
-        last_loc_xy=np.zeros((4, 2)),
-        last_seen=np.array([100.0, 70.0, 40.0, 10.0]),
-        config=PriorConfig(kind=TIME_DECAY, beta=3.0),
-    )
-    p = _prior(state, TIME_DECAY, t=100.0)
+    state = make_state((0, 1, 2, 3), PriorConfig(kind=TIME_DECAY, beta=3.0),
+                       last_seen=[100.0, 70.0, 40.0, 10.0])
+    p = _prior(state, t=100.0)
     assert p[0] > p[1] > p[2] > p[3]
     # Equal gaps on either side of t weigh the same.
-    sym = _prior(state, TIME_DECAY, t=55.0)
+    sym = _prior(state, t=55.0)
     assert sym[1] == pytest.approx(sym[2], abs=1e-15)
 
 

@@ -65,13 +65,12 @@ from idfusion.priors import (
     TIME_DECAY,
     UNIFORM,
     PriorConfig,
-    PriorState,
     prior_rows,
 )
 from idfusion.errors import SimulationError, SplitError
 from idfusion.simulate import SimConfig, generate
 
-from conftest import draft_spy, make_obs
+from conftest import draft_spy, make_obs, make_state
 from oracles import (cell_center_ref, cell_index_ref, descend_ref, json_text_ref, jsonl_ref,
                      numeric_pits_grad, prediction_records_ref, reference_generate, top_entries)
 
@@ -229,19 +228,20 @@ def _states(draw):
     anchors = draw(_arrays(np.float64, (k, 2), elements=coordinate))
     last_seen = draw(_arrays(np.float64, k, elements=coordinate))
     config = PriorConfig(alpha=draw(huge), beta=draw(huge))
-    return PriorState(labels=tuple(range(k)), home_xy=homes, last_loc_xy=anchors,
-                      last_seen=last_seen, config=config)
+    # One state per prior kind, over the same labels and decay constants.
+    return [make_state(tuple(range(k)), replace(config, kind=kind),
+                       anchors if kind == MIGRATING_LOCATION else homes, last_seen)
+            for kind in PRIOR_KINDS]
 
 
 @given(_states(), coordinate, coordinate, coordinate)
-def test_every_prior_is_a_distribution(state, x, y, t):
+def test_every_prior_is_a_distribution(states, x, y, t):
     loc = Location(x, y)
     # A decay constant near 1e300 times a large distance must not overflow:
     # a legal config raises no numpy warning.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        priors = [prior_rows(replace(state, config=replace(state.config, kind=kind)),
-                             np.array([loc.x, loc.y]), t) for kind in PRIOR_KINDS]
+        priors = [prior_rows(state, np.array([loc.x, loc.y]), t) for state in states]
     for p in priors:
         _assert_distribution(p)
 
@@ -274,9 +274,7 @@ def test_uniform_stream_predicts_the_likelihood_argmax(arrays):
     k = W.shape[0]
     model = PitsModel(W=W, b=np.zeros(k), w_T=np.ones(3), b_T=0.0, labels=tuple(range(k)),
                       input_kind="foreground", temperature_head_active=True)
-    state = PriorState(labels=model.labels, home_xy=np.zeros((k, 2)),
-                       last_loc_xy=np.zeros((k, 2)), last_seen=np.zeros(k),
-                       config=PriorConfig(kind=UNIFORM))
+    state = make_state(model.labels, PriorConfig(kind=UNIFORM))
     obs = [make_obs(f"o{i}", 0, 1.0 + i, Location(0.0, 0.0), fg=x) for i, x in enumerate(X)]
     for pred in sequential_infer(model, state, obs):
         assert pred.predicted == model.labels[int(np.argmax(pred.likelihood))]
@@ -370,8 +368,7 @@ def _streams(draw, kind, k):
 
 def _fresh(model, start):
     homes, last_seen, config, _ = start
-    return PriorState(labels=model.labels, home_xy=homes, last_loc_xy=homes.copy(),
-                      last_seen=last_seen.copy(), config=config)
+    return make_state(model.labels, config, homes, last_seen)
 
 
 def _infer_counting(model, start, calls, *where):
@@ -400,8 +397,7 @@ def _assert_same_bits(a, b):
         assert x.predicted == y.predicted and x.temperature_used == y.temperature_used
         for field in ("posterior", "likelihood", "prior"):
             assert np.array_equal(getattr(x, field), getattr(y, field)), field
-    assert np.array_equal(state_a.last_loc_xy, state_b.last_loc_xy)
-    assert np.array_equal(state_a.last_seen, state_b.last_seen)
+    assert np.array_equal(state_a.anchors, state_b.anchors)
     assert fallbacks_a == fallbacks_b
 
 
@@ -559,7 +555,7 @@ def test_swapping_the_axes_or_shifting_by_a_power_of_two_moves_no_bit(kind, k, d
     for move, back in ((_swap_axes, _swap_axes), (lambda xy: xy + shift, lambda xy: xy - shift)):
         moved_start, moved_obs = _moved(start, obs, move)
         preds, state, fallbacks = _infer_counting(model, moved_start, [moved_obs])
-        state.last_loc_xy = back(state.last_loc_xy)
+        state.anchors = back(state.anchors)
         _assert_same_bits(whole, (preds, state, fallbacks))
 
 
@@ -589,13 +585,15 @@ def test_swapping_the_axes_with_background_model_locations_moves_no_bit(kind, k,
     assume(n == 1 or (top_two[:, 1] > top_two[:, 0]).all())
     transpose = np.arange(n * n).reshape(n, n).T.ravel()
     transposed = replace(cells, W=cells.W[transpose], b=cells.b[transpose])
-    start = (homes, last_seen, replace(config, location_source="background_model"), forced_rows)
+    # Distances are in the grid's cells, as sequential_infer requires.
+    config = replace(config, location_source="background_model", cell_size_km=grid.cell_size_km)
+    start = (homes, last_seen, config, forced_rows)
     whole = _infer_counting(model, start, [obs], grid, cells)
     moved_start, moved_obs = _moved(start, obs, _swap_axes)
     preds, state, fallbacks = _infer_counting(model, moved_start, [moved_obs], grid, transposed)
     assert [p.resolved_location for p in preds] == \
         [Location(p.resolved_location.y, p.resolved_location.x) for p in whole[0]]
-    state.last_loc_xy = _swap_axes(state.last_loc_xy)
+    state.anchors = _swap_axes(state.anchors)
     _assert_same_bits(whole, (preds, state, fallbacks))
 
 
