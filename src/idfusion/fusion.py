@@ -13,7 +13,8 @@ observations it scored, with its stream order, and a later call over that same
 tuple object, under any prior, reads them. Only a tuple (immutable, and held so
 its id cannot be reused) is kept: a list or an iterator is scored on every call.
 The memo lives and dies with its model. Its likelihood rows are shared by the
-predictions of every call, so they are read-only; each call takes its own ``np.log``.
+predictions of every call, so they are read-only; each call under a decaying prior
+takes its own ``np.log``, and a uniform call none, as constant rows never read it.
 A decaying prior decays the block's offsets from the state's anchors in its
 prior rows; the uniform prior fills them with 1/K. A stateless prior, its
 fusion and the argmax run once over the block. The migrating and time priors
@@ -31,10 +32,13 @@ matrix product sums in another order and would move the last bits of the
 logits. ``fuse_rows`` is the one fusion kernel, for a block, a row and
 :func:`fuse`. The log-likelihood it adds in log space is taken once per
 block, and the error state that lets a lost row take log(0) is set once per
-call, not once per row.
+call, not once per row. A lost row is all -inf in log space, so the softmax
+leaves it NaN, and that NaN is how ``fuse_rows`` finds it.
 
-Records are written afterwards as json's text, ``BLOCK_ROWS`` predictions at a time, so
-single-sighting callers never pay; :func:`prediction_lines` tells how.
+Each row's :class:`Prediction` is a tuple-backed record, made with one
+``tuple.__new__``. Records are written afterwards as json's text, ``BLOCK_ROWS``
+predictions at a time, so single-sighting callers never pay; :func:`prediction_lines`
+tells how.
 """
 
 from __future__ import annotations
@@ -42,9 +46,9 @@ from __future__ import annotations
 import json
 import logging
 from bisect import bisect_left
-from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -72,9 +76,9 @@ PREDICTIONS_FILENAME = "predictions.jsonl"
 PREDICTIONS_META_FILENAME = "predictions_meta.json"
 
 
-@dataclass(frozen=True)
-class Prediction:
-    """Outcome of fusing one observation, with everything needed to audit it.
+class Prediction(NamedTuple):
+    """Outcome of fusing one observation, with everything needed to audit it:
+    an immutable tuple-backed record, whose ``_replace`` makes a changed copy.
 
     ``posterior``, ``likelihood`` and ``prior`` are rows of three arrays
     shared by the predictions of one block of ``sequential_infer``; the
@@ -97,27 +101,30 @@ class Prediction:
         return self.predicted == self.true_identity
 
 
-def fuse_rows(likelihood: np.ndarray, log_likelihood: np.ndarray, prior: np.ndarray,
-              out: np.ndarray) -> np.ndarray:
+def fuse_rows(likelihood: np.ndarray, log_likelihood: np.ndarray | None, prior: np.ndarray,
+              out: np.ndarray) -> list[int]:
     """:func:`fuse` along the last axis of (..., K) arrays, written to ``out``:
     an (n, K) block or a single (K,) row. ``log_likelihood`` is
     ``np.log(likelihood)``, taken by the caller once for a whole block; only
-    log space (K > ``LOG_SPACE_THRESHOLD``) reads it.
+    log space (K > ``LOG_SPACE_THRESHOLD``) reads it, and never when every
+    row's prior is constant, so such a caller may pass None.
 
     Inputs are not checked: each row must be a valid likelihood and prior.
     The caller ignores divide and invalid errors, since a row that loses all its
     mass takes log(0) or 0/0; returns those rows' indices, in order, to warn for.
     """
     constant = np.logical_and.reduce(prior == prior[..., :1], axis=-1)  # ndarray.all, unwrapped
-    if constant.ndim and np.count_nonzero(constant) == len(constant):
-        # A block of constant rows (the uniform prior's) keeps only the fallback's quotient.
+    if np.count_nonzero(constant) == constant.size:
+        # Constant rows (the uniform prior's) keep only the fallback's quotient.
         np.divide(likelihood, likelihood.sum(axis=-1, keepdims=True), out=out)
         return []
     if likelihood.shape[-1] > LOG_SPACE_THRESHOLD:
         np.log(prior, out=out)
         out += log_likelihood
-        lost = np.logical_and.reduce(np.isinf(out), axis=-1)
         softmax(out, out=out)
+        # A lost row is all -inf, so its max is too and softmax makes it NaN; priors are
+        # finite and likelihoods at most 1, so no other row can hold a NaN.
+        lost = np.isnan(out[..., 0])
     else:
         np.multiply(likelihood, prior, out=out)
         total = out.sum(axis=-1, keepdims=True)
@@ -242,13 +249,13 @@ def sequential_infer(
     predictions: list[Prediction] = []
     for block, likelihood, temperatures in blocks:
         locations = resolve_locations(block, config, background_model, grid)
-        where = np.array([(loc.x, loc.y, o.timestamp) for loc, o in zip(locations, block)])
         prior, posterior = np.empty(likelihood.shape), np.empty(likelihood.shape)
-        log_likelihood = np.log(likelihood)
         winners: list[int] = []
         if decaying:
+            where = np.array([(loc.x, loc.y, o.timestamp) for loc, o in zip(locations, block)])
             anchors, points, rate = decay_terms(state, where[:, :2], where[:, 2])
-        else:
+            log_likelihood = np.log(likelihood)
+        else:  # constant rows, which never read the points or the log-likelihood
             prior.fill(1.0 / len(state.labels))
         while len(winners) < len(block):
             # A lone last row is indexed, not sliced: the kernels run faster on a (K,) row.
@@ -259,7 +266,8 @@ def sequential_infer(
                 if moving and offsets.ndim > 1:
                     drafted = _draft(offsets, log_likelihood[rows], points[rows], config, rate)
                 decay(offsets, rate)
-            lost = fuse_rows(likelihood[rows], log_likelihood[rows], prior[rows], posterior[rows])
+            lost = fuse_rows(likelihood[rows], log_likelihood[rows] if decaying else None,
+                             prior[rows], posterior[rows])
             won = posterior[done:].argmax(axis=-1)
             misses = () if drafted is None else np.flatnonzero(won != drafted)
             kept = won[: misses[0] + 1].tolist() if len(misses) else won.tolist()
@@ -269,9 +277,10 @@ def sequential_infer(
             for _ in range(bisect_left(lost, len(kept))):
                 logger.warning(_LOST_MASS)
             winners += kept
-        predictions += [Prediction(o.obs_id, state.labels[w], post, l, p, loc, t, o.identity)
-                        for o, w, l, p, post, loc, t in zip(
-                            block, winners, likelihood, prior, posterior, locations, temperatures)]
+        # One tuple.__new__ per record, its fields in Prediction's order.
+        predictions += map(tuple.__new__, repeat(Prediction), zip(
+            [o.obs_id for o in block], [state.labels[w] for w in winners], posterior, likelihood,
+            prior, locations, temperatures, [o.identity for o in block]))
     return predictions
 
 

@@ -114,12 +114,12 @@ def decay(offsets: np.ndarray, rate: float) -> np.ndarray:
     # normalization but keeps exp() away from underflow at large rates.
     # exp(-746) is already 0, so clamping at 746 / rate moves no bit and
     # keeps rate * offset from overflowing.
-    offsets -= offsets.min(axis=-1, keepdims=True)
+    offsets -= np.minimum.reduce(offsets, axis=-1, keepdims=True)  # ndarray.min, unwrapped
     if rate > 0:
         np.minimum(offsets, 746.0 / rate, out=offsets)
     offsets *= -rate
     weights = np.exp(offsets, out=offsets)
-    weights /= weights.sum(axis=-1, keepdims=True)
+    weights /= np.add.reduce(weights, axis=-1, keepdims=True)  # ndarray.sum, unwrapped
     return weights
 
 
@@ -164,12 +164,18 @@ def prior_rows(state: PriorState, xy: np.ndarray, timestamps) -> np.ndarray:
 
 
 def update_location(state: PriorState, label: int, loc: Location) -> None:
-    """Move ``label``'s anchor in a migrating prior's state to ``loc``."""
+    """Move ``label``'s anchor in a migrating prior's state to ``loc``; ValueError
+    naming the state's kind, with the state untouched, for any other prior."""
+    if state.config.kind != MIGRATING_LOCATION:
+        raise ValueError(f"update_location writes a migrating prior's state, not a {state.config.kind} one")
     state.anchors[state.labels.index(label)] = (loc.x, loc.y)
 
 
 def update_last_seen(state: PriorState, label: int, timestamp: float) -> None:
-    """Stamp ``label`` as seen at ``timestamp`` in a time prior's state."""
+    """Stamp ``label`` as seen at ``timestamp`` in a time prior's state; ValueError
+    naming the state's kind, with the state untouched, for any other prior."""
+    if state.config.kind != TIME_DECAY:
+        raise ValueError(f"update_last_seen writes a time prior's state, not a {state.config.kind} one")
     state.anchors[state.labels.index(label)] = timestamp
 
 

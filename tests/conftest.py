@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 from contextlib import contextmanager
 from unittest import mock
@@ -11,6 +12,43 @@ from idfusion.data import Dataset, GridSpec, Location, Observation
 from idfusion.priors import TIME_DECAY, PriorConfig, PriorState
 
 from oracles import cell_center_ref
+
+# numpy's AVX-512 exp and log round some last bits differently from its AVX2
+# and baseline SIMD code, which agree with each other; training and the log-space
+# fusion call both, so every bit pin holds on one of these backends only. The
+# probe is a digest of both ufuncs over a fixed array, and names the backend.
+MATH_BACKENDS = {
+    "d277f366928819c2": "avx512",
+    "780609316201141f": "avx2",  # also X86_V2, numpy's x86-64 baseline
+}
+
+
+def _math_probe() -> str:
+    x = np.linspace(-40.0, 40.0, 10001)
+    digest = hashlib.sha256(np.exp(x).tobytes())
+    digest.update(np.log(np.exp(x)).tobytes())
+    return digest.hexdigest()[:16]
+
+
+MATH_PROBE = _math_probe()
+MATH_BACKEND = MATH_BACKENDS.get(MATH_PROBE)
+
+
+def pytest_report_header(config):
+    return f"numpy {np.__version__} math backend: {MATH_BACKEND or 'unknown'} (probe {MATH_PROBE})"
+
+
+def assert_pinned(table: dict, key, got) -> None:
+    """Assert that ``got`` is ``table``'s pin ``key`` for this process's math backend.
+    A backend with no table fails, naming the probe and ``got``, never skips: to
+    record its table, name the probe in ``MATH_BACKENDS`` and add, under that name,
+    the value each pinned test reports."""
+    if MATH_BACKEND not in table:
+        pytest.fail(f"no pin table for numpy's math backend {MATH_BACKEND or 'unknown'} (probe"
+                    f" {MATH_PROBE}): to record one, name the probe in tests/conftest.py's"
+                    f" MATH_BACKENDS if it is not there, and pin under that name {key!r}: {got!r}",
+                    pytrace=False)
+    assert got == table[MATH_BACKEND][key]
 
 
 @pytest.fixture

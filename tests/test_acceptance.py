@@ -39,7 +39,7 @@ from idfusion.priors import (
 )
 from idfusion.simulate import generate, lynx_like, turtle_like
 
-from conftest import make_obs, make_state
+from conftest import assert_pinned, make_obs, make_state
 from oracles import brute_force_sequential, numeric_pits_grad
 
 ALL_PRIOR_KINDS = (UNIFORM, HOME_LOCATION, MIGRATING_LOCATION, TIME_DECAY)
@@ -424,6 +424,26 @@ def test_09_calibration_improves_over_uncalibrated(lynx_suite, capsys):
     )
 
 
+# test_10's prediction files, one table per math backend (see conftest.MATH_BACKENDS).
+PREDICTION_DIGESTS = {
+    "avx512": {
+        # Simulated at the top-level seed (9); before simulate honoured it the
+        # data came from seed 0, and "seed": 9 inside "sim" gave these bytes.
+        "predictions.jsonl": "28580e4a9c4fbe95135e4cc2e4317b93fc46fd5b6f4937bcf4c8252cb6a38924",
+        # Records the checkpoint's training config and seed (9), not a stub;
+        # the config has no lr_schedule or noise_std since TrainConfig lost
+        # both, and the record no model_input_kind, which repeated the
+        # config's input_kind: these bytes are the earlier file's without
+        # those keys, rewritten by write_json.
+        "predictions_meta.json": "5802041dde7ab9ffd3ffb7f81d3ac056011245f2c5037e98ef52cea0c12728bc",
+    },
+    "avx2": {
+        "predictions.jsonl": "9d3772039cf8c01a2a82c5942091641fadf12575f578f31dd56954fd817ddcda",
+        "predictions_meta.json": "5802041dde7ab9ffd3ffb7f81d3ac056011245f2c5037e98ef52cea0c12728bc",
+    },
+}
+
+
 def test_10_same_seed_runs_are_byte_identical(tmp_path, capsys):
     """Two full pipeline runs from one seed produce identical artifacts,
     and the prediction files match sha256 digests pinned before the
@@ -475,21 +495,9 @@ def test_10_same_seed_runs_are_byte_identical(tmp_path, capsys):
         shallow=False,
     )
     assert report_match and preds_match
-    digests = {
-        name: hashlib.sha256((first / "preds" / name).read_bytes()).hexdigest()
-        for name in ("predictions.jsonl", "predictions_meta.json")
-    }
-    assert digests == {
-        # Simulated at the top-level seed (9); before simulate honoured it the
-        # data came from seed 0, and "seed": 9 inside "sim" gave these bytes.
-        "predictions.jsonl": "28580e4a9c4fbe95135e4cc2e4317b93fc46fd5b6f4937bcf4c8252cb6a38924",
-        # Records the checkpoint's training config and seed (9), not a stub;
-        # the config has no lr_schedule or noise_std since TrainConfig lost
-        # both, and the record no model_input_kind, which repeated the
-        # config's input_kind: these bytes are the earlier file's without
-        # those keys, rewritten by write_json.
-        "predictions_meta.json": "5802041dde7ab9ffd3ffb7f81d3ac056011245f2c5037e98ef52cea0c12728bc",
-    }
+    for name in ("predictions.jsonl", "predictions_meta.json"):
+        assert_pinned(PREDICTION_DIGESTS, name,
+                      hashlib.sha256((first / "preds" / name).read_bytes()).hexdigest())
     size = (first / "report.json").stat().st_size
     _announce(
         capsys,

@@ -28,7 +28,7 @@ from idfusion.errors import ConfigError, SchemaError, TrainingError
 from idfusion.priors import MIGRATING_LOCATION, PriorConfig, resolve_locations
 from idfusion.simulate import SimConfig, generate, lynx_like
 
-from conftest import make_obs
+from conftest import assert_pinned, make_obs
 from oracles import cell_center_ref, cell_index_ref, pits_loss_ref
 
 
@@ -418,25 +418,38 @@ def test_background_model_blind_without_signal():
 
 
 # sha256 of the raw float64 bytes of each trained run's weights and loss
-# history, recorded before the training step was made to work in place.
-# Training may get faster, but any bit it moves fails here.
+# history, recorded before the training step was made to work in place, for
+# each math backend (see conftest.MATH_BACKENDS); "background" is the
+# background model's weights alone. Training may get faster, but any bit it
+# moves fails here.
 _LYNX_RECIPE = TrainConfig(loss_kind="pits", input_kind="foreground", learning_rate=1e-2,
                            batch_size=8)
-TRAINING_DIGESTS = {
+TRAINING_CONFIGS = {
     # 700 train sightings: the last batch of 8 is a partial one.
-    "pits-recipe": (_LYNX_RECIPE,
-                    "4c2bf693ed58e75aca58194b4a89d7bd8bbeccc63885b0e497a8cdafecc02dbc"),
-    "ce-whole-32": (TrainConfig(loss_kind="ce", input_kind="whole", learning_rate=1e-2,
-                                batch_size=32, epochs=30, seed=1),
-                    "b228e9675a5244b4e17a0e4e68430edcc434f51b88f333ef4eaa40b62c01c62e"),
+    "pits-recipe": _LYNX_RECIPE,
+    "ce-whole-32": TrainConfig(loss_kind="ce", input_kind="whole", learning_rate=1e-2,
+                               batch_size=32, epochs=30, seed=1),
     # Batches of 12 and a last one of 4: dividing by 12 is not exact, so
     # an update that reorders its scaling moves bits here.
-    "pits-batch-12": (TrainConfig(learning_rate=2e-2, batch_size=12, epochs=20, seed=4),
-                      "b6409a5ad0de76e930934f0da986f5dae5264c0bb7147e008a86b7d0547d5c96"),
-    "pits-one-batch": (TrainConfig(learning_rate=5e-2, batch_size=5000, epochs=40, seed=3),
-                       "5828f602d521915a2ae9ca9a2865d9d2c045e23355a03920b92058ce86ae096b"),
+    "pits-batch-12": TrainConfig(learning_rate=2e-2, batch_size=12, epochs=20, seed=4),
+    "pits-one-batch": TrainConfig(learning_rate=5e-2, batch_size=5000, epochs=40, seed=3),
 }
-BACKGROUND_DIGEST = "eee56a273f6166842cba79ab0761be6c1bbcea889a27697b17babc09e035c81c"
+TRAINING_DIGESTS = {
+    "avx512": {
+        "pits-recipe": "4c2bf693ed58e75aca58194b4a89d7bd8bbeccc63885b0e497a8cdafecc02dbc",
+        "ce-whole-32": "b228e9675a5244b4e17a0e4e68430edcc434f51b88f333ef4eaa40b62c01c62e",
+        "pits-batch-12": "b6409a5ad0de76e930934f0da986f5dae5264c0bb7147e008a86b7d0547d5c96",
+        "pits-one-batch": "5828f602d521915a2ae9ca9a2865d9d2c045e23355a03920b92058ce86ae096b",
+        "background": "eee56a273f6166842cba79ab0761be6c1bbcea889a27697b17babc09e035c81c",
+    },
+    "avx2": {
+        "pits-recipe": "16d1d9a1f3c9d1e44412b3a68f1345e69733b5c3eaa3689b02f3c42a04ca0f0f",
+        "ce-whole-32": "77069deae733834e7e08a5323690118a1d98689fcc015161c83d23ee99ec2230",
+        "pits-batch-12": "a2a319b09c8bdb0aa7917cfbaa63601ff27334fc1e5d214296b629249e5f14ba",
+        "pits-one-batch": "58ed5b08b4f5e3a881d2f58cda949fc2274ca711ff61ea6c00118c5db16d761b",
+        "background": "1122084f783a67d2e77ababa3f9cf6bbf9a92af52efe140432a17ad6617c2269",
+    },
+}
 GLOBAL_TEMPERATURE_HEX = "0x1.88f2c0f3622c9p+0"
 
 
@@ -452,16 +465,15 @@ def lynx0():
     return generate(lynx_like(0))
 
 
-@pytest.mark.parametrize("name", sorted(TRAINING_DIGESTS))
+@pytest.mark.parametrize("name", sorted(TRAINING_CONFIGS))
 def test_trained_weights_are_pinned(lynx0, name):
-    config, want = TRAINING_DIGESTS[name]
-    m = train(lynx0, build_catalog(lynx0), config)
-    assert _sha256_of(m.W, m.b, m.w_T, [m.b_T], m.loss_history) == want
+    m = train(lynx0, build_catalog(lynx0), TRAINING_CONFIGS[name])
+    assert_pinned(TRAINING_DIGESTS, name, _sha256_of(m.W, m.b, m.w_T, [m.b_T], m.loss_history))
 
 
 def test_background_weights_are_pinned(lynx0):
     bg = train_background_model(lynx0, lynx0.grid, replace(_LYNX_RECIPE, seed=1))
-    assert _sha256_of(bg.W, bg.b) == BACKGROUND_DIGEST
+    assert_pinned(TRAINING_DIGESTS, "background", _sha256_of(bg.W, bg.b))
 
 
 def test_background_checkpoint_records_the_run_it_was(tmp_path, lynx0):
@@ -476,7 +488,7 @@ def test_background_checkpoint_records_the_run_it_was(tmp_path, lynx0):
     checkpoint = json.loads(out.read_text())
     assert checkpoint["train_config"] == replace(tc, loss_kind="ce", input_kind="background").to_dict()
     bg = load_model(out)
-    assert _sha256_of(bg.W, bg.b) == BACKGROUND_DIGEST
+    assert_pinned(TRAINING_DIGESTS, "background", _sha256_of(bg.W, bg.b))
 
 
 def test_global_temperature_is_pinned():

@@ -1,7 +1,8 @@
 """The package's public surface: every exported name exists, once. And no dead
 code: every import is used, and every private top-level name is referenced.
 And every third-party module the package imports is a declared dependency, and
-every development dependency is imported by a test."""
+every development dependency is imported by a test. And a bit pin on a numpy
+math backend with no pin table fails, never skips."""
 
 import ast
 import re
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import conftest
 import idfusion
 
 _TREES = {path.name: ast.parse(path.read_text(encoding="utf-8"))
@@ -108,3 +110,10 @@ def test_every_dev_dependency_is_imported_by_a_test():
     dev = _names(_pyproject()["optional-dependencies"]["dev"])
     assert {"pytest", "hypothesis"} <= imported  # the scan sees the imports it checks
     assert dev <= imported, sorted(dev - imported)
+
+
+def test_a_pin_on_an_unknown_math_backend_fails_naming_its_probe(monkeypatch):
+    monkeypatch.setattr(conftest, "MATH_BACKEND", None)
+    with pytest.raises(pytest.fail.Exception,
+                       match=f"backend unknown \\(probe {conftest.MATH_PROBE}\\).* 'key': 'got'$"):
+        conftest.assert_pinned({"avx512": {"key": "got"}, "avx2": {"key": "got"}}, "key", "got")

@@ -169,6 +169,18 @@ def test_updates_touch_only_their_row():
     assert np.array_equal(state.anchors[[0, 1, 3, 4, 5]], before[[0, 1, 3, 4, 5]])
 
 
+@pytest.mark.parametrize("update, value", [(update_location, Location(1.0, 2.0)),
+                                           (update_last_seen, 777.0)])
+def test_an_update_rejects_another_priors_state(update, value):
+    # A home prior's anchors are (K, 2) homes: a time written there would
+    # broadcast over a home's x and y.
+    state = _random_state(np.random.default_rng(5), kind=HOME_LOCATION)
+    before = state.anchors.copy()
+    with pytest.raises(ValueError, match=f"^{update.__name__} writes a .* not a {HOME_LOCATION} one$"):
+        update(state, 2, value)
+    assert np.array_equal(state.anchors, before)
+
+
 def test_migrating_prior_follows_updates():
     config = PriorConfig(kind=MIGRATING_LOCATION, alpha=2.5, cell_size_km=5.0)
     state = make_state((0, 1), config, homes=[[0.0, 0.0], [20.0, 20.0]])

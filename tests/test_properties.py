@@ -52,6 +52,7 @@ from idfusion.fusion import (
     LOG_SPACE_THRESHOLD,
     Prediction,
     fuse,
+    fuse_rows,
     prediction_lines,
     read_predictions,
     sequential_infer,
@@ -281,6 +282,36 @@ def test_uniform_stream_predicts_the_likelihood_argmax(arrays):
         assert np.array_equal(pred.posterior, pred.likelihood / pred.likelihood.sum())
 
 
+@st.composite
+def _log_space_blocks(draw):
+    """(n, K) likelihoods and priors past LOG_SPACE_THRESHOLD, both softmaxes of
+    logits up to 1e4 apart, so most entries underflow to 0. Some rows' priors
+    also drop the likelihood's support, often all of it, so the row loses its mass."""
+    k = draw(st.integers(LOG_SPACE_THRESHOLD + 1, 2 * LOG_SPACE_THRESHOLD))
+    n = draw(st.integers(1, 6))
+    likelihood = softmax(draw(_arrays(np.float64, (n, k), elements=finite)))
+    prior = softmax(draw(_arrays(np.float64, (n, k), elements=finite)))
+    for row, hide in enumerate(draw(st.lists(st.booleans(), min_size=n, max_size=n))):
+        dropped = np.where(likelihood[row] > 0, 0.0, prior[row])
+        if hide and dropped.sum() > 0:
+            prior[row] = dropped / dropped.sum()
+    return likelihood, prior
+
+
+@given(_log_space_blocks())
+def test_log_space_loses_exactly_the_rows_with_no_shared_support(block):
+    likelihood, prior = block
+    out = np.empty_like(likelihood)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lost = fuse_rows(likelihood, np.log(likelihood), prior, out)
+        scores = np.log(prior) + np.log(likelihood)
+    assert lost == [i for i, row in enumerate(scores) if np.all(row == -np.inf)]
+    for i, row in enumerate(out):
+        _assert_distribution(row)
+        if i in lost:
+            assert np.array_equal(row, likelihood[i] / likelihood[i].sum())
+
+
 # ---------------------------------------------------------------------------
 # Grid geometry: the array forms give the scalar rule's cells and centres.
 # ---------------------------------------------------------------------------
@@ -495,7 +526,7 @@ def test_relabeling_in_order_moves_no_bit(kind, k):
         relabeled = replace(model, labels=tuple(remap[label] for label in model.labels))
         preds, state, fallbacks = _infer_counting(model, start, [obs])
         _assert_same_bits(
-            ([replace(p, predicted=remap[p.predicted]) for p in preds], state, fallbacks),
+            ([p._replace(predicted=remap[p.predicted]) for p in preds], state, fallbacks),
             _infer_counting(relabeled, start, [obs]))
         reached.update(_fallback_rows(preds))
 
